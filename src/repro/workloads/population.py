@@ -197,12 +197,14 @@ class PopulationBuilder:
         rng = self._rng
         catalog = self.platform.catalog
         partner_pool = catalog.partner_attributes(user.country)
-        preferred = [
-            attribute for attribute in partner_pool
+        preferred: List[Attribute] = []
+        rest: List[Attribute] = []
+        for attribute in partner_pool:
             if any(attribute.attr_id.startswith(prefix)
-                   for prefix in persona.partner_families)
-        ]
-        rest = [a for a in partner_pool if a not in preferred]
+                   for prefix in persona.partner_families):
+                preferred.append(attribute)
+            else:
+                rest.append(attribute)
         rng.shuffle(preferred)
         rng.shuffle(rest)
         chosen: List[Attribute] = []

@@ -116,3 +116,31 @@ class TestGroundTruth:
         assert truth[user.user_id] == {
             a for a in user.binary_attrs if a.startswith("pc-")
         }
+
+
+class TestGatewayWorldPinned:
+    """The benchmark's HTTP world is a pure function of its manifest;
+    pin the population digest so a refactor cannot silently change it
+    (any RNG-draw reordering in the builder shows up here)."""
+
+    def test_seed_42_150_user_population_digest(self):
+        import hashlib
+        import json
+
+        from repro.gateway.world import WorldManifest, build_world
+
+        platform = build_world(WorldManifest(seed=42, users=150))
+        rows = []
+        for user_id in platform.users.user_ids():
+            user = platform.users.get(user_id)
+            rows.append([
+                user.user_id, user.country, user.age, user.gender,
+                user.zip_code, sorted(user.binary_attrs),
+                sorted(user.multi_attrs.items()),
+                sorted((kind, sorted(hashes))
+                       for kind, hashes in user.pii_hashes.items()),
+                sorted(user.liked_pages),
+            ])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == ("a9a19b0efdb506dc6e09a3cebd8acbe9e6b39186"
+                          "d4e0f6c6cfc4ce7f3cffe930")
