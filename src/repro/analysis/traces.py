@@ -8,10 +8,11 @@ metadata. Everything here is plain data the respective parties could
 log anyway; no platform-internal secrets are added (the impression and
 click logs are platform-internal and marked as such in their records).
 
-Live observability streams merge in, too: records captured from
-:mod:`repro.obs.events` (via :func:`merge_event_stream`) interleave
-with the snapshot records under their own kinds, so one trace file can
-carry both the post-hoc state dump and the as-it-happened event log.
+The as-it-happened log merges in, too: the state store's change
+records (``platform.store.records()``, via :func:`merge_event_stream`)
+interleave with the snapshot records, tagged with their own visibility,
+so one trace file can carry both the post-hoc state dump and the
+journal of every impression and click in commit order.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from repro.obs.events import ObsEvent
 from repro.platform.platform import AdPlatform
 from repro.platform.web import Website
+from repro.store.records import ChangeRecord, record_to_dict
 
 _SCHEMA_VERSION = 1
 
@@ -93,21 +94,22 @@ def capture_trace(platform: AdPlatform,
 
 def merge_event_stream(
     trace: Trace,
-    events: Iterable[Union[ObsEvent, Dict[str, object]]],
+    records: Iterable[Union[ChangeRecord, Dict[str, object]]],
 ) -> Trace:
-    """Fold a live obs event stream into a captured trace (in place).
+    """Fold a change-record stream into a captured trace (in place).
 
-    ``events`` may be typed :class:`~repro.obs.events.ObsEvent` records
-    (e.g. from ``EventBus.capture()``) or already-flat dicts (e.g. a
-    parsed JSONL sink file). Each lands as one trace record under its
-    own kind, tagged ``"visibility": "observability"`` so downstream
-    tooling can separate live telemetry from the snapshot records.
-    Returns the trace for chaining.
+    ``records`` may be typed :class:`~repro.store.records.ChangeRecord`
+    objects (e.g. ``platform.store.records()``) or already-flat dicts
+    (e.g. the parsed lines of a journal file). Each lands as one trace
+    record under its own kind, tagged ``"visibility": "journal"`` so
+    downstream tooling can separate the commit-order log from the
+    snapshot records (journal records are platform-internal: they carry
+    user ids). Returns the trace for chaining.
     """
-    for event in events:
-        record = event.record() if isinstance(event, ObsEvent) \
-            else dict(event)
-        record.setdefault("visibility", "observability")
+    for entry in records:
+        record = record_to_dict(entry) if isinstance(entry, ChangeRecord) \
+            else dict(entry)
+        record.setdefault("visibility", "journal")
         if record.get("kind") == "header":
             raise ValueError("event stream cannot carry a header record")
         trace.events.append(record)

@@ -31,7 +31,6 @@ from repro.core.treads import (
     Tread,
 )
 from repro.errors import ProviderError
-from repro.obs import events as obs_events
 from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import bind as _obs_bind
 from repro.platform.ads import AdStatus
@@ -218,13 +217,6 @@ class TransparencyProvider:
         rejected_c.inc(len(report.rejected))
         _log.info("provider %r launched %d treads (%d rejected)",
                   self.name, len(report.launched), len(report.rejected))
-        bus = obs_events.bus()
-        if bus.active:
-            bus.emit(obs_events.TreadsLaunched(
-                provider=self.name,
-                launched=len(report.launched),
-                rejected=len(report.rejected),
-            ))
         return report
 
     def _render(self, tread: Tread) -> RenderedCreative:

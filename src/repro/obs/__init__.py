@@ -1,12 +1,11 @@
-"""Observability: metrics, structured events, span tracing, exporters.
+"""Observability: metrics, span tracing, exporters, SLOs.
 
 PR 1 made the deliver-iff-match hot path fast; this package makes it
-legible. Four pieces, one per module:
+legible. One piece per module:
 
 * :mod:`~repro.obs.metrics` — a process-wide but injectable
   :class:`MetricsRegistry` (counters, gauges, fixed-bucket histograms)
   with a shared no-op :data:`NULL_REGISTRY` for metrics-off runs;
-* :mod:`~repro.obs.events` — a typed event bus with a JSONL sink;
 * :mod:`~repro.obs.tracing` — monotonic-clock span tracing with
   parent/child nesting (``with tracing.tracer().span("serve_slot")``);
 * :mod:`~repro.obs.export` — Prometheus text format, JSONL, and table
@@ -19,6 +18,11 @@ legible. Four pieces, one per module:
 
 :mod:`~repro.obs.names` is the catalog every instrument name lives in;
 ``docs/observability.md`` is kept in sync with it by test.
+
+"What exactly happened, in order" is not an obs signal: every
+impression and click is a change record in the platform's state store
+(``platform.store.records()``, see :mod:`repro.store`), journaled once
+at commit time.
 
 The instrumented layers (delivery, auction, targeting compiler,
 platform facade, billing, provider, client) log through stdlib
@@ -42,19 +46,6 @@ Disable everything (e.g. for benchmarking the bare hot path) with
 """
 
 from repro.obs import names
-from repro.obs.events import (
-    AdSubmitted,
-    BudgetExhausted,
-    ClickRecorded,
-    EventBus,
-    ImpressionDelivered,
-    JsonlSink,
-    ObsEvent,
-    TreadsLaunched,
-    bus,
-    event_from_record,
-    load_jsonl_events,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -96,15 +87,9 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "AdSubmitted",
-    "BudgetExhausted",
-    "ClickRecorded",
     "Counter",
-    "EventBus",
     "Gauge",
     "Histogram",
-    "ImpressionDelivered",
-    "JsonlSink",
     "MetricSample",
     "MetricsRegistry",
     "NULL_REGISTRY",
@@ -112,7 +97,6 @@ __all__ = [
     "NullRegistry",
     "NullTracer",
     "ObjectiveResult",
-    "ObsEvent",
     "SLOEvaluation",
     "SLOObjective",
     "SLOSpec",
@@ -120,15 +104,11 @@ __all__ = [
     "SpanContext",
     "TimeSeriesBuffer",
     "Tracer",
-    "TreadsLaunched",
     "bind",
     "burn_rate",
-    "bus",
     "chrome_trace_json",
     "evaluate_report",
-    "event_from_record",
     "histogram_delta",
-    "load_jsonl_events",
     "load_jsonl_spans",
     "names",
     "parse_slo",

@@ -1,4 +1,4 @@
-"""The instrument name catalog: every metric, event kind, and span name.
+"""The instrument name catalog: every metric and span name.
 
 One authoritative table per signal type. Modules creating instruments
 pull help text and histogram buckets from here so the same name always
@@ -233,13 +233,4 @@ SPANS: Dict[str, str] = {
     "store.checkpoint": "Dump every attached state owner to a snapshot.",
     "store.restore": "Load a snapshot back into the attached owners.",
     "store.replay": "Fold journal records onto the attached owners.",
-}
-
-#: Event kinds emitted on the obs event bus, kind -> meaning.
-EVENTS: Dict[str, str] = {
-    "impression_delivered": "An ad won a slot and entered a feed.",
-    "click_recorded": "A delivered ad was clicked.",
-    "ad_submitted": "An ad went through submission review.",
-    "budget_exhausted": "An account's budget ran out mid-charge.",
-    "treads_launched": "A provider launched a batch of Treads.",
 }

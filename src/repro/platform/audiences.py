@@ -467,10 +467,7 @@ class AudienceRegistry:
         evaluation until the world actually changes. Callers must not
         mutate the returned array.
         """
-        users_epoch = getattr(self._users, "mutation_epoch", None)
-        if users_epoch is None:
-            return self.member_bitset(audience_id)
-        key = (users_epoch, self._pixels.mutation_seq)
+        key = (self._users.mutation_epoch, self._pixels.mutation_seq)
         cached = self._bitset_cache.get(audience_id)
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -601,11 +598,7 @@ class AudienceRegistry:
         audience = self.get(audience_id)
         if audience.kind is AudienceKind.PII:
             return len(audience._matched_user_ids)
-        users_epoch = getattr(self._users, "mutation_epoch", None)
-        if users_epoch is None:
-            # A store without an epoch gives us nothing to key on.
-            return len(self.members(audience_id))
-        key = (users_epoch, self._pixels.mutation_seq)
+        key = (self._users.mutation_epoch, self._pixels.mutation_seq)
         cached = self._count_cache.get(audience_id)
         if cached is not None and cached[0] == key:
             return cached[1]

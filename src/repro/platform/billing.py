@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import StoreError
-from repro.obs import events as obs_events
 from repro.obs.metrics import registry as obs_registry
 from repro.platform.ads import AdInventory
 from repro.store.records import ChangeRecord, ChargeRecorded, record_from_dict, record_to_dict
@@ -89,7 +88,6 @@ class BillingLedger:
         self._obs_on = reg.enabled
         self._obs_charged = reg.counter("billing.impressions_charged")
         self._obs_exhausted = reg.counter("billing.budget_exhausted")
-        self._bus = obs_events.bus()
 
     @property
     def store(self) -> StateStore:
@@ -129,10 +127,6 @@ class BillingLedger:
             self._obs_exhausted.inc()
             _log.info("account %s budget exhausted (last charge $%.6f)",
                       account_id, amount)
-            if self._bus.active:
-                self._bus.emit(obs_events.BudgetExhausted(
-                    account_id=account_id, last_charge=amount,
-                ))
         return record
 
     def charge_impressions_bulk(self, ad_id: str, account_id: str,
@@ -172,10 +166,6 @@ class BillingLedger:
             self._obs_exhausted.inc()
             _log.info("account %s budget exhausted (last charge $%.6f)",
                       account_id, amount_total)
-            if self._bus.active:
-                self._bus.emit(obs_events.BudgetExhausted(
-                    account_id=account_id, last_charge=amount_total,
-                ))
 
     # -- state owner -------------------------------------------------------
 

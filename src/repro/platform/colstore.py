@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import base64
 import re
+from collections.abc import Set as AbstractSet
 from typing import (
     Any,
     Dict,
@@ -410,14 +411,31 @@ class UserColumns:
                 self._capacity)
 
 
-class _BinaryAttrsView:
-    """Set-like facade over one row of the binary-attribute matrix."""
+class _RowSetView(AbstractSet):
+    """Set facade over one user row of a packed membership matrix.
+
+    ``collections.abc.Set`` supplies the comparisons and operators;
+    derived sets come back as plain ``set`` objects.
+    """
 
     __slots__ = ("_store", "_row")
 
     def __init__(self, store: "ColumnarUserStore", row: int) -> None:
         self._store = store
         self._row = row
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> Set[str]:
+        return set(iterable)
+
+    def __repr__(self) -> str:
+        return f"{{{', '.join(map(repr, sorted(self)))}}}"
+
+
+class _BinaryAttrsView(_RowSetView):
+    """One row of the binary-attribute matrix."""
+
+    __slots__ = ()
 
     def __contains__(self, attr_id: object) -> bool:
         return (isinstance(attr_id, str)
@@ -429,48 +447,17 @@ class _BinaryAttrsView:
     def __len__(self) -> int:
         return self._store.columns.attr_count_of(self._row)
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
     def add(self, attr_id: str) -> None:
         self._store._set_binary(self._row, attr_id)
 
     def discard(self, attr_id: str) -> None:
         self._store._clear_binary(self._row, attr_id)
 
-    def __and__(self, other) -> Set[str]:
-        return set(self) & set(other)
 
-    __rand__ = __and__
+class _LikedPagesView(_RowSetView):
+    """One row of the page-like matrix."""
 
-    def __or__(self, other) -> Set[str]:
-        return set(self) | set(other)
-
-    __ror__ = __or__
-
-    def __sub__(self, other) -> Set[str]:
-        return set(self) - set(other)
-
-    def __rsub__(self, other) -> Set[str]:
-        return set(other) - set(self)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (set, frozenset, _BinaryAttrsView)):
-            return set(self) == set(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{{{', '.join(map(repr, sorted(self)))}}}"
-
-
-class _LikedPagesView:
-    """Set-like facade over one row of the page-like matrix."""
-
-    __slots__ = ("_store", "_row")
-
-    def __init__(self, store: "ColumnarUserStore", row: int) -> None:
-        self._store = store
-        self._row = row
+    __slots__ = ()
 
     def __contains__(self, page_id: object) -> bool:
         return (isinstance(page_id, str)
@@ -482,22 +469,11 @@ class _LikedPagesView:
     def __len__(self) -> int:
         return bitset.popcount(self._store.columns.page_bits[self._row])
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
     def add(self, page_id: str) -> None:
         self._store._like(self._row, page_id)
 
     def discard(self, page_id: str) -> None:
         self._store._unlike(self._row, page_id)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (set, frozenset, _LikedPagesView)):
-            return set(self) == set(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{{{', '.join(map(repr, sorted(self)))}}}"
 
 
 class _MultiAttrsView:

@@ -37,12 +37,13 @@ import logging
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
 from repro.errors import StoreError
-from repro.obs import events as obs_events
 from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import MetricsRegistry, registry as obs_registry
 from repro.platform import bitset
@@ -258,7 +259,6 @@ class DeliveryEngine:
             "delivery.sweep_fallback_specs")
         self._obs_sweep_budget_rounds = reg.counter(
             "delivery.sweep_budget_fallback_rounds")
-        self._bus = obs_events.bus()
 
     # -- eligibility ---------------------------------------------------------
 
@@ -548,14 +548,6 @@ class DeliveryEngine:
         self._apply_impression(impression, ad)
         if self._obs_on:
             self._obs_impressions.inc()
-        if self._bus.active:
-            self._bus.emit(obs_events.ImpressionDelivered(
-                ad_id=ad.ad_id,
-                account_id=ad.account_id,
-                user_id=user.user_id,
-                price=price,
-                impression_seq=seq,
-            ))
 
     def _apply_impression(self, impression: Impression,
                           ad: Optional[Ad] = None) -> None:
@@ -677,6 +669,39 @@ class DeliveryEngine:
             self._resolver = outer_resolver
             self._match_cache = outer_cache
 
+    def _serve_round(self, users: Iterable[UserProfile],
+                     stats: DeliveryStats,
+                     saturating: bool) -> Tuple[bool, List[UserProfile]]:
+        """Serve one slot to each of ``users`` in order, tallied into
+        ``stats`` — the one per-slot body of every scalar loop.
+
+        ``saturating`` is the campaign mode: a user with nothing
+        eligible is dropped without an auction (no competing bid is
+        drawn) and without counting a slot. Returns whether any slot
+        was filled, plus the users that still had an eligible ad (the
+        next saturation round's rotation; empty unless ``saturating``).
+        """
+        trc = obs_tracing.tracer()
+        progressed = False
+        still_active: List[UserProfile] = []
+        for user in users:
+            with trc.span("serve_slot", user_id=user.user_id):
+                contenders, had_eligible = self._slot_contenders(user)
+                if saturating:
+                    if not had_eligible:
+                        continue
+                    still_active.append(user)
+                outcome = self._auction_slot(user, contenders)
+            stats.slots += 1
+            if outcome.won:
+                stats.filled_by_tracked_ads += 1
+                progressed = True
+            elif had_eligible and (saturating or outcome.competing_bid > 0):
+                stats.lost_to_competition += 1
+            else:
+                stats.no_eligible_ad += 1
+        return progressed, still_active
+
     def run_sessions(
         self,
         users: Sequence[UserProfile],
@@ -689,31 +714,12 @@ class DeliveryEngine:
         mid-run.
         """
         stats = DeliveryStats()
-        trc = obs_tracing.tracer()
-        traced = trc.enabled
         with self.serving_session(), \
-                trc.span("delivery.run_sessions", users=len(users),
-                         slots_per_user=slots_per_user):
-                for _ in range(slots_per_user):
-                    for user in users:
-                        if traced:
-                            with trc.span("serve_slot",
-                                          user_id=user.user_id):
-                                contenders, had_eligible = \
-                                    self._slot_contenders(user)
-                                outcome = self._auction_slot(user,
-                                                             contenders)
-                        else:
-                            contenders, had_eligible = \
-                                self._slot_contenders(user)
-                            outcome = self._auction_slot(user, contenders)
-                        stats.slots += 1
-                        if outcome.won:
-                            stats.filled_by_tracked_ads += 1
-                        elif outcome.competing_bid > 0 and had_eligible:
-                            stats.lost_to_competition += 1
-                        else:
-                            stats.no_eligible_ad += 1
+                obs_tracing.tracer().span("delivery.run_sessions",
+                                          users=len(users),
+                                          slots_per_user=slots_per_user):
+            for _ in range(slots_per_user):
+                self._serve_round(users, stats, saturating=False)
         _log.info(
             "run_sessions: %d slots (%d filled, %d lost, %d empty) "
             "for %d users",
@@ -733,46 +739,20 @@ class DeliveryEngine:
         (user, ad) pair has hit the frequency cap or budgets are spent.
         """
         stats = DeliveryStats()
-        trc = obs_tracing.tracer()
-        traced = trc.enabled
         # Within one run every eligibility condition is monotone —
         # caps only accumulate, budgets only shrink, statuses and
         # matches are static — so a user whose eligible set empties
         # can never regain one and is dropped from the rotation.
         with self.serving_session(), \
-                trc.span("delivery.run_until_saturated",
-                         users=len(users), max_rounds=max_rounds):
-                active = list(users)
-                for _ in range(max_rounds):
-                    progressed = False
-                    still_active: List[UserProfile] = []
-                    for user in active:
-                        if traced:
-                            with trc.span("serve_slot",
-                                          user_id=user.user_id):
-                                contenders, had_eligible = \
-                                    self._slot_contenders(user)
-                                if not had_eligible:
-                                    continue
-                                still_active.append(user)
-                                outcome = self._auction_slot(user,
-                                                             contenders)
-                        else:
-                            contenders, had_eligible = \
-                                self._slot_contenders(user)
-                            if not had_eligible:
-                                continue
-                            still_active.append(user)
-                            outcome = self._auction_slot(user, contenders)
-                        stats.slots += 1
-                        if outcome.won:
-                            stats.filled_by_tracked_ads += 1
-                            progressed = True
-                        else:
-                            stats.lost_to_competition += 1
-                    active = still_active
-                    if not progressed:
-                        break
+                obs_tracing.tracer().span("delivery.run_until_saturated",
+                                          users=len(users),
+                                          max_rounds=max_rounds):
+            active: Sequence[UserProfile] = users
+            for _ in range(max_rounds):
+                progressed, active = self._serve_round(active, stats,
+                                                       saturating=True)
+                if not progressed:
+                    break
         _log.info(
             "run_until_saturated: %d slots (%d filled, %d lost) "
             "for %d users",
@@ -899,8 +879,7 @@ class DeliveryEngine:
         n = stop - start
         avail = np.zeros((len(entries), bitset.words_for(n)),
                          dtype=np.uint64)
-        bits_resolver = getattr(
-            self._audiences, "member_bitset_cached", None)
+        bits_resolver = self._audiences.member_bitset_cached
         fallbacks = 0
         for i, (ad, _account, _bid, matcher) in enumerate(entries):
             program = lower_spec(ad.targeting)
@@ -1079,20 +1058,10 @@ class DeliveryEngine:
                 # never pruned — drop it wholesale first.
                 if self._match_cache is not None:
                     self._match_cache.clear()
-                progressed = False
                 store = self._user_store
-                for r in range(start, stop):
-                    user = UserView(store, r)
-                    contenders, had_eligible = self._slot_contenders(user)
-                    if not had_eligible:
-                        continue
-                    stats.slots += 1
-                    outcome = self._auction_slot(user, contenders)
-                    if outcome.won:
-                        stats.filled_by_tracked_ads += 1
-                        progressed = True
-                    else:
-                        stats.lost_to_competition += 1
+                progressed, _ = self._serve_round(
+                    (UserView(store, r) for r in range(start, stop)),
+                    stats, saturating=True)
                 self._sweep_subtract_shown(avail, entries, start, stop)
                 if not progressed:
                     break
@@ -1139,7 +1108,7 @@ class DeliveryEngine:
             order, np.flatnonzero(np.diff(wcand[order])) + 1)
         if not self._compact:
             # Full-logs mode: deliver each win through the exact scalar
-            # commit path (charge -> journal -> fold -> obs -> bus), in
+            # commit path (charge -> journal -> fold -> obs), in
             # ascending row order, so journals and feeds are
             # byte-identical to the scalar loop.
             for j in range(len(rel_rows)):
@@ -1154,10 +1123,9 @@ class DeliveryEngine:
 
         count = len(rel_rows)
         seq_base = self._impression_seq
-        discards = getattr(self._store, "discards_records", False)
+        discards = self._store.discards_records
         if discards:
             self._store.note_discarded(count)
-        bus_on = self._bus.active
         # Rounds that cleared at nonzero prices bill per impression in
         # delivery (row) order — budget and spend then accumulate in the
         # exact float association the scalar path produces, interleaved
@@ -1165,7 +1133,7 @@ class DeliveryEngine:
         # competition, zero floor) skip this and take the O(1) per-ad
         # debit below.
         priced = bool(np.any(price))
-        if priced or not discards or bus_on:
+        if priced or not discards:
             # Journaling stores get real per-impression records with the
             # same seq/user/price/order the scalar path would append —
             # charge first, then journal, as _deliver does.
@@ -1176,18 +1144,12 @@ class DeliveryEngine:
                     self._ledger.charge_impression(
                         ad.ad_id, ad.account_id, amount, seq_base + j,
                         journal=False)
-                if not discards or bus_on:
-                    user_id = users.id_of(start + int(rel_rows[j]))
-                    if not discards:
-                        self._store.append(Impression(
-                            seq=seq_base + j, ad_id=ad.ad_id,
-                            account_id=ad.account_id, user_id=user_id,
-                            price=amount))
-                    if bus_on:
-                        self._bus.emit(obs_events.ImpressionDelivered(
-                            ad_id=ad.ad_id, account_id=ad.account_id,
-                            user_id=user_id, price=amount,
-                            impression_seq=seq_base + j))
+                if not discards:
+                    self._store.append(Impression(
+                        seq=seq_base + j, ad_id=ad.ad_id,
+                        account_id=ad.account_id,
+                        user_id=users.id_of(start + int(rel_rows[j])),
+                        price=amount))
         for group in grouped:
             cand = int(wcand[group[0]])
             ad = entries[cand][0]
@@ -1259,8 +1221,7 @@ class DeliveryEngine:
         if total:
             self._impression_count += total
             self._impression_seq += total
-            discards = getattr(self._store, "discards_records", False)
-            if discards:
+            if self._store.discards_records:
                 self._store.note_discarded(total)
             if self._obs_on:
                 self._obs_impressions.inc(total)
@@ -1315,10 +1276,6 @@ class DeliveryEngine:
         self._store.append(click)
         self._apply_click(click)
         self._obs_clicks.inc()
-        if self._bus.active:
-            self._bus.emit(obs_events.ClickRecorded(
-                ad_id=ad_id, user_id=user_id, click_seq=click.click_seq,
-            ))
 
     def _apply_click(self, click: Click) -> None:
         """Fold one click into the log and the per-ad view (shared by

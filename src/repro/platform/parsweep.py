@@ -156,7 +156,7 @@ def parallel_sweep(
         raise StoreError(
             "parallel sweep needs a compact delivery engine (deltas "
             "are bitset/counter folds, not per-impression journals)")
-    if not getattr(engine._store, "discards_records", False):
+    if not engine._store.discards_records:
         raise StoreError(
             "parallel sweep needs a record-discarding store (NullStore):"
             " a forked worker cannot append to the parent's journal")

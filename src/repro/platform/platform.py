@@ -25,7 +25,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Unio
 
 from repro.errors import AccountError, StoreError, TargetingError
 from repro.ids import IdFactory
-from repro.obs import events as obs_events
 from repro.obs.metrics import registry as obs_registry
 from repro.platform.ads import (
     Ad,
@@ -216,7 +215,6 @@ class AdPlatform:
         self._obs_users = reg.counter("platform.users_registered")
         self._obs_submitted = reg.counter("platform.ads_submitted")
         self._obs_rejected = reg.counter("platform.ads_rejected")
-        self._bus = obs_events.bus()
         _log.debug("platform %r up: %d catalog attributes",
                    self.config.name, len(self.catalog))
 
@@ -514,13 +512,6 @@ class AdPlatform:
         if not approved:
             self._obs_rejected.inc()
             _log.debug("ad %s rejected: %s", ad.ad_id, ad.review_note)
-        if self._bus.active:
-            self._bus.emit(obs_events.AdSubmitted(
-                ad_id=ad.ad_id,
-                account_id=account_id,
-                approved=approved,
-                review_note=ad.review_note or "",
-            ))
         return self.inventory.add_ad(ad)
 
     def _check_attribute_availability(self, spec: TargetingSpec,

@@ -12,7 +12,7 @@ mutation paths cleanly:
 
 * **Live path** — the owner builds a change record, calls
   ``store.append(record)``, then applies it to its own structures
-  (emitting obs metrics/events as a side effect of being live).
+  (emitting obs metrics as a side effect of being live).
 * **Replay path** — the *store* dispatches each journal record to the
   owner's ``apply_record``, which mutates state but never re-journals
   and never re-emits obs signals. Replaying a journal twice, or onto a
@@ -82,6 +82,10 @@ class StateStore:
     :meth:`records`, :attr:`record_count`); everything that coordinates
     owners lives here so both backends share one code path.
     """
+
+    #: True when appended records are dropped (:class:`NullStore`) —
+    #: bulk writers may then skip building them.
+    discards_records = False
 
     def __init__(self) -> None:
         self._owners: Dict[str, StateOwner] = {}
@@ -239,7 +243,6 @@ class NullStore(StateStore):
     that would be thrown away one by one.
     """
 
-    #: Appended records are dropped — bulk writers may skip building them.
     discards_records = True
 
     def __init__(self) -> None:

@@ -11,7 +11,7 @@ from repro.analysis.traces import (
     spend_by_day_of_seq,
 )
 from repro.core.provider import TransparencyProvider
-from repro.obs.events import ImpressionDelivered, bus
+from repro.store.records import ImpressionRecorded
 
 
 @pytest.fixture
@@ -82,20 +82,21 @@ class TestClickCapture:
 class TestMergeEventStream:
     def test_merges_typed_events(self):
         trace = Trace(header={"schema": 1})
-        event = ImpressionDelivered(ad_id="ad-1", account_id="acct-1",
-                                    user_id="u-1", price=0.002,
-                                    impression_seq=0)
-        result = merge_event_stream(trace, [event])
+        record = ImpressionRecorded(seq=0, ad_id="ad-1",
+                                    account_id="acct-1", user_id="u-1",
+                                    price=0.002)
+        result = merge_event_stream(trace, [record])
         assert result is trace
-        merged = trace.of_kind("impression_delivered")
-        assert len(merged) == 1
-        assert merged[0]["ad_id"] == "ad-1"
-        assert merged[0]["visibility"] == "observability"
+        assert trace.events == [{
+            "kind": "impression", "seq": 0, "ad_id": "ad-1",
+            "account_id": "acct-1", "user_id": "u-1", "price": 0.002,
+            "visibility": "journal",
+        }]
 
     def test_merges_plain_dicts_preserving_visibility(self):
         trace = Trace()
         merge_event_stream(trace, [
-            {"kind": "click_recorded", "ad_id": "ad-2",
+            {"kind": "click", "ad_id": "ad-2",
              "visibility": "custom"},
         ])
         assert trace.events[0]["visibility"] == "custom"
@@ -104,19 +105,23 @@ class TestMergeEventStream:
         with pytest.raises(ValueError):
             merge_event_stream(Trace(), [{"kind": "header", "schema": 1}])
 
-    def test_captured_bus_events_round_trip(self, platform, web):
-        with bus().capture() as captured:
-            provider = TransparencyProvider(platform, web, budget=100.0)
-            attr = platform.catalog.partner_attributes()[0]
-            user = platform.register_user()
-            user.set_attribute(attr)
-            provider.optin.via_page_like(user.user_id)
-            provider.launch_attribute_sweep([attr])
-            provider.run_delivery()
-        trace = merge_event_stream(capture_trace(platform), captured)
-        live = trace.of_kind("impression_delivered")
-        snapshot = trace.of_kind("impression")
-        assert len(live) == len(snapshot) > 0
+    def test_journal_records_round_trip(self, platform, web):
+        provider = TransparencyProvider(platform, web, budget=100.0)
+        attr = platform.catalog.partner_attributes()[0]
+        user = platform.register_user()
+        user.set_attribute(attr)
+        provider.optin.via_page_like(user.user_id)
+        provider.launch_attribute_sweep([attr])
+        provider.run_delivery()
+        trace = merge_event_stream(capture_trace(platform),
+                                   platform.store.records())
+        by_visibility = {}
+        for event in trace.of_kind("impression"):
+            fields = {k: v for k, v in event.items() if k != "visibility"}
+            by_visibility.setdefault(event["visibility"], []).append(fields)
+        journal = by_visibility["journal"]
+        assert journal == by_visibility["platform-internal"]
+        assert len(journal) > 0
         restored = load_jsonl(dump_jsonl(trace))
         assert restored.events == trace.events
 

@@ -1,6 +1,6 @@
 """Diffs docs/observability.md against the repro.obs.names catalog.
 
-Both directions: every registered metric/span/event must appear in the
+Both directions: every registered metric/span must appear in the
 doc, and every instrument-shaped name the doc mentions must exist in
 the catalog — adding an instrument without documenting it (or
 documenting a phantom) fails here.
@@ -16,8 +16,8 @@ from repro.obs import names
 DOC_PATH = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
 
 #: Backticked tokens that look like instrument names: dotted lowercase
-#: words (metrics, spans) — `serve_slot`-style spans and event kinds are
-#: matched separately because bare snake_case collides with field names.
+#: words (metrics, spans) — `serve_slot`-style spans are matched
+#: separately because bare snake_case collides with field names.
 _DOTTED = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)`")
 
 
@@ -77,42 +77,6 @@ class TestSpanAndEventCatalogs:
                                   re.MULTILINE)}
         phantoms = documented - set(names.SPANS)
         assert not phantoms, f"docs mention unknown spans: {phantoms}"
-
-    def test_every_event_documented(self, doc_text):
-        section = _section(doc_text, "Event schema")
-        missing = [kind for kind in names.EVENTS
-                   if f"`{kind}`" not in section]
-        assert not missing, f"event kinds missing from docs: {missing}"
-
-    def test_no_phantom_events_documented(self, doc_text):
-        section = _section(doc_text, "Event schema")
-        documented = {m.group(1) for m in
-                      re.finditer(r"^\| `([a-z0-9_.]+)` \|", section,
-                                  re.MULTILINE)}
-        phantoms = documented - set(names.EVENTS)
-        assert not phantoms, f"docs mention unknown events: {phantoms}"
-
-    def test_documented_event_fields_match_dataclasses(self, doc_text):
-        from dataclasses import fields
-        from repro.obs import events as events_mod
-
-        by_kind = {cls.kind: cls for cls in
-                   (events_mod.ImpressionDelivered,
-                    events_mod.ClickRecorded,
-                    events_mod.AdSubmitted,
-                    events_mod.BudgetExhausted,
-                    events_mod.TreadsLaunched)}
-        section = _section(doc_text, "Event schema")
-        rows = re.findall(r"^\| `([a-z0-9_]+)` \| [^|]+ \| ([^|]+) \|",
-                          section, re.MULTILINE)
-        assert rows, "event schema table not found"
-        for kind, field_cell in rows:
-            documented = {f.strip() for f in field_cell.split(",")}
-            actual = {f.name for f in fields(by_kind[kind])}
-            assert documented == actual, (
-                f"{kind}: docs say {sorted(documented)}, "
-                f"dataclass has {sorted(actual)}"
-            )
 
     def test_catalog_tables_reference_each_other(self, doc_text):
         # The doc must name its enforcement test and the names module,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.client import TreadClient
 from repro.core.provider import TransparencyProvider
-from repro.obs import events as obs_events
 from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
@@ -54,14 +53,19 @@ class TestEnabledRegistry:
         assert reg.value("client.treads_decoded") == 4
 
     def test_events_flow_during_scenario(self, platform_factory, web):
+        # The as-it-happened record of each delivery is its journal
+        # entry: one impression record per delivered impression, in
+        # seq order, agreeing with the metric that counted it.
         reg = MetricsRegistry("itest-events")
-        with use_registry(reg), obs_events.bus().capture() as captured:
+        with use_registry(reg):
             platform = platform_factory()
             _run_scenario(platform, web)
-        kinds = {event.kind for event in captured}
-        assert "impression_delivered" in kinds
-        assert "ad_submitted" in kinds
-        assert "treads_launched" in kinds
+        impressions = [record for record in platform.store.records()
+                       if record.kind == "impression"]
+        assert [record.seq for record in impressions] == [0, 1, 2, 3]
+        assert len(impressions) == \
+            reg.value("delivery.impressions_delivered")
+        assert impressions == platform.delivery.impressions()
 
     def test_spans_nest_under_the_run(self, platform_factory, web):
         trc = Tracer()

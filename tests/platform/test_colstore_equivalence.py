@@ -44,6 +44,7 @@ MULTIS = (
 PAGES = ("p0", "p1")
 PII_VALUES = ("a@x.com", "b@x.com", "c@x.com")
 ALL_ATTR_IDS = tuple(a.attr_id for a in BINS + MULTIS)
+PROBE_IDS = tuple(a.attr_id for a in BINS) + PAGES
 
 
 def _op_strategy():
@@ -58,6 +59,8 @@ def _op_strategy():
             st.tuples(st.just("like"), user, st.sampled_from(PAGES)),
             st.tuples(st.just("unlike"), user, st.sampled_from(PAGES)),
             st.tuples(st.just("pii"), user, st.sampled_from(PII_VALUES)),
+            st.tuples(st.just("compare"), user,
+                      st.sets(st.sampled_from(PROBE_IDS))),
         ),
         max_size=40,
     )
@@ -65,8 +68,32 @@ def _op_strategy():
 
 
 
+def _set_algebra(view, probe):
+    """Every comparison and operator a caller may apply to a set-like
+    profile field, with the view on either side of a plain set."""
+    return (
+        view == probe, probe == view, view != probe, probe != view,
+        view <= probe, view < probe, view >= probe, view > probe,
+        probe <= view, probe < view, probe >= view, probe > view,
+        view & probe, probe & view, view | probe, probe | view,
+        view - probe, probe - view, view ^ probe, probe ^ view,
+        view.isdisjoint(probe), bool(view), len(view), sorted(view),
+    )
+
+
+def _assert_set_algebra_equal(legacy, columnar, user_id, probe):
+    profile, view = legacy.get(user_id), columnar.get(user_id)
+    assert _set_algebra(profile.binary_attrs, probe) == \
+        _set_algebra(view.binary_attrs, probe), (user_id, probe)
+    assert _set_algebra(profile.liked_pages, probe) == \
+        _set_algebra(view.liked_pages, probe), (user_id, probe)
+
+
 def _build_stores(ops):
-    """Apply one op sequence to both stores; returns (legacy, columnar)."""
+    """Apply one op sequence to both stores; returns (legacy, columnar).
+
+    ``compare`` ops mutate nothing: they check the two stores' set
+    views answer the same set algebra at that point in the sequence."""
     legacy = UserStore()
     columnar = ColumnarUserStore()
     for index, user_id in enumerate(USER_IDS):
@@ -77,6 +104,9 @@ def _build_stores(ops):
                           gender="female" if index % 2 else "male",
                           zip_code=f"{10001 + index:05d}")
     for op in ops:
+        if op[0] == "compare":
+            _assert_set_algebra_equal(legacy, columnar, op[1], set(op[2]))
+            continue
         for store in (legacy, columnar):
             user = store.get(op[1])
             if op[0] == "set_bin":
@@ -176,6 +206,9 @@ class TestDeterministicEquivalence:
         ("pii", "u-005", PII_VALUES[0]),  # shared digest, two users
         ("clear", "u-000", "b1"),
         ("clear", "u-002", "m0"),
+        ("compare", "u-000", {"b0", "p0"}),
+        ("compare", "u-000", {"b0", "b2", "p0", "p1"}),
+        ("compare", "u-001", set()),
     ]
 
     def test_fixed_script(self):

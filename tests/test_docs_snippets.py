@@ -103,6 +103,14 @@ def test_api_tour_scenario_end_to_end():
     assert reg.value("delivery.slots_served") > 0
     assert "delivery.slots_served" in export.to_table(reg)
 
+    from repro.analysis.traces import capture_trace, merge_event_stream
+
+    trace = merge_event_stream(capture_trace(obs_platform),
+                               obs_platform.store.records())
+    journal = [event for event in trace.of_kind("impression")
+               if event["visibility"] == "journal"]
+    assert len(journal) == len(obs_platform.delivery.impressions()) > 0
+
     # 10. serve it like a platform
     from repro import (
         AdRequest,
