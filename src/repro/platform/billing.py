@@ -29,9 +29,11 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import StoreError
+import numpy as np
+
+from repro.errors import BudgetError, StoreError
 from repro.obs.metrics import registry as obs_registry
 from repro.platform.ads import AdInventory
 from repro.store.records import ChangeRecord, ChargeRecorded, record_from_dict, record_to_dict
@@ -45,6 +47,14 @@ _BUDGET_EPSILON = 1e-9
 
 #: One billed impression — the journal record *is* the ledger entry.
 ChargeRecord = ChargeRecorded
+
+
+def _left_fold(start: float, amounts: np.ndarray) -> float:
+    """``start + amounts[0] + amounts[1] + ...``, added left to right."""
+    if not amounts.size:
+        return start
+    return float(np.add.accumulate(
+        np.concatenate(([start], amounts)))[-1])
 
 
 @dataclass
@@ -129,22 +139,105 @@ class BillingLedger:
                       account_id, amount)
         return record
 
+    def charge_impression_run(self, ads: Sequence[Tuple[str, str]],
+                              ad_index: np.ndarray,
+                              amounts: np.ndarray) -> None:
+        """Charge a delivery-ordered run of impressions in one fold.
+
+        Impression ``j`` of the run charges ``amounts[j]`` to the
+        ``(ad_id, account_id)`` pair ``ads[ad_index[j]]``. The result is
+        bit-identical to ``charge_impression(..., journal=False)`` called
+        once per impression in run order: every budget and spend total
+        is a strict left fold (``np.subtract.accumulate`` /
+        ``np.add.accumulate``) over its own charges in run order, which
+        is the float association of the sequential calls. Never use a
+        pairwise or compensated sum here — it changes bits.
+
+        The whole run is validated (non-negative amounts, no overdraft
+        at any step, known accounts) before any state changes, so a
+        :class:`~repro.errors.BudgetError` leaves the ledger untouched.
+        This is the batch sweep's billing step: one call per compact
+        sweep round. Compact mode only, and never journals — the
+        sweep's impression records, when kept, imply the charges as on
+        the scalar path.
+        """
+        if not self._compact:
+            raise StoreError(
+                "impression runs require the compact ledger; the "
+                "full-logs path bills per impression")
+        amounts = np.asarray(amounts, dtype=np.float64)
+        ad_index = np.asarray(ad_index, dtype=np.int64)
+        if amounts.shape != ad_index.shape:
+            raise ValueError("ad_index and amounts must align")
+        if not amounts.size:
+            return
+        if (amounts < 0).any():
+            raise BudgetError("charge must be non-negative")
+        # Ads and accounts in first-charge order: the order the
+        # sequential calls would first touch (and insert) them.
+        by_ad = np.argsort(ad_index, kind="stable")
+        starts = np.flatnonzero(np.diff(ad_index[by_ad])) + 1
+        groups = np.split(by_ad, starts)
+        groups.sort(key=lambda group: group[0])
+        account_ids: Dict[str, int] = {}
+        account_of_ad = np.empty(len(ads), dtype=np.int64)
+        for group in groups:
+            k = int(ad_index[group[0]])
+            account_of_ad[k] = account_ids.setdefault(
+                ads[k][1], len(account_ids))
+        account_of_charge = account_of_ad[ad_index]
+        accounts = [self._inventory.account(a) for a in account_ids]
+        budget_paths = []
+        overdraft: Optional[Tuple[int, int, int]] = None
+        for a, account in enumerate(accounts):
+            rows = np.flatnonzero(account_of_charge == a)
+            charged = amounts[rows]
+            path = np.subtract.accumulate(
+                np.concatenate(([account.budget], charged)))
+            over = np.flatnonzero(charged > path[:-1] + 1e-12)
+            if over.size and (overdraft is None
+                              or rows[over[0]] < overdraft[0]):
+                overdraft = (int(rows[over[0]]), a, int(over[0]))
+            budget_paths.append((rows, path))
+        if overdraft is not None:
+            j, a, step = overdraft
+            raise BudgetError(
+                f"account {accounts[a].account_id!r} cannot pay "
+                f"{amounts[j]:.6f}; budget is "
+                f"{budget_paths[a][1][step]:.6f}")
+
+        for group in groups:
+            ad_id, account_id = ads[int(ad_index[group[0]])]
+            self._spend_by_ad[ad_id] = _left_fold(
+                self._spend_by_ad.get(ad_id, 0.0), amounts[group])
+            self._impressions_by_ad[ad_id] += len(group)
+            self._account_by_ad.setdefault(ad_id, account_id)
+        for account, (rows, path) in zip(accounts, budget_paths):
+            account_id = account.account_id
+            account.budget = float(path[-1])
+            self._spend_by_account[account_id] = _left_fold(
+                self._spend_by_account.get(account_id, 0.0), amounts[rows])
+            self._impressions_by_account[account_id] += len(rows)
+        if self._obs_on:
+            self._obs_charged.inc(int(amounts.size))
+        for account, (rows, path) in zip(accounts, budget_paths):
+            crossings = np.flatnonzero((path[:-1] > _BUDGET_EPSILON)
+                                       & (path[1:] <= _BUDGET_EPSILON))
+            for step in crossings:
+                self._obs_exhausted.inc()
+                _log.info("account %s budget exhausted (last charge "
+                          "$%.6f)", account.account_id,
+                          amounts[rows[step]])
+
     def charge_impressions_bulk(self, ad_id: str, account_id: str,
                                 amount_total: float, count: int) -> None:
         """Charge ``count`` impressions of one ad in a single debit.
 
-        The batch sweep's O(1) billing fold, used where one debit is
-        float-identical to ``count`` sequential charges: the
-        all-zero-price rounds of the Treads economics, and partitioned-
-        sweep merge deltas (:meth:`~repro.platform.delivery.
-        DeliveryEngine.absorb_sweep_delta`). Rounds with nonzero prices
-        bill per impression through :meth:`charge_impression` instead —
-        budget and spend accumulate in delivery order, so float
-        association matches the scalar path bit for bit. Compact mode
-        only — the full-logs path bills per impression so each charge
-        record exists — and never journals (the sweep's impression
-        records, when kept, imply the charges exactly as on the scalar
-        path).
+        The partitioned sweep's merge step (:meth:`~repro.platform.
+        delivery.DeliveryEngine.absorb_sweep_delta`): each worker ships
+        per-ad spend sums, so priced parallel sweeps match sequential
+        billing to float tolerance (zero-price sweeps exactly). Compact
+        mode only, and never journals.
         """
         if not self._compact:
             raise StoreError(

@@ -97,16 +97,6 @@ def from_indices(indices: Sequence[int], nbits: int) -> np.ndarray:
     return bits
 
 
-def or_indices(bits: np.ndarray, indices: Sequence[int]) -> None:
-    """OR the given bit indices into ``bits`` in place (bulk
-    :func:`set_bit` — the batch sweep's per-round shown-bitset fold)."""
-    if len(indices) == 0:
-        return
-    idx = np.asarray(indices, dtype=np.int64)
-    np.bitwise_or.at(bits, idx >> 6,
-                     np.uint64(1) << (idx & 63).astype(np.uint64))
-
-
 def to_indices(bits: np.ndarray) -> np.ndarray:
     """Indices of set bits, ascending (the decoded member rows)."""
     if bits.size == 0:

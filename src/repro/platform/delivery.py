@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import numbers
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -78,6 +79,100 @@ Impression = ImpressionRecorded
 
 #: Platform-internal record of one ad click.
 Click = ClickRecorded
+
+
+def _first_owners(block: np.ndarray) -> np.ndarray:
+    """For each bit column of a packed ``(rows x words)`` block, the
+    index of the first row with that bit set, or -1.
+
+    A prefix-OR down the rows, then ``row & ~prefix`` keeps every bit
+    only in the row where it first appears; the surviving bits are read
+    out of the nonzero words one lowest-set-bit at a time. ``block`` is
+    overwritten.
+    """
+    rows, words = block.shape
+    owner = np.full(words * bitset.WORD_BITS, -1, dtype=np.int64)
+    prefix = np.bitwise_or.accumulate(block, axis=0)
+    np.invert(prefix[:-1], out=prefix[:-1])
+    block[1:] &= prefix[:-1]
+    hits = np.flatnonzero(block)
+    which, word = np.divmod(hits, words)
+    values = block.reshape(-1)[hits]
+    base = word * bitset.WORD_BITS
+    one = np.uint64(1)
+    while values.size:
+        low = values & (~values + one)
+        # low is a power of two, exact as a float: frexp gives its bit.
+        owner[base + np.frexp(low.astype(np.float64))[1] - 1] = which
+        values ^= low
+        keep = np.flatnonzero(values)
+        values, base, which = values[keep], base[keep], which[keep]
+    return owner
+
+
+def check_sweep_args(max_rounds: int, block_rows: int) -> None:
+    """Validate the sweep knobs shared by the single-process and the
+    partitioned sweep (the latter checks before forking)."""
+    if not isinstance(max_rounds, numbers.Integral) or max_rounds < 0:
+        raise ValueError("max_rounds must be a non-negative integer")
+    if block_rows <= 0 or block_rows % bitset.WORD_BITS:
+        raise ValueError("block_rows must be a positive multiple "
+                         f"of {bitset.WORD_BITS}")
+
+
+def sweep_auction(avail: np.ndarray, candidates: np.ndarray,
+                  accounts: np.ndarray, nrows: int, block_rows: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray]:
+    """One round's per-row auction selection over packed availability.
+
+    ``avail`` is a packed ``(entries x words)`` matrix whose bit ``r`` of
+    row ``e`` says entry ``e`` is available to row ``r``;
+    ``candidates`` lists the entries in the round, in auction-priority
+    order, and ``accounts[k]`` is the account of ``candidates[k]``.
+    Each account's champion for a row is its first available candidate
+    in priority order (:func:`_first_owners` over the account's slice
+    of the block); the winner is the best champion and the runner-up
+    the second best — the scalar auction's per-account dedupe, then
+    top-2. Rows go ``block_rows`` at a time, so the transient working
+    set is about ``2 x len(candidates) x block_rows / 8`` bytes.
+
+    Returns ``(rows, winner, runner, contenders)`` over the ascending
+    rows in ``[0, nrows)`` that have any available candidate: the
+    positions in ``candidates`` of the winner and of the runner-up (-1
+    when no other account has one), and how many accounts do.
+    """
+    none = len(candidates)
+    groups = [np.flatnonzero(accounts == a) for a in np.unique(accounts)]
+    block_words = block_rows // bitset.WORD_BITS
+    found: List[Tuple[np.ndarray, ...]] = []
+    for w0 in range(0, bitset.words_for(nrows), block_words):
+        w1 = w0 + block_words
+        r0 = w0 * bitset.WORD_BITS
+        nb = min(nrows, w1 * bitset.WORD_BITS) - r0
+        champs = np.full((len(groups), nb), none, dtype=np.int64)
+        for k, group in enumerate(groups):
+            owner = _first_owners(avail[candidates[group], w0:w1])[:nb]
+            hit = owner >= 0
+            champs[k, hit] = group[owner[hit]]
+        champs.sort(axis=0)
+        rows = np.flatnonzero(champs[0] < none)
+        if not rows.size:
+            continue
+        if len(groups) > 1:
+            runner = champs[1, rows]
+            runner[runner == none] = -1
+            contenders = np.count_nonzero(champs[:, rows] < none, axis=0)
+        else:
+            runner = np.full(rows.size, -1, dtype=np.int64)
+            contenders = np.ones(rows.size, dtype=np.int64)
+        found.append((rows + r0, champs[0, rows], runner, contenders))
+    if not found:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    rows, winner, runner, contenders = (np.concatenate(part)
+                                        for part in zip(*found))
+    return rows, winner, runner, contenders
 
 
 @dataclass(frozen=True)
@@ -766,10 +861,11 @@ class DeliveryEngine:
     # The vectorized twin of run_until_saturated for columnar stores:
     # eligibility is evaluated for a whole row range at once via
     # column-mask programs (repro.platform.targeting.lower_spec), each
-    # round's per-user second-price auction is an argmax over a
-    # (candidates x users) bit matrix processed in bounded blocks, and
-    # the results fold in bulk (shown-bitset ORs, aggregate billing
-    # debits, batched counters). Semantics — winners, prices, stats,
+    # round's per-user second-price auction is a first-set-bit scan
+    # over the packed (candidates x users) availability words in
+    # bounded blocks (sweep_auction), and the results fold in bulk
+    # (shown-bitset ORs, one order-exact billing fold, batched
+    # counters). Semantics — winners, prices, stats,
     # reports — are identical to running the scalar loop over the same
     # rows (pinned by tests/integration/test_columnar_equivalence.py);
     # the two escape hatches back to the scalar path are per-spec
@@ -789,7 +885,7 @@ class DeliveryEngine:
 
         ``rows`` is a ``(start, stop)`` half-open row range (default:
         the whole store); ``start`` must be 64-aligned so bitset state
-        slices word-cleanly. ``block_rows`` bounds the unpacked working
+        slices word-cleanly. ``block_rows`` bounds the packed working
         set: each round's auction runs over blocks of at most this many
         users, so peak transient memory stays flat regardless of range
         size. Returns the same :class:`DeliveryStats` the scalar
@@ -810,9 +906,7 @@ class DeliveryEngine:
                 "ColumnarUserStore)")
         if self.frequency_cap != 1:
             raise ValueError("batch sweep requires a frequency cap of 1")
-        if block_rows <= 0 or block_rows % bitset.WORD_BITS:
-            raise ValueError("block_rows must be a positive multiple "
-                             f"of {bitset.WORD_BITS}")
+        check_sweep_args(max_rounds, block_rows)
         start, stop = (0, cols.count) if rows is None else rows
         if start % bitset.WORD_BITS:
             raise ValueError(
@@ -851,7 +945,8 @@ class DeliveryEngine:
         Sorting by (bid desc, ad id asc) makes "first eligible
         candidate" coincide with the scalar path's winner (per-account
         champions, then top-2 — both use exactly this order), so each
-        user's winner is one argmax over the availability matrix.
+        user's winner is the first set bit down the availability
+        matrix (:func:`sweep_auction`).
         """
         self._ensure_index()
         entries: List[tuple] = []
@@ -963,59 +1058,21 @@ class DeliveryEngine:
             if not rc:
                 break
             rc_arr = np.asarray(rc, dtype=np.int64)
-            mat = avail if len(rc) == len(entries) else avail[rc_arr]
-            acct_rc = acct_idx[rc_arr]
-            multi_account = len(np.unique(acct_rc)) > 1
-            mat_bytes = mat.view(np.uint8)
 
-            # Phase A: per-block winner/runner-up selection. Both are
-            # draw-independent (the competing bid only decides win/lose
-            # and price), so no RNG is consumed before the budget
-            # certificate — a fallback round must replay with a virgin
-            # draw stream.
-            win_rows: List[np.ndarray] = []
-            win_cands: List[np.ndarray] = []
-            win_runner: List[np.ndarray] = []
-            contender_counts: List[np.ndarray] = []
-            for r0 in range(0, n, block_rows):
-                r1 = min(r0 + block_rows, n)
-                nb = r1 - r0
-                block = np.unpackbits(
-                    mat_bytes[:, r0 // 8: r0 // 8 + (nb + 7) // 8],
-                    axis=1, count=nb, bitorder="little")
-                positions = np.arange(nb)
-                wpos = block.argmax(axis=0)
-                has = block[wpos, positions] == 1
-                if not has.any():
-                    continue
-                hrows = np.flatnonzero(has)
-                if multi_account:
-                    winner_acct = acct_rc[wpos]
-                    others = np.where(
-                        acct_rc[:, None] == winner_acct[None, :], 0, block)
-                    rpos = others.argmax(axis=0)
-                    rhas = others[rpos, positions] == 1
-                    runner = np.where(
-                        rhas, bids[rc_arr[rpos]], 0.0)[hrows]
-                    counts = np.zeros(nb, dtype=np.int64)
-                    for a in np.unique(acct_rc):
-                        counts += block[acct_rc == a].any(axis=0)
-                    contender_counts.append(counts[hrows])
-                else:
-                    runner = np.zeros(len(hrows), dtype=np.float64)
-                    contender_counts.append(
-                        np.ones(len(hrows), dtype=np.int64))
-                win_rows.append(hrows + r0)
-                win_cands.append(rc_arr[wpos[hrows]])
-                win_runner.append(runner)
-            if not win_rows:
+            # Phase A: per-row winner/runner-up selection on the packed
+            # words. Both are draw-independent (the competing bid only
+            # decides win/lose and price), so no RNG is consumed before
+            # the budget certificate — a fallback round must replay
+            # with a virgin draw stream.
+            rel_rows, wpos, rpos, contenders = sweep_auction(
+                avail, rc_arr, acct_idx[rc_arr], n, block_rows)
+            if not rel_rows.size:
                 # No user in range has any eligible candidate left: the
                 # scalar loop would drop every user and stop. Nothing
                 # is counted (dropped users never reach the auction).
                 break
-            rel_rows = np.concatenate(win_rows)
-            wcand = np.concatenate(win_cands)
-            runner = np.concatenate(win_runner)
+            wcand = rc_arr[wpos]
+            runner = np.where(rpos >= 0, bids[rc_arr[rpos]], 0.0)
             slots = len(rel_rows)
             winner_bids = bids[wcand]
 
@@ -1087,8 +1144,7 @@ class DeliveryEngine:
             if obs_on:
                 self._obs_slots.inc(slots)
                 self._obs_sweep_rounds.inc()
-            observe_auctions(np.concatenate(contender_counts),
-                             price[won], slots - wins)
+            observe_auctions(contenders, price[won], slots - wins)
             if wins == 0:
                 break
             self._sweep_apply(entries, start, stop, rel_rows[won],
@@ -1123,53 +1179,38 @@ class DeliveryEngine:
 
         count = len(rel_rows)
         seq_base = self._impression_seq
-        discards = self._store.discards_records
-        if discards:
+        word0 = start // bitset.WORD_BITS
+        # One order-exact billing fold for the whole round: budgets and
+        # spend accumulate in delivery (row) order, exactly as per-
+        # impression charges would.
+        group_cands = [int(wcand[group[0]]) for group in grouped]
+        self._ledger.charge_impression_run(
+            [(entries[c][0].ad_id, entries[c][0].account_id)
+             for c in group_cands],
+            np.searchsorted(group_cands, wcand), price)
+        if self._store.discards_records:
             self._store.note_discarded(count)
-        # Rounds that cleared at nonzero prices bill per impression in
-        # delivery (row) order — budget and spend then accumulate in the
-        # exact float association the scalar path produces, interleaved
-        # across ads. The all-zero rounds of the Treads economics (zero
-        # competition, zero floor) skip this and take the O(1) per-ad
-        # debit below.
-        priced = bool(np.any(price))
-        if priced or not discards:
+        else:
             # Journaling stores get real per-impression records with the
-            # same seq/user/price/order the scalar path would append —
-            # charge first, then journal, as _deliver does.
+            # same seq/user/price/order the scalar path would append
+            # (charge first, then journal, as _deliver does).
             for j in range(count):
                 ad = entries[int(wcand[j])][0]
-                amount = float(price[j])
-                if priced:
-                    self._ledger.charge_impression(
-                        ad.ad_id, ad.account_id, amount, seq_base + j,
-                        journal=False)
-                if not discards:
-                    self._store.append(Impression(
-                        seq=seq_base + j, ad_id=ad.ad_id,
-                        account_id=ad.account_id,
-                        user_id=users.id_of(start + int(rel_rows[j])),
-                        price=amount))
-        for group in grouped:
-            cand = int(wcand[group[0]])
+                self._store.append(Impression(
+                    seq=seq_base + j, ad_id=ad.ad_id,
+                    account_id=ad.account_id,
+                    user_id=users.id_of(start + int(rel_rows[j])),
+                    price=float(price[j])))
+        for cand, group in zip(group_cands, grouped):
             ad = entries[cand][0]
-            group_rows = rel_rows[group]
-            if priced:
-                total = 0.0
-                for value in price[group]:
-                    total += float(value)
-            else:
-                total = 0.0
-                self._ledger.charge_impressions_bulk(
-                    ad.ad_id, ad.account_id, 0.0, len(group))
             shown = self._shown_bits.get(ad.ad_id)
             if shown is None:
                 shown = bitset.make_bitset(len(users))
             if stop > shown.shape[0] * bitset.WORD_BITS:
                 shown = bitset.ensure_width(shown, stop)
-            bitset.or_indices(shown, group_rows + start)
+            added = bitset.from_indices(rel_rows[group], n)
+            shown[word0:word0 + added.size] |= added
             self._shown_bits[ad.ad_id] = shown
-            added = bitset.from_indices(group_rows, n)
             avail[cand] &= ~added
             self._impression_count_by_ad[ad.ad_id] = (
                 self._impression_count_by_ad.get(ad.ad_id, 0)
@@ -1181,7 +1222,7 @@ class DeliveryEngine:
                         ad.account_id, bitset.make_bitset(n), 0, 0.0]
                 record[1] |= added
                 record[2] += len(group)
-                record[3] += total
+                record[3] += float(np.add.accumulate(price[group])[-1])
         self._impression_count += count
         self._impression_seq = seq_base + count
         if self._obs_on:

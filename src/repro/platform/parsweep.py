@@ -45,7 +45,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.platform import bitset
-from repro.platform.delivery import DeliveryEngine, DeliveryStats
+from repro.platform.delivery import (
+    DeliveryEngine,
+    DeliveryStats,
+    check_sweep_args,
+)
 from repro.platform.targeting import lower_spec
 from repro.serve.ipc import Framer, WorkerLost
 
@@ -148,6 +152,7 @@ def parallel_sweep(
         workers = visible_cores()
     if workers <= 0:
         raise ValueError("workers must be positive")
+    check_sweep_args(max_rounds, block_rows)
     users = engine._user_store
     if users is None or not hasattr(users, "columns"):
         raise StoreError(

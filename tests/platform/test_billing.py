@@ -1,8 +1,10 @@
 """Unit tests for the billing ledger."""
 
+import numpy as np
 import pytest
 
-from repro.errors import BudgetError
+from repro.errors import BudgetError, StoreError
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.platform.ads import AdAccount, AdInventory
 from repro.platform.billing import BillingLedger
 
@@ -79,3 +81,113 @@ class TestInvoice:
         charges = ledger.all_charges()
         charges.clear()
         assert len(ledger.all_charges()) == 1
+
+
+class TestImpressionRun:
+    """``charge_impression_run`` is bit-identical to sequential charges."""
+
+    ADS = [("ad-1", "acct-1"), ("ad-2", "acct-2"), ("ad-3", "acct-1")]
+
+    @staticmethod
+    def _world(budgets):
+        registry = MetricsRegistry("billing-run")
+        with use_registry(registry):
+            inv = AdInventory()
+            for account_id, budget in budgets.items():
+                inv.add_account(AdAccount(account_id=account_id,
+                                          owner_name="x", budget=budget))
+            ledger = BillingLedger(inv, compact=True)
+        return inv, ledger, registry
+
+    @staticmethod
+    def _observed(inv, ledger, registry):
+        return {
+            "budgets": {a.account_id: a.budget for a in inv.accounts()},
+            "spend_by_ad": {ad: ledger.spend_for_ad(ad)
+                            for ad, _ in TestImpressionRun.ADS},
+            "impressions_by_ad": {ad: ledger.impressions_for_ad(ad)
+                                  for ad, _ in TestImpressionRun.ADS},
+            "spend_by_account": {a.account_id:
+                                 ledger.spend_for_account(a.account_id)
+                                 for a in inv.accounts()},
+            "invoices": {a.account_id: (
+                ledger.invoice(a.account_id).total,
+                ledger.invoice(a.account_id).impressions,
+                list(ledger.invoice(a.account_id).by_ad.items()))
+                for a in inv.accounts()},
+            "charged": registry.counter(
+                "billing.impressions_charged").value,
+            "exhausted": registry.counter("billing.budget_exhausted").value,
+        }
+
+    def _charges(self):
+        rng = np.random.default_rng(7)
+        # ad-3 is charged first, so invoices list it before ad-1.
+        index = np.concatenate(([2], rng.integers(0, 3, size=3000)))
+        amounts = rng.uniform(0.0001, 0.02, size=index.size)
+        amounts[rng.random(index.size) < 0.1] = 0.0
+        return index, amounts
+
+    def _budgets(self, index, amounts):
+        # acct-2 can pay exactly its charges plus float dust below the
+        # exhaustion epsilon, so the run crosses the epsilon.
+        acct2 = 5e-10
+        for value in amounts[index == 1]:
+            acct2 += float(value)
+        return {"acct-1": 100.0, "acct-2": acct2}
+
+    def _sequential(self, budgets, index, amounts):
+        inv, ledger, registry = self._world(budgets)
+        for j, (k, amount) in enumerate(zip(index, amounts)):
+            ad_id, account_id = self.ADS[k]
+            ledger.charge_impression(ad_id, account_id, float(amount), j,
+                                     journal=False)
+        return self._observed(inv, ledger, registry)
+
+    @pytest.mark.parametrize("pieces", [1, 3])
+    def test_bit_identical_to_sequential_charges(self, pieces):
+        index, amounts = self._charges()
+        budgets = self._budgets(index, amounts)
+        want = self._sequential(budgets, index, amounts)
+        inv, ledger, registry = self._world(budgets)
+        for part in np.array_split(np.arange(index.size), pieces):
+            ledger.charge_impression_run(self.ADS, index[part],
+                                         amounts[part])
+        got = self._observed(inv, ledger, registry)
+        assert got == want
+        assert list(got["invoices"]["acct-1"][2]) == [
+            ("ad-3", want["spend_by_ad"]["ad-3"]),
+            ("ad-1", want["spend_by_ad"]["ad-1"])]
+        assert got["charged"] == index.size
+        assert got["exhausted"] == 1
+        assert got["budgets"]["acct-2"] <= 1e-9
+        # Pairwise summation would have produced different bits, so the
+        # equality above really pins the left-to-right fold.
+        assert float(np.sum(amounts[index == 0])) != \
+            want["spend_by_ad"]["ad-1"]
+        assert float(np.sum(amounts[index != 1])) != \
+            want["spend_by_account"]["acct-1"]
+
+    @pytest.mark.parametrize("spoil", ["overdraft", "negative"])
+    def test_bad_run_raises_and_leaves_ledger_unchanged(self, spoil):
+        index, amounts = self._charges()
+        budgets = self._budgets(index, amounts)
+        inv, ledger, registry = self._world(budgets)
+        ledger.charge_impression_run(self.ADS, index[:100], amounts[:100])
+        before = self._observed(inv, ledger, registry)
+        bad = amounts[100:].copy()
+        if spoil == "overdraft":
+            bad[-1] = 1.0  # acct-2 is out of money by then
+            index = index.copy()
+            index[-1] = 1
+        else:
+            bad[len(bad) // 2] = -0.001
+        with pytest.raises(BudgetError):
+            ledger.charge_impression_run(self.ADS, index[100:], bad)
+        assert self._observed(inv, ledger, registry) == before
+
+    def test_needs_compact_ledger(self, ledger):
+        with pytest.raises(StoreError, match="compact"):
+            ledger.charge_impression_run(
+                [("ad-1", "acct-1")], np.zeros(1, dtype=np.int64),
+                np.full(1, 0.002))

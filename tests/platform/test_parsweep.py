@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import StoreError
+from repro.platform import parsweep
 from repro.platform.parsweep import (
     certify_budgets,
     parallel_sweep,
@@ -97,6 +98,26 @@ class TestPreconditions:
         platform, _ads = make_world(compact=True)  # MemoryStore journal
         with pytest.raises(StoreError, match="discarding"):
             parallel_sweep(platform.delivery, workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"block_rows": 100}, "block_rows must be a positive multiple"),
+        ({"block_rows": 0}, "block_rows must be a positive multiple"),
+        ({"max_rounds": -1}, "max_rounds must be a non-negative"),
+        ({"max_rounds": 2.5}, "max_rounds must be a non-negative"),
+    ])
+    def test_bad_sweep_arguments_fail_before_forking(
+            self, monkeypatch, workers, kwargs, match):
+        """One worker and many raise the same ValueError, and the
+        parallel path raises it without forking a worker."""
+        platform, _ads = parallel_world(users=200)
+
+        def no_fork(*args, **kw):
+            raise AssertionError("parallel_sweep forked")
+        monkeypatch.setattr(parsweep, "get_context", no_fork)
+        with pytest.raises(ValueError, match=match):
+            parallel_sweep(platform.delivery, workers=workers, **kwargs)
+        assert platform.delivery.impression_count() == 0
 
     def test_uncertifiable_budget_fails_before_forking(self):
         platform, _ads = parallel_world(budget=0.05, users=200,
