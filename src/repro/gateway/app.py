@@ -7,8 +7,9 @@ the same connection is parsed — so admission order equals arrival
 order, which is what makes an HTTP-driven run reproduce the in-process
 load generator's delivery byte-for-byte. Ad-serve requests return a
 :class:`PendingServe` (the runtime's future plus response metadata)
-that the connection's writer awaits; everything else returns a
-finished :class:`Done` response.
+that the connection's writer awaits — an ``asyncio.Future`` of the
+runtime's loop, which the server runs on — and everything else returns
+a finished :class:`Done` response.
 
 Failure mapping (see ``docs/service.md``): parse errors and bad input
 are 4xx with a structured error body, SHED is 429 with ``Retry-After``,
@@ -19,6 +20,7 @@ opaque 500, never a stack trace.
 
 from __future__ import annotations
 
+import asyncio
 import logging
 import re
 from concurrent.futures import Future
@@ -53,7 +55,9 @@ class Done:
 class PendingServe:
     """An admitted ad request whose result is still in flight."""
 
-    future: "Future[ServeResult]"
+    #: ``asyncio.Future`` when submitted on the runtime's loop (the
+    #: server's), else ``concurrent.futures.Future``.
+    future: "Union[asyncio.Future[ServeResult], Future[ServeResult]]"
 
 
 Outcome = Union[Done, PendingServe]
@@ -107,6 +111,9 @@ class GatewayApp:
         self._m_requests = reg.counter("gateway.requests")
         self._routes: List[Tuple[str, "re.Pattern[str]",
                                  Callable[..., Outcome]]] = []
+        #: ``(method, path) -> handler`` for templates without
+        #: parameters: the hot ``POST /v1/serve`` skips the pattern scan.
+        self._exact: Dict[Tuple[str, str], Callable[..., Outcome]] = {}
         route = self._add_route
         route("GET", "/healthz", self._get_healthz)
         route("GET", "/metrics", self._get_metrics)
@@ -135,12 +142,17 @@ class GatewayApp:
         pattern = re.compile(
             "^" + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", template) + "$")
         self._routes.append((method, pattern, handler))
+        if "{" not in template:
+            self._exact[(method, template)] = handler
 
     # -- dispatch ----------------------------------------------------------
 
     def handle(self, request: Request) -> Outcome:
         """Route one request; never raises."""
         self._m_requests.inc()
+        exact = self._exact.get((request.method, request.path))
+        if exact is not None:
+            return self._call(exact, request, {})
         methods_seen = []
         for method, pattern, handler in self._routes:
             match = pattern.match(request.path)
@@ -149,19 +161,7 @@ class GatewayApp:
             if method != request.method:
                 methods_seen.append(method)
                 continue
-            try:
-                return handler(request, **match.groupdict())
-            except HttpError as exc:
-                return Done(exc.status,
-                            error_body(exc.code, exc.message))
-            except ReproError as exc:
-                return Done(400, error_body(
-                    type(exc).__name__, str(exc)))
-            except Exception:  # noqa: BLE001 - never leak a traceback
-                _log.exception("unhandled error in %s %s",
-                               request.method, request.path)
-                return Done(500, error_body(
-                    "internal_error", "unexpected server error"))
+            return self._call(handler, request, match.groupdict())
         if methods_seen:
             return Done(405, error_body(
                 "method_not_allowed",
@@ -169,6 +169,20 @@ class GatewayApp:
                 f"not {request.method}"))
         return Done(404, error_body(
             "not_found", f"no route for {request.path}"))
+
+    def _call(self, handler: Callable[..., Outcome], request: Request,
+              params: Dict[str, str]) -> Outcome:
+        try:
+            return handler(request, **params)
+        except HttpError as exc:
+            return Done(exc.status, error_body(exc.code, exc.message))
+        except ReproError as exc:
+            return Done(400, error_body(type(exc).__name__, str(exc)))
+        except Exception:  # noqa: BLE001 - never leak a traceback
+            _log.exception("unhandled error in %s %s",
+                           request.method, request.path)
+            return Done(500, error_body(
+                "internal_error", "unexpected server error"))
 
     # -- operational endpoints ---------------------------------------------
 

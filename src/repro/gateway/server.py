@@ -9,16 +9,20 @@ future as it reaches the front, and writes responses in the same order
 the requests arrived (HTTP/1.1 pipelining demands ordered responses;
 the runtime still batches freely *behind* the queue).
 
-The server owns its event loop on a dedicated thread, so it embeds in
-tests and the CLI alike: ``start()`` blocks until the socket is bound
-(resolving an ephemeral port), ``stop()`` tears everything down.
+The server runs on the serving runtime's event loop
+(:meth:`~repro.serve.runtime.ServingRuntime.io_loop`, one background
+thread), so it embeds in tests and the CLI alike and an ad request is
+parsed, admitted, framed to its shard worker, resolved and answered
+without crossing a thread. ``start()`` blocks until the socket is bound
+(resolving an ephemeral port); ``stop()`` closes the socket and every
+connection and leaves the loop to the runtime, whose ``stop()`` ends it
+— start the runtime first, stop the server first.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-import threading
 import time
 from typing import Optional, Set
 
@@ -46,7 +50,7 @@ _CLOSE = object()
 
 
 class GatewayServer:
-    """Serve ``app`` on ``host:port`` from a background event loop."""
+    """Serve ``app`` on ``host:port`` from its runtime's event loop."""
 
     def __init__(self, app: GatewayApp, host: str = "127.0.0.1",
                  port: int = 0):
@@ -55,9 +59,6 @@ class GatewayServer:
         self.port = port
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
         self._connections: Set[asyncio.Task] = set()
         reg = obs_registry()
         self._m_connections = reg.counter("gateway.connections")
@@ -68,53 +69,34 @@ class GatewayServer:
 
     def start(self) -> "GatewayServer":
         """Bind and serve; returns once the socket is accepting."""
-        if self._thread is not None:
+        if self._loop is not None:
             raise RuntimeError("gateway server already started")
-        self._thread = threading.Thread(
-            target=self._run_loop, name="gateway-http", daemon=True)
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            error = self._startup_error
-            self._thread.join()
-            self._thread = None
-            self._startup_error = None
+        loop = self.app.runtime.io_loop()
+        try:
+            asyncio.run_coroutine_threadsafe(self._startup(), loop).result()
+        except Exception as exc:
             raise RuntimeError(
                 f"gateway failed to bind {self.host}:{self.port}"
-            ) from error
+            ) from exc
+        self._loop = loop
         return self
 
     def stop(self) -> None:
-        """Stop accepting, cancel live connections, join the loop."""
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None:
+        """Stop accepting and cancel live connections."""
+        loop, self._loop = self._loop, None
+        if loop is None:
             return
-        asyncio.run_coroutine_threadsafe(
-            self._shutdown(), loop).result(timeout=10.0)
-        thread.join(timeout=10.0)
-        self._loop = None
-        self._thread = None
+        if not loop.is_closed():
+            asyncio.run_coroutine_threadsafe(
+                self._shutdown(), loop).result(timeout=10.0)
+        elif self._server is not None:
+            # The runtime stopped first and took the loop with it.
+            self._server.close()
+            self._server = None
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._startup())
-        except BaseException as exc:  # bind failure -> surface in start()
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
 
     async def _startup(self) -> None:
         self._server = await asyncio.start_server(
@@ -135,8 +117,6 @@ class GatewayServer:
         if self._connections:
             await asyncio.gather(*self._connections,
                                  return_exceptions=True)
-        loop = asyncio.get_running_loop()
-        loop.call_soon(loop.stop)
 
     # -- per-connection ----------------------------------------------------
 
@@ -219,8 +199,9 @@ class GatewayServer:
             return outcome
         assert isinstance(outcome, PendingServe)
         try:
-            result = await asyncio.wait_for(
-                asyncio.wrap_future(outcome.future), timeout=None)
+            # An asyncio future: submitted on the runtime's loop, which
+            # this server runs on.
+            result = await outcome.future
         except Exception as exc:  # noqa: BLE001 - runtime died mid-flight
             _log.exception("serve future failed")
             return Done(500, error_body(

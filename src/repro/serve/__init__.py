@@ -7,16 +7,16 @@ users consistently hashed onto shard-owned engines
 (:mod:`repro.serve.sharding`), worker pools with bounded queues,
 micro-batching and load shedding (:mod:`repro.serve.runtime`), an
 optional process-per-shard backend that moves each shard's engine into
-a subprocess behind a length-prefixed pipe protocol
-(:mod:`repro.serve.ipc`), and an open-loop load generator to measure
-it honestly (:mod:`repro.serve.loadgen`). Delivery semantics are
-unchanged — a
-fixed request sequence produces byte-identical reports for any shard
-count — so everything the paper's analyses say about reach and
-delivery still holds when served this way.
+a subprocess behind a length-prefixed socket protocol driven from an
+event loop (:mod:`repro.serve.ipc`), and an open-loop load generator
+to measure it honestly (:mod:`repro.serve.loadgen`). Delivery
+semantics are unchanged — a fixed request sequence produces
+byte-identical reports for any shard count — so everything the paper's
+analyses say about reach and delivery still holds when served this
+way.
 """
 
-from repro.serve.ipc import Framer, ShardWorkerClient, WorkerLost
+from repro.serve.ipc import FrameDecoder, Framer, ShardChannel, WorkerLost
 from repro.serve.loadgen import (
     LoadConfig,
     LoadGenerator,
@@ -45,6 +45,7 @@ __all__ = [
     "AdRequest",
     "AdResponse",
     "BACKENDS",
+    "FrameDecoder",
     "Framer",
     "KeyedCompetition",
     "LoadConfig",
@@ -57,7 +58,7 @@ __all__ = [
     "ServingRuntime",
     "Shard",
     "ShardRouter",
-    "ShardWorkerClient",
+    "ShardChannel",
     "WorkerLost",
     "build_schedule",
     "journal_store_factory",

@@ -1,4 +1,5 @@
-"""Process-per-shard IPC: the framing codec and the shard worker loop.
+"""Process-per-shard IPC: the framing codec, the parent-side channel,
+and the shard worker loop.
 
 The thread backend proved shard-count invariance but buys no CPU — every
 shard worker contends for one GIL. This module is the escape hatch: each
@@ -11,7 +12,12 @@ Division of labour (the whole point of the design):
 * **Parent** — admission control. Bounded queues, shedding, deadline
   checks, and slot-index claims all happen before a single byte crosses
   the socket, so an overloaded runtime refuses work at in-process cost:
-  shed and timed-out requests cost the worker process *nothing*.
+  shed and timed-out requests cost the worker process *nothing*. The
+  parent end of each socketpair is a non-blocking :class:`ShardChannel`
+  driven by an asyncio event loop (``loop.add_reader``): frames go out
+  as they are written, replies are decoded incrementally as bytes
+  arrive and resolved in the order their frames were sent. No parent
+  thread ever blocks on a worker.
 * **Worker** — delivery. One single-threaded loop: receive a batch
   frame, serve it under one engine serving session, group-commit the
   journal, answer with per-request outcomes. The worker owns the
@@ -24,19 +30,29 @@ length per out-of-band buffer, the protocol-5 pickle payload, and the
 raw buffer bytes. Buffer-exporting objects (numpy arrays, bytearrays —
 the batch sweep's bitset deltas) travel out-of-band: their bytes go
 straight from the object to the socket via scatter-gather ``sendmsg``
-and land in preallocated receive buffers that the unpickler references
-zero-copy, never transiting a pickle-internal copy. Batching happens at
-the message level (one ``serve`` frame carries a whole micro-batch), so
-the per-request framing overhead amortizes exactly like the engine's
-serving-session costs do.
+and are handed to the unpickler as buffers, never transiting a
+pickle-internal copy. :class:`Framer` reads frames with blocking exact
+reads (the worker side, and the sweep's forked row-range workers);
+:class:`FrameDecoder` parses the same format incrementally from
+whatever chunks a non-blocking socket yields (the channel side).
+Batching happens at the message level (one ``serve`` frame carries a
+whole micro-batch), so the per-request framing overhead amortizes
+exactly like the engine's serving-session costs do.
+
+Four ops travel on a channel: ``serve`` (a micro-batch of requests),
+``checkpoint`` (snapshot the worker's store, optionally to disk),
+``telemetry`` (cumulative metrics plus finished spans) and ``stop``
+(final snapshot, metrics and spans, then exit). The worker answers
+every frame with exactly one ``(status, reply)`` frame, in order.
 
 Spawning uses the ``fork`` start method: the child inherits the built
 platform world (catalog, users, audiences, compiled matchers) by
 copy-on-write instead of pickling it, and is forked before the parent
-starts any router threads. The child installs a **fresh** metrics
-registry first thing — the parent's pre-fork counts arrived via fork
-too, and folding them back at shutdown would double-count — so the
-state it ships home at ``stop`` is exactly this worker's own work.
+starts any thread (the event loop's included). The child installs a
+**fresh** metrics registry first thing — the parent's pre-fork counts
+arrived via fork too, and folding them back at shutdown would
+double-count — so the state it ships home at ``stop`` is exactly this
+worker's own work.
 """
 
 from __future__ import annotations
@@ -45,10 +61,19 @@ import logging
 import pickle
 import socket
 import struct
-import threading
+from collections import deque
 from multiprocessing import get_context
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -56,6 +81,8 @@ from repro.store.snapshot import SNAPSHOT_VERSION, Snapshot
 from repro.store.store import JournalStore, MemoryStore, StateStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    import asyncio
+
     from repro.serve.sharding import Shard, ShardRouter
 
 _log = logging.getLogger("repro.serve.ipc")
@@ -70,6 +97,8 @@ _BUF_LEN = struct.Struct("!Q")
 #: is a protocol error (a corrupt length prefix reads as garbage
 #: gigabytes).
 MAX_FRAME_BYTES = 1 << 29
+#: Bytes asked of the socket per readiness event on a channel.
+_RECV_CHUNK = 1 << 18
 
 OP_SERVE = "serve"
 OP_CHECKPOINT = "checkpoint"
@@ -91,13 +120,70 @@ class WorkerLost(ConnectionError):
     """The peer process went away mid-conversation (EOF, broken pipe)."""
 
 
+def encode_frame(message: Any) -> Tuple[List[Any], int, int]:
+    """Pickle ``message`` into one frame's sections.
+
+    Returns ``(parts, frame_bytes, buffer_count)``: the header (length
+    prefix, body prefix, buffer lengths), the protocol-5 payload and
+    the raw out-of-band buffers, ready for a scatter-gather send, plus
+    the frame's total size and how many buffers travel out-of-band.
+    """
+    raws: List[memoryview] = []
+
+    def export(buffer: pickle.PickleBuffer) -> bool:
+        try:
+            raws.append(buffer.raw())
+        except BufferError:
+            # Non-contiguous exporter: let pickle serialize it
+            # in-band rather than flattening it ourselves.
+            return False
+        return True
+
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL,
+                           buffer_callback=export)
+    lengths = [raw.nbytes for raw in raws]
+    body_length = (_BODY_HEADER.size + _BUF_LEN.size * len(raws)
+                   + len(payload) + sum(lengths))
+    if body_length > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"frame payload of {body_length} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte frame limit")
+    header = b"".join([
+        _HEADER.pack(body_length),
+        _BODY_HEADER.pack(len(payload), len(raws)),
+        *(_BUF_LEN.pack(length) for length in lengths),
+    ])
+    return [header, payload, *raws], _HEADER.size + body_length, len(raws)
+
+
+def _check_body_length(body_length: int) -> None:
+    if body_length > MAX_FRAME_BYTES:
+        raise WorkerLost(
+            f"frame length {body_length} exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit (corrupt stream)")
+
+
+def _check_table(body_length: int, buffer_count: int) -> None:
+    if _BODY_HEADER.size + _BUF_LEN.size * buffer_count > body_length:
+        raise WorkerLost(
+            "frame sections disagree with the body length "
+            "(corrupt stream)")
+
+
+def _check_sections(body_length: int, payload_length: int,
+                    lengths: List[int]) -> None:
+    if (_BODY_HEADER.size + _BUF_LEN.size * len(lengths)
+            + payload_length + sum(lengths)) != body_length:
+        raise WorkerLost(
+            "frame sections disagree with the body length "
+            "(corrupt stream)")
+
+
 class Framer:
     """Length-prefixed message framing over a stream socket.
 
-    ``send`` writes one frame: a 4-byte big-endian body length, a
-    ``(payload length, buffer count)`` prefix, the out-of-band buffer
-    lengths, the protocol-5 pickle payload, then the raw buffer bytes —
-    all gathered into the socket with ``sendmsg`` so exported buffers
+    ``send`` writes one frame (see :func:`encode_frame`), all sections
+    gathered into the socket with ``sendmsg`` so exported buffers
     (numpy arrays, bytearrays) never pass through a pickle-internal
     copy. ``recv`` blocks for exactly one frame, reads each buffer into
     its own preallocated ``bytearray`` via ``recv_into``, and hands the
@@ -108,8 +194,7 @@ class Framer:
     ``buffers_sent`` / ``buffers_received``, so callers can meter IPC
     volume without the codec knowing about metrics.
 
-    Not thread-safe: one conversation, one owner (the runtime gives
-    each worker client its own lock).
+    Not thread-safe: one conversation, one owner.
     """
 
     def __init__(self, sock: socket.socket):
@@ -120,34 +205,10 @@ class Framer:
         self.buffers_received = 0
 
     def send(self, message: Any) -> None:
-        raws: List[memoryview] = []
-
-        def export(buffer: pickle.PickleBuffer) -> bool:
-            try:
-                raws.append(buffer.raw())
-            except BufferError:
-                # Non-contiguous exporter: let pickle serialize it
-                # in-band rather than flattening it ourselves.
-                return False
-            return True
-
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL,
-                               buffer_callback=export)
-        lengths = [raw.nbytes for raw in raws]
-        body_length = (_BODY_HEADER.size + _BUF_LEN.size * len(raws)
-                       + len(payload) + sum(lengths))
-        if body_length > MAX_FRAME_BYTES:
-            raise ValueError(
-                f"frame payload of {body_length} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte frame limit")
-        header = b"".join([
-            _HEADER.pack(body_length),
-            _BODY_HEADER.pack(len(payload), len(raws)),
-            *(_BUF_LEN.pack(length) for length in lengths),
-        ])
-        self._send_parts([header, payload, *raws])
-        self.bytes_sent += _HEADER.size + body_length
-        self.buffers_sent += len(raws)
+        parts, frame_bytes, buffer_count = encode_frame(message)
+        self._send_parts(parts)
+        self.bytes_sent += frame_bytes
+        self.buffers_sent += buffer_count
 
     def _send_parts(self, parts: List[Any]) -> None:
         """Scatter-gather the frame sections; no concatenation copy."""
@@ -167,22 +228,16 @@ class Framer:
 
     def recv(self) -> Any:
         (body_length,) = _HEADER.unpack(self._recv_exact(_HEADER.size))
-        if body_length > MAX_FRAME_BYTES:
-            raise WorkerLost(
-                f"frame length {body_length} exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit (corrupt stream)")
+        _check_body_length(body_length)
         payload_length, buffer_count = _BODY_HEADER.unpack(
             self._recv_exact(_BODY_HEADER.size))
+        _check_table(body_length, buffer_count)
         lengths_raw = self._recv_exact(_BUF_LEN.size * buffer_count)
         lengths = [
             _BUF_LEN.unpack_from(lengths_raw, i * _BUF_LEN.size)[0]
             for i in range(buffer_count)
         ]
-        if (_BODY_HEADER.size + _BUF_LEN.size * buffer_count
-                + payload_length + sum(lengths)) != body_length:
-            raise WorkerLost(
-                "frame sections disagree with the body length "
-                "(corrupt stream)")
+        _check_sections(body_length, payload_length, lengths)
         payload = self._recv_exact(payload_length)
         buffers = []
         for length in lengths:
@@ -219,118 +274,322 @@ class Framer:
             pass
 
 
-class ShardWorkerClient:
-    """Parent-side handle on one shard's worker process.
+class FrameDecoder:
+    """Incremental parser for the :class:`Framer` wire format.
 
-    Serializes its conversation with a lock (the shard's router thread
-    and the runtime's checkpoint path share the socket), tracks whether
-    the worker has been lost, and meters frames/bytes into the serving
-    metrics. Every request either returns the worker's reply or raises
-    :class:`WorkerLost` — after which the client is permanently dead and
-    further requests fail fast without touching the socket.
+    :meth:`feed` takes whatever bytes a non-blocking socket produced —
+    a split header, several frames at once, a frame's tail — and
+    returns every message those bytes complete, each equal to what
+    :meth:`Framer.recv` would have returned for the same frame
+    (out-of-band buffers arrive as ``memoryview``\\ s of their own
+    ``bytearray``). The length checks are :class:`Framer`'s too, applied
+    as soon as the section headers are in: an oversize length prefix or
+    sections that disagree with the body length raise
+    :class:`WorkerLost` without waiting for the (garbage) body.
     """
 
-    def __init__(self, process: Any, framer: Framer, index: int):
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        #: ``(body_length, payload_length, buffer lengths)`` of the frame
+        #: at the head of the buffer once its headers are validated.
+        self._head: Optional[Tuple[int, int, List[int]]] = None
+        self.bytes_received = 0
+        self.buffers_received = 0
+
+    @property
+    def buffered(self) -> int:
+        """Bytes held that do not yet complete a frame."""
+        return len(self._buf)
+
+    def feed(self, data: Any) -> List[Any]:
+        buf = self._buf
+        buf += data
+        messages: List[Any] = []
+        while True:
+            head = self._head
+            if head is None:
+                head = self._parse_head()
+                if head is None:
+                    return messages
+            body_length, payload_length, lengths = head
+            if len(buf) < _HEADER.size + body_length:
+                return messages
+            offset = (_HEADER.size + _BODY_HEADER.size
+                      + _BUF_LEN.size * len(lengths))
+            view = memoryview(buf)
+            try:
+                payload = bytes(view[offset:offset + payload_length])
+                offset += payload_length
+                buffers = []
+                for length in lengths:
+                    buffers.append(bytearray(view[offset:offset + length]))
+                    offset += length
+            finally:
+                view.release()
+            del buf[:_HEADER.size + body_length]
+            self._head = None
+            self.bytes_received += _HEADER.size + body_length
+            self.buffers_received += len(lengths)
+            messages.append(pickle.loads(
+                payload, buffers=[memoryview(b) for b in buffers]))
+
+    def _parse_head(self) -> Optional[Tuple[int, int, List[int]]]:
+        buf = self._buf
+        if len(buf) < _HEADER.size:
+            return None
+        (body_length,) = _HEADER.unpack_from(buf, 0)
+        _check_body_length(body_length)
+        if len(buf) < _HEADER.size + _BODY_HEADER.size:
+            return None
+        payload_length, buffer_count = _BODY_HEADER.unpack_from(
+            buf, _HEADER.size)
+        _check_table(body_length, buffer_count)
+        table_end = (_HEADER.size + _BODY_HEADER.size
+                     + _BUF_LEN.size * buffer_count)
+        if len(buf) < table_end:
+            return None
+        lengths = [
+            _BUF_LEN.unpack_from(
+                buf, _HEADER.size + _BODY_HEADER.size + i * _BUF_LEN.size)[0]
+            for i in range(buffer_count)
+        ]
+        _check_sections(body_length, payload_length, lengths)
+        self._head = (body_length, payload_length, lengths)
+        return self._head
+
+
+#: ``on_reply(reply, error)``: exactly one of the two is ``None``.
+ReplyCallback = Callable[[Any, Optional[BaseException]], None]
+
+#: Most iovecs handed to one ``sendmsg`` call (POSIX ``IOV_MAX`` >= 16;
+#: Linux allows 1024).
+_MAX_IOV = 512
+
+
+class ShardChannel:
+    """Parent-side handle on one shard's worker process.
+
+    Owns the non-blocking parent end of the socketpair. Once
+    :meth:`attach`\\ ed to an event loop, the socket is watched with
+    ``loop.add_reader``: every :meth:`send` frames one op and appends
+    its reply callback to a FIFO, and replies — decoded incrementally —
+    pop that FIFO in order, because the worker answers frames one by
+    one in the order they arrived. All of it runs on the loop's thread;
+    nothing here blocks or locks.
+
+    EOF, a reset, or a corrupt stream marks the worker lost: every
+    outstanding callback gets :class:`WorkerLost`, and later sends fail
+    fast without touching the socket. Frames and bytes are metered into
+    ``serve.ipc_batches`` (serve frames), ``serve.ipc_bytes`` (both
+    directions, headers included) and ``serve.workers_lost``.
+    """
+
+    def __init__(self, process: Any, sock: socket.socket, index: int):
         self.process = process
-        self.framer = framer
         self.index = index
         self.lost = False
-        self._lock = threading.Lock()
+        self._sock = sock
+        sock.setblocking(False)
+        self._fd = sock.fileno()
+        self._decoder = FrameDecoder()
+        self._pending: Deque[Tuple[str, ReplyCallback]] = deque()
+        self._out: List[memoryview] = []
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._writing = False
         reg = _metrics.registry()
         self._m_batches = reg.counter("serve.ipc_batches")
         self._m_bytes = reg.counter("serve.ipc_bytes")
         self._m_lost = reg.counter("serve.workers_lost")
 
-    def request(self, op: str, payload: Any) -> Any:
-        with self._lock:
-            if self.lost:
-                raise WorkerLost(
-                    f"shard {self.index} worker already lost")
-            before = self.framer.bytes_sent + self.framer.bytes_received
+    @property
+    def outstanding(self) -> int:
+        """Frames sent whose reply has not arrived yet."""
+        return len(self._pending)
+
+    # -- loop registration -------------------------------------------------
+
+    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Start watching the socket from ``loop`` (call on its thread,
+        or before it runs)."""
+        if self.lost:
+            return
+        self._loop = loop
+        loop.add_reader(self._fd, self._on_readable)
+        self._watch_writable(bool(self._out))
+
+    def detach(self) -> None:
+        """Stop watching the socket (on the loop's thread)."""
+        loop, self._loop = self._loop, None
+        writing, self._writing = self._writing, False
+        if loop is not None:
+            loop.remove_reader(self._fd)
+            if writing:
+                loop.remove_writer(self._fd)
+
+    # -- sending -----------------------------------------------------------
+
+    def send(self, op: str, payload: Any, on_reply: ReplyCallback) -> None:
+        """Frame one op; ``on_reply`` runs when its reply (or the loss
+        of the worker) arrives. Raises :class:`WorkerLost` when the
+        worker is already gone."""
+        if self.lost:
+            raise WorkerLost(f"shard {self.index} worker already lost")
+        parts, frame_bytes, _ = encode_frame((op, payload))
+        self._pending.append((op, on_reply))
+        if op == OP_SERVE:
+            self._m_batches.inc()
+        self._m_bytes.inc(frame_bytes)
+        idle = not self._out
+        for part in parts:
+            view = memoryview(part).cast("B")
+            if view.nbytes:
+                self._out.append(view)
+        if idle:
+            # Otherwise the writer callback (or the next attach) is
+            # already due to push the backlog, this frame behind it.
+            self._flush_out()
+
+    def request(self, op: str, payload: Any) -> "asyncio.Future[Any]":
+        """:meth:`send` with an awaitable reply (on the loop's thread)."""
+        import asyncio  # see repro.serve.runtime: loaded where used
+
+        future = asyncio.get_running_loop().create_future()
+
+        def on_reply(reply: Any, error: Optional[BaseException]) -> None:
+            if future.done():
+                return
+            if error is not None:
+                future.set_exception(error)
+            else:
+                future.set_result(reply)
+
+        self.send(op, payload, on_reply)
+        return future
+
+    def _flush_out(self) -> None:
+        out = self._out
+        while out:
             try:
-                self.framer.send((op, payload))
-                status, reply = self.framer.recv()
-            except WorkerLost:
-                self.lost = True
-                self._m_lost.inc()
-                raise
-            finally:
-                self._m_bytes.inc(
-                    self.framer.bytes_sent + self.framer.bytes_received
-                    - before)
-        if status != "ok":
-            raise RuntimeError(
-                f"shard {self.index} worker failed {op!r}: {reply}")
-        return reply
+                sent = self._sock.sendmsg(out[:_MAX_IOV])
+            except (BlockingIOError, InterruptedError):
+                break
+            except OSError as exc:
+                self._lose(f"peer gone while sending: {exc}")
+                return
+            while out and sent >= out[0].nbytes:
+                sent -= out[0].nbytes
+                out.pop(0)
+            if sent:
+                out[0] = out[0][sent:]
+        self._watch_writable(bool(out))
 
-    def serve_batch(self,
-                    batch: List[ServeFrameItem]) -> List[ServeReplyItem]:
-        """One batched request/response round trip."""
-        self._m_batches.inc()
-        replies = self.request(OP_SERVE, batch)
-        if len(replies) != len(batch):
-            raise RuntimeError(
-                f"shard {self.index} worker answered {len(replies)} "
-                f"outcomes for a batch of {len(batch)}")
-        return replies
+    def _watch_writable(self, backlog: bool) -> None:
+        """Keep a writer callback registered exactly while a backlog
+        waits (each change is an ``epoll_ctl``, so no change, no call)."""
+        if self._loop is None or backlog == self._writing:
+            return
+        self._writing = backlog
+        if backlog:
+            self._loop.add_writer(self._fd, self._on_writable)
+        else:
+            self._loop.remove_writer(self._fd)
 
-    def checkpoint(self, label: str,
-                   directory: Optional[str]) -> Snapshot:
-        """Snapshot the worker's store at its journal position (and, with
-        a directory, save it next to the journal for recovery)."""
-        reply = self.request(
-            OP_CHECKPOINT, {"label": label, "directory": directory})
-        return Snapshot(
-            version=SNAPSHOT_VERSION,
-            journal_seq=int(reply["journal_seq"]),
-            state=reply["state"],
-            label=str(reply["label"]),
-        )
+    def _on_writable(self) -> None:
+        self._flush_out()
 
-    def poll_telemetry(self) -> Dict[str, object]:
-        """One streaming telemetry poll.
+    # -- receiving ---------------------------------------------------------
 
-        The worker answers with its cumulative metrics registry dump
-        (``"metrics"``, ``to_state`` form — the parent *replaces* its
-        previous snapshot for this shard, it must not fold successive
-        polls together) and the spans it finished since the last poll
-        (``"spans"``, ``record()`` dicts, drained worker-side).
-        """
-        return self.request(OP_TELEMETRY, None)
+    def _on_readable(self) -> None:
+        try:
+            data = self._sock.recv(_RECV_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            self._lose(f"peer gone while receiving: {exc}")
+            return
+        if not data:
+            self._lose("peer closed the stream")
+            return
+        before = self._decoder.bytes_received
+        try:
+            messages = self._decoder.feed(data)
+        except WorkerLost as exc:
+            self._lose(str(exc))
+            return
+        self._m_bytes.inc(self._decoder.bytes_received - before)
+        for message in messages:
+            if not self._pending:
+                self._lose("reply without an outstanding frame "
+                           "(corrupt stream)")
+                return
+            op, on_reply = self._pending.popleft()
+            status, reply = message
+            if op == OP_STOP:
+                # The worker exits after this reply; its EOF is the
+                # end of the conversation, not a loss.
+                self.detach()
+            if status == "ok":
+                _call_reply(on_reply, reply, None)
+            else:
+                _call_reply(on_reply, None, RuntimeError(
+                    f"shard {self.index} worker failed {op!r}: {reply}"))
 
-    def shutdown(self) -> Tuple[Snapshot, List[Dict[str, object]],
-                                List[Dict[str, object]]]:
-        """Stop the worker cleanly; returns its final state snapshot,
-        its metrics registry dump, and its remaining finished spans for
-        the parent-side merge-back."""
-        reply = self.request(OP_STOP, None)
-        snapshot = Snapshot(
-            version=SNAPSHOT_VERSION,
-            journal_seq=int(reply["journal_seq"]),
-            state=reply["state"],
-            label="final",
-        )
-        self.reap()
-        return snapshot, reply["metrics"], reply.get("spans", [])
+    def _lose(self, reason: str) -> None:
+        if self.lost:
+            return
+        self.lost = True
+        self._m_lost.inc()
+        self.detach()
+        self._out = []
+        _log.warning("shard %d worker lost: %s", self.index, reason)
+        pending, self._pending = self._pending, deque()
+        for _, on_reply in pending:
+            _call_reply(on_reply, None, WorkerLost(
+                f"shard {self.index} worker lost: {reason}"))
+
+    # -- teardown ----------------------------------------------------------
 
     def reap(self, timeout: float = 10.0) -> None:
         """Close the channel and collect the process (terminate if it
         ignores the closed socket)."""
-        self.framer.close()
+        self.detach()
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - close never matters
+            pass
         self.process.join(timeout=timeout)
         if self.process.is_alive():  # pragma: no cover - defensive
             self.process.terminate()
             self.process.join(timeout=timeout)
 
 
+def _call_reply(on_reply: ReplyCallback, reply: Any,
+                error: Optional[BaseException]) -> None:
+    try:
+        on_reply(reply, error)
+    except Exception:  # noqa: BLE001 - one bad callback must not stall
+        _log.exception("IPC reply callback failed")
+
+
+def snapshot_from_reply(reply: Dict[str, Any], label: str) -> Snapshot:
+    """The :class:`Snapshot` a ``checkpoint`` or ``stop`` reply carries."""
+    return Snapshot(
+        version=SNAPSHOT_VERSION,
+        journal_seq=int(reply["journal_seq"]),
+        state=reply["state"],
+        label=label,
+    )
+
+
 def spawn_shard_worker(router: "ShardRouter", index: int,
                        journal_dir: Optional[str],
                        seed_state: Optional[Dict[str, Dict[str, Any]]],
-                       ) -> ShardWorkerClient:
-    """Fork one shard worker and return the parent-side client.
+                       ) -> ShardChannel:
+    """Fork one shard worker and return the parent-side channel.
 
-    Must be called before the parent starts its router threads (fork
-    with live threads inherits their locks mid-flight). ``seed_state``
+    Must be called before the parent starts any thread, the event
+    loop's included (fork with live threads inherits their locks
+    mid-flight). ``seed_state``
     is the parent shadow shard's checkpoint state — ``None`` on a
     first, empty spawn; otherwise the worker restores it and (when
     journaling) writes a seed snapshot at its current journal position
@@ -347,7 +606,7 @@ def spawn_shard_worker(router: "ShardRouter", index: int,
     )
     process.start()
     child_sock.close()
-    return ShardWorkerClient(process, Framer(parent_sock), index)
+    return ShardChannel(process, parent_sock, index)
 
 
 # -- the worker process ----------------------------------------------------

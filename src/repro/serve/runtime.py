@@ -1,4 +1,4 @@
-"""The serving runtime: shard worker pools, micro-batching, admission.
+"""The serving runtime: shard queues, micro-batching, admission.
 
 Request lifecycle::
 
@@ -14,10 +14,10 @@ waste). Both paths skip the delivery engine entirely; only requests
 that survive admission cost real work, which is what keeps latency
 bounded under overload instead of collapsing.
 
-Each worker drains its shard's queue in FIFO order and coalesces up to
-``max_batch`` waiting requests into one delivery pass under the shard
-lock, inside one engine serving session — so the audience snapshot and
-match cache amortize across the batch the same way they do across a
+Each shard's queue drains in FIFO order, coalescing up to ``max_batch``
+waiting requests into one delivery pass under the shard lock, inside
+one engine serving session — so the audience snapshot and match cache
+amortize across the batch the same way they do across a
 ``run_sessions`` round.
 
 Determinism contract: with ``workers_per_shard=1`` (the default), each
@@ -30,15 +30,29 @@ shard's queue interleave, which trades that replay guarantee away;
 aggregate invariants (caps, deliver-iff-match) still hold because the
 shard lock keeps each engine single-entrant.
 
-Two backends, one admission plane. ``backend="thread"`` runs the loop
-above with in-process workers (GIL-bound — fine for determinism tests,
-flat for throughput). ``backend="process"`` forks one worker process
-per shard and the same loop becomes a router thread: dequeue, deadline-
-check, then frame the surviving micro-batch to the worker over the
-batched IPC codec in :mod:`repro.serve.ipc`. Admission, shedding,
-deadlines, and slot-claim sequencing stay in the parent either way, so
-the two backends produce byte-identical delivery reports and overload
-never costs a worker process anything.
+Two backends, one admission plane. ``backend="thread"`` drains each
+shard's queue with in-process worker threads (GIL-bound — fine for
+determinism tests, flat for throughput). ``backend="process"`` forks
+one worker process per shard and drives all of them from one asyncio
+event loop, with no thread per shard: each shard has a pending deque
+and a :class:`~repro.serve.ipc.ShardChannel`. ``submit`` appends to the
+deque and, when no batch is in flight for that shard, schedules one
+flush; the flush deadline-checks what has accumulated (up to
+``max_batch``) and frames it to the worker; the reply resolves that
+batch and frames the next one from whatever arrived meanwhile. One
+batch in flight per shard keeps the single-consumer FIFO order above,
+so the two backends produce byte-identical delivery reports, and
+admission, shedding, deadlines and slot-claim sequencing stay in the
+parent — overload never costs a worker process anything.
+
+The loop runs on one runtime-owned IO thread
+(:meth:`ServingRuntime.io_loop`), started on first use — after the
+workers forked — and stopped with the runtime. Callers differ only in
+where their own code runs: ``repro loadgen``, ``repro serve`` and
+:meth:`ServingRuntime.serve_and_wait` submit from their own thread and
+hop onto the loop once per idle shard; the gateway runs its HTTP server
+on the same loop, so an ad request is parsed, admitted, framed,
+resolved and answered without crossing a thread.
 """
 
 from __future__ import annotations
@@ -46,10 +60,22 @@ from __future__ import annotations
 import logging
 import queue
 import threading
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Coroutine,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.errors import StoreError
 from repro.obs import metrics as _metrics
@@ -75,6 +101,13 @@ from repro.serve.sharding import (
     journal_store_factory,
 )
 from repro.store.snapshot import Snapshot
+from repro.store.store import NullStore, StateStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # Imported where used at run time: asyncio loads the ssl stack
+    # (~3 MB RSS per process), which paths that never open the event
+    # loop — the sweep, the thread backend behind no gateway — skip.
+    import asyncio
 
 #: Valid values for :attr:`RuntimeConfig.backend`.
 BACKENDS = ("thread", "process")
@@ -144,13 +177,18 @@ class RuntimeConfig:
             raise ValueError("telemetry retention must be positive")
 
 
+#: What :meth:`ServingRuntime.submit` hands out: an asyncio future on
+#: the runtime's IO thread, a concurrent one anywhere else.
+_ResultFuture = Union["Future[ServeResult]", "asyncio.Future[ServeResult]"]
+
+
 class _QueuedRequest:
     """A request in flight: payload, its future, and admission facts."""
 
     __slots__ = ("request", "future", "base_seq", "deadline_s",
                  "enqueued_at", "span")
 
-    def __init__(self, request: AdRequest, future: "Future[ServeResult]",
+    def __init__(self, request: AdRequest, future: "_ResultFuture",
                  base_seq: int, deadline_s: Optional[float],
                  enqueued_at: float,
                  span: Optional[_tracing.Span] = None):
@@ -213,7 +251,8 @@ class ServingRuntime:
         router: Optional[ShardRouter] = None,
     ):
         self.config = config or RuntimeConfig()
-        if router is not None and self.config.backend == "process":
+        process = self.config.backend == "process"
+        if router is not None and process:
             # The process backend's router shards are in-memory shadows
             # seeded into (and merged back from) worker processes; a
             # prebuilt router would smuggle in stores the workers also
@@ -221,39 +260,48 @@ class ServingRuntime:
             raise ValueError(
                 "the process backend builds its own shadow router; "
                 "do not pass one in")
+        if process:
+            # Process workers own the journal files themselves. The
+            # parent-side shards are shadows: seeded at spawn, refreshed
+            # at stop from owner dumps, never replayed — so their stores
+            # keep no records (admission claims would otherwise pile up
+            # one per request for the life of the runtime).
+            store_factory: Optional[Callable[[int, int], StateStore]] = (
+                lambda index, total: NullStore())
+        elif self.config.journal_dir is not None:
+            # Thread workers journal in-process.
+            store_factory = journal_store_factory(self.config.journal_dir)
+        else:
+            store_factory = None
         self.router = router or ShardRouter(
             platform,
             num_shards=self.config.num_shards,
             competition=competition,
-            # Thread workers journal in-process. Process workers own
-            # the journal files themselves: the parent-side shards stay
-            # in-memory shadows, seeded at spawn and refreshed at stop.
-            store_factory=(
-                journal_store_factory(self.config.journal_dir)
-                if (self.config.journal_dir is not None
-                    and self.config.backend == "thread") else None
-            ),
+            store_factory=store_factory,
         )
         if router is not None and config is not None \
                 and router.num_shards != config.num_shards:
             raise ValueError("router shard count disagrees with config")
         self.platform = platform
-        self._queues: List["queue.Queue[_QueuedRequest]"] = [
-            queue.Queue(maxsize=self.config.queue_capacity)
-            for _ in range(self.router.num_shards)
-        ]
-        self._submit_locks = [threading.Lock()
-                              for _ in range(self.router.num_shards)]
+        self._process = process
+        self._reset_queues(self.router.num_shards)
         self._workers: List[threading.Thread] = []
-        self._clients: List[Optional[_ipc.ShardWorkerClient]] = []
+        self._clients: List[_ipc.ShardChannel] = []
         #: True once the shadow shards hold state worker processes must
         #: inherit (after a merge-back, recovery, or rebalance) — the
         #: signal to seed freshly spawned workers.
         self._shadow_dirty = False
         self._stop = threading.Event()
         self._running = False
+        #: Set while the process backend winds down: flushes stop
+        #: framing new batches.
+        self._closing = False
         self._pending = 0
         self._pending_cond = threading.Condition()
+        #: The runtime's event loop and its IO thread (see io_loop).
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._io_thread: Optional[threading.Thread] = None
+        self._io_lock = threading.Lock()
         #: Live time series the telemetry thread appends to (readable
         #: any time; populated only with ``telemetry_interval_s`` set —
         #: or by explicit :meth:`sample_telemetry` calls).
@@ -266,8 +314,6 @@ class ServingRuntime:
         #: Latest ``to_state`` dump per shard worker (process backend),
         #: replaced wholesale on every poll, cleared at merge-back.
         self._worker_states: Dict[int, List[Dict[str, object]]] = {}
-        self._shard_stats = [_ShardStats(i)
-                             for i in range(self.router.num_shards)]
         reg = _metrics.registry()
         self._m_submitted = reg.counter("serve.requests_submitted")
         self._m_served = reg.counter("serve.requests_served")
@@ -281,6 +327,22 @@ class ServingRuntime:
         self._m_service = reg.histogram("serve.service_time_s")
         self._m_polls = reg.counter("serve.telemetry_polls")
         self._m_spans_merged = reg.counter("serve.trace_spans_merged")
+
+    def _reset_queues(self, num_shards: int) -> None:
+        """Fresh per-shard admission state: the thread backend's bounded
+        queues, or the process backend's pending deques with their
+        flush-scheduled / batch-in-flight flags."""
+        if self._process:
+            self._queues: List["queue.Queue[_QueuedRequest]"] = []
+        else:
+            self._queues = [queue.Queue(maxsize=self.config.queue_capacity)
+                            for _ in range(num_shards)]
+        self._backlogs: List[Deque[_QueuedRequest]] = [
+            deque() for _ in range(num_shards)]
+        self._flush_due = [False] * num_shards
+        self._in_flight = [False] * num_shards
+        self._submit_locks = [threading.Lock() for _ in range(num_shards)]
+        self._shard_stats = [_ShardStats(i) for i in range(num_shards)]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -301,6 +363,7 @@ class ServingRuntime:
             raise RuntimeError("runtime already started")
         self._stop.clear()
         self._workers = []
+        self._closing = False
         self._running = True
         if spawn_workers:
             self.spawn_workers()
@@ -314,16 +377,16 @@ class ServingRuntime:
         return self
 
     def spawn_workers(self) -> None:
-        if self._workers:
+        if self._workers or self._clients:
             raise RuntimeError("workers already spawned")
-        if self.config.backend == "process":
+        if self._process:
             self._spawn_process_workers()
             return
         for shard in self.router.shards:
             for worker_index in range(self.config.workers_per_shard):
                 thread = threading.Thread(
                     target=self._worker_loop,
-                    args=(shard, self._queues[shard.index], None),
+                    args=(shard, self._queues[shard.index]),
                     name=f"serve-shard{shard.index}-w{worker_index}",
                     daemon=True,
                 )
@@ -333,14 +396,14 @@ class ServingRuntime:
                   self.router.num_shards, self.config.workers_per_shard)
 
     def _spawn_process_workers(self) -> None:
-        """Fork one worker process per shard, then start the router
-        threads that speak to them.
+        """Fork one worker process per shard and open its channel.
 
-        Order matters twice: every fork happens before any router
-        thread exists (forking with live threads inherits their locks
-        mid-flight), and workers are seeded from the shadow shards'
-        checkpoints only once those shadows actually hold state —
-        a first spawn starts empty and cheap.
+        Every fork happens before the runtime starts any thread — its
+        IO loop is created on first use, after this — and workers are
+        seeded from the shadow shards' checkpoints only once those
+        shadows actually hold state: a first spawn starts empty and
+        cheap. Requests admitted before the spawn are framed as soon
+        as a loop drives the new channels.
         """
         for shard in self.router.shards:
             seed_state = (shard.store.checkpoint(label="spawn-seed").state
@@ -348,18 +411,13 @@ class ServingRuntime:
             self._clients.append(_ipc.spawn_shard_worker(
                 self.router, shard.index, self.config.journal_dir,
                 seed_state))
-        for shard in self.router.shards:
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(shard, self._queues[shard.index],
-                      self._clients[shard.index]),
-                name=f"serve-shard{shard.index}-io",
-                daemon=True,
-            )
-            thread.start()
-            self._workers.append(thread)
         _log.info("serving runtime started: %d shard worker processes",
                   self.router.num_shards)
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(self._attach_channels,
+                                            self._loop)
+        elif any(self._backlogs):
+            self.io_loop()
 
     def stop(self, drain: bool = True,
              timeout: Optional[float] = 30.0) -> None:
@@ -374,7 +432,7 @@ class ServingRuntime:
         """
         if not self._running:
             return
-        if drain and self._workers:
+        if drain and (self._workers or self._clients):
             self.drain(timeout=timeout)
         self._stop.set()
         for thread in self._workers:
@@ -383,9 +441,12 @@ class ServingRuntime:
         if self._telemetry_thread is not None:
             self._telemetry_thread.join(timeout=timeout)
             self._telemetry_thread = None
-        self._flush_unserved()
         if self._clients:
-            self._merge_back_workers()
+            self._merge_back_workers(
+                self._run_on_loop(self._stop_channels(timeout)))
+        else:
+            self._flush_unserved()
+        self._close_loop(timeout)
         for shard in self.router.shards:
             shard.store.flush()
         self._running = False
@@ -394,10 +455,10 @@ class ServingRuntime:
             # final row carries the complete (merged) totals.
             self.sample_telemetry()
 
-    def _merge_back_workers(self) -> None:
-        """Stop every worker process and fold its world back in.
+    def _merge_back_workers(self, replies: List[object]) -> None:
+        """Fold every stopped worker's world back in.
 
-        Each worker answers the stop frame with a final checkpoint of
+        Each worker answered the stop frame with a final checkpoint of
         its store (restored into the parent's shadow shard, so every
         aggregation API keeps working unchanged after the run) and its
         metrics registry dump (merged into the parent registry). The
@@ -410,24 +471,23 @@ class ServingRuntime:
         """
         reg = _metrics.registry()
         trc = _tracing.tracer()
-        for shard, client in zip(self.router.shards, self._clients):
-            if client is None:
-                continue
-            admission_seq = dict(shard.slot_seq)
-            try:
-                snapshot, metrics_state, spans = client.shutdown()
-            except (_ipc.WorkerLost, RuntimeError) as exc:
+        for shard, channel, reply in zip(self.router.shards,
+                                         self._clients, replies):
+            channel.reap()
+            if isinstance(reply, BaseException):
                 _log.warning(
                     "shard %d worker lost before merge-back (%s); "
                     "shadow state is stale until recover_shard",
-                    shard.index, exc)
-                client.reap()
+                    shard.index, reply)
                 continue
-            shard.store.restore(snapshot)
+            assert isinstance(reply, dict)
+            admission_seq = dict(shard.slot_seq)
+            shard.store.restore(_ipc.snapshot_from_reply(reply, "final"))
             for user_id, seq in admission_seq.items():
                 if seq > shard.slot_seq.get(user_id, 0):
                     shard.slot_seq[user_id] = seq
-            reg.merge_state(metrics_state)
+            reg.merge_state(reply["metrics"])
+            spans = reply.get("spans")
             if spans:
                 self._m_spans_merged.inc(trc.adopt(spans))
         self._clients = []
@@ -442,12 +502,19 @@ class ServingRuntime:
         work was or will be done for it)."""
         flushed = 0
         for shard in self.router.shards:
-            shard_queue = self._queues[shard.index]
-            while True:
-                try:
-                    item = shard_queue.get_nowait()
-                except queue.Empty:
-                    break
+            unserved: List[_QueuedRequest] = []
+            with self._submit_locks[shard.index]:
+                backlog = self._backlogs[shard.index]
+                unserved.extend(backlog)
+                backlog.clear()
+            if not self._process:
+                shard_queue = self._queues[shard.index]
+                while True:
+                    try:
+                        unserved.append(shard_queue.get_nowait())
+                    except queue.Empty:
+                        break
+            for item in unserved:
                 self._m_depth.dec()
                 self._m_timeout.inc()
                 self._resolve(item, ServeResult(
@@ -456,7 +523,7 @@ class ServingRuntime:
                     shard_index=shard.index,
                     queued_s=perf_counter() - item.enqueued_at,
                 ))
-                flushed += 1
+            flushed += len(unserved)
         if flushed:
             _log.info("shutdown drained %d unserved requests as TIMEOUT",
                       flushed)
@@ -481,6 +548,114 @@ class ServingRuntime:
                     return False
                 self._pending_cond.wait(timeout=remaining)
         return True
+
+    # -- the event loop ----------------------------------------------------
+
+    def io_loop(self) -> asyncio.AbstractEventLoop:
+        """The runtime's event loop, running on its own IO thread.
+
+        Started on first use — after :meth:`start` forked any worker
+        processes — and stopped by :meth:`stop`. On the process backend
+        it watches every worker channel and frames every batch; a
+        caller that runs its own asyncio code on it (the gateway's HTTP
+        server) submits without crossing a thread, and :meth:`submit`
+        made on this loop returns an ``asyncio.Future`` of it.
+        """
+        loop = self._loop
+        if loop is not None:
+            return loop
+        with self._io_lock:
+            if self._loop is None:
+                import asyncio
+
+                loop = asyncio.new_event_loop()
+                # Not running yet: channels attach from this thread.
+                self._attach_channels(loop)
+                self._io_thread = threading.Thread(
+                    target=loop.run_forever, name="serve-io", daemon=True)
+                self._io_thread.start()
+                self._loop = loop
+            return self._loop
+
+    def _attach_channels(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Watch every channel from ``loop`` and flush every shard that
+        admitted work before its worker existed."""
+        for channel in self._clients:
+            channel.attach(loop)
+        if not self._clients:
+            return
+        for index, backlog in enumerate(self._backlogs):
+            with self._submit_locks[index]:
+                due = bool(backlog) and not self._flush_due[index] \
+                    and not self._in_flight[index]
+                self._flush_due[index] |= due
+            if due:
+                loop.call_soon(self._flush, index)
+
+    def _on_io_thread(self) -> bool:
+        thread = self._io_thread
+        return thread is not None and thread.ident == threading.get_ident()
+
+    def _close_loop(self, timeout: Optional[float]) -> None:
+        loop, thread = self._loop, self._io_thread
+        if loop is None or thread is None:
+            return
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=timeout)
+        if not thread.is_alive():
+            loop.close()
+        self._loop = None
+        self._io_thread = None
+
+    def _run_on_loop(self, coro: Coroutine[Any, Any, Any]) -> Any:
+        """Run ``coro`` on the runtime's loop from another thread and
+        return its result — the path of every control op (checkpoint,
+        telemetry poll, stop)."""
+        import asyncio
+
+        loop = self.io_loop()
+        if self._on_io_thread():
+            coro.close()
+            raise RuntimeError(
+                "cannot wait on the runtime's event loop from its own "
+                "thread")
+        return asyncio.run_coroutine_threadsafe(coro, loop).result()
+
+    async def _control_all(self, op: str, payload: object,
+                           channels: Sequence[_ipc.ShardChannel],
+                           timeout: Optional[float] = None
+                           ) -> List[object]:
+        """Send one control op to each channel; their replies in order
+        (a :class:`BaseException` in place of a failed one)."""
+        import asyncio
+
+        loop = asyncio.get_running_loop()
+        waits: List["asyncio.Future[Any]"] = []
+        for channel in channels:
+            try:
+                waits.append(channel.request(op, payload))
+            except _ipc.WorkerLost as exc:
+                failed = loop.create_future()
+                failed.set_exception(exc)
+                waits.append(failed)
+        if waits:
+            await asyncio.wait(waits, timeout=timeout)
+        return [(wait.exception() or wait.result()) if wait.done()
+                else TimeoutError(f"no {op} reply within {timeout}s")
+                for wait in waits]
+
+    async def _stop_channels(self, timeout: Optional[float]
+                             ) -> List[object]:
+        """Wind the process backend down on its loop: resolve what never
+        went out as TIMEOUT, then stop every worker (each stop frame
+        queues behind that worker's outstanding batch)."""
+        self._closing = True
+        self._flush_unserved()
+        replies = await self._control_all(_ipc.OP_STOP, None,
+                                          self._clients, timeout)
+        for channel in self._clients:
+            channel.detach()
+        return replies
 
     # -- live telemetry ----------------------------------------------------
 
@@ -516,27 +691,27 @@ class ServingRuntime:
         """
         trc = _tracing.tracer()
         with self._telemetry_lock:
-            for shard, client in zip(self.router.shards, self._clients):
-                if client is None or client.lost:
-                    continue
-                try:
-                    reply = client.poll_telemetry()
-                except (_ipc.WorkerLost, RuntimeError) as exc:
-                    _log.warning("shard %d telemetry poll failed: %s",
-                                 shard.index, exc)
-                    continue
-                self._worker_states[shard.index] = reply["metrics"]
-                spans = reply.get("spans") or []
-                if spans:
-                    self._m_spans_merged.inc(trc.adopt(spans))
+            live = [channel for channel in self._clients
+                    if not channel.lost]
+            if live:
+                replies = self._run_on_loop(self._control_all(
+                    _ipc.OP_TELEMETRY, None, live, _POLL_TIMEOUT_S))
+                for channel, reply in zip(live, replies):
+                    if isinstance(reply, BaseException):
+                        _log.warning("shard %d telemetry poll failed: %s",
+                                     channel.index, reply)
+                        continue
+                    self._worker_states[channel.index] = reply["metrics"]
+                    spans = reply.get("spans") or []
+                    if spans:
+                        self._m_spans_merged.inc(trc.adopt(spans))
             self._m_polls.inc()
             extra_scalars: Dict[str, float] = {}
             extra_hists: Dict[str, _metrics.Histogram] = {}
             for index, stats in enumerate(self._shard_stats):
                 prefix = f"serve.shard{index}"
-                if index < len(self._queues):
-                    extra_scalars[f"{prefix}.queue_depth"] = float(
-                        self._queues[index].qsize())
+                extra_scalars[f"{prefix}.queue_depth"] = float(
+                    self._queue_depth(index))
                 extra_scalars[f"{prefix}.served"] = float(stats.served)
                 extra_scalars[f"{prefix}.shed"] = float(stats.shed)
                 extra_scalars[f"{prefix}.timeout"] = float(stats.timeout)
@@ -553,6 +728,11 @@ class ServingRuntime:
             except Exception:  # noqa: BLE001 - listeners are fenced
                 _log.exception("telemetry listener failed")
         return sample
+
+    def _queue_depth(self, index: int) -> int:
+        if self._process:
+            return len(self._backlogs[index])
+        return self._queues[index].qsize()
 
     def live_metrics(self) -> _metrics.MetricsRegistry:
         """The run's counters *as of now*, merged across processes.
@@ -574,14 +754,9 @@ class ServingRuntime:
         if self._running:
             raise RuntimeError("stop the runtime before rebalancing")
         self.router.rebalance(num_shards)
-        if self.config.backend == "process":
+        if self._process:
             self._shadow_dirty = True
-        self._queues = [
-            queue.Queue(maxsize=self.config.queue_capacity)
-            for _ in range(num_shards)
-        ]
-        self._submit_locks = [threading.Lock() for _ in range(num_shards)]
-        self._shard_stats = [_ShardStats(i) for i in range(num_shards)]
+        self._reset_queues(num_shards)
         self._worker_states = {}
 
     def checkpoint(self, label: str = "") -> List[Snapshot]:
@@ -596,15 +771,23 @@ class ServingRuntime:
         """
         if self._running:
             self.drain()
-        if self.config.backend == "process":
+        if self._process:
             if self._clients:
                 # The workers hold the live state and journal position;
                 # they snapshot at their own journal offsets (and save
                 # next to their journals), exactly like a thread-mode
                 # shard does in-process.
-                return [client.checkpoint(label, self.config.journal_dir)
-                        for client in self._clients
-                        if client is not None]
+                replies = self._run_on_loop(self._control_all(
+                    _ipc.OP_CHECKPOINT,
+                    {"label": label, "directory": self.config.journal_dir},
+                    self._clients))
+                snapshots = []
+                for reply in replies:
+                    if isinstance(reply, BaseException):
+                        raise reply
+                    snapshots.append(_ipc.snapshot_from_reply(
+                        reply, str(reply["label"])))
+                return snapshots
             if self.config.journal_dir is not None:
                 # A stopped process runtime's shadows are in-memory
                 # merges at journal position 0 — writing them to disk
@@ -632,11 +815,11 @@ class ServingRuntime:
             raise StoreError(
                 "shard recovery needs a runtime configured with "
                 "journal_dir")
-        if self.config.backend == "process":
-            # Rebuild the in-memory shadow from the worker's journal +
-            # snapshot; the journal file stays closed — it belongs to
-            # the replacement worker the next start() spawns (seeded
-            # from this recovered shadow).
+        if self._process:
+            # Rebuild the shadow from the worker's journal + snapshot;
+            # the journal file stays closed — it belongs to the
+            # replacement worker the next start() spawns (seeded from
+            # this recovered shadow).
             shard = self.router.recover_shard(
                 index, self.config.journal_dir, reopen_journal=False)
             self._shadow_dirty = True
@@ -649,12 +832,18 @@ class ServingRuntime:
         """Admit one request; never blocks.
 
         The returned future always resolves to a :class:`ServeResult`
-        — a full shard queue resolves it immediately as SHED.
+        — a full shard queue resolves it immediately as SHED. Called on
+        the runtime's :meth:`io_loop` it is an ``asyncio.Future`` of
+        that loop; from any other thread, a
+        ``concurrent.futures.Future``.
         """
         if not self._running:
             raise RuntimeError("runtime is not started")
         shard = self.router.shard_for(request.user_id)
-        future: "Future[ServeResult]" = Future()
+        index = shard.index
+        # On the IO thread the loop is running: hand out its future.
+        loop = self._loop if self._on_io_thread() else None
+        future: Any = loop.create_future() if loop is not None else Future()
         deadline_s = (request.deadline_s
                       if request.deadline_s is not None
                       else self.config.default_deadline_s)
@@ -664,14 +853,15 @@ class ServingRuntime:
         if trc.enabled:
             # Off-stack: the span begins on the submitting thread and
             # finishes wherever the result resolves (a shard worker
-            # thread, a router thread, or shutdown). A fresh trace id
+            # thread, the event loop, or shutdown). A fresh trace id
             # makes it the root of this request's trace; the enclosing
             # loadgen.run span (if any) still parents it.
             span = trc.begin_span(
                 "serve.request", trace_id=trc.new_trace_id(),
-                user_id=request.user_id, shard=shard.index,
+                user_id=request.user_id, shard=index,
                 slots=request.slots)
-        with self._submit_locks[shard.index]:
+        schedule = False
+        with self._submit_locks[index]:
             # Slot indices are claimed at admission, under the submit
             # lock, so the competing-bid key for each of this user's
             # slots depends only on submission order — not on when a
@@ -687,19 +877,38 @@ class ServingRuntime:
                 enqueued_at=perf_counter(),
                 span=span,
             )
-            try:
-                self._queues[shard.index].put_nowait(item)
-            except queue.Full:
+            if self._process:
+                backlog = self._backlogs[index]
+                admitted = len(backlog) < self.config.queue_capacity
+                if admitted:
+                    backlog.append(item)
+                    schedule = (bool(self._clients)
+                                and not self._flush_due[index]
+                                and not self._in_flight[index])
+                    if schedule:
+                        self._flush_due[index] = True
+            else:
+                try:
+                    self._queues[index].put_nowait(item)
+                    admitted = True
+                except queue.Full:
+                    admitted = False
+            if not admitted:
                 self._m_shed.inc()
                 self._resolve(item, ServeResult(
                     request=request,
                     status=ServeStatus.SHED,
-                    shard_index=shard.index,
+                    shard_index=index,
                 ), count_pending=False)
                 return future
         with self._pending_cond:
             self._pending += 1
         self._m_depth.inc()
+        if schedule:
+            if loop is not None:
+                loop.call_soon(self._flush, index)
+            else:
+                self.io_loop().call_soon_threadsafe(self._flush, index)
         return future
 
     def serve_and_wait(self, requests: Sequence[AdRequest],
@@ -709,18 +918,11 @@ class ServingRuntime:
         futures = [self.submit(request) for request in requests]
         return [future.result(timeout=timeout) for future in futures]
 
-    # -- the worker --------------------------------------------------------
+    # -- the thread backend ------------------------------------------------
 
     def _worker_loop(self, shard: Shard,
-                     shard_queue: "queue.Queue[_QueuedRequest]",
-                     client: Optional[_ipc.ShardWorkerClient]) -> None:
-        """Drain one shard's queue into micro-batches.
-
-        The same loop serves both backends: with ``client=None`` the
-        batch runs in-process on this thread (thread backend); with a
-        client it is framed to the shard's worker process and this
-        thread only does admission + IPC (process backend).
-        """
+                     shard_queue: "queue.Queue[_QueuedRequest]") -> None:
+        """Drain one shard's queue into in-process micro-batches."""
         while True:
             try:
                 first = shard_queue.get(timeout=0.05)
@@ -734,10 +936,7 @@ class ServingRuntime:
                     batch.append(shard_queue.get_nowait())
                 except queue.Empty:
                     break
-            if client is None:
-                self._serve_batch(shard, batch)
-            else:
-                self._serve_batch_remote(shard, client, batch)
+            self._serve_batch(shard, batch)
 
     def _admit_batch(self, shard: Shard,
                      batch: List[_QueuedRequest]) -> List[_QueuedRequest]:
@@ -848,27 +1047,42 @@ class ServingRuntime:
             batch_size=batch_size,
         )
 
-    # -- the process-backend router thread ---------------------------------
+    # -- the process backend: one batch in flight per shard ----------------
 
-    def _serve_batch_remote(self, shard: Shard,
-                            client: _ipc.ShardWorkerClient,
-                            batch: List[_QueuedRequest]) -> None:
-        """Frame one admitted micro-batch to the shard's worker process
-        and resolve its futures from the per-request outcomes.
+    def _flush(self, index: int) -> None:
+        """The scheduled flush of one shard (runs on the loop)."""
+        with self._submit_locks[index]:
+            if not self._flush_due[index]:
+                return
+            self._flush_due[index] = False
+        self._send_next(index)
 
-        Admission (shed happened at submit; deadlines checked here)
-        stays entirely in the parent — only surviving requests cross
-        the socket. A lost worker resolves the batch as ERROR instead
-        of hanging; the journal it flushed per batch is what
-        :meth:`ServingRuntime.recover_shard` later replays.
-        """
+    def _send_next(self, index: int) -> None:
+        """Frame the shard's next batch — up to ``max_batch`` of
+        whatever has accumulated — unless one is already in flight."""
+        while True:
+            with self._submit_locks[index]:
+                backlog = self._backlogs[index]
+                if self._in_flight[index] or self._closing or not backlog:
+                    return
+                batch = [backlog.popleft() for _ in
+                         range(min(len(backlog), self.config.max_batch))]
+                self._in_flight[index] = True
+            if self._send_batch(index, batch):
+                return
+            with self._submit_locks[index]:
+                self._in_flight[index] = False
+
+    def _send_batch(self, index: int, batch: List[_QueuedRequest]) -> bool:
+        """Admit a dequeued batch and frame its survivors to the shard's
+        worker; False when nothing went out (all expired, or the worker
+        is gone — those requests are resolved already)."""
+        shard = self.router.shards[index]
         live = self._admit_batch(shard, batch)
         if not live:
-            return
+            return False
         self._m_batch.observe(len(live))
-        if client.lost:
-            self._fail_batch(shard, live, "shard worker lost")
-            return
+        channel = self._clients[index]
         trc = _tracing.tracer()
         # Each frame item carries its request span's (trace_id,
         # span_id): the worker's serve.engine spans parent under it
@@ -879,27 +1093,61 @@ class ServingRuntime:
               if item.span is not None else None))
             for item in live
         ]
+        span = (trc.begin_span("serve.ipc_roundtrip", shard=index,
+                               batch_size=len(live))
+                if trc.enabled else None)
         sent_at = perf_counter()
         try:
-            with trc.span("serve.ipc_roundtrip", shard=shard.index,
-                          batch_size=len(live)):
-                replies = client.serve_batch(frame)
+            channel.send(_ipc.OP_SERVE, frame,
+                         lambda replies, error: self._on_batch_reply(
+                             index, live, sent_at, span, replies, error))
         except _ipc.WorkerLost:
+            self._fail_batch(shard, live, "shard worker lost")
+            return False
+        except Exception as exc:  # noqa: BLE001 - batch-level fence
+            self._fail_batch(shard, live, f"{type(exc).__name__}: {exc}",
+                             reason=type(exc).__name__)
+            return False
+        return True
+
+    def _on_batch_reply(self, index: int, live: List[_QueuedRequest],
+                        sent_at: float, span: Optional[_tracing.Span],
+                        replies: Optional[List[_ipc.ServeReplyItem]],
+                        error: Optional[BaseException]) -> None:
+        """A serve frame's reply arrived: frame the next batch first (so
+        the worker starts on it while this one resolves), then resolve
+        this batch's futures from the per-request outcomes. A lost
+        worker resolves the batch as ERROR instead of hanging; the
+        journal it flushed per batch is what :meth:`recover_shard`
+        later replays."""
+        if span is not None:
+            _tracing.tracer().finish_span(span)
+        with self._submit_locks[index]:
+            self._in_flight[index] = False
+        self._send_next(index)
+        shard = self.router.shards[index]
+        if error is None and replies is not None \
+                and len(replies) != len(live):
+            error = RuntimeError(
+                f"shard {index} worker answered {len(replies)} "
+                f"outcomes for a batch of {len(live)}")
+        if isinstance(error, _ipc.WorkerLost):
             self._fail_batch(shard, live, "shard worker lost mid-batch")
             return
-        except Exception as exc:  # noqa: BLE001 - batch-level fence
+        if error is not None:
             self._fail_batch(shard, live,
-                             f"{type(exc).__name__}: {exc}",
-                             reason=type(exc).__name__)
+                             f"{type(error).__name__}: {error}",
+                             reason=type(error).__name__)
             return
+        assert replies is not None
         for item, reply in zip(live, replies):
-            served, ad_ids, lost, unfilled, error, service_s = reply
+            served, ad_ids, lost, unfilled, failure, service_s = reply
             if served:
                 self._m_served.inc()
                 result = ServeResult(
                     request=item.request,
                     status=ServeStatus.SERVED,
-                    shard_index=shard.index,
+                    shard_index=index,
                     response=AdResponse(
                         user_id=item.request.user_id,
                         ad_ids=tuple(ad_ids),
@@ -911,17 +1159,18 @@ class ServingRuntime:
                     batch_size=len(live),
                 )
             else:
-                self._count_error(_error_reason(error))
+                self._count_error(_error_reason(failure))
                 result = ServeResult(
                     request=item.request,
                     status=ServeStatus.ERROR,
-                    shard_index=shard.index,
-                    error=error,
+                    shard_index=index,
+                    error=failure,
                     queued_s=sent_at - item.enqueued_at,
                     service_s=service_s,
                     batch_size=len(live),
                 )
-            self._resolve(item, result)
+            self._resolve(item, result, count_pending=False)
+        self._release_pending(len(live))
 
     def _fail_batch(self, shard: Shard, live: List[_QueuedRequest],
                     error: str, reason: str = "WorkerLost") -> None:
@@ -958,12 +1207,37 @@ class ServingRuntime:
         if item.span is not None:
             _tracing.tracer().finish_span(
                 item.span, status=result.status.value)
-        item.future.set_result(result)
+        future = item.future
+        if isinstance(future, Future):
+            future.set_result(result)
+        else:
+            # An asyncio future: submitted on the runtime's loop.
+            if self._on_io_thread():
+                if not future.done():
+                    future.set_result(result)
+            else:
+                try:
+                    future.get_loop().call_soon_threadsafe(
+                        _set_if_pending, future, result)
+                except RuntimeError:
+                    pass  # that loop closed: nothing awaits the result
         if count_pending:
-            with self._pending_cond:
-                self._pending -= 1
-                if self._pending <= 0:
-                    self._pending_cond.notify_all()
+            self._release_pending(1)
+
+    def _release_pending(self, count: int) -> None:
+        with self._pending_cond:
+            self._pending -= count
+            if self._pending <= 0:
+                self._pending_cond.notify_all()
+
+
+#: How long a telemetry poll waits for each worker's reply.
+_POLL_TIMEOUT_S = 10.0
+
+
+def _set_if_pending(future: "asyncio.Future[Any]", result: object) -> None:
+    if not future.done():
+        future.set_result(result)
 
 
 def _error_reason(error: Optional[str]) -> str:

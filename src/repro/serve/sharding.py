@@ -49,7 +49,12 @@ from repro.platform.delivery import DeliveryEngine
 from repro.platform.platform import AdPlatform
 from repro.store.records import ChangeRecord, SlotClaimed
 from repro.store.snapshot import Snapshot
-from repro.store.store import JournalStore, MemoryStore, StateStore
+from repro.store.store import (
+    JournalStore,
+    MemoryStore,
+    NullStore,
+    StateStore,
+)
 
 _log = logging.getLogger("repro.serve.sharding")
 
@@ -523,12 +528,12 @@ class ShardRouter:
         double-charged; caps, feeds, logs, and slot counters land
         exactly where the dead shard left them.
 
-        ``reopen_journal=False`` rebuilds the shard onto an in-memory
-        store instead of re-opening the journal file for append — the
-        process backend's shape, where the router's shards are shadows
-        and the journal belongs to a worker process that will be
-        re-spawned (and seeded from the recovered shadow) on the next
-        start.
+        ``reopen_journal=False`` rebuilds the shard onto a
+        record-discarding :class:`~repro.store.store.NullStore` instead
+        of re-opening the journal file for append — the process
+        backend's shape, where the router's shards are shadows and the
+        journal belongs to a worker process that will be re-spawned
+        (and seeded from the recovered shadow) on the next start.
         """
         if not 0 <= index < self.num_shards:
             raise ValueError(f"no shard {index} in a "
@@ -538,7 +543,7 @@ class ShardRouter:
         # Re-open the same journal file for the replacement shard: the
         # history stays in place and new appends continue after it.
         store: StateStore = (JournalStore(journal) if reopen_journal
-                             else MemoryStore())
+                             else NullStore())
         shard = self._build_shard(index, self.num_shards, store=store)
         replay_from = 0
         snapshot_file = shard_snapshot_path(

@@ -102,8 +102,9 @@ def gateway_stack(make_world, tmp_path):
 
     def build(seed: int = 11, users: int = 24, shards: int = 2,
               journal: bool = True, serve: bool = True,
-              slo_spec=None) -> GatewayStack:
-        manifest = WorldManifest(seed=seed, users=users, shards=shards)
+              slo_spec=None, backend: str = "thread") -> GatewayStack:
+        manifest = WorldManifest(seed=seed, users=users, shards=shards,
+                                 backend=backend)
         platform = make_world(seed=seed, users=users)
         journal_dir = str(tmp_path / f"journal-{len(stacks)}")
         runtime = build_runtime(
