@@ -7,8 +7,8 @@ export PYTHONPATH := src:.
 test:
 	$(PYTHON) -m pytest -q
 
-## Compiled-vs-interpreted targeting equivalence suite on its own —
-## the property the delivery fast path rests on.
+## Row-backend-vs-interpreted targeting equivalence suite on its own —
+## the property the per-request delivery path rests on.
 equivalence:
 	$(PYTHON) -m pytest -q tests/platform/test_targeting_compile.py
 
@@ -29,7 +29,7 @@ scale-smoke:
 		benchmarks/bench_scale_1m.py::test_scale_100k_columnar_sweep \
 		benchmarks/bench_scale_1m.py::test_scale_100k_batch_sweep \
 		--benchmark-disable
-	$(PYTHON) -m repro populate --users 100000 --columnar --stats
+	$(PYTHON) -m repro populate --users 100000 --stats
 
 ## The gateway kill drill + 60s HTTP/in-process equivalence soak, both
 ## serving backends (what the CI service-smoke matrix runs).

@@ -297,14 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     populate = commands.add_parser(
         "populate", help="stream a persona-mix population into a "
-                         "(optionally columnar) world and report its "
-                         "storage footprint"
+                         "world and report its storage footprint"
     )
     populate.add_argument("--users", type=int, default=100_000,
                           help="population size")
-    populate.add_argument("--columnar", action="store_true",
-                          help="use the packed-numpy columnar user "
-                               "store (PlatformConfig.columnar_users)")
     populate.add_argument("--stats", action="store_true",
                           help="print the store's shape/size summary "
                                "after populating")
@@ -315,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="after populating, launch the full "
                                "partner sweep and deliver it through "
                                "the vectorized batch sweep engine "
-                               "(implies --columnar, compact "
-                               "delivery, journal discarded)")
+                               "(compact delivery, journal "
+                               "discarded)")
     populate.add_argument("--sweep-workers", type=int, default=None,
                           metavar="N",
                           help="fork N row-range workers for the "
@@ -972,24 +968,19 @@ def _cmd_populate(args: argparse.Namespace) -> int:
     if args.sweep_workers is not None and not args.sweep:
         print("populate: --sweep-workers needs --sweep", file=sys.stderr)
         return 2
-    columnar = args.columnar or args.sweep
     if args.sweep:
-        # The batch sweep wants the million-user memory shape: columnar
-        # rows, compact delivery state, journal records discarded, and
-        # a constant competing draw (required for --sweep-workers).
+        # The batch sweep wants the million-user memory shape: compact
+        # delivery state, journal records discarded, and a constant
+        # competing draw (required for --sweep-workers).
         platform = AdPlatform(
-            config=PlatformConfig(name="populate", columnar_users=True,
-                                  compact_delivery=True),
+            config=PlatformConfig(name="populate", compact_delivery=True),
             catalog=build_us_catalog(),
             competing_draw=zero_competition(),
             store=NullStore(),
         )
     else:
-        platform = AdPlatform(
-            config=PlatformConfig(name="populate",
-                                  columnar_users=columnar),
-            catalog=build_us_catalog(),
-        )
+        platform = AdPlatform(config=PlatformConfig(name="populate"),
+                              catalog=build_us_catalog())
     builder = PopulationBuilder(platform, seed=args.seed)
     personas = [AVERAGE_CONSUMER, ESTABLISHED_PROFESSIONAL,
                 RECENT_ARRIVAL_GRAD_STUDENT]
@@ -1001,29 +992,23 @@ def _cmd_populate(args: argparse.Namespace) -> int:
     builder.finalize()
     elapsed = time.perf_counter() - started
 
-    store_kind = "columnar" if columnar else "legacy"
     rows: List[Tuple[str, str]] = [
-        ("store", store_kind),
         ("users", f"{spawned:,}"),
         ("populate (s)", f"{elapsed:.2f}"),
         ("users/s", f"{spawned / elapsed:,.0f}" if elapsed > 0
          else "inf"),
     ]
     if args.stats:
-        if columnar:
-            stats = platform.users.stats()
-            rows.extend([
-                ("binary attr vocab", str(stats["binary_attr_vocab"])),
-                ("page vocab", str(stats["page_vocab"])),
-                ("multi columns", str(stats["multi_columns"])),
-                ("column bytes", f"{stats['column_bytes']:,}"),
-                ("attr bitset density",
-                 f"{stats['attr_bitset_density']:.4f}"),
-                ("dense ids", str(stats["dense_ids"])),
-            ])
-        else:
-            rows.append(("stats", "columnar-only; rerun with "
-                                  "--columnar"))
+        stats = platform.users.stats()
+        rows.extend([
+            ("binary attr vocab", str(stats["binary_attr_vocab"])),
+            ("page vocab", str(stats["page_vocab"])),
+            ("multi columns", str(stats["multi_columns"])),
+            ("column bytes", f"{stats['column_bytes']:,}"),
+            ("attr bitset density",
+             f"{stats['attr_bitset_density']:.4f}"),
+            ("dense ids", str(stats["dense_ids"])),
+        ])
     if args.sweep:
         provider = TransparencyProvider(platform, WebDirectory(),
                                         budget=50_000.0)
@@ -1046,7 +1031,7 @@ def _cmd_populate(args: argparse.Namespace) -> int:
              if deliver_wall > 0 else "inf"),
         ])
     print(format_table(("metric", "value"), rows,
-                       title=f"populate — {store_kind} store"))
+                       title="populate — columnar store"))
     return 0
 
 

@@ -456,7 +456,7 @@ class GatewayApp:
 
     def _audience_view(self, audience_id: str) -> Dict[str, object]:
         record = self.tenants.audience(audience_id)
-        size = len(self.platform.audiences.members(audience_id))
+        size = self.platform.audiences.membership_count(audience_id)
         return {
             "org_id": record.org_id,
             "audience_id": record.audience_id,

@@ -96,17 +96,18 @@ METRICS: Dict[str, MetricSpec] = {
     "auction.slots_lost": MetricSpec(
         COUNTER, "Auctions where ambient competition outbid every "
                  "tracked contender (or none was eligible)."),
-    # -- targeting compiler ------------------------------------------------
+    # -- targeting lowerer -------------------------------------------------
     "targeting.specs_compiled": MetricSpec(
-        COUNTER, "Targeting specs lowered to flat matchers."),
+        COUNTER, "Row programs built by binding a lowered spec to a "
+                 "user store's attribute and page codes."),
     "targeting.compile_cache_hits": MetricSpec(
-        COUNTER, "compile_spec calls served from the compiled-spec "
-                 "cache."),
+        COUNTER, "Row-program binds served from the lowered program's "
+                 "bind memo."),
     "targeting.specs_lowered": MetricSpec(
-        COUNTER, "Targeting specs lowered to column-mask programs."),
+        COUNTER, "Targeting specs lowered to mask programs."),
     "targeting.lower_fallbacks": MetricSpec(
         COUNTER, "lower_spec calls that declined (unlowerable node), "
-                 "flagging the spec for the per-user matcher."),
+                 "flagging the spec for Expr.matches."),
     # -- platform facade ---------------------------------------------------
     "platform.ads_submitted": MetricSpec(
         COUNTER, "Ads submitted through the advertiser API."),

@@ -26,16 +26,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import AudienceError, AudienceTooSmallError, StoreError
 from repro.platform import bitset
 from repro.platform.attributes import AttributeCatalog
+from repro.platform.colstore import ColumnarUserStore
 from repro.platform.pii import PIIRecord, validate_upload
 from repro.platform.pixels import PixelRegistry
-from repro.platform.users import UserStore
+from repro.platform.targeting import TargetingSpec, lower_spec
 from repro.store.records import (
     AudienceDelta,
     ChangeRecord,
@@ -134,7 +135,7 @@ class AudienceRegistry:
 
     def __init__(
         self,
-        users: UserStore,
+        users: ColumnarUserStore,
         pixels: PixelRegistry,
         catalog: Optional[AttributeCatalog] = None,
         min_custom_audience_size: int = 20,
@@ -151,15 +152,12 @@ class AudienceRegistry:
         self.min_custom_audience_size = min_custom_audience_size
         self.reach_floor = reach_floor
         self.reach_quantum = reach_quantum
-        #: Columnar user stores expose membership as row bitsets; the
-        #: registry then resolves set algebra with bitwise ops.
-        self._columnar = hasattr(users, "attribute_bitset")
         #: audience_id -> ((users epoch, pixels seq), member count).
         self._count_cache: Dict[str, Tuple[Tuple[int, int], int]] = {}
         #: audience_id -> ((users epoch, pixels seq), member bitset).
-        #: The columnar twin of _count_cache: the materialized mask
-        #: itself, shared by reach estimates and the batch sweep's
-        #: mask-program evaluation (repro.platform.targeting).
+        #: The materialized mask itself, shared by reach estimates and
+        #: every targeting program's audience leaves
+        #: (repro.platform.targeting).
         self._bitset_cache: Dict[str, Tuple[Tuple[int, int], np.ndarray]] = {}
 
     @property
@@ -404,30 +402,16 @@ class AudienceRegistry:
         if audience.kind is AudienceKind.PIXEL:
             assert audience.pixel_id is not None
             return self._pixels.visitors(audience.pixel_id)
-        if self._columnar:
-            return self._users.rows_to_ids(self.member_bitset(audience_id))
-        if audience.kind is AudienceKind.KEYWORD:
-            return self._keyword_members(audience)
-        if audience.kind is AudienceKind.LOOKALIKE:
-            return self._lookalike_members(audience)
-        assert audience.page_id is not None
-        return {
-            profile.user_id
-            for profile in self._users
-            if audience.page_id in profile.liked_pages
-        }
+        return self._users.rows_to_ids(self.member_bitset_cached(audience_id))
 
     def member_bitset(self, audience_id: str) -> np.ndarray:
-        """Membership as a bitset over the columnar store's rows.
+        """Membership as a bitset over the user store's rows.
 
-        Columnar worlds only. Dynamic kinds become column algebra: page
-        audiences are one column extraction, keyword audiences a union of
-        attribute columns, lookalikes a vectorized popcount of shared
-        attributes against each seed row — no per-profile Python loop.
+        Dynamic kinds are column algebra: page audiences are one column
+        extraction, keyword audiences a union of attribute columns,
+        lookalikes a vectorized popcount of shared attributes against
+        each seed row — no per-profile Python loop.
         """
-        if not self._columnar:
-            raise AudienceError(
-                "member_bitset needs a columnar user store")
         store = self._users
         nrows = len(store)
         audience = self.get(audience_id)
@@ -481,8 +465,10 @@ class AudienceRegistry:
 
         For each seed row, AND its attribute bitset against every user's
         row and popcount — users sharing >= threshold binary attributes
-        with any seed member join (seed members included, as in the
-        object path).
+        with any seed member join. Seed members themselves are included
+        (real lookalikes exclude them, but for Treads purposes inclusion
+        is harmless and the exclusion is one NOT-term away in
+        targeting).
         """
         seed_bits = self.member_bitset(audience.seed_audience_id)
         cols = self._users.columns
@@ -500,73 +486,15 @@ class AudienceRegistry:
         out.view(np.uint8)[: packed.size] = packed
         return bitset.union(out, seed_bits)
 
-    def _keyword_members(self, audience: Audience) -> Set[str]:
-        """Platform-internal keyword match: phrase -> attributes -> users."""
-        assert self._catalog is not None
-        matched_attr_ids: Set[str] = set()
-        for phrase in audience.phrases:
-            for attribute in self._catalog.search(phrase):
-                matched_attr_ids.add(attribute.attr_id)
-        members: Set[str] = set()
-        for attr_id in matched_attr_ids:
-            members |= {
-                profile.user_id
-                for profile in self._users.users_with_attribute(attr_id)
-            }
-        return members
-
     def is_member(self, audience_id: str, user_id: str) -> bool:
-        """The :data:`~repro.platform.targeting.AudienceResolver` hook."""
+        """The :data:`~repro.platform.targeting.AudienceResolver` hook:
+        one bit probe of the (cached) member bitset."""
         audience = self.get(audience_id)
         if audience.kind is AudienceKind.PII:
             return user_id in audience._matched_user_ids
-        if self._columnar and audience.kind is AudienceKind.PAGE:
-            # O(1) bit probe instead of materializing the page column.
-            assert audience.page_id is not None
-            row = self._users.row_of(user_id)
-            return (row is not None
-                    and self._users.columns.has_page(row, audience.page_id))
-        return user_id in self.members(audience_id)
-
-    def cached_resolver(self) -> Callable[[str, str], bool]:
-        """A membership resolver that materializes each audience once.
-
-        :meth:`is_member` recomputes dynamic memberships (page scans,
-        pixel visitor sets, lookalike expansion) on *every* call, which
-        is correct but ruinous inside a delivery run that checks the same
-        audience for thousands of users. The returned resolver snapshots
-        each audience's member set on first use and answers subsequent
-        checks from the snapshot.
-
-        Only valid across a window in which memberships do not change —
-        e.g. one synchronous delivery run, which performs no opt-ins,
-        page likes, pixel fires, or PII uploads. Callers that cannot
-        guarantee that must use :meth:`is_member`.
-        """
-        if self._columnar:
-            store = self._users
-            bit_snapshots: Dict[str, np.ndarray] = {}
-
-            def resolve_bits(audience_id: str, user_id: str) -> bool:
-                bits = bit_snapshots.get(audience_id)
-                if bits is None:
-                    bits = self.member_bitset_cached(audience_id)
-                    bit_snapshots[audience_id] = bits
-                row = store.row_of(user_id)
-                return row is not None and bitset.test_bit(bits, row)
-
-            return resolve_bits
-
-        snapshots: Dict[str, Set[str]] = {}
-
-        def resolve(audience_id: str, user_id: str) -> bool:
-            members = snapshots.get(audience_id)
-            if members is None:
-                members = self.members(audience_id)
-                snapshots[audience_id] = members
-            return user_id in members
-
-        return resolve
+        row = self._users.row_of(user_id)
+        return row is not None and bitset.test_bit(
+            self.member_bitset_cached(audience_id), row)
 
     def check_runnable(self, audience_id: str) -> None:
         """Enforce the minimum-size gate for custom (PII/pixel) audiences.
@@ -592,8 +520,8 @@ class AudienceRegistry:
         pixels.mutation_seq)`` — valid as long as mutations flow through
         the store APIs (``set_attribute`` on a registered profile,
         ``like_page``, ``attach_pii``, pixel fires), which bump those
-        counters. Columnar worlds count via popcount of the member bitset;
-        either way, a repeated reach probe of an unchanged world is O(1).
+        counters. Dynamic kinds count via popcount of the member bitset,
+        so a repeated reach probe of an unchanged world is O(1).
         """
         audience = self.get(audience_id)
         if audience.kind is AudienceKind.PII:
@@ -602,35 +530,29 @@ class AudienceRegistry:
         cached = self._count_cache.get(audience_id)
         if cached is not None and cached[0] == key:
             return cached[1]
-        if self._columnar:
-            # One materialization serves both: the popcount here and any
-            # batch-sweep mask evaluation reuse the same cached bitset.
-            count = bitset.popcount(self.member_bitset_cached(audience_id))
-        else:
-            count = len(self.members(audience_id))
+        # One materialization serves both: the popcount here and any
+        # targeting program's audience leaves reuse the same bitset.
+        count = bitset.popcount(self.member_bitset_cached(audience_id))
         self._count_cache[audience_id] = (key, count)
         return count
 
-    def _lookalike_members(self, audience: Audience) -> Set[str]:
-        """Expand a seed audience by binary-attribute overlap.
+    def count_matching(self, spec: TargetingSpec) -> int:
+        """How many users match ``spec`` (platform-internal).
 
-        Seed members themselves are included (real lookalikes exclude
-        them, but for Treads purposes inclusion is harmless and the
-        exclusion is one NOT-term away in targeting).
+        One vectorized mask evaluation over every row
+        (:meth:`~repro.platform.targeting.MaskProgram.evaluate`); a spec
+        the lowerer refuses is counted with ``Expr.matches`` instead.
+        Serves the potential-reach preview and the delivery engine's
+        narrow-targeting defense.
         """
-        assert audience.seed_audience_id is not None
-        seed_ids = self.members(audience.seed_audience_id)
-        seed_profiles = [self._users.get(user_id) for user_id in seed_ids]
-        members = set(seed_ids)
-        for profile in self._users:
-            if profile.user_id in members:
-                continue
-            for seed_profile in seed_profiles:
-                shared = profile.binary_attrs & seed_profile.binary_attrs
-                if len(shared) >= audience.similarity_threshold:
-                    members.add(profile.user_id)
-                    break
-        return members
+        users = self._users
+        program = lower_spec(spec)
+        if program is None:
+            return sum(1 for view in users
+                       if spec.matches(view, self.is_member))
+        return int(np.count_nonzero(program.evaluate(
+            users.columns, 0, len(users),
+            resolver=self.member_bitset_cached)))
 
     # -- advertiser-facing -------------------------------------------------
 

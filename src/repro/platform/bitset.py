@@ -18,7 +18,7 @@ bytes so journaled snapshots are byte-stable across platforms.
 from __future__ import annotations
 
 import base64
-from typing import Iterator, List, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -185,11 +185,6 @@ def column_bitset(matrix: np.ndarray, nrows: int, bit: int) -> np.ndarray:
     out_bytes = out.view(np.uint8)
     out_bytes[: packed.size] = packed
     return out
-
-
-def select_rows(matrix: np.ndarray, rows: np.ndarray) -> List[np.ndarray]:
-    """Materialize the given row bitsets (helper for lookalike probes)."""
-    return [matrix[int(r)] for r in rows]
 
 
 def pack_bools(flags: np.ndarray) -> np.ndarray:

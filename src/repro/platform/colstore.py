@@ -1,10 +1,11 @@
-"""Columnar user store: numpy attribute matrices behind the profile API.
+"""The platform's user store: numpy attribute matrices behind the
+profile API.
 
-The object-per-user model (:class:`~repro.platform.users.UserProfile`,
-a dict-of-sets per user) tops out around the 2,000-user scale tier; the
-paper's premise — an ad platform profiling *millions* of users — needs a
-store whose per-user cost is a handful of bytes per column, not a Python
-object graph. This module is that store:
+An object per user (a dict-of-sets :class:`~repro.platform.users
+.UserProfile`) tops out around the 2,000-user scale tier; the paper's
+premise — an ad platform profiling *millions* of users — needs a store
+whose per-user cost is a handful of bytes per column, not a Python
+object graph. This module is that store, and the only one:
 
 * **Demographics and multi-valued attributes** are integer-coded numpy
   arrays over interned value vocabularies (:class:`_Vocab`): ``age`` is
@@ -17,18 +18,17 @@ object graph. This module is that store:
   materialization transposes these with one strided pass
   (:func:`~repro.platform.bitset.column_bitset`) instead of scanning
   profiles.
-* **PII** is a ``kind:digest -> row`` hash index, exactly mirroring the
-  legacy store's reverse index (including its quirk: PII added through a
-  profile/view after registration is stored but *not* indexed unless it
-  flows through ``attach_pii``).
+* **PII** is a ``kind:digest -> row`` hash index (the custom-audience
+  match step); every PII write, through the store or a view, is indexed.
 
 :class:`UserView` is a flyweight facade over one row that preserves the
 ``UserProfile`` read/write API — ``binary_attrs``/``multi_attrs``/
-``liked_pages`` behave like the sets and dicts compiled targeting
-matchers expect — so every layer above (targeting, delivery, audiences,
-brokers, reporting) runs unchanged on either store.
-:class:`ColumnarUserStore` duck-types :class:`~repro.platform.users
-.UserStore` and is selected with ``PlatformConfig(columnar_users=True)``.
+``liked_pages`` behave like sets and dicts, which is what
+``Expr.matches`` and the brokers, explanations and preference pages
+read. The per-request delivery path skips the view and evaluates
+lowered targeting programs on the row's packed words
+(:meth:`UserColumns.row_words`). :class:`ColumnarUserStore` ingests
+:class:`~repro.platform.users.UserProfile` records via ``add``.
 
 User ids are usually the dense ``<prefix>-user-<n>`` sequence the
 platform's :class:`~repro.ids.IdFactory` hands out; the store detects
@@ -48,6 +48,7 @@ import re
 from collections.abc import Set as AbstractSet
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -61,15 +62,15 @@ import numpy as np
 from repro.errors import CatalogError, PIIError, StoreError
 from repro.hashing import PII_KINDS, hash_pii
 from repro.platform import bitset
-from repro.platform.attributes import Attribute, AttributeCatalog, AttributeKind
+from repro.platform.attributes import Attribute, AttributeKind
 from repro.platform.users import UserProfile
 from repro.store.store import StateStore
 
 #: Initial row capacity; growth doubles from here.
 _INITIAL_CAPACITY = 1024
 
-#: Matches ``<prefix><digits>`` ids for the dense-id fast path.
-_DENSE_ID = re.compile(r"^(.*?)(\d+)$")
+#: Matches ``<prefix><ASCII digits>`` ids for the dense-id fast path.
+_DENSE_ID = re.compile(r"^(.*?)([0-9]+)$")
 
 
 def _arr_to_b64(arr: np.ndarray, dtype: str) -> str:
@@ -242,6 +243,12 @@ class UserColumns:
 
     def attr_count_of(self, row: int) -> int:
         return bitset.popcount(self.attr_bits[row])
+
+    def row_words(self, row: int) -> Tuple[int, int]:
+        """The row's attribute and page words, each as one int whose bit
+        ``c`` is code ``c`` — the input of a bound targeting program."""
+        return (int.from_bytes(self.attr_bits[row].tobytes(), "little"),
+                int.from_bytes(self.page_bits[row].tobytes(), "little"))
 
     # -- multi attributes --------------------------------------------------
 
@@ -448,10 +455,10 @@ class _BinaryAttrsView(_RowSetView):
         return self._store.columns.attr_count_of(self._row)
 
     def add(self, attr_id: str) -> None:
-        self._store._set_binary(self._row, attr_id)
+        self._store._write(UserColumns.set_attr, self._row, attr_id)
 
     def discard(self, attr_id: str) -> None:
-        self._store._clear_binary(self._row, attr_id)
+        self._store._write(UserColumns.clear_attr, self._row, attr_id)
 
 
 class _LikedPagesView(_RowSetView):
@@ -470,10 +477,10 @@ class _LikedPagesView(_RowSetView):
         return bitset.popcount(self._store.columns.page_bits[self._row])
 
     def add(self, page_id: str) -> None:
-        self._store._like(self._row, page_id)
+        self._store._write(UserColumns.like, self._row, page_id)
 
     def discard(self, page_id: str) -> None:
-        self._store._unlike(self._row, page_id)
+        self._store._write(UserColumns.unlike, self._row, page_id)
 
 
 class _MultiAttrsView:
@@ -502,13 +509,13 @@ class _MultiAttrsView:
         return value
 
     def __setitem__(self, attr_id: str, value: str) -> None:
-        self._store._set_multi(self._row, attr_id, value)
+        self._store._write(UserColumns.set_multi, self._row, attr_id, value)
 
     def pop(self, attr_id: str, default: Optional[str] = None
             ) -> Optional[str]:
         value = self._store.columns.get_multi(self._row, attr_id)
         if value is not None:
-            self._store._clear_multi(self._row, attr_id)
+            self._store._write(UserColumns.clear_multi, self._row, attr_id)
             return value
         return default
 
@@ -544,17 +551,20 @@ class _MultiAttrsView:
 class UserView:
     """One user's row, wearing the ``UserProfile`` API.
 
-    Flyweight (a store reference and a row id); every read decodes from
-    the columns, every write goes through the store so the mutation
-    epoch and derived indexes stay honest. The attribute containers are
-    live views — mutating ``view.binary_attrs`` mutates the columns.
+    Flyweight (a store reference, a row id and the user id once known);
+    every read decodes from the columns, every write goes through the
+    store so the mutation epoch and derived indexes stay honest. The
+    attribute containers are live views — mutating ``view.binary_attrs``
+    mutates the columns.
     """
 
-    __slots__ = ("_store", "_row")
+    __slots__ = ("_store", "_row", "_id")
 
-    def __init__(self, store: "ColumnarUserStore", row: int) -> None:
+    def __init__(self, store: "ColumnarUserStore", row: int,
+                 user_id: Optional[str] = None) -> None:
         self._store = store
         self._row = row
+        self._id = user_id
 
     # -- identity / demographics -------------------------------------------
 
@@ -564,12 +574,15 @@ class UserView:
         return self._row
 
     @property
-    def columns(self) -> UserColumns:
-        return self._store.columns
+    def store(self) -> "ColumnarUserStore":
+        return self._store
 
     @property
     def user_id(self) -> str:
-        return self._store.id_of(self._row)
+        user_id = self._id
+        if user_id is None:
+            user_id = self._id = self._store.id_of(self._row)
+        return user_id
 
     @property
     def country(self) -> str:
@@ -643,9 +656,7 @@ class UserView:
         return self._store.columns.get_multi(self._row, attr_id)
 
     def add_pii_hash(self, kind: str, digest: str) -> None:
-        if kind not in PII_KINDS:
-            raise PIIError(f"unknown PII kind {kind!r}")
-        self._store._pii_of_row(self._row).setdefault(kind, set()).add(digest)
+        self._store.attach_pii_hash(self.user_id, kind, digest)
 
     def add_pii(self, kind: str, raw_value: str) -> None:
         self.add_pii_hash(kind, hash_pii(kind, raw_value))
@@ -660,23 +671,20 @@ class UserView:
                 raise CatalogError(
                     f"binary attribute {attribute.attr_id!r} takes no value"
                 )
-            self._store._set_binary(self._row, attribute.attr_id)
+            self._store._write(UserColumns.set_attr, self._row,
+                               attribute.attr_id)
             return
         if value is None:
             raise CatalogError(
                 f"multi attribute {attribute.attr_id!r} needs a value"
             )
         attribute.value_index(value)  # validates membership
-        self._store._set_multi(self._row, attribute.attr_id, value)
+        self._store._write(UserColumns.set_multi, self._row,
+                           attribute.attr_id, value)
 
     def clear_attribute(self, attr_id: str) -> None:
-        self._store._clear_binary(self._row, attr_id)
-        self._store._clear_multi(self._row, attr_id)
-
-    def set_attributes(self, attrs: Dict[str, Optional[str]],
-                       catalog: AttributeCatalog) -> None:
-        for attr_id, value in attrs.items():
-            self.set_attribute(catalog.get(attr_id), value)
+        self._store._write(UserColumns.clear_attr, self._row, attr_id)
+        self._store._write(UserColumns.clear_multi, self._row, attr_id)
 
     def __repr__(self) -> str:
         return f"UserView({self.user_id!r}, row={self._row})"
@@ -692,15 +700,14 @@ class UserView:
 
 
 class ColumnarUserStore:
-    """Columnar drop-in for :class:`~repro.platform.users.UserStore`.
+    """The platform's registry of users over :class:`UserColumns`.
 
-    Same registry API (``add``/``get``/``attach_pii``/iteration/
-    ``users_matching_pii``/``users_with_attribute``) over
-    :class:`UserColumns`, plus the columnar extras the audience and
-    delivery layers probe: ``attribute_bitset``/``page_bitset`` (users
-    as bitsets), ``row_of``/``id_of`` (id <-> row), ``new_user`` (the
-    object-free registration fast path), and ``mutation_epoch`` (the
-    cache-invalidation counter shared with the legacy store).
+    Registry API (``add``/``get``/``attach_pii``/iteration/
+    ``users_matching_pii``/``users_with_attribute``) plus what the
+    audience and delivery layers read: ``attribute_bitset``/
+    ``page_bitset`` (users as bitsets), ``row_of``/``id_of`` (id <->
+    row), ``new_user`` (the object-free registration path), and
+    ``mutation_epoch`` (the cache-invalidation counter).
     """
 
     store_name = "users"
@@ -772,12 +779,12 @@ class ColumnarUserStore:
         """The row owned by ``user_id``, or None when unknown."""
         if self._rows is not None:
             return self._rows.get(user_id)
-        if self._dense_prefix is None:
+        prefix = self._dense_prefix
+        if prefix is None or not user_id.startswith(prefix):
             return None
-        if not user_id.startswith(self._dense_prefix):
-            return None
-        suffix = user_id[len(self._dense_prefix):]
-        if not suffix.isdigit():
+        suffix = user_id[len(prefix):]
+        # ASCII only: "²".isdigit() holds, but int("²") raises.
+        if not (suffix.isascii() and suffix.isdigit()):
             return None
         row = int(suffix) - self._dense_start
         if not 0 <= row < self.columns.count:
@@ -786,7 +793,7 @@ class ColumnarUserStore:
             return None
         return row
 
-    # -- UserStore API -----------------------------------------------------
+    # -- registry API ------------------------------------------------------
 
     def __len__(self) -> int:
         return self.columns.count
@@ -814,15 +821,16 @@ class ColumnarUserStore:
         self._register_id(user_id)
         row = self.columns.append_row(country, age, gender, zip_code)
         self._epoch += 1
-        return UserView(self, row)
+        return UserView(self, row, user_id)
 
     def add(self, profile: UserProfile) -> UserView:
-        """Ingest a :class:`UserProfile` into the columns.
+        """Ingest a :class:`UserProfile` record into the columns.
 
-        Mirrors ``UserStore.add`` — duplicate ids and unindexed PII
-        kinds are rejected *before* any state changes — and returns the
-        row's :class:`UserView`; the original profile object is not
-        retained, so later mutations must go through the view.
+        Duplicate ids and unindexed PII kinds are rejected *before* any
+        state changes, so a bad profile never leaves the store
+        half-registered. Returns the row's :class:`UserView`; the
+        profile object is not retained, so later mutations must go
+        through the view.
         """
         if self.row_of(profile.user_id) is not None:
             raise CatalogError(f"duplicate user id {profile.user_id!r}")
@@ -847,15 +855,14 @@ class ColumnarUserStore:
             self.columns.like(row, page_id)
         for kind, digests in profile.pii_hashes.items():
             for digest in digests:
-                self._pii_of_row(row).setdefault(kind, set()).add(digest)
-                self._index_pii(kind, digest, row)
+                self._attach_pii_row(row, kind, digest)
         return view
 
     def get(self, user_id: str) -> UserView:
         row = self.row_of(user_id)
         if row is None:
             raise CatalogError(f"unknown user id {user_id!r}")
-        return UserView(self, row)
+        return UserView(self, row, user_id)
 
     def attach_pii(self, user_id: str, kind: str, raw_value: str) -> str:
         digest = hash_pii(kind, raw_value)
@@ -863,12 +870,14 @@ class ColumnarUserStore:
         return digest
 
     def attach_pii_hash(self, user_id: str, kind: str, digest: str) -> None:
-        view = self.get(user_id)
-        view.add_pii_hash(kind, digest)
-        self._index_pii(kind, digest, view.row)
+        """Attach already-hashed PII to a user and index it."""
+        if kind not in PII_KINDS:
+            raise PIIError(f"unknown PII kind {kind!r}")
+        self._attach_pii_row(self.get(user_id).row, kind, digest)
         self._epoch += 1
 
-    def _index_pii(self, kind: str, digest: str, row: int) -> None:
+    def _attach_pii_row(self, row: int, kind: str, digest: str) -> None:
+        self._pii_of_row(row).setdefault(kind, set()).add(digest)
         self._pii_index.setdefault(f"{kind}:{digest}", set()).add(row)
 
     def _pii_of_row(self, row: int) -> Dict[str, Set[str]]:
@@ -878,6 +887,9 @@ class ColumnarUserStore:
         return pii
 
     def users_matching_pii(self, kind: str, digest: str) -> Set[str]:
+        """User ids whose profile carries this hashed PII — the
+        platform-internal match step of PII-based targeting (paper
+        section 2.1): uploaded hashes are joined against profiles."""
         rows = self._pii_index.get(f"{kind}:{digest}", ())
         return {self.id_of(row) for row in rows}
 
@@ -894,7 +906,7 @@ class ColumnarUserStore:
     def like_page(self, user_id: str, page_id: str) -> None:
         """Record a page like (the epoch-honest mutation path)."""
         view = self.get(user_id)
-        self._like(view.row, page_id)
+        self._write(UserColumns.like, view.row, page_id)
 
     # -- columnar extras ---------------------------------------------------
 
@@ -925,30 +937,12 @@ class ColumnarUserStore:
             "pii_rows": len(self._pii_rows),
         }
 
-    # -- write-through hooks (views call these) ----------------------------
+    # -- write-through hook (views call this) -----------------------------
 
-    def _set_binary(self, row: int, attr_id: str) -> None:
-        self.columns.set_attr(row, attr_id)
-        self._epoch += 1
-
-    def _clear_binary(self, row: int, attr_id: str) -> None:
-        self.columns.clear_attr(row, attr_id)
-        self._epoch += 1
-
-    def _set_multi(self, row: int, attr_id: str, value: str) -> None:
-        self.columns.set_multi(row, attr_id, value)
-        self._epoch += 1
-
-    def _clear_multi(self, row: int, attr_id: str) -> None:
-        self.columns.clear_multi(row, attr_id)
-        self._epoch += 1
-
-    def _like(self, row: int, page_id: str) -> None:
-        self.columns.like(row, page_id)
-        self._epoch += 1
-
-    def _unlike(self, row: int, page_id: str) -> None:
-        self.columns.unlike(row, page_id)
+    def _write(self, column_op: Callable[..., None], row: int,
+               *args: str) -> None:
+        """Apply one :class:`UserColumns` mutation and bump the epoch."""
+        column_op(self.columns, row, *args)
         self._epoch += 1
 
     # -- state owner (snapshot-only) ---------------------------------------

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.errors import CatalogError
 from repro.hashing import hash_pii
 from repro.platform.attributes import AttributeCatalog, AttributeSource
-from repro.platform.users import UserStore
+from repro.platform.colstore import ColumnarUserStore
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class IngestReport:
 
 def ingest_broker_feed(
     broker: DataBroker,
-    users: UserStore,
+    users: ColumnarUserStore,
     catalog: AttributeCatalog,
 ) -> IngestReport:
     """Join one broker's records onto platform users by hashed PII.
@@ -145,7 +145,7 @@ class BrokerNetwork:
         return list(self._brokers.values())
 
     def ingest_all(
-        self, users: UserStore, catalog: AttributeCatalog
+        self, users: ColumnarUserStore, catalog: AttributeCatalog
     ) -> List[IngestReport]:
         """Run the ingest pipeline for every broker."""
         return [
@@ -156,7 +156,7 @@ class BrokerNetwork:
 
 def shutdown_partner_categories(
     catalog: AttributeCatalog,
-    users: UserStore,
+    users: ColumnarUserStore,
     network: BrokerNetwork,
     scrub_profiles: bool = False,
 ) -> List[str]:

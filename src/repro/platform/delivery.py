@@ -13,11 +13,16 @@ the paper's per-attribute cost exactly one CPM-priced impression.
 
 Performance model (see docs/api_tour.md, "Performance model"): eligibility
 runs against an **inverted candidate index** — ads are bucketed under one
-attribute/page their spec *requires* (computed by the targeting compiler),
-so a slot only evaluates ads reachable from the user's own attributes and
-page likes, each via a **compiled flat matcher** instead of re-walking the
-spec's AST. Reporting reads (per-ad impressions, clicks, unique reach) are
-maintained incrementally at delivery time instead of scanning the logs.
+attribute/page their spec *requires*
+(:func:`repro.platform.targeting.required_anchors`), keyed by the user
+store's integer codes, so a slot only evaluates ads reachable from the
+user's own attribute and page bits. Each candidate's spec is the
+**row backend** of its lowered program
+(:meth:`repro.platform.targeting.MaskProgram.bind`): a mask compare on
+the row's packed words for every Tread shape, instead of re-walking the
+spec's AST. Reporting reads (per-ad impressions, clicks, unique reach)
+are maintained incrementally at delivery time instead of scanning the
+logs.
 
 State model (PR 4, see docs/state.md): the engine is a
 :class:`~repro.store.store.StateOwner`. Every impression and click is a
@@ -57,8 +62,8 @@ from repro.platform.auction import (
 )
 from repro.platform.audiences import AudienceRegistry
 from repro.platform.billing import BillingLedger
-from repro.platform.targeting import AudienceResolver, CompiledSpec, lower_spec
-from repro.platform.users import UserProfile, UserStore
+from repro.platform.colstore import ColumnarUserStore, UserColumns, UserView
+from repro.platform.targeting import bind_key, lower_spec, required_anchors
 from repro.store.records import (
     CapIncremented,
     ChangeRecord,
@@ -108,6 +113,15 @@ def _first_owners(block: np.ndarray) -> np.ndarray:
         keep = np.flatnonzero(values)
         values, base, which = values[keep], base[keep], which[keep]
     return owner
+
+
+def _collect_buckets(anchored: int, buckets_by_code: Dict[int, list],
+                     out: List[list]) -> None:
+    """Append the bucket of every set bit (code) of ``anchored``."""
+    while anchored:
+        low = anchored & -anchored
+        out.append(buckets_by_code[low.bit_length() - 1])
+        anchored ^= low
 
 
 def check_sweep_args(max_rounds: int, block_rows: int) -> None:
@@ -228,9 +242,9 @@ class DeliveryEngine:
     the serving layer (:mod:`repro.serve`) gives each shard its own
     engine plus a shard lock and routes each user to exactly one shard,
     which is what makes lock-free per-engine state safe. Shared *read*
-    structure (the inventory's ad list, compiled matchers from the
-    process-wide compile cache) is safe across engines because compiled
-    matchers are pure functions; everything mutable — match caches,
+    structure (the inventory's ad list, lowered programs from the
+    process-wide lowering cache) is safe across engines because bound
+    row programs are pure functions; everything mutable — match caches,
     caps, feeds, logs, reporting views — is per-instance, created in
     ``__init__`` and never shared. ``engine_id`` names the instance in
     logs and :meth:`snapshot_stats` so shard-owned engines stay
@@ -274,9 +288,7 @@ class DeliveryEngine:
         self.frequency_cap = frequency_cap
         self.floor_price = floor_price_cpm / 1000.0
         self.min_match_count = min_match_count
-        self._user_store: Optional[UserStore] = None
-        #: Columnar stores expose ``row_of``; bound once at attach time.
-        self._row_of: Optional[Any] = None
+        self._user_store: Optional[ColumnarUserStore] = None
         self._match_count_cache: Dict[str, int] = {}
         self._impression_seq = 0
         #: Million-user memory mode: per-impression structures (logs,
@@ -302,22 +314,21 @@ class DeliveryEngine:
         self._capped_for_user: Dict[str, Set[str]] = {}
         # -- inverted candidate index (see _ensure_index) ------------------
         self._indexed_ad_count = 0
-        #: attr_id -> [(ad, account, bid, matcher)] for ads whose spec
-        #: requires that attribute.
+        #: attr_id -> [(ad, account, bid, program)] for ads whose spec
+        #: requires that attribute (``program`` is the spec's
+        #: MaskProgram, None when the lowerer refused it).
         self._index_by_attr: Dict[str, List[tuple]] = {}
         #: page_id -> same, for ads anchored on a required page like.
         self._index_by_page: Dict[str, List[tuple]] = {}
         #: Ads with no attribute/page anchor — evaluated for every slot.
         self._index_general: List[tuple] = []
-        # -- columnar (code-keyed) bucket maps (see _sync_code_maps) -------
+        # -- code-keyed buckets of bound entries (see _sync_code_maps) -----
         self._code_maps_key: Optional[tuple] = None
         self._attr_code_buckets: Dict[int, List[tuple]] = {}
-        self._multi_anchor_cols: List[tuple] = []
+        self._attr_anchor_mask = 0
         self._page_code_buckets: Dict[int, List[tuple]] = {}
-        #: Resolver in force for spec evaluation. Delivery runs swap in a
-        #: snapshot resolver (one membership materialization per audience
-        #: per run); one-off serve_slot calls use the live resolver.
-        self._resolver: AudienceResolver = audiences.is_member
+        self._page_anchor_mask = 0
+        self._general_bound: List[tuple] = []
         #: Per-run cache: user_id -> index entries whose spec matches the
         #: user. Match outcomes are static for the duration of one
         #: synchronous run (profiles, likes, and memberships cannot change
@@ -357,14 +368,13 @@ class DeliveryEngine:
 
     # -- eligibility ---------------------------------------------------------
 
-    def attach_user_store(self, users: UserStore) -> None:
+    def attach_user_store(self, users: ColumnarUserStore) -> None:
         """Wire the platform's user store (needed for the narrow-targeting
-        defense's match counting, and for compact mode's user-row
-        bitsets)."""
+        defense's match counting, the batch sweep, and compact mode's
+        user-row bitsets)."""
         self._user_store = users
-        self._row_of = getattr(users, "row_of", None)
 
-    def _matches_enough_users(self, ad: Ad, matcher: CompiledSpec) -> bool:
+    def _matches_enough_users(self, ad: Ad) -> bool:
         """Narrow-targeting defense: an ad whose full spec matches fewer
         than ``min_match_count`` users is withheld from every auction.
 
@@ -373,22 +383,18 @@ class DeliveryEngine:
         countermeasure to single-user delivery/billing inference (paper
         section 5) and is OFF by default, as on 2018 platforms.
         """
-        if self.min_match_count <= 0 or self._user_store is None:
+        if self.min_match_count <= 0:
             return True
         cached = self._match_count_cache.get(ad.ad_id)
         if cached is None:
-            resolver = self._resolver
-            fn = matcher.fn
-            cached = sum(
-                1 for profile in self._user_store if fn(profile, resolver)
-            )
+            cached = self._audiences.count_matching(ad.targeting)
             self._match_count_cache[ad.ad_id] = cached
         return cached >= self.min_match_count
 
     def _ensure_index(self) -> None:
         """Bring the inverted candidate index up to date.
 
-        Each ad is compiled once and bucketed under exactly one *required*
+        Each ad is lowered once and bucketed under exactly one *required*
         anchor — an attribute (preferred: most selective), else a page
         like, else the always-evaluated general bucket. Ads are never
         removed from the inventory, so maintenance is incremental: only
@@ -401,118 +407,84 @@ class DeliveryEngine:
         if count == self._indexed_ad_count:
             return
         for ad in self._inventory.ads()[self._indexed_ad_count:]:
-            matcher = ad.targeting.compiled()
             account = self._inventory.account(ad.account_id)
-            entry = (ad, account, ad.bid_per_impression, matcher)
-            if matcher.required_attributes:
-                anchor = min(matcher.required_attributes)
-                self._index_by_attr.setdefault(anchor, []).append(entry)
-            elif matcher.required_pages:
-                anchor = min(matcher.required_pages)
-                self._index_by_page.setdefault(anchor, []).append(entry)
+            entry = (ad, account, ad.bid_per_impression,
+                     lower_spec(ad.targeting))
+            attrs, pages, _ = required_anchors(ad.targeting.expr)
+            if attrs:
+                self._index_by_attr.setdefault(min(attrs), []).append(entry)
+            elif pages:
+                self._index_by_page.setdefault(min(pages), []).append(entry)
             else:
                 self._index_general.append(entry)
         self._indexed_ad_count = count
 
-    def _candidate_buckets(self, user: UserProfile) -> List[List[tuple]]:
-        """Index buckets whose ads could possibly match ``user``.
+    def _bound_entry(self, entry: tuple, store: ColumnarUserStore,
+                     cols: UserColumns) -> tuple:
+        """``(ad, account, bid, attr_mask, page_mask, residual)``: an
+        index entry with its spec bound to the store's current codes. A
+        spec the lowerer refused evaluates ``Expr.matches`` on the row's
+        view."""
+        ad, account, bid, program = entry
+        if program is not None:
+            return (ad, account, bid) + program.bind(cols)
+        expr, resolver = ad.targeting.expr, self._audiences.is_member
 
-        Every ad lives in exactly one bucket, so the union is
-        duplicate-free: the buckets anchored on the user's own attributes
-        and page likes, plus the general bucket. Columnar users
-        (:class:`~repro.platform.colstore.UserView`) take the bitmap
-        path: their set attribute/page *codes* are probed against
-        code-keyed bucket maps, skipping the string round-trip entirely.
+        def reference(row, aw, pw, bits):
+            return expr.matches(UserView(store, row), resolver)
+
+        return ad, account, bid, 0, 0, reference
+
+    def _sync_code_maps(self, store: ColumnarUserStore) -> None:
+        """Key the anchor buckets by the store's integer codes, binding
+        every entry's row program to those same codes.
+
+        Rebuilt whenever new ads arrive or the store interns new
+        attribute/page codes or multi columns — all visible in the key
+        below — so a bound program never sees stale codes. Ads anchored
+        on an attribute that has a multi column join the general bucket
+        (a set bit alone would not witness the anchor).
         """
-        row = getattr(user, "row", None)
-        if row is not None:
-            return self._candidate_buckets_columnar(user, row)
-        buckets: List[List[tuple]] = []
-        by_attr = self._index_by_attr
-        if by_attr:
-            for attr_id in user.attribute_ids():
-                bucket = by_attr.get(attr_id)
-                if bucket is not None:
-                    buckets.append(bucket)
-        by_page = self._index_by_page
-        if by_page:
-            for page_id in user.liked_pages:
-                bucket = by_page.get(page_id)
-                if bucket is not None:
-                    buckets.append(bucket)
-        if self._index_general:
-            buckets.append(self._index_general)
-        return buckets
-
-    def _sync_code_maps(self, cols: Any) -> None:
-        """Key the anchor buckets by the column store's integer codes.
-
-        Bucket lists are shared (appended to in place by
-        :meth:`_ensure_index`), so the maps stay current until either
-        new ads create new anchors or the store interns new attribute/
-        page codes — both visible in the cache key below.
-        """
-        key = (id(cols), self._indexed_ad_count, len(cols.attrs),
-               len(cols.pages), len(cols.multi_cols))
+        cols = store.columns
+        key = (store, self._indexed_ad_count) + bind_key(cols)
         if self._code_maps_key == key:
             return
+
+        def bound(bucket: List[tuple]) -> List[tuple]:
+            return [self._bound_entry(entry, store, cols)
+                    for entry in bucket]
+
         attr_map: Dict[int, List[tuple]] = {}
-        multi_anchors: List[tuple] = []
+        general = bound(self._index_general)
         for attr_id, bucket in self._index_by_attr.items():
             code = cols.attrs.get(attr_id)
-            if code is not None:
-                attr_map[code] = bucket
-            col = cols.multi_cols.get(attr_id)
-            if col is not None:
-                multi_anchors.append((col, bucket))
+            if attr_id in cols.multi_cols:
+                general.extend(bound(bucket))
+            elif code is not None:
+                attr_map[code] = bound(bucket)
         page_map: Dict[int, List[tuple]] = {}
         for page_id, bucket in self._index_by_page.items():
             code = cols.pages.get(page_id)
             if code is not None:
-                page_map[code] = bucket
+                page_map[code] = bound(bucket)
         self._attr_code_buckets = attr_map
-        self._multi_anchor_cols = multi_anchors
+        self._attr_anchor_mask = sum(1 << code for code in attr_map)
         self._page_code_buckets = page_map
+        self._page_anchor_mask = sum(1 << code for code in page_map)
+        self._general_bound = general
         self._code_maps_key = key
 
-    def _candidate_buckets_columnar(self, user: Any,
-                                    row: int) -> List[List[tuple]]:
-        """Bitmap candidate collection: probe the user's row directly.
-
-        The row's set attribute codes (one ``to_indices`` over its
-        bitset) and assigned multi columns index straight into the
-        code-keyed bucket maps — no attribute-id strings are
-        materialized on this path.
-        """
-        cols = user.columns
-        self._sync_code_maps(cols)
-        buckets: List[List[tuple]] = []
-        attr_map = self._attr_code_buckets
-        if attr_map:
-            for code in cols.attr_codes_of(row):
-                bucket = attr_map.get(int(code))
-                if bucket is not None:
-                    buckets.append(bucket)
-        for col, bucket in self._multi_anchor_cols:
-            if col[row]:
-                buckets.append(bucket)
-        page_map = self._page_code_buckets
-        if page_map:
-            for code in bitset.to_indices(cols.page_bits[row]):
-                bucket = page_map.get(int(code))
-                if bucket is not None:
-                    buckets.append(bucket)
-        if self._index_general:
-            buckets.append(self._index_general)
-        return buckets
-
-    def _matched_entries(self, user: UserProfile) -> List[tuple]:
-        """Index entries whose *targeting* matches ``user``.
+    def _matched_entries(self, user: UserView) -> List[tuple]:
+        """Bound index entries whose *targeting* matches ``user``.
 
         Pure spec match — the dynamic conditions (status, frequency cap,
         budget, min-match defense) are applied by the caller per slot.
-        Inside a run the result is cached per user (matches are static
-        for the run's duration); outside runs it is computed live.
+        The row's attribute and page words are read once; candidate
+        buckets come from the set bits of ``words & anchor_mask``, and
+        each candidate's bound program is a mask compare (plus its
+        residual, if any). Inside a run the result is cached per user
+        (matches are static for the run's duration); outside runs it is
+        computed live.
         """
         cache = self._match_cache
         if cache is not None:
@@ -523,13 +495,27 @@ class DeliveryEngine:
                 return cached
         if self._obs_on:
             self._obs_cache_misses.inc()
-        resolver = self._resolver
+        store = user.store
+        self._sync_code_maps(store)
+        cols = store.columns
+        row = user.row
+        aw, pw = cols.row_words(row)
+        buckets: List[List[tuple]] = []
+        _collect_buckets(aw & self._attr_anchor_mask,
+                         self._attr_code_buckets, buckets)
+        _collect_buckets(pw & self._page_anchor_mask,
+                         self._page_code_buckets, buckets)
+        if self._general_bound:
+            buckets.append(self._general_bound)
+        bits = self._audiences.member_bitset_cached
         matched: List[tuple] = []
         candidates = 0
-        for bucket in self._candidate_buckets(user):
+        for bucket in buckets:
             candidates += len(bucket)
             for entry in bucket:
-                if entry[3].fn(user, resolver):
+                _, _, _, am, pm, residual = entry
+                if aw & am == am and pw & pm == pm and (
+                        residual is None or residual(row, aw, pw, bits)):
                     matched.append(entry)
         if self._obs_on:
             self._obs_bucket_size.observe(candidates)
@@ -539,26 +525,24 @@ class DeliveryEngine:
             # per-ad shown bitsets. Within a session the cache pruning in
             # _apply_impression keeps the list current, so the slot path
             # needs no cap check at all.
-            row = self._compact_row(user.user_id)
-            if row is not None:
-                matched = [entry for entry in matched
-                           if not self._shown_to(entry[0].ad_id, row)]
+            matched = [entry for entry in matched
+                       if not self._shown_to(entry[0].ad_id, row)]
         if cache is not None:
             cache[user.user_id] = matched
         return matched
 
     def _compact_row(self, user_id: str) -> Optional[int]:
-        if self._row_of is None:
+        if self._user_store is None:
             raise StoreError(
-                f"{self.engine_id}: compact delivery needs a columnar "
-                "user store attached")
-        return self._row_of(user_id)
+                f"{self.engine_id}: compact delivery needs a user store "
+                "attached")
+        return self._user_store.row_of(user_id)
 
     def _shown_to(self, ad_id: str, row: int) -> bool:
         bits = self._shown_bits.get(ad_id)
         return bits is not None and bitset.test_bit(bits, row)
 
-    def _slot_contenders(self, user: UserProfile) -> Tuple[List[Ad], bool]:
+    def _slot_contenders(self, user: UserView) -> Tuple[List[Ad], bool]:
         """Eligible ads for one slot, already deduplicated per account.
 
         Returns ``(contenders, had_eligible)``. The auction only ever
@@ -575,7 +559,8 @@ class DeliveryEngine:
         check_min_match = self.min_match_count > 0
         active = AdStatus.ACTIVE
         best: Dict[str, tuple] = {}
-        for ad, account, bid, matcher in self._matched_entries(user):
+        for entry in self._matched_entries(user):
+            ad, account, bid = entry[0], entry[1], entry[2]
             if ad.status is not active:
                 continue
             if ad.ad_id in capped:
@@ -584,8 +569,7 @@ class DeliveryEngine:
                 continue
             if account.budget + 1e-12 < bid:  # inlined Account.can_afford
                 continue
-            if check_min_match and \
-                    not self._matches_enough_users(ad, matcher):
+            if check_min_match and not self._matches_enough_users(ad):
                 continue
             held = best.get(ad.account_id)
             if held is None or bid > held[0] or \
@@ -595,13 +579,13 @@ class DeliveryEngine:
 
     # -- slot serving --------------------------------------------------------
 
-    def serve_slot(self, user: UserProfile) -> AuctionOutcome:
+    def serve_slot(self, user: UserView) -> AuctionOutcome:
         """Auction one ad slot in ``user``'s session; deliver the winner."""
         with obs_tracing.tracer().span("serve_slot", user_id=user.user_id):
             contenders, _ = self._slot_contenders(user)
             return self._auction_slot(user, contenders)
 
-    def _auction_slot(self, user: UserProfile,
+    def _auction_slot(self, user: UserView,
                       eligible: Sequence[Ad]) -> AuctionOutcome:
         """Auction one slot against a pre-computed eligible list.
 
@@ -620,7 +604,7 @@ class DeliveryEngine:
             self._deliver(outcome.winner, user, outcome.price)
         return outcome
 
-    def _deliver(self, ad: Ad, user: UserProfile, price: float) -> None:
+    def _deliver(self, ad: Ad, user: UserView, price: float) -> None:
         """Live delivery: charge, journal, fold, emit obs signals."""
         seq = self._impression_seq
         # The charge commits before the impression exists anywhere; a
@@ -743,30 +727,28 @@ class DeliveryEngine:
 
     @contextmanager
     def serving_session(self) -> Iterator["DeliveryEngine"]:
-        """Snapshot resolver + match cache for a multi-slot serving window.
+        """Match cache for a multi-slot serving window.
 
-        Inside the ``with`` block, audience memberships are materialized
-        once per audience and ``(user, ad)`` spec matches are evaluated
-        once per user — the fast-path state the run loops install.
-        Valid across any window in which profiles, likes, and audience
-        memberships do not change (one run loop; one serve-layer batch
-        window). Re-entrant: nesting installs a fresh snapshot and
-        restores the outer one on exit. The caller owns the engine for
-        the duration (see the class docstring's thread-ownership note).
+        Inside the ``with`` block, ``(user, ad)`` spec matches are
+        evaluated once per user — the fast-path state the run loops
+        install (audience memberships come from the registry's
+        epoch-keyed bitset cache either way). Valid across any window in
+        which profiles, likes, and audience memberships do not change
+        (one run loop; one serve-layer batch window). Re-entrant:
+        nesting installs a fresh cache and restores the outer one on
+        exit. The caller owns the engine for the duration (see the class
+        docstring's thread-ownership note).
         """
-        outer_resolver = self._resolver
-        outer_cache = self._match_cache
-        self._resolver = self._audiences.cached_resolver()
+        outer = self._match_cache
         self._match_cache = {}
         try:
             yield self
         finally:
-            self._resolver = outer_resolver
-            self._match_cache = outer_cache
+            self._match_cache = outer
 
-    def _serve_round(self, users: Iterable[UserProfile],
+    def _serve_round(self, users: Iterable[UserView],
                      stats: DeliveryStats,
-                     saturating: bool) -> Tuple[bool, List[UserProfile]]:
+                     saturating: bool) -> Tuple[bool, List[UserView]]:
         """Serve one slot to each of ``users`` in order, tallied into
         ``stats`` — the one per-slot body of every scalar loop.
 
@@ -778,7 +760,7 @@ class DeliveryEngine:
         """
         trc = obs_tracing.tracer()
         progressed = False
-        still_active: List[UserProfile] = []
+        still_active: List[UserView] = []
         for user in users:
             with trc.span("serve_slot", user_id=user.user_id):
                 contenders, had_eligible = self._slot_contenders(user)
@@ -799,7 +781,7 @@ class DeliveryEngine:
 
     def run_sessions(
         self,
-        users: Sequence[UserProfile],
+        users: Sequence[UserView],
         slots_per_user: int,
     ) -> DeliveryStats:
         """Serve ``slots_per_user`` ad slots for each user, round-robin.
@@ -825,7 +807,7 @@ class DeliveryEngine:
 
     def run_until_saturated(
         self,
-        users: Sequence[UserProfile],
+        users: Sequence[UserView],
         max_rounds: int = 50,
     ) -> DeliveryStats:
         """Serve slots until no tracked ad can deliver another impression.
@@ -842,7 +824,7 @@ class DeliveryEngine:
                 obs_tracing.tracer().span("delivery.run_until_saturated",
                                           users=len(users),
                                           max_rounds=max_rounds):
-            active: Sequence[UserProfile] = users
+            active: Sequence[UserView] = users
             for _ in range(max_rounds):
                 progressed, active = self._serve_round(active, stats,
                                                        saturating=True)
@@ -858,9 +840,9 @@ class DeliveryEngine:
 
     # -- batch sweep ---------------------------------------------------------
     #
-    # The vectorized twin of run_until_saturated for columnar stores:
-    # eligibility is evaluated for a whole row range at once via
-    # column-mask programs (repro.platform.targeting.lower_spec), each
+    # The vectorized twin of run_until_saturated: eligibility is
+    # evaluated for a whole row range at once via the range backend of
+    # each spec's mask program (repro.platform.targeting.lower_spec), each
     # round's per-user second-price auction is a first-set-bit scan
     # over the packed (candidates x users) availability words in
     # bounded blocks (sweep_auction), and the results fold in bulk
@@ -869,7 +851,7 @@ class DeliveryEngine:
     # reports — are identical to running the scalar loop over the same
     # rows (pinned by tests/integration/test_columnar_equivalence.py);
     # the two escape hatches back to the scalar path are per-spec
-    # (unlowerable Expr -> per-user matcher fills that ad's mask) and
+    # (unlowerable Expr -> Expr.matches per row fills that ad's mask) and
     # per-round (an account budget that could flip eligibility mid-round
     # replays the round through serve_slot's exact code path).
 
@@ -898,12 +880,11 @@ class DeliveryEngine:
         :meth:`absorb_sweep_delta`.
         """
         users = self._user_store
-        cols = getattr(users, "columns", None)
-        if cols is None:
+        if users is None:
             raise StoreError(
-                f"{self.engine_id}: batch sweep needs a columnar user "
-                "store attached (attach_user_store with a "
-                "ColumnarUserStore)")
+                f"{self.engine_id}: batch sweep needs a user store "
+                "attached (attach_user_store)")
+        cols = users.columns
         if self.frequency_cap != 1:
             raise ValueError("batch sweep requires a frequency cap of 1")
         check_sweep_args(max_rounds, block_rows)
@@ -957,7 +938,7 @@ class DeliveryEngine:
         entries.extend(self._index_general)
         if self.min_match_count > 0:
             entries = [e for e in entries
-                       if self._matches_enough_users(e[0], e[3])]
+                       if self._matches_enough_users(e[0])]
         entries.sort(key=lambda e: (-e[2], e[0].ad_id))
         return entries
 
@@ -967,28 +948,27 @@ class DeliveryEngine:
 
         Bit ``r`` of row ``i`` (relative to ``start``) says entry ``i``'s
         spec matches store row ``start + r``. Lowered specs evaluate as
-        one mask program; unlowerable specs fall back to the per-user
-        compiled matcher (counted by ``delivery.sweep_fallback_specs``).
+        one mask program; unlowerable specs fall back to ``Expr.matches``
+        on each row's view (counted by ``delivery.sweep_fallback_specs``).
         """
-        from repro.platform.colstore import UserView
         n = stop - start
         avail = np.zeros((len(entries), bitset.words_for(n)),
                          dtype=np.uint64)
         bits_resolver = self._audiences.member_bitset_cached
         fallbacks = 0
-        for i, (ad, _account, _bid, matcher) in enumerate(entries):
-            program = lower_spec(ad.targeting)
+        for i, entry in enumerate(entries):
+            spec = entry[0].targeting
+            program = lower_spec(spec)
             if program is not None:
                 flags = program.evaluate(cols, start, stop,
                                          resolver=bits_resolver)
             else:
                 fallbacks += 1
-                fn = matcher.fn
-                resolver = self._resolver
+                resolver = self._audiences.is_member
                 store = self._user_store
                 flags = np.zeros(n, dtype=bool)
                 for r in range(start, stop):
-                    if fn(UserView(store, r), resolver):
+                    if spec.matches(UserView(store, r), resolver):
                         flags[r - start] = True
             avail[i] = bitset.pack_bools(flags)
         if self._obs_on and fallbacks:
@@ -1012,11 +992,12 @@ class DeliveryEngine:
                 if part.size:
                     avail[i, :part.size] &= ~part
             return
-        if not self._capped_for_user or self._row_of is None:
+        if not self._capped_for_user:
             return
         position = {e[0].ad_id: i for i, e in enumerate(entries)}
+        row_of = self._user_store.row_of
         for user_id, ads in self._capped_for_user.items():
-            row = self._row_of(user_id)
+            row = row_of(user_id)
             if row is None or not start <= row < stop:
                 continue
             rel = row - start
@@ -1028,7 +1009,6 @@ class DeliveryEngine:
     def _run_sweep(self, stats: DeliveryStats, cols: Any, start: int,
                    stop: int, max_rounds: int, block_rows: int,
                    delta: Optional[Dict[str, list]]) -> None:
-        from repro.platform.colstore import UserView
         n = stop - start
         if n == 0:
             return
@@ -1155,7 +1135,6 @@ class DeliveryEngine:
                      price: np.ndarray, avail: np.ndarray,
                      delta: Optional[Dict[str, list]]) -> None:
         """Fold one vector round's wins into engine + ledger state."""
-        from repro.platform.colstore import UserView
         users = self._user_store
         assert users is not None
         n = stop - start

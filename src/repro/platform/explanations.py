@@ -31,7 +31,8 @@ from repro.platform.targeting import (
     InCountry,
     LikesPage,
 )
-from repro.platform.users import UserProfile, UserStore
+from repro.platform.colstore import ColumnarUserStore
+from repro.platform.users import UserProfile
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class AdExplanation:
 class ExplanationService:
     """Builds the platform's partial explanations."""
 
-    def __init__(self, catalog: AttributeCatalog, users: UserStore,
+    def __init__(self, catalog: AttributeCatalog, users: ColumnarUserStore,
                  inventory: AdInventory):
         self._catalog = catalog
         self._users = users

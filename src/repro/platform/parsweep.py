@@ -4,7 +4,7 @@ The single-process batch sweep
 (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`) is column
 algebra over row blocks; this module partitions the row space itself.
 Each forked worker inherits the built platform world by copy-on-write —
-catalog, columns, compiled matchers, lowered mask programs — sweeps its
+catalog, columns, lowered mask programs — sweeps its
 own disjoint ``(start, stop)`` range, and ships back a compact per-ad
 delta (shown-bitset words, impression count, spend). The parent folds
 the deltas with
@@ -154,9 +154,9 @@ def parallel_sweep(
         raise ValueError("workers must be positive")
     check_sweep_args(max_rounds, block_rows)
     users = engine._user_store
-    if users is None or not hasattr(users, "columns"):
+    if users is None:
         raise StoreError(
-            "parallel sweep needs a columnar user store attached")
+            "parallel sweep needs a user store attached")
     if not engine._compact:
         raise StoreError(
             "parallel sweep needs a compact delivery engine (deltas "

@@ -38,7 +38,12 @@ from repro.platform.ads import (
 from repro.platform.adarchive import AdArchiveService, ArchiveEntry
 from repro.platform.adpreferences import AdPreferencesService, AdPreferencesView
 from repro.platform.attributes import AttributeCatalog
-from repro.platform.audiences import Audience, AudienceRegistry, ReachEstimate
+from repro.platform.audiences import (
+    Audience,
+    AudienceRegistry,
+    ReachEstimate,
+    round_reach,
+)
 from repro.platform.auction import CompetingBidDraw
 from repro.platform.billing import BillingLedger, Invoice
 from repro.platform.catalog import build_us_catalog
@@ -55,7 +60,6 @@ from repro.platform.reporting import (
     ReportingService,
 )
 from repro.platform.targeting import TargetingSpec, parse
-from repro.platform.users import UserProfile, UserStore
 from repro.platform.web import Browser, Visit
 from repro.store.store import MemoryStore, StateStore
 
@@ -115,17 +119,16 @@ class PlatformConfig:
     competition_median_cpm: float = 2.0
     competition_sigma: float = 0.5
     reporting: ReportingConfig = field(default_factory=ReportingConfig)
-    #: Back the user base with the columnar store
-    #: (:mod:`repro.platform.colstore`): numpy attribute matrices and
-    #: bitset audience algebra instead of per-user Python objects. The
-    #: platform API is unchanged; ``register_user`` returns a
-    #: :class:`~repro.platform.colstore.UserView`.
-    columnar_users: bool = False
+    #: Kept so configs written while the platform also had an object
+    #: user store still construct: the columnar store
+    #: (:mod:`repro.platform.colstore`) is now the only one, so the
+    #: field must stay True; False raises ``ValueError``.
+    columnar_users: bool = True
     #: Million-user memory mode: delivery keeps per-ad shown-user bitsets
     #: and count aggregates instead of per-impression logs, and billing
     #: keeps per-account/per-ad aggregates instead of the charge list.
-    #: Requires ``columnar_users`` and ``frequency_cap == 1``; APIs that
-    #: would need the dropped per-event state raise ``StoreError``.
+    #: Requires ``frequency_cap == 1``; APIs that would need the dropped
+    #: per-event state raise ``StoreError``.
     compact_delivery: bool = False
 
 
@@ -146,17 +149,14 @@ class AdPlatform:
         # platform (audiences, billing, delivery): pass a JournalStore
         # for a durable write-ahead journal, default is in-memory.
         self.store = store if store is not None else MemoryStore()
-        if self.config.compact_delivery and not (
-                self.config.columnar_users
-                and self.config.frequency_cap == 1):
+        if not self.config.columnar_users:
+            raise ValueError(
+                "columnar_users=False is no longer supported: the "
+                "columnar store is the platform's only user store")
+        if self.config.compact_delivery and self.config.frequency_cap != 1:
             raise StoreError(
-                "compact_delivery requires columnar_users and a frequency "
-                "cap of 1")
-        self.users: Union[UserStore, ColumnarUserStore]
-        if self.config.columnar_users:
-            self.users = ColumnarUserStore(store=self.store)
-        else:
-            self.users = UserStore()
+                "compact_delivery requires a frequency cap of 1")
+        self.users = ColumnarUserStore(store=self.store)
         self.pixels = PixelRegistry()
         self.audiences = AudienceRegistry(
             users=self.users,
@@ -232,27 +232,18 @@ class AdPlatform:
         age: int = 30,
         gender: str = "unknown",
         zip_code: str = "00000",
-    ) -> Union[UserProfile, UserView]:
+    ) -> UserView:
         """Create a platform user account.
 
-        Columnar platforms append a row directly and hand back its
-        :class:`~repro.platform.colstore.UserView` — same read/write
-        API, no transient profile object."""
+        Appends a row to the user store and hands back its
+        :class:`~repro.platform.colstore.UserView` — the
+        ``UserProfile`` read/write API, no transient profile object."""
         user_id = self.ids.next("user")
         self._obs_users.inc()
-        if isinstance(self.users, ColumnarUserStore):
-            return self.users.new_user(
-                user_id, country=country, age=age, gender=gender,
-                zip_code=zip_code,
-            )
-        profile = UserProfile(
-            user_id=user_id,
-            country=country,
-            age=age,
-            gender=gender,
+        return self.users.new_user(
+            user_id, country=country, age=age, gender=gender,
             zip_code=zip_code,
         )
-        return self.users.add(profile)
 
     def browser_for(self, user_id: str) -> Browser:
         """A logged-in browser for a user (the platform's pixels will
@@ -428,13 +419,8 @@ class AdPlatform:
                 raise AccountError(
                     f"audience {audience_id!r} belongs to another advertiser"
                 )
-        matcher = spec.compiled()
-        resolver = self.audiences.cached_resolver()
-        matching = sum(
-            1 for user in self.users if matcher.fn(user, resolver)
-        )
-        from repro.platform.audiences import round_reach
-        return round_reach(matching, floor=self.config.reach_floor,
+        return round_reach(self.audiences.count_matching(spec),
+                           floor=self.config.reach_floor,
                            quantum=self.config.reach_quantum)
 
     def create_campaign(self, account_id: str, name: str) -> Campaign:
@@ -563,8 +549,7 @@ class AdPlatform:
                   workers: Optional[int] = None) -> DeliveryStats:
         """Saturate delivery over the whole user base, vectorized.
 
-        The batch twin of :meth:`run_until_saturated` for columnar
-        platforms: eligibility, auctions, and state folds all run as
+        The batch twin of :meth:`run_until_saturated`: eligibility, auctions, and state folds all run as
         column algebra over row blocks
         (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`),
         producing the same impressions, spend, stats, and reports as
@@ -572,10 +557,6 @@ class AdPlatform:
         across forked processes (compact platforms only — see
         :mod:`repro.platform.parsweep`).
         """
-        if not isinstance(self.users, ColumnarUserStore):
-            raise StoreError(
-                "run_sweep needs columnar_users=True; use "
-                "run_until_saturated on object-store platforms")
         if workers is not None and workers > 1:
             from repro.platform.parsweep import parallel_sweep
             return parallel_sweep(self.delivery, workers=workers,
@@ -584,7 +565,7 @@ class AdPlatform:
 
     def _resolve_users(
         self, user_ids: Optional[Iterable[str]]
-    ) -> List[Union[UserProfile, UserView]]:
+    ) -> List[UserView]:
         if user_ids is None:
             return list(self.users)
         return [self.users.get(user_id) for user_id in user_ids]

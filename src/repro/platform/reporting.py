@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from repro.platform.ads import AdInventory
 from repro.platform.billing import BillingLedger
 from repro.platform.delivery import DeliveryEngine
-from repro.platform.users import UserStore
+from repro.platform.colstore import ColumnarUserStore
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class ReportingService:
         inventory: AdInventory,
         ledger: BillingLedger,
         delivery: DeliveryEngine,
-        users: UserStore,
+        users: ColumnarUserStore,
         config: Optional[ReportingConfig] = None,
     ):
         self._inventory = inventory

@@ -1,4 +1,4 @@
-"""Targeting specifications: AST, compact syntax parser, and evaluator.
+"""Targeting specifications: AST, compact syntax parser, and lowering.
 
 Platforms let advertisers "construct Boolean expressions for targeting"
 (paper section 2.1) — e.g. *Millennials who live in Chicago, are interested
@@ -25,12 +25,20 @@ binds tighter than ``|``. :func:`parse` and ``Expr.to_string`` round-trip.
 The delivery-iff-match contract evaluated here is the entire foundation of
 Treads (paper section 1): "a user is supposed to see a targeted ad if and
 only if they satisfy the advertiser's targeting parameters".
+``Expr.matches`` is its reference semantics. Every fast path runs one
+lowering instead (:func:`lower_spec`): a :class:`MaskProgram` evaluated
+over a row range of the columnar user store (sweeps, match counts) or
+bound to one row's packed words (per-request delivery), each tested
+against ``Expr.matches``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterator, List, Optional, Set, Tuple
+import weakref
+from dataclasses import dataclass, field
+from typing import (
+    Any, Callable, FrozenSet, Iterator, List, Optional, Set, Tuple,
+)
 
 import numpy as np
 
@@ -280,12 +288,6 @@ class TargetingSpec:
                 resolver: AudienceResolver = _no_audiences) -> bool:
         return self.expr.matches(user, resolver)
 
-    def compiled(self) -> "CompiledSpec":
-        """The (cached) compiled form of this spec — see
-        :func:`compile_spec`. Hot paths evaluate this instead of
-        re-interpreting the tree."""
-        return compile_spec(self)
-
     def to_string(self) -> str:
         return self.expr.to_string()
 
@@ -514,90 +516,31 @@ def parse(text: str) -> TargetingSpec:
 
 
 # ---------------------------------------------------------------------------
-# Compiler: Expr tree -> flat matcher function.
+# Lowerer: Expr tree -> MaskProgram over UserColumns, two backends.
 # ---------------------------------------------------------------------------
 #
-# The delivery hot path evaluates every candidate ad's spec against every
-# user in every slot. Interpreting the Expr tree there costs one Python
-# method call (plus ``all``/``any`` generator machinery) per node per
-# evaluation. :func:`compile_spec` lowers the tree once into a single flat
-# Python function — one call per evaluation, with every predicate inlined
-# as native attribute/set operations — and extracts the static structure
-# (required attributes / pages / audiences) that the delivery engine's
-# inverted candidate index is built from.
+# Every fast path evaluates a spec through one lowering. :func:`lower_spec`
+# walks the Expr tree once (:func:`_lower`) and yields two backends over the
+# columnar store (:class:`~repro.platform.colstore.UserColumns`):
+#
+# * the **range backend** (:meth:`MaskProgram.evaluate`): vectorized column
+#   ops (attr/page bit-column extraction, coded demographic comparisons,
+#   multi-attr code matches, audience-membership bitset slices) producing a
+#   boolean eligibility array for rows ``[start, stop)``. The batch sweep,
+#   the min-match defense and reach estimates count with it.
+# * the **row backend** (:meth:`MaskProgram.bind`): the same tree bound to
+#   the store's current attribute and page codes as a :data:`RowProgram`,
+#   evaluated by the per-request delivery path against one row's packed
+#   words.
+#
+# The lowerer is deliberately *exact-type* dispatched: an ``Expr`` subclass
+# (say, an experiment's opaque predicate) may override ``matches`` in ways
+# the column program cannot see. Such specs — and only such specs — return
+# ``None`` from :func:`lower_spec`, the per-spec flag routing callers to the
+# reference semantics, ``Expr.matches``.
 
 
-@dataclass(frozen=True)
-class CompiledSpec:
-    """A targeting spec lowered to a flat matcher.
-
-    ``fn(user, resolver)`` is behaviourally identical to
-    ``expr.matches(user, resolver)`` — the deliver-iff-match contract is
-    preserved bit-for-bit, and ``tests/platform/test_targeting_compile.py``
-    enforces the equivalence property on randomized specs and profiles.
-
-    ``required_attributes`` / ``required_pages`` / ``required_audiences``
-    are *necessary conditions*: a user can only match if they carry every
-    listed attribute, like every listed page, and belong to every listed
-    audience. (Predicates under a NOT or in only some OR branches
-    contribute nothing.) The delivery engine anchors its inverted
-    candidate index on these.
-    """
-
-    source: str
-    fn: Callable[[UserProfile, AudienceResolver], bool]
-    required_attributes: FrozenSet[str]
-    required_pages: FrozenSet[str]
-    required_audiences: FrozenSet[str]
-
-    def matches(self, user: UserProfile,
-                resolver: AudienceResolver = _no_audiences) -> bool:
-        return self.fn(user, resolver)
-
-
-def _fragment(expr: Expr, env: dict, counter: List[int]) -> str:
-    """Python source fragment evaluating ``expr`` over locals ``u``/``r``.
-
-    String/int literals are inlined via ``repr``; container constants
-    (zip code sets) go into ``env`` so they are built once at compile
-    time, not per evaluation.
-    """
-    if isinstance(expr, All):
-        return "True"
-    if isinstance(expr, HasAttr):
-        a = repr(expr.attr_id)
-        return f"({a} in u.binary_attrs or {a} in u.multi_attrs)"
-    if isinstance(expr, AttrIs):
-        return f"(u.multi_attrs.get({expr.attr_id!r}) == {expr.value!r})"
-    if isinstance(expr, AgeBetween):
-        return f"({expr.min_age} <= u.age <= {expr.max_age})"
-    if isinstance(expr, GenderIs):
-        return f"(u.gender == {expr.gender!r})"
-    if isinstance(expr, InCountry):
-        return f"(u.country == {expr.country!r})"
-    if isinstance(expr, InZip):
-        name = f"_zips{counter[0]}"
-        counter[0] += 1
-        env[name] = expr.zips
-        return f"(u.zip_code in {name})"
-    if isinstance(expr, InAudience):
-        return f"r({expr.audience_id!r}, u.user_id)"
-    if isinstance(expr, LikesPage):
-        return f"({expr.page_id!r} in u.liked_pages)"
-    if isinstance(expr, Not):
-        return f"(not {_fragment(expr.child, env, counter)})"
-    if isinstance(expr, And):
-        return "(" + " and ".join(
-            _fragment(op, env, counter) for op in expr.operands
-        ) + ")"
-    if isinstance(expr, Or):
-        return "(" + " or ".join(
-            _fragment(op, env, counter) for op in expr.operands
-        ) + ")"
-    raise TargetingError(f"cannot compile node {type(expr).__name__}")
-
-
-def _required_anchors(
+def required_anchors(
     expr: Expr,
 ) -> Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]:
     """(attributes, pages, audiences) a user MUST have to match ``expr``.
@@ -605,8 +548,9 @@ def _required_anchors(
     AND unions its operands' requirements; OR keeps only what every
     branch requires; NOT (and predicates that carry no set-membership
     requirement) contribute nothing. Sound by construction: it only ever
-    *under*-approximates, so the candidate index built on it can skip an
-    ad for a user only when the ad provably cannot match.
+    *under*-approximates, so the delivery engine's candidate index built
+    on it can skip an ad for a user only when the ad provably cannot
+    match.
     """
     if isinstance(expr, (HasAttr, AttrIs)):
         return frozenset((expr.attr_id,)), frozenset(), frozenset()
@@ -619,11 +563,11 @@ def _required_anchors(
         pages: FrozenSet[str] = frozenset()
         auds: FrozenSet[str] = frozenset()
         for op in expr.operands:
-            a, p, d = _required_anchors(op)
+            a, p, d = required_anchors(op)
             attrs, pages, auds = attrs | a, pages | p, auds | d
         return attrs, pages, auds
     if isinstance(expr, Or):
-        parts = [_required_anchors(op) for op in expr.operands]
+        parts = [required_anchors(op) for op in expr.operands]
         attrs, pages, auds = parts[0]
         for a, p, d in parts[1:]:
             attrs, pages, auds = attrs & a, pages & p, auds & d
@@ -631,96 +575,71 @@ def _required_anchors(
     return frozenset(), frozenset(), frozenset()
 
 
-#: Compiled-spec cache, keyed by the spec's canonical string form. Specs
-#: are immutable and the sweep workloads reuse shapes heavily, so one
-#: compile per distinct spec string serves the whole process.
-_COMPILE_CACHE: dict = {}
-
-#: Late-bound compiler instruments (see :func:`repro.obs.metrics.bind`).
-#: The cache outlives registry swaps, so a fresh registry legitimately
-#: sees high hit counts against compiles recorded by its predecessor.
-_obs_compile = _obs_bind(lambda reg: (
-    reg.counter("targeting.specs_compiled"),
-    reg.counter("targeting.compile_cache_hits"),
-))
-
-
-def compile_spec(spec: "TargetingSpec | Expr | str") -> CompiledSpec:
-    """Lower a targeting spec to a :class:`CompiledSpec` (cached).
-
-    Accepts a :class:`TargetingSpec`, a bare :class:`Expr`, or the
-    compact spec syntax. The cache key is the canonical
-    ``to_string()`` form, so structurally identical specs share one
-    compiled matcher.
-    """
-    if isinstance(spec, str):
-        expr = parse(spec).expr
-    elif isinstance(spec, TargetingSpec):
-        expr = spec.expr
-    else:
-        expr = spec
-    key = expr.to_string()
-    compiled_c, cache_hits_c = _obs_compile()
-    cached = _COMPILE_CACHE.get(key)
-    if cached is not None:
-        cache_hits_c.inc()
-        return cached
-    compiled_c.inc()
-    env: dict = {}
-    body = _fragment(expr, env, [0])
-    source = f"def _matcher(u, r):\n    return {body}\n"
-    namespace = dict(env)
-    exec(compile(source, f"<targeting:{key}>", "exec"), namespace)
-    attrs, pages, auds = _required_anchors(expr)
-    compiled = CompiledSpec(
-        source=key,
-        fn=namespace["_matcher"],
-        required_attributes=attrs,
-        required_pages=pages,
-        required_audiences=auds,
-    )
-    _COMPILE_CACHE[key] = compiled
-    return compiled
-
-
-# ---------------------------------------------------------------------------
-# Mask lowerer: Expr tree -> column-mask program over UserColumns ranges.
-# ---------------------------------------------------------------------------
-#
-# The batch sweep (:meth:`repro.platform.delivery.DeliveryEngine.sweep_slots`)
-# evaluates eligibility for an entire row range of the columnar store in one
-# shot instead of once per user. :func:`lower_spec` lowers an Expr tree to a
-# :class:`MaskProgram` — a composition of vectorized column ops (attr/page
-# bit-column extraction, coded demographic comparisons, multi-attr code
-# matches, audience-membership bitset slices) producing a boolean eligibility
-# array for ``rows [start, stop)``.
-#
-# The lowerer is deliberately *exact-type* dispatched: an ``Expr`` subclass
-# (say, an experiment's opaque predicate that still compiles through
-# :func:`_fragment`'s isinstance checks with base-class semantics) may
-# override ``matches`` in ways the column program cannot see. Such specs —
-# and only such specs — return ``None`` from :func:`lower_spec`, which is the
-# per-spec fallback flag routing delivery to the per-user compiled matcher.
-
 #: Resolves an audience id to its full-population membership bitset
-#: (packed ``uint64``, bit = store row). The sweep binds this to
+#: (packed ``uint64``, bit = store row). Delivery binds this to
 #: :meth:`repro.platform.audiences.AudienceRegistry.member_bitset_cached`.
 MaskResolver = Callable[[str], np.ndarray]
 
+#: A spec bound to one store's codes for single-row evaluation:
+#: ``(attr_mask, page_mask, residual)``. Row ``r`` matches iff its
+#: attribute words (one int, bit ``c`` = attribute code ``c``) hold every
+#: bit of ``attr_mask``, its page words every bit of ``page_mask``, and
+#: ``residual`` is None or ``residual(r, attr_words, page_words, bits)``
+#: is true, ``bits`` being a :data:`MaskResolver`. A conjunction of
+#: positive ``attr:``/``page:`` leaves (every Tread spec) is masks alone.
+RowProgram = Tuple[int, int, Optional[Callable[..., Any]]]
 
-class _Unlowerable(Exception):
-    """Internal: the Expr tree contains a node the lowerer can't handle."""
+_ROW_TRUE: RowProgram = (0, 0, None)
+_ROW_NEVER: RowProgram = (0, 0, lambda row, aw, pw, bits: False)
+
+
+def _row_fn(program: RowProgram) -> Callable[..., Any]:
+    """The whole program as one residual-shaped callable."""
+    am, pm, fn = program
+    if fn is None:
+        return lambda row, aw, pw, bits: aw & am == am and pw & pm == pm
+    if not (am or pm):
+        return fn
+    return lambda row, aw, pw, bits: (
+        aw & am == am and pw & pm == pm and fn(row, aw, pw, bits))
+
+
+def _and_rows(programs: List[RowProgram]) -> RowProgram:
+    """AND: masks OR together, residuals chain."""
+    am = pm = 0
+    fns = []
+    for a, p, fn in programs:
+        am, pm = am | a, pm | p
+        if fn is not None:
+            fns.append(fn)
+    if len(fns) > 1:
+        parts = tuple(fns)
+        fns = [lambda row, aw, pw, bits: all(
+            part(row, aw, pw, bits) for part in parts)]
+    return am, pm, (fns[0] if fns else None)
+
+
+def bind_key(cols: Any) -> tuple:
+    """What a bound :data:`RowProgram` depends on: the attribute and page
+    vocabularies (by identity: ``state_load`` replaces them) and their
+    sizes, plus which multi columns exist. Demographic and multi-value
+    vocabularies are looked up per call and need no place here."""
+    return (cols.attrs, len(cols.attrs), cols.pages, len(cols.pages),
+            len(cols.multi_cols))
 
 
 @dataclass(frozen=True)
 class MaskProgram:
-    """A targeting spec lowered to a vectorized row-range evaluator.
+    """A targeting spec lowered to both evaluation backends.
 
     ``evaluate(cols, start, stop, resolver)`` returns a boolean array of
     length ``stop - start`` where entry ``i`` says whether store row
-    ``start + i`` matches the spec — elementwise identical to running the
-    compiled matcher over each row's :class:`~repro.platform.colstore.UserView`
-    (``tests/platform/test_mask_lowering.py`` enforces the property on
+    ``start + i`` matches the spec. ``bind(cols)`` returns the spec as a
+    :data:`RowProgram` over ``cols``'s current codes. Both are
+    elementwise identical to ``Expr.matches`` on each row's
+    :class:`~repro.platform.colstore.UserView`
+    (``tests/platform/test_mask_lowering.py`` and
+    ``tests/platform/test_targeting_compile.py`` enforce the property on
     random trees and populations).
 
     ``start`` must be byte-aligned (``start % 8 == 0``) so audience
@@ -730,17 +649,49 @@ class MaskProgram:
 
     source: str
     fn: Callable[..., np.ndarray]
+    binder: Callable[[Any], RowProgram]
     referenced_audiences: Tuple[str, ...]
+    #: One-slot bind memo: ``(weakref to cols, bind key, RowProgram)``.
+    _bound: List[Any] = field(default_factory=lambda: [None], repr=False,
+                              compare=False)
 
-    def evaluate(self, cols, start: int, stop: int,
-                 resolver: Optional[MaskResolver] = None) -> np.ndarray:
+    def _check_resolver(self, resolver: Optional[MaskResolver]) -> None:
         if resolver is None and self.referenced_audiences:
             raise TargetingError(
                 f"mask program references audiences "
                 f"{list(self.referenced_audiences)} but no bitset resolver "
                 f"was given"
             )
+
+    def evaluate(self, cols, start: int, stop: int,
+                 resolver: Optional[MaskResolver] = None) -> np.ndarray:
+        self._check_resolver(resolver)
         return self.fn(cols, start, stop, resolver)
+
+    def bind(self, cols) -> RowProgram:
+        """This spec bound to ``cols``'s current attribute and page codes.
+
+        Memoized per store state (see :func:`bind_key`), counted as
+        ``targeting.specs_compiled`` builds and
+        ``targeting.compile_cache_hits`` reuses.
+        """
+        key = bind_key(cols)
+        built_c, hits_c = _obs_compile()
+        slot = self._bound[0]
+        if slot is not None and slot[0]() is cols and slot[1] == key:
+            hits_c.inc()
+            return slot[2]
+        built_c.inc()
+        program = self.binder(cols)
+        self._bound[0] = (weakref.ref(cols), key, program)
+        return program
+
+    def match_row(self, cols, row: int,
+                  resolver: Optional[MaskResolver] = None) -> bool:
+        """Whether store row ``row`` matches, via the row backend."""
+        self._check_resolver(resolver)
+        aw, pw = cols.row_words(row)
+        return bool(_row_fn(self.bind(cols))(row, aw, pw, resolver))
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -760,16 +711,21 @@ def _bit_flags(matrix: np.ndarray, code: Optional[int],
     return ((matrix[start:stop, word] >> shift) & np.uint64(1)).astype(bool)
 
 
-def _lower(expr: Expr) -> Callable[..., np.ndarray]:
-    """Recursively build the range evaluator for ``expr``.
+def _lower(expr: Expr) -> Tuple[Callable[..., np.ndarray],
+                                Callable[[Any], RowProgram]]:
+    """Recursively build ``(range evaluator, row binder)`` for ``expr``.
 
-    Dispatch is on ``type(expr) is X`` — never isinstance — so subclassed
-    nodes with overridden semantics fall through to :class:`_Unlowerable`
-    and the per-user fallback path.
+    Row leaves over vocabularies that grow without changing the bind key
+    (demographics, multi-attribute values) look their codes up on each
+    call. Dispatch is on ``type(expr) is X`` — never isinstance — so
+    subclassed nodes with overridden semantics fall through to
+    :class:`_Unlowerable` and the ``Expr.matches`` fallback.
     """
     kind = type(expr)
     if kind is All:
-        return lambda cols, start, stop, r: np.ones(stop - start, dtype=bool)
+        return (lambda cols, start, stop, r: np.ones(stop - start,
+                                                     dtype=bool),
+                lambda cols: _ROW_TRUE)
     if kind is HasAttr:
         attr_id = expr.attr_id
 
@@ -781,69 +737,109 @@ def _lower(expr: Expr) -> Callable[..., np.ndarray]:
                 out |= multi[start:stop] != 0
             return out
 
-        return has_attr
+        def bind_has_attr(cols):
+            code = cols.attrs.get(attr_id)
+            if attr_id not in cols.multi_cols:
+                return _ROW_NEVER if code is None else (1 << code, 0, None)
+            bit = 0 if code is None else 1 << code
+            return 0, 0, lambda row, aw, pw, bits: bool(aw & bit) or (
+                cols.multi_cols[attr_id][row] != 0)
+
+        return has_attr, bind_has_attr
     if kind is AttrIs:
         attr_id, value = expr.attr_id, expr.value
 
-        def attr_is(cols, start, stop, r):
+        def value_code(cols):
             multi = cols.multi_cols.get(attr_id)
-            if multi is None:
-                return _zeros(stop - start)
-            code = cols.multi_vocabs[attr_id].get(value)
+            code = (None if multi is None
+                    else cols.multi_vocabs[attr_id].get(value))
+            return multi, code
+
+        def attr_is(cols, start, stop, r):
+            multi, code = value_code(cols)
             if code is None:
                 return _zeros(stop - start)
             return multi[start:stop] == code + 1
 
-        return attr_is
+        def attr_is_row(cols):
+            def attr_is_at(row, aw, pw, bits):
+                multi, code = value_code(cols)
+                return code is not None and multi[row] == code + 1
+            return 0, 0, attr_is_at
+
+        return attr_is, attr_is_row
     if kind is AgeBetween:
         lo, hi = expr.min_age, expr.max_age
-        return lambda cols, start, stop, r: (
-            (cols.age[start:stop] >= lo) & (cols.age[start:stop] <= hi))
-    if kind is GenderIs:
-        gender = expr.gender
+        return (lambda cols, start, stop, r: (
+                    (cols.age[start:stop] >= lo)
+                    & (cols.age[start:stop] <= hi)),
+                lambda cols: (0, 0, lambda row, aw, pw, bits:
+                              lo <= cols.age[row] <= hi))
+    if kind is GenderIs or kind is InCountry:
+        if kind is GenderIs:
+            value, column, vocab = expr.gender, "gender", "genders"
+        else:
+            value, column, vocab = expr.country, "country", "countries"
 
-        def gender_is(cols, start, stop, r):
-            code = cols.genders.get(gender)
+        def coded(cols, start, stop, r):
+            code = getattr(cols, vocab).get(value)
             if code is None:
                 return _zeros(stop - start)
-            return cols.gender[start:stop] == code
+            return getattr(cols, column)[start:stop] == code
 
-        return gender_is
-    if kind is InCountry:
-        country = expr.country
+        def coded_row(cols):
+            def coded_at(row, aw, pw, bits):
+                code = getattr(cols, vocab).get(value)
+                return code is not None and getattr(cols, column)[row] == code
+            return 0, 0, coded_at
 
-        def in_country(cols, start, stop, r):
-            code = cols.countries.get(country)
-            if code is None:
-                return _zeros(stop - start)
-            return cols.country[start:stop] == code
-
-        return in_country
+        return coded, coded_row
     if kind is InZip:
         zips = sorted(expr.zips)
 
+        def zip_codes(cols):
+            return [c for c in (cols.zips.get(z) for z in zips)
+                    if c is not None]
+
         def in_zip(cols, start, stop, r):
-            codes = [c for c in (cols.zips.get(z) for z in zips)
-                     if c is not None]
+            codes = zip_codes(cols)
             if not codes:
                 return _zeros(stop - start)
             return np.isin(cols.zip[start:stop],
                            np.asarray(codes, dtype=np.int32))
 
-        return in_zip
+        return in_zip, lambda cols: (0, 0, lambda row, aw, pw, bits: (
+            int(cols.zip[row]) in zip_codes(cols)))
     if kind is InAudience:
         audience_id = expr.audience_id
-        return lambda cols, start, stop, r: bitset.unpack_range(
-            r(audience_id), start, stop)
+        return (lambda cols, start, stop, r: bitset.unpack_range(
+                    r(audience_id), start, stop),
+                lambda cols: (0, 0, lambda row, aw, pw, bits:
+                              bitset.test_bit(bits(audience_id), row)))
     if kind is LikesPage:
         page_id = expr.page_id
-        return lambda cols, start, stop, r: _bit_flags(
-            cols.page_bits, cols.pages.get(page_id), start, stop)
+
+        def bind_page(cols):
+            code = cols.pages.get(page_id)
+            return _ROW_NEVER if code is None else (0, 1 << code, None)
+
+        return (lambda cols, start, stop, r: _bit_flags(
+                    cols.page_bits, cols.pages.get(page_id), start, stop),
+                bind_page)
     if kind is Not:
-        child = _lower(expr.child)
-        return lambda cols, start, stop, r: ~child(cols, start, stop, r)
+        child, bind_child = _lower(expr.child)
+
+        def not_row(cols):
+            inner = _row_fn(bind_child(cols))
+            return 0, 0, lambda row, aw, pw, bits: not inner(
+                row, aw, pw, bits)
+
+        return (lambda cols, start, stop, r: ~child(cols, start, stop, r),
+                not_row)
     if kind is And or kind is Or:
-        parts = [_lower(op) for op in expr.operands]
+        lowered = [_lower(op) for op in expr.operands]
+        parts = [part for part, _ in lowered]
+        binders = [binder for _, binder in lowered]
 
         def combine(cols, start, stop, r, fold=(np.ndarray.__iand__
                                                 if kind is And
@@ -853,8 +849,20 @@ def _lower(expr: Expr) -> Callable[..., np.ndarray]:
                 fold(out, part(cols, start, stop, r))
             return out
 
-        return combine
+        def and_row(cols):
+            return _and_rows([binder(cols) for binder in binders])
+
+        def or_row(cols):
+            fns = [_row_fn(binder(cols)) for binder in binders]
+            return 0, 0, lambda row, aw, pw, bits: any(
+                fn(row, aw, pw, bits) for fn in fns)
+
+        return combine, and_row if kind is And else or_row
     raise _Unlowerable(type(expr).__qualname__)
+
+
+class _Unlowerable(Exception):
+    """Internal: the Expr tree contains a node the lowerer can't handle."""
 
 
 def _lower_key(expr: Expr) -> Tuple[str, Tuple[str, ...]]:
@@ -874,21 +882,30 @@ def _lower_key(expr: Expr) -> Tuple[str, Tuple[str, ...]]:
 _LOWER_CACHE: dict = {}
 _LOWER_MISSING = object()
 
-#: Late-bound lowerer instruments — lowered-program builds and per-spec
-#: fallbacks to the scalar matcher.
+#: Late-bound lowerer instruments (see :func:`repro.obs.metrics.bind`) —
+#: lowered-program builds and per-spec fallbacks to ``Expr.matches``.
 _obs_lower = _obs_bind(lambda reg: (
     reg.counter("targeting.specs_lowered"),
     reg.counter("targeting.lower_fallbacks"),
+))
+
+#: Row-program binds (builds, memo reuses). Programs outlive registry
+#: swaps, so a fresh registry may see hits against builds recorded by
+#: its predecessor.
+_obs_compile = _obs_bind(lambda reg: (
+    reg.counter("targeting.specs_compiled"),
+    reg.counter("targeting.compile_cache_hits"),
 ))
 
 
 def lower_spec(spec: "TargetingSpec | Expr | str") -> Optional[MaskProgram]:
     """Lower a spec to a :class:`MaskProgram`, or ``None`` (cached).
 
-    ``None`` is the per-spec fallback flag: the tree contains a node the
-    column algebra cannot express (in practice, an ``Expr`` subclass with
-    overridden semantics), so the caller must evaluate that spec with the
-    per-user compiled matcher instead.
+    Accepts a :class:`TargetingSpec`, a bare :class:`Expr`, or the
+    compact spec syntax. ``None`` is the per-spec fallback flag: the tree
+    contains a node the column algebra cannot express (in practice, an
+    ``Expr`` subclass with overridden semantics), so the caller must
+    evaluate that spec with ``Expr.matches`` instead.
     """
     if isinstance(spec, str):
         expr = parse(spec).expr
@@ -902,7 +919,7 @@ def lower_spec(spec: "TargetingSpec | Expr | str") -> Optional[MaskProgram]:
         return cached
     lowered_c, fallback_c = _obs_lower()
     try:
-        fn = _lower(expr)
+        fn, binder = _lower(expr)
     except _Unlowerable:
         fallback_c.inc()
         _LOWER_CACHE[key] = None
@@ -913,6 +930,7 @@ def lower_spec(spec: "TargetingSpec | Expr | str") -> Optional[MaskProgram]:
     program = MaskProgram(
         source=expr.to_string(),
         fn=fn,
+        binder=binder,
         referenced_audiences=audiences,
     )
     _LOWER_CACHE[key] = program

@@ -9,16 +9,21 @@ page likes, and the audiences the user has been matched into.
 Profiles are *internal to the platform*: advertisers never see them, and
 the platform's own transparency surfaces deliberately show users only a
 subset (see :mod:`repro.platform.adpreferences`).
+
+:class:`UserProfile` is the plain per-user record. The platform's
+registry is :class:`~repro.platform.colstore.ColumnarUserStore`, which
+ingests these records with ``add`` and hands back row views wearing the
+same API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, Optional, Set
 
 from repro.errors import CatalogError, PIIError
 from repro.hashing import PII_KINDS, hash_pii
-from repro.platform.attributes import Attribute, AttributeCatalog, AttributeKind
+from repro.platform.attributes import Attribute, AttributeKind
 
 
 @dataclass
@@ -57,20 +62,13 @@ class UserProfile:
     multi_attrs: Dict[str, str] = field(default_factory=dict)
     pii_hashes: Dict[str, Set[str]] = field(default_factory=dict)
     liked_pages: Set[str] = field(default_factory=set)
-    #: Installed by the owning store so attribute writes that happen
-    #: *after* registration keep the store's attribute index current.
-    _listener: Optional[Callable[[str, bool], None]] = field(
-        default=None, repr=False, compare=False)
 
     def has_attribute(self, attr_id: str) -> bool:
         """True when a binary attribute is set (or a multi attr assigned)."""
         return attr_id in self.binary_attrs or attr_id in self.multi_attrs
 
     def attribute_ids(self) -> Iterator[str]:
-        """All attribute ids present on this profile (binary then multi).
-
-        The delivery engine's inverted candidate index probes these to
-        collect the ads that could possibly match this user."""
+        """All attribute ids present on this profile (binary then multi)."""
         yield from self.binary_attrs
         yield from self.multi_attrs
 
@@ -104,8 +102,6 @@ class UserProfile:
                     f"binary attribute {attribute.attr_id!r} takes no value"
                 )
             self.binary_attrs.add(attribute.attr_id)
-            if self._listener is not None:
-                self._listener(attribute.attr_id, True)
             return
         if value is None:
             raise CatalogError(
@@ -113,133 +109,8 @@ class UserProfile:
             )
         attribute.value_index(value)  # validates membership
         self.multi_attrs[attribute.attr_id] = value
-        if self._listener is not None:
-            self._listener(attribute.attr_id, True)
 
     def clear_attribute(self, attr_id: str) -> None:
         """Unset an attribute (used by the broker-shutdown scenario)."""
         self.binary_attrs.discard(attr_id)
         self.multi_attrs.pop(attr_id, None)
-        if self._listener is not None:
-            self._listener(attr_id, False)
-
-    def set_attributes(self, attrs: Dict[str, Optional[str]],
-                       catalog: AttributeCatalog) -> None:
-        """Bulk-set attributes from ``attr_id -> value-or-None``."""
-        for attr_id, value in attrs.items():
-            self.set_attribute(catalog.get(attr_id), value)
-
-
-class UserStore:
-    """The platform's internal registry of user profiles.
-
-    Provides the reverse PII index the custom-audience matcher needs
-    (hashed PII -> user) and iteration for audience materialization.
-    """
-
-    def __init__(self) -> None:
-        self._profiles: Dict[str, UserProfile] = {}
-        self._pii_index: Dict[str, Set[str]] = {}
-        #: attr_id -> ids of users carrying it (kept current by the
-        #: write-through listener installed on registered profiles).
-        self._attr_index: Dict[str, Set[str]] = {}
-        self._epoch = 0
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def __iter__(self) -> Iterator[UserProfile]:
-        return iter(self._profiles.values())
-
-    def __contains__(self, user_id: str) -> bool:
-        return user_id in self._profiles
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Bumped on every membership-relevant mutation made through the
-        store API; derived caches (audience reach counts) key on it."""
-        return self._epoch
-
-    def add(self, profile: UserProfile) -> UserProfile:
-        """Register a profile; re-registering the same id is an error.
-
-        Profiles carrying PII of an unindexable kind are rejected *before*
-        any state changes, so a bad profile can never leave the store
-        half-registered or the PII index partially built.
-        """
-        if profile.user_id in self._profiles:
-            raise CatalogError(f"duplicate user id {profile.user_id!r}")
-        for kind in profile.pii_hashes:
-            if kind not in PII_KINDS:
-                raise PIIError(
-                    f"profile {profile.user_id!r} carries unindexed PII "
-                    f"kind {kind!r}")
-        self._profiles[profile.user_id] = profile
-        for kind, digests in profile.pii_hashes.items():
-            for digest in digests:
-                self._index_pii(kind, digest, profile.user_id)
-        for attr_id in profile.attribute_ids():
-            self._attr_index.setdefault(attr_id, set()).add(profile.user_id)
-        user_id = profile.user_id
-        profile._listener = (
-            lambda attr_id, present: self._profile_changed(
-                user_id, attr_id, present))
-        self._epoch += 1
-        return profile
-
-    def _profile_changed(self, user_id: str, attr_id: str,
-                         present: bool) -> None:
-        if present:
-            self._attr_index.setdefault(attr_id, set()).add(user_id)
-        else:
-            self._attr_index.get(attr_id, set()).discard(user_id)
-        self._epoch += 1
-
-    def get(self, user_id: str) -> UserProfile:
-        try:
-            return self._profiles[user_id]
-        except KeyError:
-            raise CatalogError(f"unknown user id {user_id!r}") from None
-
-    def attach_pii(self, user_id: str, kind: str, raw_value: str) -> str:
-        """Attach raw PII to a user and index it; returns the digest."""
-        digest = hash_pii(kind, raw_value)
-        self.attach_pii_hash(user_id, kind, digest)
-        return digest
-
-    def attach_pii_hash(self, user_id: str, kind: str, digest: str) -> None:
-        """Attach already-hashed PII to a user and index it."""
-        profile = self.get(user_id)
-        profile.add_pii_hash(kind, digest)
-        self._index_pii(kind, digest, user_id)
-        self._epoch += 1
-
-    def like_page(self, user_id: str, page_id: str) -> None:
-        """Record a page like (the epoch-honest mutation path)."""
-        self.get(user_id).liked_pages.add(page_id)
-        self._epoch += 1
-
-    def _index_pii(self, kind: str, digest: str, user_id: str) -> None:
-        self._pii_index.setdefault(f"{kind}:{digest}", set()).add(user_id)
-
-    def users_matching_pii(self, kind: str, digest: str) -> Set[str]:
-        """User ids whose profile carries this hashed PII.
-
-        This is the platform-internal match step of PII-based targeting
-        (paper section 2.1): uploaded hashes are joined against profiles.
-        """
-        return set(self._pii_index.get(f"{kind}:{digest}", set()))
-
-    def users_with_attribute(self, attr_id: str) -> List[UserProfile]:
-        """All profiles with ``attr_id`` set/assigned (platform-internal).
-
-        Served from the write-through attribute index — one bucket probe,
-        not a scan over every profile in the store.
-        """
-        ids = self._attr_index.get(attr_id)
-        if not ids:
-            return []
-        return [self._profiles[uid] for uid in sorted(ids)]
-
-    def user_ids(self) -> List[str]:
-        return list(self._profiles)

@@ -470,10 +470,10 @@ class ShardRouter:
         Quiescent-time operation: each shard's lock is held while its
         owners dump. With ``directory``, each snapshot is also written
         to :func:`shard_snapshot_path` next to the shard's journal —
-        the bundle :meth:`recover_shard` reads — and, when the platform
-        runs a columnar user store, its column blocks are dumped once to
-        :func:`users_columns_path` (users are global, not sharded, so
-        one file covers every shard; see :meth:`restore_user_columns`).
+        the bundle :meth:`recover_shard` reads — and the user store's
+        column blocks are dumped once to :func:`users_columns_path`
+        (users are global, not sharded, so one file covers every shard;
+        see :meth:`restore_user_columns`).
         """
         snapshots = []
         for shard in self.shards:
@@ -485,29 +485,23 @@ class ShardRouter:
                     directory, shard.index, self.num_shards))
             snapshots.append(snapshot)
         if directory is not None:
-            users = self.platform.users
-            if hasattr(users, "attribute_bitset"):
-                os.makedirs(directory, exist_ok=True)
-                with open(users_columns_path(directory), "w",
-                          encoding="utf-8") as fh:
-                    json.dump(users.state_dump(), fh)
+            os.makedirs(directory, exist_ok=True)
+            with open(users_columns_path(directory), "w",
+                      encoding="utf-8") as fh:
+                json.dump(self.platform.users.state_dump(), fh)
         return snapshots
 
     def restore_user_columns(self, directory: str) -> None:
-        """Load the columnar user store dumped by :meth:`checkpoint_shards`.
+        """Load the user store dumped by :meth:`checkpoint_shards`.
 
-        The inverse seam for a fresh columnar platform rehydrating a
-        checkpoint bundle: shard state comes back per shard via
+        The inverse for a fresh platform rehydrating a checkpoint
+        bundle: shard state comes back per shard via
         :meth:`recover_shard`; the user columns come back here, in one
         ``state_load`` of the packed blocks. Raises
         :class:`~repro.errors.StoreError` when the bundle has no
-        columns file or the platform's user store is not columnar.
+        columns file.
         """
         users = self.platform.users
-        if not hasattr(users, "attribute_bitset"):
-            raise StoreError(
-                "restore_user_columns needs a columnar user store "
-                "(PlatformConfig.columnar_users)")
         path = users_columns_path(directory)
         if not os.path.exists(path):
             raise StoreError(

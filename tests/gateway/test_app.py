@@ -14,6 +14,7 @@ import pytest
 from repro.gateway import Done, PendingServe, Request
 from repro.gateway.app import serve_result_response
 from repro.obs.slo import parse_slo
+from repro.platform.attributes import AttributeKind
 from repro.serve import ServeStatus
 from repro.store.audit import canonical_json, state_report
 
@@ -122,6 +123,20 @@ class TestServe:
         assert done.status == 404
         assert code_of(done) == "unknown_user"
 
+    def test_non_ascii_digit_user_is_404(self, gateway_stack):
+        """A dense-id prefix plus a digit ``int()`` refuses ("²") is an
+        unknown user, not a 500."""
+        stack = gateway_stack(serve=False)
+        user = next(iter(stack.platform.users.user_ids()))
+        ghost = user.rstrip("0123456789") + "²"
+        done = stack.app.handle(req("POST", "/v1/serve",
+                                    {"user_id": ghost}))
+        assert done.status == 404
+        assert code_of(done) == "unknown_user"
+        done = stack.app.handle(req("GET", "/v1/explanations",
+                                    query={"user": ghost, "ad": "ghost"}))
+        assert done.status == 404
+
     @pytest.mark.parametrize("payload,code", [
         ({}, "missing_user_id"),
         ({"user_id": 7}, "missing_user_id"),
@@ -229,6 +244,30 @@ class TestTenancyRoutes:
         listing = body_of(app.handle(req(
             "GET", "/v1/audiences", query={"org": "org-1"})))
         assert len(listing["audiences"]) == 1
+
+    def test_audience_size_tracks_attribute_writes(self, gateway_stack):
+        """The view's size is the epoch-cached member count; it agrees
+        with the materialized member set before and after a write."""
+        stack = gateway_stack(serve=False)
+        app, platform = stack.app, stack.platform
+        app.handle(req("POST", "/v1/orgs", {"name": "acme"}))
+        phrase = "Travel"
+        attribute = next(a for a in platform.catalog.search(phrase)
+                         if a.kind is AttributeKind.BINARY)
+        aid = body_of(app.handle(req("POST", "/v1/audiences", {
+            "org_id": "org-1", "phrases": [phrase]})))["audience_id"]
+
+        def size():
+            return body_of(app.handle(req(
+                "GET", f"/v1/audiences/{aid}")))["size"]
+
+        before = size()
+        assert before == len(platform.audiences.members(aid))
+        members = platform.audiences.members(aid)
+        outsider = next(view for view in platform.users
+                        if view.user_id not in members)
+        outsider.set_attribute(attribute)
+        assert size() == before + 1 == len(platform.audiences.members(aid))
 
     @pytest.mark.parametrize("payload,code", [
         ({"phrases": ["x"]}, "missing_org_id"),

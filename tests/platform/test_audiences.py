@@ -11,13 +11,14 @@ from repro.platform.audiences import (
 )
 from repro.platform.pii import record_from_raw
 from repro.platform.pixels import PixelRegistry
-from repro.platform.users import UserProfile, UserStore
+from repro.platform.colstore import ColumnarUserStore
+from repro.platform.users import UserProfile
 from repro.platform.web import Browser, Website
 
 
 @pytest.fixture
 def users():
-    store = UserStore()
+    store = ColumnarUserStore()
     for index in range(30):
         profile = UserProfile(user_id=f"u{index}")
         store.add(profile)
@@ -156,8 +157,6 @@ class TestColumnarBitsetCache:
 
     @pytest.fixture
     def columnar_world(self):
-        from repro.platform.colstore import ColumnarUserStore
-
         store = ColumnarUserStore()
         for index in range(40):
             store.new_user(f"cu{index}")
@@ -216,9 +215,9 @@ class TestColumnarBitsetCache:
         assert after is not before
         assert registry.membership_count("aud-px") == 1
 
-    def test_legacy_store_count_cache_invalidates_too(self, users, pixels):
-        """The legacy object store has no bitsets, but its count cache
-        keys on the same epoch — store-API mutations invalidate it."""
+    def test_count_cache_invalidates_on_page_like(self, users, pixels):
+        """The count cache keys on the same epoch — store-API
+        mutations invalidate it."""
         registry = AudienceRegistry(users=users, pixels=pixels,
                                     min_custom_audience_size=5)
         registry.create_page_audience("aud-1", "acct-1", "page-1")

@@ -1,8 +1,8 @@
 """Unit tests for the columnar user store (colstore).
 
 The equivalence suites (``test_colstore_equivalence``, the integration
-sweep) pin the store against the legacy object path; these tests pin
-the columnar-only machinery — dense-id prediction, matrix widening,
+sweep) pin the store against reference semantics; these tests pin the
+store's own machinery — dense-id prediction, matrix widening,
 packed-block serialization, and the flyweight views.
 """
 
@@ -37,6 +37,22 @@ class TestDenseIds:
         store.new_user("u-001")
         # "u-01" is not the canonical spelling of row 1's id.
         assert store.row_of("u-01") is None
+
+    def test_non_ascii_digit_suffix_is_unknown(self):
+        """"²".isdigit() holds but int("²") raises: such ids are simply
+        unknown users, never an exception."""
+        store = ColumnarUserStore()
+        for index in range(3):
+            store.new_user(f"gateway-user-{index:06d}")
+        for user_id in ("gateway-user-²", "gateway-user-00000²",
+                        "gateway-user-٠٠٠٠٠١", "gateway-user-"):
+            assert store.row_of(user_id) is None
+            assert user_id not in store
+            with pytest.raises(CatalogError, match="unknown user id"):
+                store.get(user_id)
+        assert store.row_of("gateway-user-000002") == 2
+        assert store.row_of("gateway-user-0000002") is None
+        assert store.row_of("gateway-user-2") is None
 
     def test_fallback_on_non_dense_id(self):
         store = ColumnarUserStore()
@@ -159,16 +175,21 @@ class TestPII:
         assert store.users_matching_pii("email", digest) == {"u1"}
 
     def test_view_add_pii_hash_is_row_local(self):
-        """Legacy quirk preserved: writing through the profile view does
-        not index — only store.add / attach_pii do."""
+        """Writing through the view is a store write: the digest lands
+        on the row *and* in the PII index (so a custom audience uploaded
+        later matches the user), and the mutation epoch moves."""
         store = ColumnarUserStore()
         view = store.new_user("u1")
+        store.new_user("u2")
         digest = hash_pii("email", "a@x.com")
+        epoch = store.mutation_epoch
         view.add_pii_hash("email", digest)
         assert view.has_pii_hash("email", digest)
-        assert store.users_matching_pii("email", digest) == set()
-        store.attach_pii("u1", "email", "a@x.com")
+        assert not store.get("u2").has_pii_hash("email", digest)
         assert store.users_matching_pii("email", digest) == {"u1"}
+        assert store.mutation_epoch > epoch
+        with pytest.raises(PIIError):
+            view.add_pii_hash("ssn", digest)
 
 
 class TestColumnarQueries:

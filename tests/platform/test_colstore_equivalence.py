@@ -1,18 +1,17 @@
-"""Property suite: the columnar store is observationally equivalent to
-the legacy object store.
+"""Property suite: the columnar store against a plain-record reference.
 
 Hypothesis drives identical random operation sequences into a
-``UserStore`` of ``UserProfile`` objects and a ``ColumnarUserStore`` of
-packed numpy columns, then asserts every observable the platform layers
-read — per-user attribute probes, store-level inverted queries, PII
-matching, and audience membership of every kind — answers identically.
-This is the license for every layer above to dispatch on store type
-without re-proving its own behavior.
+``ColumnarUserStore`` of packed numpy columns and a reference model —
+plain ``UserProfile`` records answered by scans — then asserts every
+observable the platform layers read answers identically: per-user
+attribute probes and set algebra, store-level inverted queries, PII
+matching, and audience membership of every kind (the reference
+computes each kind's membership rule directly from the records).
 
 The property classes simply don't exist when hypothesis is absent
 (some CI environments install only the runtime deps); the deterministic
 ``TestDeterministicEquivalence`` runs everywhere so plain ``pytest``
-still exercises the seam.
+still exercises the same observables.
 """
 
 from repro.hashing import hash_pii
@@ -21,11 +20,11 @@ from repro.platform.attributes import (
     make_binary,
     make_multi,
 )
-from repro.platform.audiences import AudienceRegistry
+from repro.platform.audiences import AudienceRegistry, round_reach
 from repro.platform.colstore import ColumnarUserStore
 from repro.platform.pii import record_from_raw
 from repro.platform.pixels import PixelRegistry
-from repro.platform.users import UserProfile, UserStore
+from repro.platform.users import UserProfile
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -45,6 +44,38 @@ PAGES = ("p0", "p1")
 PII_VALUES = ("a@x.com", "b@x.com", "c@x.com")
 ALL_ATTR_IDS = tuple(a.attr_id for a in BINS + MULTIS)
 PROBE_IDS = tuple(a.attr_id for a in BINS) + PAGES
+
+
+class _Reference:
+    """Plain ``UserProfile`` records plus scan-based queries: the
+    reference semantics the columnar store must reproduce."""
+
+    def __init__(self):
+        self.profiles = {}
+
+    def add(self, profile):
+        self.profiles[profile.user_id] = profile
+        return profile
+
+    def get(self, user_id):
+        return self.profiles[user_id]
+
+    def like_page(self, user_id, page_id):
+        self.profiles[user_id].liked_pages.add(page_id)
+
+    def attach_pii(self, user_id, kind, raw_value):
+        self.profiles[user_id].add_pii(kind, raw_value)
+
+    def user_ids(self):
+        return list(self.profiles)
+
+    def users_with_attribute(self, attr_id):
+        return [profile for _, profile in sorted(self.profiles.items())
+                if profile.has_attribute(attr_id)]
+
+    def users_matching_pii(self, kind, digest):
+        return {user_id for user_id, profile in self.profiles.items()
+                if profile.has_pii_hash(kind, digest)}
 
 
 def _op_strategy():
@@ -81,8 +112,8 @@ def _set_algebra(view, probe):
     )
 
 
-def _assert_set_algebra_equal(legacy, columnar, user_id, probe):
-    profile, view = legacy.get(user_id), columnar.get(user_id)
+def _assert_set_algebra_equal(reference, columnar, user_id, probe):
+    profile, view = reference.get(user_id), columnar.get(user_id)
     assert _set_algebra(profile.binary_attrs, probe) == \
         _set_algebra(view.binary_attrs, probe), (user_id, probe)
     assert _set_algebra(profile.liked_pages, probe) == \
@@ -90,14 +121,15 @@ def _assert_set_algebra_equal(legacy, columnar, user_id, probe):
 
 
 def _build_stores(ops):
-    """Apply one op sequence to both stores; returns (legacy, columnar).
+    """Apply one op sequence to both models; returns (reference,
+    columnar).
 
-    ``compare`` ops mutate nothing: they check the two stores' set
-    views answer the same set algebra at that point in the sequence."""
-    legacy = UserStore()
+    ``compare`` ops mutate nothing: they check the two models' set
+    fields answer the same set algebra at that point in the sequence."""
+    reference = _Reference()
     columnar = ColumnarUserStore()
     for index, user_id in enumerate(USER_IDS):
-        legacy.add(UserProfile(user_id=user_id, age=20 + index,
+        reference.add(UserProfile(user_id=user_id, age=20 + index,
                                gender="female" if index % 2 else "male",
                                zip_code=f"{10001 + index:05d}"))
         columnar.new_user(user_id, age=20 + index,
@@ -105,9 +137,10 @@ def _build_stores(ops):
                           zip_code=f"{10001 + index:05d}")
     for op in ops:
         if op[0] == "compare":
-            _assert_set_algebra_equal(legacy, columnar, op[1], set(op[2]))
+            _assert_set_algebra_equal(reference, columnar, op[1],
+                                      set(op[2]))
             continue
-        for store in (legacy, columnar):
+        for store in (reference, columnar):
             user = store.get(op[1])
             if op[0] == "set_bin":
                 user.set_attribute(op[2])
@@ -123,13 +156,13 @@ def _build_stores(ops):
                 user.liked_pages.discard(op[2])
             elif op[0] == "pii":
                 store.attach_pii(op[1], "email", op[2])
-    return legacy, columnar
+    return reference, columnar
 
 
-def _assert_observationally_equal(legacy, columnar):
-    assert legacy.user_ids() == columnar.user_ids()
+def _assert_observationally_equal(reference, columnar):
+    assert reference.user_ids() == columnar.user_ids()
     for user_id in USER_IDS:
-        profile = legacy.get(user_id)
+        profile = reference.get(user_id)
         view = columnar.get(user_id)
         assert sorted(profile.attribute_ids()) == sorted(view.attribute_ids())
         for attr_id in ALL_ATTR_IDS:
@@ -141,17 +174,59 @@ def _assert_observationally_equal(legacy, columnar):
         assert (profile.age, profile.gender, profile.zip_code) == \
             (view.age, view.gender, view.zip_code)
     for attr_id in ALL_ATTR_IDS:
-        assert [p.user_id for p in legacy.users_with_attribute(attr_id)] \
+        assert [p.user_id for p in reference.users_with_attribute(attr_id)] \
             == [v.user_id for v in columnar.users_with_attribute(attr_id)]
     for value in PII_VALUES:
         digest = hash_pii("email", value)
-        assert legacy.users_matching_pii("email", digest) == \
+        assert reference.users_matching_pii("email", digest) == \
             columnar.users_matching_pii("email", digest)
+
+
+def _catalog():
+    return AttributeCatalog(attributes=list(BINS + MULTIS))
+
+
+def _membership_table(members, is_member):
+    out = {}
+    for audience_id in ("aud-page", "aud-kw", "aud-pii", "aud-look"):
+        out[audience_id] = sorted(members(audience_id))
+        for user_id in USER_IDS:
+            out[audience_id, user_id] = is_member(audience_id, user_id)
+    return out
+
+
+def _reference_memberships(reference):
+    """Each audience kind's membership rule, applied to the records."""
+    profiles = reference.profiles
+    keyword_attrs = {attribute.attr_id
+                     for phrase in (BIN_NAMES[0], BIN_NAMES[1])
+                     for attribute in _catalog().search(phrase)}
+    digests = {hash_pii("email", value) for value in PII_VALUES}
+    pii = {user_id for user_id, profile in profiles.items()
+           if any(profile.has_pii_hash("email", d) for d in digests)}
+    members = {
+        "aud-page": {user_id for user_id, profile in profiles.items()
+                     if PAGES[0] in profile.liked_pages},
+        "aud-kw": {user_id for user_id, profile in profiles.items()
+                   if any(profile.has_attribute(a) for a in keyword_attrs)},
+        "aud-pii": pii,
+        # Seed members plus anyone sharing >= 2 binary attributes with one.
+        "aud-look": pii | {
+            user_id for user_id, profile in profiles.items()
+            if any(len(profile.binary_attrs & profiles[seed].binary_attrs)
+                   >= 2 for seed in pii)},
+    }
+    out = _membership_table(
+        members.__getitem__,
+        lambda audience_id, user_id: user_id in members[audience_id])
+    for audience_id, ids in members.items():
+        out[audience_id, "reach"] = str(round_reach(len(ids)))
+    return out
 
 
 def _audience_memberships(store):
     """Members of one audience of each kind, built over ``store``."""
-    catalog = AttributeCatalog(attributes=list(BINS + MULTIS))
+    catalog = _catalog()
     registry = AudienceRegistry(
         users=store, pixels=PixelRegistry(), catalog=catalog,
         min_custom_audience_size=1)
@@ -163,12 +238,8 @@ def _audience_memberships(store):
         [record_from_raw("email", v) for v in PII_VALUES])
     registry.create_lookalike_audience("aud-look", "acct", "aud-pii",
                                        similarity_threshold=2)
-    out = {}
+    out = _membership_table(registry.members, registry.is_member)
     for audience_id in ("aud-page", "aud-kw", "aud-pii", "aud-look"):
-        out[audience_id] = sorted(registry.members(audience_id))
-        for user_id in USER_IDS:
-            key = (audience_id, user_id)
-            out[key] = registry.is_member(audience_id, user_id)
         out[audience_id, "reach"] = str(
             registry.estimated_reach(audience_id))
     return out
@@ -179,14 +250,14 @@ if HAVE_HYPOTHESIS:
         @settings(max_examples=80, deadline=None)
         @given(ops=_op_strategy())
         def test_random_ops_observationally_equal(self, ops):
-            legacy, columnar = _build_stores(ops)
-            _assert_observationally_equal(legacy, columnar)
+            reference, columnar = _build_stores(ops)
+            _assert_observationally_equal(reference, columnar)
 
         @settings(max_examples=40, deadline=None)
         @given(ops=_op_strategy())
         def test_audience_membership_equal(self, ops):
-            legacy, columnar = _build_stores(ops)
-            assert _audience_memberships(legacy) == \
+            reference, columnar = _build_stores(ops)
+            assert _reference_memberships(reference) == \
                 _audience_memberships(columnar)
 
 
@@ -212,7 +283,7 @@ class TestDeterministicEquivalence:
     ]
 
     def test_fixed_script(self):
-        legacy, columnar = _build_stores(self.OPS)
-        _assert_observationally_equal(legacy, columnar)
-        assert _audience_memberships(legacy) == \
+        reference, columnar = _build_stores(self.OPS)
+        _assert_observationally_equal(reference, columnar)
+        assert _reference_memberships(reference) == \
             _audience_memberships(columnar)

@@ -11,7 +11,8 @@ from repro.platform.databroker import (
     ingest_broker_feed,
     shutdown_partner_categories,
 )
-from repro.platform.users import UserProfile, UserStore
+from repro.platform.colstore import ColumnarUserStore
+from repro.platform.users import UserProfile
 
 
 def _catalog():
@@ -27,7 +28,7 @@ def _catalog():
 
 
 def _store_with_user(email="a@b.com"):
-    store = UserStore()
+    store = ColumnarUserStore()
     store.add(UserProfile(user_id="u1"))
     store.attach_pii("u1", "email", email)
     return store
@@ -93,7 +94,7 @@ class TestIngest:
 
     def test_empty_broker_zero_rate(self):
         report = ingest_broker_feed(
-            DataBroker(name="Empty"), UserStore(), _catalog()
+            DataBroker(name="Empty"), ColumnarUserStore(), _catalog()
         )
         assert report.match_rate == 0.0
 
@@ -122,7 +123,7 @@ class TestShutdown:
     def test_removes_partner_attrs_from_catalog(self):
         catalog = _catalog()
         removed = shutdown_partner_categories(
-            catalog, UserStore(), BrokerNetwork()
+            catalog, ColumnarUserStore(), BrokerNetwork()
         )
         assert sorted(removed) == ["pc-networth-006", "pc-travel-000"]
         assert len(catalog.partner_attributes()) == 0
@@ -148,5 +149,5 @@ class TestShutdown:
 
     def test_network_flag_flipped(self):
         network = BrokerNetwork()
-        shutdown_partner_categories(_catalog(), UserStore(), network)
+        shutdown_partner_categories(_catalog(), ColumnarUserStore(), network)
         assert not network.partner_categories_active

@@ -1,9 +1,9 @@
-"""Property suite: mask-program eligibility == compiled-matcher eligibility.
+"""Property suite: mask-program eligibility == ``Expr.matches``.
 
 The batch sweep's correctness rests on one identity: for any targeting
 Expr tree and any columnar population, the lowered
 :class:`~repro.platform.targeting.MaskProgram` must produce exactly the
-boolean vector the per-user compiled matcher produces row by row —
+boolean vector the reference ``Expr.matches`` produces row by row —
 including every missing-vocabulary edge (attributes, pages, zips,
 countries, genders the store has never interned read as all-False).
 Hypothesis drives random trees against random populations; the explicit
@@ -33,13 +33,12 @@ from repro.platform.targeting import (
     LikesPage,
     Not,
     Or,
-    compile_spec,
     lower_spec,
 )
 
 # A small closed world, plus "ghost" values the store never interns —
 # the mask program must read those columns as all-False exactly like
-# the scalar matcher does.
+# Expr.matches does.
 BINARY_ATTRS = ["attr-a", "attr-b", "attr-c", "attr-ghost"]
 MULTI_ATTR = "attr-multi"
 MULTI_VALUES = ["v0", "v1", "v-ghost"]
@@ -128,13 +127,11 @@ class TestMaskMatcherEquivalence:
         assert program is not None, (
             f"base-library tree unexpectedly unlowerable: "
             f"{expr.to_string()}")
-        matcher = compile_spec(expr)
-
         def row_resolver(audience_id, user_id):
             return store.row_of(user_id) in members[audience_id]
 
         expected = np.array(
-            [bool(matcher.fn(view, row_resolver)) for view in store],
+            [bool(expr.matches(view, row_resolver)) for view in store],
             dtype=bool)
         got = program.evaluate(store.columns, 0, n,
                                resolver=bitsets.__getitem__)

@@ -15,7 +15,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import StoreError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.platform import bitset
 from repro.platform.ads import AdCreative
@@ -36,8 +35,7 @@ def make_world(compact=False, users=130, n_ads=6, draw=None,
                budget=100.0, accounts=1, store=None):
     """A columnar delivery world with ``accounts`` competing advertisers."""
     platform = AdPlatform(
-        config=PlatformConfig(name="sweng", columnar_users=True,
-                              compact_delivery=compact),
+        config=PlatformConfig(name="sweng", compact_delivery=compact),
         catalog=build_us_catalog(40, 25),
         competing_draw=draw if draw is not None else zero_competition(),
         store=store,
@@ -80,15 +78,11 @@ def engine_state(platform, ads):
 
 class TestPreconditions:
     def test_needs_columnar_store(self):
-        platform = AdPlatform(
-            config=PlatformConfig(name="legacy"),
-            catalog=build_us_catalog(40, 25),
-            competing_draw=zero_competition(),
-        )
-        with pytest.raises(StoreError, match="columnar"):
-            platform.delivery.sweep_slots()
-        with pytest.raises(StoreError, match="columnar"):
-            platform.run_sweep()
+        """The columnar store is the only one; asking for the removed
+        object store fails loudly at construction."""
+        with pytest.raises(ValueError, match="columnar"):
+            AdPlatform(config=PlatformConfig(name="legacy",
+                                             columnar_users=False))
 
     def test_needs_unit_frequency_cap(self):
         platform, _ads = make_world()

@@ -1,25 +1,34 @@
-"""Randomized compiled-vs-interpreted equivalence for targeting specs.
+"""Randomized row-backend-vs-interpreted equivalence for targeting specs.
 
-The delivery fast path evaluates :class:`CompiledSpec` matchers instead of
-interpreting the ``Expr`` tree, so the *entire* deliver-iff-match contract
-now rests on the equivalence ``compiled(user) == expr.matches(user)``.
-This suite generates ~200 random specs (round-tripped through the compact
-syntax parser, exactly as ads submit them), evaluates both forms on random
-user profiles — including audience predicates and NOT/exclusion trees —
-and requires bit-for-bit agreement. It also checks the soundness of the
-anchor analysis the inverted candidate index is built on.
+The delivery fast path evaluates each candidate ad's spec through the
+row backend of its lowered program (:meth:`MaskProgram.bind`: masks over
+the row's packed attribute/page words plus a residual), so the *entire*
+per-request deliver-iff-match contract rests on the equivalence
+``row backend(row) == expr.matches(view)``. This suite generates ~200
+random specs (round-tripped through the compact syntax parser, exactly
+as ads submit them), evaluates both forms on random rows of a columnar
+store — including audience predicates, NOT/exclusion trees, and codes
+the store interns only after a program was bound — and requires
+bit-for-bit agreement. It also checks the soundness of the anchor
+analysis the inverted candidate index is built on, and that a spec the
+lowerer refuses is delivered by ``Expr.matches``.
 """
 
 import random
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.platform import bitset
+from repro.platform.ads import AdCreative
+from repro.platform.catalog import build_us_catalog
+from repro.platform.colstore import ColumnarUserStore
+from repro.platform.platform import AdPlatform, PlatformConfig
 from repro.platform.targeting import (
     AgeBetween,
     All,
     And,
     AttrIs,
-    CompiledSpec,
     GenderIs,
     HasAttr,
     InAudience,
@@ -29,10 +38,11 @@ from repro.platform.targeting import (
     Not,
     Or,
     TargetingSpec,
-    compile_spec,
+    lower_spec,
     parse,
+    required_anchors,
 )
-from repro.platform.users import UserProfile
+from repro.workloads.competition import zero_competition
 
 BINARY_ATTRS = [f"pc-test-{i:03d}" for i in range(8)]
 MULTI_ATTRS = {f"pf-multi-{i}": [f"val{j}" for j in range(4)] for i in range(3)}
@@ -51,7 +61,7 @@ def _resolver(audience_id: str, user_id: str) -> bool:
 def _random_atom(rng: random.Random):
     kind = rng.randrange(9)
     if kind == 0:
-        return HasAttr(rng.choice(BINARY_ATTRS))
+        return HasAttr(rng.choice(BINARY_ATTRS + list(MULTI_ATTRS)))
     if kind == 1:
         attr_id = rng.choice(list(MULTI_ATTRS))
         return AttrIs(attr_id, rng.choice(MULTI_ATTRS[attr_id]))
@@ -87,103 +97,196 @@ def _random_expr(rng: random.Random, depth: int):
     return And(operands) if roll < 0.60 else Or(operands)
 
 
-def _random_profile(rng: random.Random, i: int) -> UserProfile:
-    profile = UserProfile(
-        user_id=f"user-{i}",
-        country=rng.choice(COUNTRIES),
-        age=rng.randint(13, 70),
-        gender=rng.choice(GENDERS),
-        zip_code=rng.choice(ZIPS),
-    )
-    profile.binary_attrs = set(
-        rng.sample(BINARY_ATTRS, rng.randint(0, len(BINARY_ATTRS)))
-    )
-    profile.multi_attrs = {
-        attr_id: rng.choice(values)
-        for attr_id, values in MULTI_ATTRS.items()
-        if rng.random() < 0.5
+def _random_store(rng: random.Random, users: int = 25):
+    """A columnar store of random rows, plus the audience bitsets that
+    mirror :func:`_resolver`. Some attributes and pages are never set,
+    so specs also probe codes the store has never interned."""
+    store = ColumnarUserStore()
+    for i in range(users):
+        view = store.new_user(
+            f"user-{i}",
+            country=rng.choice(COUNTRIES),
+            age=rng.randint(13, 70),
+            gender=rng.choice(GENDERS[:2]),
+            zip_code=rng.choice(ZIPS[:3]),
+        )
+        for attr_id in rng.sample(BINARY_ATTRS[:6], rng.randint(0, 6)):
+            view.binary_attrs.add(attr_id)
+        for attr_id, values in list(MULTI_ATTRS.items())[:2]:
+            if rng.random() < 0.5:
+                view.multi_attrs[attr_id] = rng.choice(values[:3])
+        for page_id in rng.sample(PAGES[:3], rng.randint(0, 3)):
+            store.like_page(view.user_id, page_id)
+    bits = {
+        audience_id: bitset.from_indices(
+            [row for row in range(len(store))
+             if _resolver(audience_id, store.id_of(row))], len(store))
+        for audience_id in AUDIENCES
     }
-    profile.liked_pages = set(rng.sample(PAGES, rng.randint(0, len(PAGES))))
-    return profile
+    return store, bits
 
 
 @pytest.fixture(scope="module")
-def profiles():
-    rng = random.Random(99)
-    return [_random_profile(rng, i) for i in range(25)]
+def world():
+    return _random_store(random.Random(99))
 
 
 class TestCompiledEquivalence:
-    def test_randomized_specs_agree_with_interpreter(self, profiles):
+    def test_randomized_specs_agree_with_interpreter(self, world):
+        store, bits = world
         rng = random.Random(7)
         for case in range(200):
             spec = TargetingSpec(expr=_random_expr(rng, depth=3))
-            # Round-trip through the parser: the compiled form must match
+            # Round-trip through the parser: the row program must match
             # what an ad submitted as text would evaluate.
             reparsed = parse(spec.to_string())
             assert reparsed.to_string() == spec.to_string()
-            compiled = compile_spec(reparsed)
-            for profile in profiles:
-                interpreted = reparsed.matches(profile, _resolver)
-                assert compiled.matches(profile, _resolver) == interpreted, (
-                    f"case {case}: compiled disagrees with interpreter on "
-                    f"{spec.to_string()} for {profile.user_id}"
+            program = lower_spec(reparsed)
+            assert program is not None
+            for view in store:
+                interpreted = reparsed.matches(view, _resolver)
+                assert program.match_row(
+                    store.columns, view.row, bits.__getitem__
+                ) == interpreted, (
+                    f"case {case}: row backend disagrees with interpreter "
+                    f"on {spec.to_string()} for {view.user_id}"
                 )
 
-    def test_required_anchors_are_sound(self, profiles):
-        """Whenever the compiled spec matches, the user provably carries
-        every required attribute/page and belongs to every required
-        audience — the property the delivery candidate index relies on
-        to skip ads."""
+    def test_required_anchors_are_sound(self, world):
+        """Whenever a spec matches, the user provably carries every
+        required attribute/page and belongs to every required audience —
+        the property the delivery candidate index relies on to skip
+        ads."""
+        store, _bits = world
         rng = random.Random(21)
         for _ in range(200):
             spec = TargetingSpec(expr=_random_expr(rng, depth=3))
-            compiled = compile_spec(spec)
-            for profile in profiles:
-                if not compiled.matches(profile, _resolver):
+            attrs, pages, audiences = required_anchors(spec.expr)
+            for view in store:
+                if not spec.matches(view, _resolver):
                     continue
-                for attr_id in compiled.required_attributes:
-                    assert profile.has_attribute(attr_id)
-                for page_id in compiled.required_pages:
-                    assert page_id in profile.liked_pages
-                for audience_id in compiled.required_audiences:
-                    assert _resolver(audience_id, profile.user_id)
+                for attr_id in attrs:
+                    assert view.has_attribute(attr_id)
+                for page_id in pages:
+                    assert page_id in view.liked_pages
+                for audience_id in audiences:
+                    assert _resolver(audience_id, view.user_id)
+
+    def test_codes_interned_after_binding(self):
+        """A bound program never reads stale codes: interning a new
+        attribute, page, or multi column after a bind rebinds it — each
+        kind on its own, so no other vocabulary change can mask a miss."""
+        late_attr, late_page = BINARY_ATTRS[7], PAGES[3]
+        late_multi = list(MULTI_ATTRS)[2]
+        late_value = MULTI_ATTRS[late_multi][3]
+        writes = (
+            lambda store, view: view.binary_attrs.add(late_attr),
+            lambda store, view: store.like_page(view.user_id, late_page),
+            lambda store, view: view.multi_attrs.__setitem__(
+                late_multi, late_value),
+        )
+        rng = random.Random(5)
+        for case in range(60):
+            store, bits = _random_store(rng, users=12)
+            expr = _random_expr(rng, depth=2) & Or((
+                HasAttr(late_attr), LikesPage(late_page),
+                HasAttr(late_multi)))
+            program = lower_spec(expr)
+            cols = store.columns
+            for view in store:
+                assert program.match_row(cols, view.row,
+                                         bits.__getitem__) is False
+            for phase, write in enumerate(writes):
+                for view in store:
+                    if (view.row + case) % len(writes) == phase:
+                        write(store, view)
+                for view in store:
+                    assert program.match_row(
+                        cols, view.row, bits.__getitem__
+                    ) == expr.matches(view, _resolver), (
+                        case, phase, view.user_id)
+
+
+class OpaqueEvenAge(All):
+    """An Expr subclass the lowerer must refuse: ``matches`` is not the
+    base class's."""
+
+    def matches(self, user, resolver=None):
+        return user.age % 2 == 0
 
 
 class TestCompilerMechanics:
-    def test_cache_returns_same_object_for_same_spec(self):
-        a = compile_spec("attr:pc-test-000 & country:US")
-        b = compile_spec(parse("attr:pc-test-000 & country:US"))
+    def test_cache_returns_same_object_for_same_spec(self, world):
+        a = lower_spec("attr:pc-test-000 & country:US")
+        b = lower_spec(parse("attr:pc-test-000 & country:US"))
         assert a is b
-        assert isinstance(a, CompiledSpec)
+        store, _bits = world
+        assert a.bind(store.columns) is a.bind(store.columns)
 
-    def test_spec_compiled_convenience(self):
+    def test_lower_spec_accepts_any_spec_form(self):
         spec = parse("page:page-1 | audience:aud-2")
-        assert spec.compiled() is compile_spec(spec)
+        program = lower_spec(spec)
+        assert lower_spec(spec.expr) is program
+        assert lower_spec(spec.to_string()) is program
 
     def test_anchor_extraction_examples(self):
-        sweep = compile_spec("attr:pc-test-001 & page:page-0")
-        assert sweep.required_attributes == frozenset({"pc-test-001"})
-        assert sweep.required_pages == frozenset({"page-0"})
+        attrs, pages, _ = required_anchors(
+            parse("attr:pc-test-001 & page:page-0").expr)
+        assert attrs == frozenset({"pc-test-001"})
+        assert pages == frozenset({"page-0"})
 
-        exclusion = compile_spec("!attr:pc-test-001 & page:page-0")
-        assert exclusion.required_attributes == frozenset()
-        assert exclusion.required_pages == frozenset({"page-0"})
+        attrs, pages, _ = required_anchors(
+            parse("!attr:pc-test-001 & page:page-0").expr)
+        assert attrs == frozenset()
+        assert pages == frozenset({"page-0"})
 
-        either = compile_spec(
-            "(attr:pc-test-001 & page:page-0) | (attr:pc-test-001 & age:18-24)"
-        )
-        assert either.required_attributes == frozenset({"pc-test-001"})
-        assert either.required_pages == frozenset()
+        attrs, pages, _ = required_anchors(parse(
+            "(attr:pc-test-001 & page:page-0) | "
+            "(attr:pc-test-001 & age:18-24)").expr)
+        assert attrs == frozenset({"pc-test-001"})
+        assert pages == frozenset()
 
-    def test_audience_predicate_uses_resolver(self):
-        compiled = compile_spec("audience:aud-0")
+    def test_tread_shape_binds_to_masks_only(self, world):
+        """Every Tread spec is ``attr:X & page:P``: one mask compare."""
+        store, _bits = world
+        cols = store.columns
+        attr_mask, page_mask, residual = lower_spec(
+            "attr:pc-test-001 & page:page-0").bind(cols)
+        assert residual is None
+        assert attr_mask == 1 << cols.attrs.get("pc-test-001")
+        assert page_mask == 1 << cols.pages.get("page-0")
+
+    def test_audience_predicate_uses_resolver(self, world):
+        store, bits = world
         calls = []
 
-        def resolver(audience_id, user_id):
-            calls.append((audience_id, user_id))
-            return True
+        def resolver(audience_id):
+            calls.append(audience_id)
+            return bits[audience_id]
 
-        user = UserProfile(user_id="u-1")
-        assert compiled.matches(user, resolver)
-        assert calls == [("aud-0", "u-1")]
+        program = lower_spec("audience:aud-0")
+        row = store.row_of("user-3")
+        expected = _resolver("aud-0", "user-3")
+        assert program.match_row(store.columns, row, resolver) == expected
+        assert calls == ["aud-0"]
+
+    def test_unlowerable_subclass_spec_delivers_by_matches(self):
+        with use_registry(MetricsRegistry("compiletest")) as reg:
+            platform = AdPlatform(
+                config=PlatformConfig(name="opaque"),
+                catalog=build_us_catalog(40, 25),
+                competing_draw=zero_competition(),
+            )
+            users = [platform.register_user(age=20 + i) for i in range(6)]
+            account = platform.create_ad_account("adv", budget=10.0)
+            campaign = platform.create_campaign(account.account_id, "c")
+            ad = platform.submit_ad(
+                account.account_id, campaign.campaign_id,
+                AdCreative("h", "b"), TargetingSpec(expr=OpaqueEvenAge()),
+                bid_cap_cpm=10.0)
+            assert lower_spec(ad.targeting) is None
+            platform.run_until_saturated()
+            assert reg.counter("targeting.lower_fallbacks").value >= 1
+        for user in users:
+            delivered = [d.ad_id for d in platform.feed(user.user_id)]
+            assert delivered == ([ad.ad_id] if user.age % 2 == 0 else [])

@@ -1,11 +1,12 @@
-"""Unit tests for user profiles and the user store."""
+"""Unit tests for user profiles and the user store they register into."""
 
 import pytest
 
 from repro.errors import CatalogError, PIIError
 from repro.hashing import hash_pii
 from repro.platform.attributes import make_binary, make_multi
-from repro.platform.users import UserProfile, UserStore
+from repro.platform.colstore import ColumnarUserStore
+from repro.platform.users import UserProfile
 
 BIN = make_binary("b1", "Binary", ("Cat",))
 MULTI = make_multi("m1", "Multi", ("Cat",), values=("x", "y"))
@@ -66,35 +67,35 @@ class TestUserProfile:
 
 class TestUserStore:
     def test_add_and_get(self):
-        store = UserStore()
+        store = ColumnarUserStore()
         store.add(UserProfile(user_id="u1"))
         assert store.get("u1").user_id == "u1"
         assert "u1" in store
         assert len(store) == 1
 
     def test_duplicate_rejected(self):
-        store = UserStore()
+        store = ColumnarUserStore()
         store.add(UserProfile(user_id="u1"))
         with pytest.raises(CatalogError):
             store.add(UserProfile(user_id="u1"))
 
     def test_unknown_get_raises(self):
         with pytest.raises(CatalogError):
-            UserStore().get("ghost")
+            ColumnarUserStore().get("ghost")
 
     def test_pii_index_via_attach(self):
-        store = UserStore()
+        store = ColumnarUserStore()
         store.add(UserProfile(user_id="u1"))
         digest = store.attach_pii("u1", "phone", "617-555-0100")
         assert store.users_matching_pii("phone", digest) == {"u1"}
 
     def test_pii_index_unknown_hash_empty(self):
-        store = UserStore()
+        store = ColumnarUserStore()
         assert store.users_matching_pii("email", "0" * 64) == set()
 
     def test_shared_pii_matches_both_users(self):
         """A household landline can map to two accounts."""
-        store = UserStore()
+        store = ColumnarUserStore()
         store.add(UserProfile(user_id="u1"))
         store.add(UserProfile(user_id="u2"))
         store.attach_pii("u1", "phone", "617-555-0100")
@@ -104,20 +105,20 @@ class TestUserStore:
     def test_preexisting_pii_indexed_on_add(self):
         profile = UserProfile(user_id="u1")
         profile.add_pii("email", "x@y.z")
-        store = UserStore()
+        store = ColumnarUserStore()
         store.add(profile)
         digest = hash_pii("email", "x@y.z")
         assert store.users_matching_pii("email", digest) == {"u1"}
 
     def test_users_with_attribute(self):
-        store = UserStore()
+        store = ColumnarUserStore()
         u1 = store.add(UserProfile(user_id="u1"))
         store.add(UserProfile(user_id="u2"))
         u1.set_attribute(BIN)
         assert [p.user_id for p in store.users_with_attribute("b1")] == ["u1"]
 
     def test_iteration_and_user_ids(self):
-        store = UserStore()
+        store = ColumnarUserStore()
         store.add(UserProfile(user_id="u1"))
         store.add(UserProfile(user_id="u2"))
         assert store.user_ids() == ["u1", "u2"]

@@ -36,11 +36,9 @@ def make_world():
     """
 
     def build(seed: int = 11, users: int = 40,
-              budget: float = 5000.0,
-              columnar: bool = False) -> AdPlatform:
+              budget: float = 5000.0) -> AdPlatform:
         platform = AdPlatform(
-            config=PlatformConfig(name="serve-test",
-                                  columnar_users=columnar),
+            config=PlatformConfig(name="serve-test"),
             catalog=build_us_catalog(platform_count=40, partner_count=25),
             competing_draw=zero_competition(),
         )

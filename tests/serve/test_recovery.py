@@ -375,16 +375,16 @@ class TestColumnarCheckpointBundle:
         from repro.platform.platform import AdPlatform, PlatformConfig
         from repro.serve.sharding import users_columns_path
 
-        platform = make_world(seed=17, columnar=True)
+        platform = make_world(seed=17)
         router = ShardRouter(platform, num_shards=2,
                              competition=KeyedCompetition(seed=7))
-        _serve_round(router, platform)  # columnar serving path works
+        _serve_round(router, platform)
         router.checkpoint_shards(directory=str(tmp_path))
         assert os.path.exists(users_columns_path(str(tmp_path)))
 
         # A fresh, unpopulated columnar world rehydrates the columns.
         fresh = AdPlatform(
-            config=PlatformConfig(name="serve-test", columnar_users=True),
+            config=PlatformConfig(name="serve-test"),
             catalog=build_us_catalog(platform_count=40, partner_count=25),
         )
         fresh_router = ShardRouter(fresh, num_shards=2)
@@ -396,7 +396,8 @@ class TestColumnarCheckpointBundle:
                 sorted(original.attribute_ids())
             assert set(twin.liked_pages) == set(original.liked_pages)
 
-    def test_legacy_bundle_has_no_columns_file(self, make_world, tmp_path):
+    def test_bundle_without_columns_file_is_refused(self, make_world,
+                                                    tmp_path):
         from repro.errors import StoreError
         from repro.serve.sharding import users_columns_path
 
@@ -404,6 +405,6 @@ class TestColumnarCheckpointBundle:
         router = ShardRouter(platform, num_shards=2,
                              competition=KeyedCompetition(seed=7))
         router.checkpoint_shards(directory=str(tmp_path))
-        assert not os.path.exists(users_columns_path(str(tmp_path)))
-        with pytest.raises(StoreError, match="columnar user store"):
+        os.unlink(users_columns_path(str(tmp_path)))
+        with pytest.raises(StoreError, match="no users-columns"):
             router.restore_user_columns(str(tmp_path))

@@ -174,19 +174,13 @@ class TestVerbosityAndVersion:
 
 class TestPopulate:
     def test_columnar_stats_table(self, capsys):
-        assert main(["populate", "--users", "120", "--columnar",
+        assert main(["populate", "--users", "120",
                      "--stats", "--chunk-size", "50"]) == 0
         out = capsys.readouterr().out
         assert "columnar" in out
         assert "120" in out
         assert "column bytes" in out
         assert "dense ids" in out
-
-    def test_legacy_store_points_at_columnar_for_stats(self, capsys):
-        assert main(["populate", "--users", "30", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "legacy" in out
-        assert "rerun with" in out
 
     def test_rejects_nonpositive_users(self, capsys):
         assert main(["populate", "--users", "0"]) == 2

@@ -82,8 +82,21 @@ def test_api_tour_scenario_end_to_end():
     from repro.core.regulator import AdvertiserAuditor  # noqa: F401
     from repro.platform.policy import TreadPatternDetector  # noqa: F401
 
-    # 9. observability (section 8 is the performance model, measured in
-    # benchmarks/): registry swapped in before the platform is built
+    # 8. performance model: one lowering, a row backend per request
+    from repro.platform.targeting import lower_spec, parse, required_anchors
+
+    spec = parse(f"attr:pc-networth-006 & page:{provider.page.page_id}")
+    program = lower_spec(spec)
+    users = platform.users
+    row = users.row_of(user.user_id)
+    assert program.match_row(users.columns, row) == spec.matches(user)
+    attr_mask, page_mask, residual = program.bind(users.columns)
+    assert attr_mask and page_mask and residual is None
+    assert required_anchors(spec.expr) == (
+        frozenset({"pc-networth-006"}),
+        frozenset({provider.page.page_id}), frozenset())
+
+    # 9. observability: registry swapped in before the platform is built
     from repro.obs import export
     from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -199,7 +212,7 @@ def test_api_tour_scenario_end_to_end():
     from repro.workloads.competition import zero_competition
 
     big = AdPlatform(
-        config=PlatformConfig(name="big", columnar_users=True),
+        config=PlatformConfig(name="big"),
         catalog=build_us_catalog(),
         competing_draw=zero_competition(),
     )
@@ -224,8 +237,7 @@ def test_api_tour_scenario_end_to_end():
     from repro.store.store import NullStore
 
     fast = AdPlatform(
-        config=PlatformConfig(name="fast", columnar_users=True,
-                              compact_delivery=True),
+        config=PlatformConfig(name="fast", compact_delivery=True),
         catalog=build_us_catalog(),
         competing_draw=zero_competition(),
         store=NullStore(),
