@@ -8,7 +8,8 @@ Two phases, run for one backend per invocation (CI runs a matrix):
   Fold the surviving journals back into a fresh world twice,
   independently — both folds must be byte-identical, every impression
   record in the journals must appear in the recovered state exactly
-  once (no charge lost, none doubled), and the tenancy journal must
+  once (no charge lost, none doubled), every impression httpgen saw
+  acknowledged must be among them, and the tenancy journal must
   replay to the acknowledged mutations. Restart the gateway over the
   same directory: its live `/v1/state` must equal the fold, the org
   and campaign must be back, and a fresh httpgen run must exit 0.
@@ -233,6 +234,15 @@ def phase_a_kill_drill(backend: str, out_dir: str) -> None:
         f"charge conservation violated: {on_disk} impression records "
         f"journaled, {impressions1} recovered")
     assert impressions1 > 0, "the drill served nothing before the kill"
+    # An acknowledged impression is a journaled one: every impression
+    # httpgen got back in a 2xx must have survived the kill.
+    with open(os.path.join(out_dir, "killdrill-httpgen.json"),
+              encoding="utf-8") as stream:
+        acknowledged = json.load(stream)["tally"]["impressions"]
+    assert acknowledged <= impressions1, (
+        f"acknowledged work lost: httpgen was acked {acknowledged} "
+        f"impressions, the journals recovered {impressions1} "
+        f"({acknowledged - impressions1} short)")
     replayed_orgs = [entry["org_id"] for entry in tenancy1["orgs"]]
     assert org["org_id"] in replayed_orgs, \
         "acknowledged org lost in replay"
@@ -240,7 +250,8 @@ def phase_a_kill_drill(backend: str, out_dir: str) -> None:
               encoding="utf-8") as stream:
         stream.write(report1)
         stream.write("\n")
-    print(f"[phase A] folds agree: {impressions1} impressions, "
+    print(f"[phase A] folds agree: {impressions1} impressions "
+          f"({acknowledged} acknowledged), "
           f"{len(tenancy1['orgs'])} org(s)", flush=True)
 
     gateway = Gateway(journal_dir, backend,

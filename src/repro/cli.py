@@ -188,13 +188,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="user shards (engines + queues)")
         sub.add_argument("--backend", choices=("thread", "process"),
                          default="thread",
-                         help="shard workers: in-process threads "
-                              "(default) or one subprocess per shard "
-                              "over batched IPC")
-        sub.add_argument("--workers", type=int, default=1,
-                         help="worker threads per shard (1 = "
-                              "deterministic replay; process backend "
-                              "requires 1)")
+                         help="shard transport: one in-process worker "
+                              "thread per shard (default) or one "
+                              "subprocess per shard over batched IPC; "
+                              "admission and batching are shared")
         sub.add_argument("--duration", type=float, default=2.0,
                          help="offered-load duration, seconds")
         sub.add_argument("--rps", type=float,
@@ -250,7 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "per-shard journals, and the tenancy "
                               "journal; reusing one recovers it")
     gateway.add_argument("--backend", choices=("thread", "process"),
-                         default="thread")
+                         default="thread",
+                         help="shard transport (see serve --backend); "
+                              "both commit the journal before a reply")
     gateway.add_argument("--shards", type=int, default=4)
     gateway.add_argument("--users", type=int, default=150,
                          help="persona-mix population size")
@@ -661,7 +660,6 @@ def _build_serving_world(args: argparse.Namespace
         platform,
         RuntimeConfig(
             num_shards=args.shards,
-            workers_per_shard=args.workers,
             queue_capacity=args.queue_capacity,
             backend=args.backend,
             telemetry_interval_s=_telemetry_interval_for(args),
@@ -745,7 +743,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     quantiles = report.percentiles()
     tally = report.tally
     rows = [
-        ("shards x workers", f"{args.shards} x {args.workers}"),
+        # One worker (thread or process) per shard.
+        ("shards x workers", f"{args.shards} x 1"),
         ("backend", args.backend),
         ("offered / achieved rps",
          f"{report.config.rps:.0f} / {report.achieved_rps:.0f}"),
@@ -1179,7 +1178,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             shards=args.shards,
             backend=args.backend,
             queue_capacity=args.queue_capacity,
-            workers=1,
             deadline_ms=args.deadline_ms,
         )
         save_manifest(args.journal_dir, manifest)

@@ -50,7 +50,6 @@ class WorldManifest:
     shards: int = 4
     backend: str = "thread"
     queue_capacity: int = 256
-    workers: int = 1
     deadline_ms: Optional[float] = None
 
     def to_dict(self) -> dict:
@@ -58,7 +57,11 @@ class WorldManifest:
 
     @staticmethod
     def from_dict(data: dict) -> "WorldManifest":
-        return WorldManifest(**data)
+        # Older manifests carry "workers": 1 (the retired threads-per-
+        # shard knob, always 1 in a manifest); drop it on load.
+        fields = {key: value for key, value in data.items()
+                  if key != "workers"}
+        return WorldManifest(**fields)
 
 
 def manifest_path(journal_dir: str) -> str:
@@ -116,7 +119,6 @@ def build_runtime(platform: AdPlatform, manifest: WorldManifest,
         platform,
         RuntimeConfig(
             num_shards=manifest.shards,
-            workers_per_shard=manifest.workers,
             queue_capacity=manifest.queue_capacity,
             backend=manifest.backend,
             journal_dir=journal_dir,

@@ -224,8 +224,8 @@ SPANS: Dict[str, str] = {
     "serve.request": "One request, admission to resolved result.",
     "serve.queue_wait": "Time a request sat in its shard queue.",
     "serve.engine": "One request's delivery pass on the serving shard.",
-    "serve.ipc_roundtrip": "One framed batch round-trip to a shard "
-                           "worker process.",
+    "serve.ipc_roundtrip": "One batch round-trip to a shard worker "
+                           "(its thread or its process).",
     "loadgen.run": "One open-loop load-generation run.",
     "gateway.request": "One HTTP request: parse, route, handle, "
                        "response queued.",

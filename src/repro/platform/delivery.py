@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import logging
 import numbers
-from collections import Counter, defaultdict
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -65,7 +65,6 @@ from repro.platform.billing import BillingLedger
 from repro.platform.colstore import ColumnarUserStore, UserColumns, UserView
 from repro.platform.targeting import bind_key, lower_spec, required_anchors
 from repro.store.records import (
-    CapIncremented,
     ChangeRecord,
     ClickRecorded,
     ImpressionRecorded,
@@ -253,7 +252,7 @@ class DeliveryEngine:
 
     store_name = "delivery"
     handled_kinds: Tuple[str, ...] = (
-        ImpressionRecorded.kind, ClickRecorded.kind, CapIncremented.kind,
+        ImpressionRecorded.kind, ClickRecorded.kind,
     )
 
     def __init__(
@@ -1307,16 +1306,6 @@ class DeliveryEngine:
             self._clicks_by_ad.get(click.ad_id, 0) + 1
         )
 
-    def _apply_cap(self, record: CapIncremented) -> None:
-        """Fold a bare cap adjustment (migration-only; see
-        :class:`repro.store.records.CapIncremented`)."""
-        key = (record.ad_id, record.user_id)
-        shown = self._shown_counts.get(key, 0) + record.count
-        self._shown_counts[key] = shown
-        if shown >= self.frequency_cap:
-            self._capped_for_user.setdefault(
-                record.user_id, set()).add(record.ad_id)
-
     def clicks(self) -> List[Click]:
         """Platform-internal click log, in click order."""
         self._require_full_logs("clicks")
@@ -1399,24 +1388,6 @@ class DeliveryEngine:
                 "serving session"
             )
 
-    def _extra_caps(
-        self,
-        impressions: Sequence[Impression],
-        shown_counts: Dict[Tuple[str, str], int],
-    ) -> List[List[object]]:
-        """Cap counts beyond what ``impressions`` imply, sorted for
-        deterministic dumps. Empty for any state this engine delivered
-        itself; non-empty only after a bare-cap import."""
-        implied = Counter(
-            (imp.ad_id, imp.user_id) for imp in impressions
-        )
-        extras: List[List[object]] = []
-        for key in sorted(shown_counts):
-            excess = shown_counts[key] - implied.get(key, 0)
-            if excess > 0:
-                extras.append([key[0], key[1], excess])
-        return extras
-
     def export_state(
         self, user_ids: Optional[Set[str]] = None
     ) -> Dict[str, Any]:
@@ -1426,35 +1397,29 @@ class DeliveryEngine:
         is giving up and importing them elsewhere preserves every
         engine-level invariant (deliver-once via the cap counts, exact
         reporting via the logs). The export is JSON-safe — impressions
-        and clicks as their journal-record dicts, caps beyond those the
-        impressions imply as explicit ``extra_caps`` — because it is
-        also the engine's snapshot section (see :meth:`state_dump`);
-        feeds are not exported, they are rebuilt from the impressions
-        and the shared inventory on import.
+        and clicks as their journal-record dicts — because it is also
+        the engine's snapshot section (see :meth:`state_dump`). Cap
+        counts and feeds are not exported: import rebuilds both from
+        the impressions (and the shared inventory).
         """
         self._require_full_logs("export state")
         if user_ids is None:
             impressions: List[Impression] = self._impressions
             clicks: List[Click] = self._clicks
-            shown = self._shown_counts
         else:
             impressions = [i for i in self._impressions
                            if i.user_id in user_ids]
             clicks = [c for c in self._clicks if c.user_id in user_ids]
-            shown = {key: count
-                     for key, count in self._shown_counts.items()
-                     if key[1] in user_ids}
         return {
             "impressions": [record_to_dict(i) for i in impressions],
             "clicks": [record_to_dict(c) for c in clicks],
-            "extra_caps": self._extra_caps(impressions, shown),
         }
 
     def import_state(self, state: Dict[str, Any]) -> None:
         """Merge exported per-user state into this engine, journaling it.
 
         The migration hook behind :meth:`repro.serve.ShardRouter.rebalance`:
-        each imported impression/click/cap is appended to this engine's
+        each imported impression/click is appended to this engine's
         store (the receiving journal must account for every unit of
         state it holds, or crash recovery after a migration would lose
         it) and folded through the same ``_apply_*`` path as live
@@ -1468,6 +1433,14 @@ class DeliveryEngine:
         self._fold_state(state, journal=True)
 
     def _fold_state(self, state: Dict[str, Any], journal: bool) -> None:
+        if state.get("extra_caps"):
+            # Dumps once carried an (always empty) ``extra_caps`` list of
+            # cap counts beyond what the impressions imply; no engine
+            # ever wrote a non-empty one, so one is foreign input.
+            raise StoreError(
+                "delivery state carries cap counts beyond its "
+                "impressions (extra_caps); every cap must come from an "
+                "impression record")
         for data in state.get("impressions", []):
             record = record_from_dict(dict(data))
             if not isinstance(record, ImpressionRecorded):
@@ -1486,12 +1459,6 @@ class DeliveryEngine:
             if journal:
                 self._store.append(record)
             self._apply_click(record)
-        for ad_id, user_id, count in state.get("extra_caps", []):
-            cap = CapIncremented(ad_id=ad_id, user_id=user_id,
-                                 count=int(count))
-            if journal:
-                self._store.append(cap)
-            self._apply_cap(cap)
 
     # -- state owner ---------------------------------------------------------
 
@@ -1546,8 +1513,6 @@ class DeliveryEngine:
             self._apply_impression(record)
         elif isinstance(record, ClickRecorded):
             self._apply_click(record)
-        elif isinstance(record, CapIncremented):
-            self._apply_cap(record)
         else:
             raise StoreError(
                 f"delivery cannot apply record kind {record.kind!r}")

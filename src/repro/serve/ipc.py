@@ -1,11 +1,14 @@
 """Process-per-shard IPC: the framing codec, the parent-side channel,
 and the shard worker loop.
 
-The thread backend proved shard-count invariance but buys no CPU — every
-shard worker contends for one GIL. This module is the escape hatch: each
-shard's delivery engine, billing ledger, and journal move into a forked
-worker process, and the parent speaks to it over a socketpair using a
-length-prefixed, batched request/response framing.
+The thread transport serves every shard inside the runtime's process,
+where all shards contend for one GIL. This module is the other
+transport: each shard's delivery engine, billing ledger, and journal
+move into a forked worker process, and the parent speaks to it over a
+socketpair using a length-prefixed, batched request/response framing.
+Everything above the transport — admission, batching, the batch
+function :meth:`~repro.serve.sharding.Shard.serve_batch` itself — is
+the same code on both.
 
 Division of labour (the whole point of the design):
 
@@ -19,10 +22,11 @@ Division of labour (the whole point of the design):
   arrive and resolved in the order their frames were sent. No parent
   thread ever blocks on a worker.
 * **Worker** — delivery. One single-threaded loop: receive a batch
-  frame, serve it under one engine serving session, group-commit the
-  journal, answer with per-request outcomes. The worker owns the
-  shard's ``shard-i-of-n`` journal/snapshot files; flushing before every
-  acknowledgement means a ``kill -9`` can never lose acknowledged work.
+  frame, hand it to ``Shard.serve_batch`` (one engine serving session,
+  then a group commit of the journal), answer with per-request
+  outcomes. The worker owns the shard's ``shard-i-of-n``
+  journal/snapshot files; flushing before every acknowledgement means
+  a ``kill -9`` can never lose acknowledged work.
 
 Wire format: every message is one frame — a 4-byte big-endian body
 length, then a body of ``(payload length, buffer count)``, one 8-byte
@@ -63,7 +67,6 @@ import socket
 import struct
 from collections import deque
 from multiprocessing import get_context
-from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -83,7 +86,7 @@ from repro.store.store import JournalStore, MemoryStore, StateStore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     import asyncio
 
-    from repro.serve.sharding import Shard, ShardRouter
+    from repro.serve.sharding import ShardRouter
 
 _log = logging.getLogger("repro.serve.ipc")
 
@@ -660,7 +663,6 @@ def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
             # start from this snapshot, not from a journal-only fold.
             store.checkpoint(label="seed").save(shard_snapshot_path(
                 journal_dir, index, num_shards))
-    service_hist = _metrics.registry().histogram("serve.service_time_s")
     framer = Framer(child_sock)
     users = router.platform.users
     try:
@@ -673,13 +675,10 @@ def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
                 store.close()
                 return
             if op == OP_SERVE:
-                replies = _serve_in_child(shard, users, payload,
-                                          service_hist)
-                # Group-commit the batch before acknowledging: an acked
+                # serve_batch group-commits before it returns: an acked
                 # outcome is always journal-backed, so SIGKILL between
                 # batches loses nothing the parent was told about.
-                store.flush()
-                framer.send(("ok", replies))
+                framer.send(("ok", shard.serve_batch(users, payload)))
             elif op == OP_CHECKPOINT:
                 snapshot = store.checkpoint(
                     label=payload["label"] or f"shard-{index}")
@@ -715,62 +714,3 @@ def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
         store.close()
     finally:
         framer.close()
-
-
-def _serve_in_child(shard: "Shard", users: Any,
-                    batch: List[ServeFrameItem],
-                    service_hist: Any) -> List[ServeReplyItem]:
-    """Serve one batch inside the worker; per-request error fencing.
-
-    Slot indices were claimed by the parent at admission; the worker
-    journals a *bridging* claim up to ``base_seq + slots`` so its
-    journal-consistent counter absorbs any gap left by requests the
-    parent shed or timed out (which never reach this process at all).
-
-    Each frame item carries the submitting process's request-span
-    context; when tracing is on, the per-request ``serve.engine`` span
-    parents under it — that is the link that makes the merged trace
-    nest across the process boundary.
-    """
-    trc = _tracing.tracer()
-    replies: List[ServeReplyItem] = []
-    with shard.lock, \
-            trc.span("serve.batch", shard=shard.index,
-                     batch_size=len(batch)), \
-            shard.engine.serving_session():
-        for user_id, base_seq, slots, trace_ctx in batch:
-            started = perf_counter()
-            span = None
-            if trc.enabled:
-                parent = (_tracing.SpanContext(*trace_ctx)
-                          if trace_ctx is not None else None)
-                span = trc.begin_span("serve.engine",
-                                      parent_context=parent,
-                                      user_id=user_id, slots=slots)
-            try:
-                shard.claim_through(user_id, base_seq + slots)
-                user = users.get(user_id)
-                outcomes = shard.serve_user_slots(user, base_seq, slots)
-                ad_ids = []
-                lost = 0
-                unfilled = 0
-                for outcome in outcomes:
-                    if outcome.won:
-                        ad_ids.append(outcome.winner.ad_id)
-                    elif outcome.competing_bid > 0:
-                        lost += 1
-                    else:
-                        unfilled += 1
-                service_s = perf_counter() - started
-                service_hist.observe(service_s)
-                if span is not None:
-                    trc.finish_span(span, served=True)
-                replies.append((True, tuple(ad_ids), lost, unfilled,
-                                None, service_s))
-            except Exception as exc:  # noqa: BLE001 - per-request fence
-                if span is not None:
-                    trc.finish_span(span, served=False)
-                replies.append((False, (), 0, 0,
-                                f"{type(exc).__name__}: {exc}",
-                                perf_counter() - started))
-    return replies

@@ -1,67 +1,65 @@
-"""The serving runtime: shard queues, micro-batching, admission.
+"""The serving runtime: shard backlogs, micro-batching, admission.
 
 Request lifecycle::
 
-    submit() ──hash──> shard queue ──worker──> micro-batch ──> SERVED
-        │ queue full                  │ deadline expired
-        └──> SHED (no work done)      └──> TIMEOUT (no work done)
+    submit() ──hash──> shard backlog ──flush──> micro-batch ──> SERVED
+        │ backlog full                  │ deadline expired
+        └──> SHED (no work done)        └──> TIMEOUT (no work done)
 
 Admission control happens at the two points where refusing is still
-cheap: a full shard queue sheds at submit time (backpressure — the
-bounded queue *is* the overload signal), and an expired deadline sheds
-at dequeue time (serving an answer the page stopped waiting for is pure
-waste). Both paths skip the delivery engine entirely; only requests
-that survive admission cost real work, which is what keeps latency
-bounded under overload instead of collapsing.
+cheap: a full shard backlog sheds at submit time (backpressure — the
+bounded backlog *is* the overload signal), and an expired deadline
+sheds when its batch is cut (serving an answer the page stopped
+waiting for is pure waste). Both paths skip the delivery engine
+entirely; only requests that survive admission cost real work, which
+is what keeps latency bounded under overload instead of collapsing.
 
-Each shard's queue drains in FIFO order, coalescing up to ``max_batch``
-waiting requests into one delivery pass under the shard lock, inside
-one engine serving session — so the audience snapshot and match cache
-amortize across the batch the same way they do across a
-``run_sessions`` round.
+One serving path, two transports. Every shard has a bounded backlog
+deque and at most one batch in flight. ``submit`` appends to the deque
+and, when no batch is in flight for that shard, schedules one flush on
+the runtime's event loop; the flush deadline-checks what has
+accumulated (up to ``max_batch``) and hands the survivors to
+:meth:`~repro.serve.sharding.Shard.serve_batch`; the reply resolves
+that batch and cuts the next one from whatever arrived meanwhile. The
+transport — picked in one place, ``_send_batch`` — is all that differs
+between backends: ``backend="thread"`` runs the batch on the shard's
+own worker thread in this process (GIL-bound — fine for determinism
+tests, flat for throughput) and posts the outcomes back to the loop;
+``backend="process"`` frames it to one forked worker process per shard
+over a :class:`~repro.serve.ipc.ShardChannel`. Admission, shedding,
+deadlines and slot-claim sequencing stay in this process either way,
+so overload never costs a worker anything.
 
-Determinism contract: with ``workers_per_shard=1`` (the default), each
-user's requests are served in submission order (user→shard affinity +
-FIFO queue + single consumer), and competing bids are keyed per
-``(user, slot)`` — so a fixed request sequence yields byte-identical
-delivery reports for any shard count (``tests/serve/``). Raising
-``workers_per_shard`` buys throughput by letting batches from the same
-shard's queue interleave, which trades that replay guarantee away;
-aggregate invariants (caps, deliver-iff-match) still hold because the
-shard lock keeps each engine single-entrant.
+Determinism contract: each user's requests are served in submission
+order (user→shard affinity + FIFO backlog + one batch in flight per
+shard), and competing bids are keyed per ``(user, slot)`` — so a fixed
+request sequence yields byte-identical delivery reports for any shard
+count and either backend (``tests/serve/``).
 
-Two backends, one admission plane. ``backend="thread"`` drains each
-shard's queue with in-process worker threads (GIL-bound — fine for
-determinism tests, flat for throughput). ``backend="process"`` forks
-one worker process per shard and drives all of them from one asyncio
-event loop, with no thread per shard: each shard has a pending deque
-and a :class:`~repro.serve.ipc.ShardChannel`. ``submit`` appends to the
-deque and, when no batch is in flight for that shard, schedules one
-flush; the flush deadline-checks what has accumulated (up to
-``max_batch``) and frames it to the worker; the reply resolves that
-batch and frames the next one from whatever arrived meanwhile. One
-batch in flight per shard keeps the single-consumer FIFO order above,
-so the two backends produce byte-identical delivery reports, and
-admission, shedding, deadlines and slot-claim sequencing stay in the
-parent — overload never costs a worker process anything.
+Durability: ``serve_batch`` group-commits the shard's store before it
+returns, so on both transports an acknowledged (SERVED) request's
+journal records are pushed to the OS before its result resolves — a
+crash of the serving process loses no acknowledged work. Surviving
+power loss additionally needs a store opened with ``fsync=True``.
 
 The loop runs on one runtime-owned IO thread
-(:meth:`ServingRuntime.io_loop`), started on first use — after the
-workers forked — and stopped with the runtime. Callers differ only in
-where their own code runs: ``repro loadgen``, ``repro serve`` and
-:meth:`ServingRuntime.serve_and_wait` submit from their own thread and
-hop onto the loop once per idle shard; the gateway runs its HTTP server
-on the same loop, so an ad request is parsed, admitted, framed,
-resolved and answered without crossing a thread.
+(:meth:`ServingRuntime.io_loop`), started on first use — after any
+worker processes forked — and stopped with the runtime. Callers differ
+only in where their own code runs: ``repro loadgen``, ``repro serve``
+and :meth:`ServingRuntime.serve_and_wait` submit from their own thread
+and hop onto the loop once per idle shard; the gateway runs its HTTP
+server on the same loop, so an ad request is parsed, admitted,
+batched, resolved and answered without crossing a thread on the
+process backend (and with one hop to the shard thread and back on the
+thread backend).
 """
 
 from __future__ import annotations
 
 import logging
-import queue
 import threading
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import (
@@ -106,7 +104,7 @@ from repro.store.store import NullStore, StateStore
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported where used at run time: asyncio loads the ssl stack
     # (~3 MB RSS per process), which paths that never open the event
-    # loop — the sweep, the thread backend behind no gateway — skip.
+    # loop — the sweep, a runtime that never serves — skip.
     import asyncio
 
 #: Valid values for :attr:`RuntimeConfig.backend`.
@@ -119,13 +117,9 @@ _log = logging.getLogger("repro.serve.runtime")
 class RuntimeConfig:
     """Tuning knobs for :class:`ServingRuntime` (see ``docs/serving.md``)."""
 
-    #: Number of user shards (engines, queues, worker pools).
+    #: Number of user shards (engines, backlogs, workers).
     num_shards: int = 4
-    #: Worker threads per shard. 1 (default) preserves per-user request
-    #: order and therefore shard-count-invariant replay; more trades
-    #: that for throughput.
-    workers_per_shard: int = 1
-    #: Bounded shard queue size; submissions beyond it are SHED.
+    #: Bounded shard backlog size; submissions beyond it are SHED.
     queue_capacity: int = 256
     #: Max requests coalesced into one delivery pass.
     max_batch: int = 32
@@ -138,10 +132,12 @@ class RuntimeConfig:
     #: :meth:`ServingRuntime.recover_shard`. ``None`` keeps shard state
     #: in memory.
     journal_dir: Optional[str] = None
-    #: ``"thread"`` serves from in-process shard workers (the GIL-bound
-    #: default); ``"process"`` forks one worker process per shard and
-    #: serves over batched IPC frames — true multi-core scale-out with
-    #: admission control still in the parent (``docs/serving.md``).
+    #: The transport that carries each admitted batch to its shard:
+    #: ``"thread"`` (default) runs it on one in-process worker thread
+    #: per shard (GIL-bound); ``"process"`` frames it to one forked
+    #: worker process per shard — true multi-core scale-out. Admission,
+    #: batching and the commit-before-reply rule are the same code on
+    #: both (``docs/serving.md``).
     backend: str = "thread"
     #: When set, a telemetry thread samples the live registry (and, on
     #: the process backend, polls every worker's registry + finished
@@ -155,8 +151,6 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("need at least one shard")
-        if self.workers_per_shard < 1:
-            raise ValueError("need at least one worker per shard")
         if self.queue_capacity < 1:
             raise ValueError("queue capacity must be positive")
         if self.max_batch < 1:
@@ -165,11 +159,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got "
                 f"{self.backend!r}")
-        if self.backend == "process" and self.workers_per_shard != 1:
-            raise ValueError(
-                "the process backend serves each shard from one "
-                "single-threaded worker process; workers_per_shard "
-                "must be 1")
         if self.telemetry_interval_s is not None \
                 and self.telemetry_interval_s <= 0:
             raise ValueError("telemetry interval must be positive")
@@ -203,10 +192,10 @@ class _QueuedRequest:
 
 
 class _ShardStats:
-    """Parent-side live outcome counts for one shard.
+    """Runtime-side live outcome counts for one shard.
 
-    The process backend resolves every result in the parent, so these
-    run during the run even while the worker's own registry is remote;
+    Every result resolves in the runtime's process, so these run during
+    the run even while a worker process's own registry is remote;
     updates are single GIL-coalesced adds on the resolve path (same
     guarantee as the registry's instruments).
     """
@@ -285,16 +274,21 @@ class ServingRuntime:
         self.platform = platform
         self._process = process
         self._reset_queues(self.router.num_shards)
-        self._workers: List[threading.Thread] = []
+        #: The shard workers once spawned: one single-thread executor
+        #: per shard (thread backend), or one worker process's channel
+        #: per shard (process backend).
+        self._workers: List[ThreadPoolExecutor] = []
         self._clients: List[_ipc.ShardChannel] = []
+        #: True from spawn_workers() to stop(): flushes may run.
+        self._spawned = False
         #: True once the shadow shards hold state worker processes must
         #: inherit (after a merge-back, recovery, or rebalance) — the
         #: signal to seed freshly spawned workers.
         self._shadow_dirty = False
         self._stop = threading.Event()
         self._running = False
-        #: Set while the process backend winds down: flushes stop
-        #: framing new batches.
+        #: Set while the runtime winds down: flushes stop cutting new
+        #: batches.
         self._closing = False
         self._pending = 0
         self._pending_cond = threading.Condition()
@@ -324,19 +318,12 @@ class ServingRuntime:
         self._m_depth = reg.gauge("serve.queue_depth")
         self._m_batch = reg.histogram("serve.batch_size")
         self._m_latency = reg.histogram("serve.request_latency_s")
-        self._m_service = reg.histogram("serve.service_time_s")
         self._m_polls = reg.counter("serve.telemetry_polls")
         self._m_spans_merged = reg.counter("serve.trace_spans_merged")
 
     def _reset_queues(self, num_shards: int) -> None:
-        """Fresh per-shard admission state: the thread backend's bounded
-        queues, or the process backend's pending deques with their
-        flush-scheduled / batch-in-flight flags."""
-        if self._process:
-            self._queues: List["queue.Queue[_QueuedRequest]"] = []
-        else:
-            self._queues = [queue.Queue(maxsize=self.config.queue_capacity)
-                            for _ in range(num_shards)]
+        """Fresh per-shard admission state: the bounded backlog deques
+        with their flush-scheduled / batch-in-flight flags."""
         self._backlogs: List[Deque[_QueuedRequest]] = [
             deque() for _ in range(num_shards)]
         self._flush_due = [False] * num_shards
@@ -351,10 +338,10 @@ class ServingRuntime:
         return self._running
 
     def start(self, spawn_workers: bool = True) -> "ServingRuntime":
-        """Open for admission; spawn the shard worker pools.
+        """Open for admission; spawn the shard workers.
 
         ``spawn_workers=False`` opens admission without consumers —
-        queues fill and shed deterministically, which is how the
+        backlogs fill and shed deterministically, which is how the
         overload tests exercise backpressure without racing real
         workers; call :meth:`spawn_workers` afterwards to serve
         whatever was admitted.
@@ -362,7 +349,6 @@ class ServingRuntime:
         if self._running:
             raise RuntimeError("runtime already started")
         self._stop.clear()
-        self._workers = []
         self._closing = False
         self._running = True
         if spawn_workers:
@@ -377,23 +363,29 @@ class ServingRuntime:
         return self
 
     def spawn_workers(self) -> None:
-        if self._workers or self._clients:
+        """Start one worker per shard: a thread, or a forked process.
+
+        Requests admitted before the spawn are batched as soon as the
+        loop sees the new workers.
+        """
+        if self._spawned:
             raise RuntimeError("workers already spawned")
         if self._process:
             self._spawn_process_workers()
-            return
-        for shard in self.router.shards:
-            for worker_index in range(self.config.workers_per_shard):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    args=(shard, self._queues[shard.index]),
-                    name=f"serve-shard{shard.index}-w{worker_index}",
-                    daemon=True,
-                )
-                thread.start()
-                self._workers.append(thread)
-        _log.info("serving runtime started: %d shards x %d workers",
-                  self.router.num_shards, self.config.workers_per_shard)
+        else:
+            self._workers = [
+                ThreadPoolExecutor(
+                    max_workers=1,
+                    thread_name_prefix=f"serve-shard{shard.index}")
+                for shard in self.router.shards]
+        _log.info("serving runtime started: %d %s shard workers",
+                  self.router.num_shards, self.config.backend)
+        self._spawned = True
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(self._attach_channels,
+                                            self._loop)
+        elif any(self._backlogs):
+            self.io_loop()
 
     def _spawn_process_workers(self) -> None:
         """Fork one worker process per shard and open its channel.
@@ -402,8 +394,7 @@ class ServingRuntime:
         IO loop is created on first use, after this — and workers are
         seeded from the shadow shards' checkpoints only once those
         shadows actually hold state: a first spawn starts empty and
-        cheap. Requests admitted before the spawn are framed as soon
-        as a loop drives the new channels.
+        cheap.
         """
         for shard in self.router.shards:
             seed_state = (shard.store.checkpoint(label="spawn-seed").state
@@ -411,13 +402,6 @@ class ServingRuntime:
             self._clients.append(_ipc.spawn_shard_worker(
                 self.router, shard.index, self.config.journal_dir,
                 seed_state))
-        _log.info("serving runtime started: %d shard worker processes",
-                  self.router.num_shards)
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._attach_channels,
-                                            self._loop)
-        elif any(self._backlogs):
-            self.io_loop()
 
     def stop(self, drain: bool = True,
              timeout: Optional[float] = 30.0) -> None:
@@ -432,20 +416,25 @@ class ServingRuntime:
         """
         if not self._running:
             return
-        if drain and (self._workers or self._clients):
+        if drain and self._spawned:
             self.drain(timeout=timeout)
         self._stop.set()
-        for thread in self._workers:
-            thread.join(timeout=timeout)
-        self._workers = []
         if self._telemetry_thread is not None:
             self._telemetry_thread.join(timeout=timeout)
             self._telemetry_thread = None
+        self._closing = True
+        self._flush_unserved()
         if self._clients:
+            # Each stop frame queues behind that worker's batch in
+            # flight, if any.
             self._merge_back_workers(
                 self._run_on_loop(self._stop_channels(timeout)))
-        else:
-            self._flush_unserved()
+        for worker in self._workers:
+            # A batch still in flight finishes and posts its reply to
+            # the loop, ahead of the loop's own stop below.
+            worker.shutdown()
+        self._workers = []
+        self._spawned = False
         self._close_loop(timeout)
         for shard in self.router.shards:
             shard.store.flush()
@@ -507,13 +496,6 @@ class ServingRuntime:
                 backlog = self._backlogs[shard.index]
                 unserved.extend(backlog)
                 backlog.clear()
-            if not self._process:
-                shard_queue = self._queues[shard.index]
-                while True:
-                    try:
-                        unserved.append(shard_queue.get_nowait())
-                    except queue.Empty:
-                        break
             for item in unserved:
                 self._m_depth.dec()
                 self._m_timeout.inc()
@@ -555,11 +537,12 @@ class ServingRuntime:
         """The runtime's event loop, running on its own IO thread.
 
         Started on first use — after :meth:`start` forked any worker
-        processes — and stopped by :meth:`stop`. On the process backend
-        it watches every worker channel and frames every batch; a
-        caller that runs its own asyncio code on it (the gateway's HTTP
-        server) submits without crossing a thread, and :meth:`submit`
-        made on this loop returns an ``asyncio.Future`` of it.
+        processes — and stopped by :meth:`stop`. It cuts every batch and
+        resolves every reply (on the process backend it also watches
+        every worker channel); a caller that runs its own asyncio code
+        on it (the gateway's HTTP server) submits without crossing a
+        thread, and :meth:`submit` made on this loop returns an
+        ``asyncio.Future`` of it.
         """
         loop = self._loop
         if loop is not None:
@@ -573,16 +556,17 @@ class ServingRuntime:
                 self._attach_channels(loop)
                 self._io_thread = threading.Thread(
                     target=loop.run_forever, name="serve-io", daemon=True)
-                self._io_thread.start()
+                # Published before it runs: batches it cuts read it.
                 self._loop = loop
+                self._io_thread.start()
             return self._loop
 
     def _attach_channels(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Watch every channel from ``loop`` and flush every shard that
-        admitted work before its worker existed."""
+        """Watch every worker channel from ``loop`` and flush every shard
+        that admitted work before its worker existed."""
         for channel in self._clients:
             channel.attach(loop)
-        if not self._clients:
+        if not self._spawned:
             return
         for index, backlog in enumerate(self._backlogs):
             with self._submit_locks[index]:
@@ -646,11 +630,7 @@ class ServingRuntime:
 
     async def _stop_channels(self, timeout: Optional[float]
                              ) -> List[object]:
-        """Wind the process backend down on its loop: resolve what never
-        went out as TIMEOUT, then stop every worker (each stop frame
-        queues behind that worker's outstanding batch)."""
-        self._closing = True
-        self._flush_unserved()
+        """Stop every worker process; their final replies in order."""
         replies = await self._control_all(_ipc.OP_STOP, None,
                                           self._clients, timeout)
         for channel in self._clients:
@@ -711,7 +691,7 @@ class ServingRuntime:
             for index, stats in enumerate(self._shard_stats):
                 prefix = f"serve.shard{index}"
                 extra_scalars[f"{prefix}.queue_depth"] = float(
-                    self._queue_depth(index))
+                    len(self._backlogs[index]))
                 extra_scalars[f"{prefix}.served"] = float(stats.served)
                 extra_scalars[f"{prefix}.shed"] = float(stats.shed)
                 extra_scalars[f"{prefix}.timeout"] = float(stats.timeout)
@@ -728,11 +708,6 @@ class ServingRuntime:
             except Exception:  # noqa: BLE001 - listeners are fenced
                 _log.exception("telemetry listener failed")
         return sample
-
-    def _queue_depth(self, index: int) -> int:
-        if self._process:
-            return len(self._backlogs[index])
-        return self._queues[index].qsize()
 
     def live_metrics(self) -> _metrics.MetricsRegistry:
         """The run's counters *as of now*, merged across processes.
@@ -832,7 +807,7 @@ class ServingRuntime:
         """Admit one request; never blocks.
 
         The returned future always resolves to a :class:`ServeResult`
-        — a full shard queue resolves it immediately as SHED. Called on
+        — a full shard backlog resolves it immediately as SHED. Called on
         the runtime's :meth:`io_loop` it is an ``asyncio.Future`` of
         that loop; from any other thread, a
         ``concurrent.futures.Future``.
@@ -852,15 +827,14 @@ class ServingRuntime:
         span = None
         if trc.enabled:
             # Off-stack: the span begins on the submitting thread and
-            # finishes wherever the result resolves (a shard worker
-            # thread, the event loop, or shutdown). A fresh trace id
-            # makes it the root of this request's trace; the enclosing
-            # loadgen.run span (if any) still parents it.
+            # finishes wherever the result resolves (the event loop, or
+            # shutdown). A fresh trace id makes it the root of this
+            # request's trace; the enclosing loadgen.run span (if any)
+            # still parents it.
             span = trc.begin_span(
                 "serve.request", trace_id=trc.new_trace_id(),
                 user_id=request.user_id, shard=index,
                 slots=request.slots)
-        schedule = False
         with self._submit_locks[index]:
             # Slot indices are claimed at admission, under the submit
             # lock, so the competing-bid key for each of this user's
@@ -877,23 +851,8 @@ class ServingRuntime:
                 enqueued_at=perf_counter(),
                 span=span,
             )
-            if self._process:
-                backlog = self._backlogs[index]
-                admitted = len(backlog) < self.config.queue_capacity
-                if admitted:
-                    backlog.append(item)
-                    schedule = (bool(self._clients)
-                                and not self._flush_due[index]
-                                and not self._in_flight[index])
-                    if schedule:
-                        self._flush_due[index] = True
-            else:
-                try:
-                    self._queues[index].put_nowait(item)
-                    admitted = True
-                except queue.Full:
-                    admitted = False
-            if not admitted:
+            backlog = self._backlogs[index]
+            if len(backlog) >= self.config.queue_capacity:
                 self._m_shed.inc()
                 self._resolve(item, ServeResult(
                     request=request,
@@ -901,6 +860,11 @@ class ServingRuntime:
                     shard_index=index,
                 ), count_pending=False)
                 return future
+            backlog.append(item)
+            schedule = (self._spawned and not self._flush_due[index]
+                        and not self._in_flight[index])
+            if schedule:
+                self._flush_due[index] = True
         with self._pending_cond:
             self._pending += 1
         self._m_depth.inc()
@@ -918,32 +882,13 @@ class ServingRuntime:
         futures = [self.submit(request) for request in requests]
         return [future.result(timeout=timeout) for future in futures]
 
-    # -- the thread backend ------------------------------------------------
-
-    def _worker_loop(self, shard: Shard,
-                     shard_queue: "queue.Queue[_QueuedRequest]") -> None:
-        """Drain one shard's queue into in-process micro-batches."""
-        while True:
-            try:
-                first = shard_queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            batch = [first]
-            while len(batch) < self.config.max_batch:
-                try:
-                    batch.append(shard_queue.get_nowait())
-                except queue.Empty:
-                    break
-            self._serve_batch(shard, batch)
+    # -- the serving path: one batch in flight per shard ------------------
 
     def _admit_batch(self, shard: Shard,
                      batch: List[_QueuedRequest]) -> List[_QueuedRequest]:
         """Deadline-check a dequeued batch; expired requests resolve as
-        TIMEOUT here, before any delivery work — and, on the process
-        backend, before any IPC: overload costs the worker process
-        nothing."""
+        TIMEOUT here, before any delivery work or transport hop:
+        overload costs the shard worker nothing."""
         self._m_depth.dec(len(batch))
         trc = _tracing.tracer()
         now = perf_counter()
@@ -971,84 +916,6 @@ class ServingRuntime:
                 live.append(item)
         return live
 
-    def _serve_batch(self, shard: Shard,
-                     batch: List[_QueuedRequest]) -> None:
-        live = self._admit_batch(shard, batch)
-        if not live:
-            return
-        self._m_batch.observe(len(live))
-        trc = _tracing.tracer()
-        # Tracer span stacks are thread-local, so every worker thread
-        # emits its batch spans concurrently without cross-linking.
-        with shard.lock, \
-                trc.span("serve.batch", shard=shard.index,
-                         batch_size=len(live)), \
-                shard.engine.serving_session():
-            for item in live:
-                started = perf_counter()
-                engine_span = None
-                if item.span is not None:
-                    engine_span = trc.begin_span(
-                        "serve.engine", parent_context=item.span.context,
-                        user_id=item.request.user_id,
-                        slots=item.request.slots)
-                try:
-                    result = self._serve_one(shard, item, started,
-                                             len(live))
-                except Exception as exc:  # noqa: BLE001 - per-request fence
-                    self._count_error(type(exc).__name__)
-                    result = ServeResult(
-                        request=item.request,
-                        status=ServeStatus.ERROR,
-                        shard_index=shard.index,
-                        error=f"{type(exc).__name__}: {exc}",
-                        queued_s=started - item.enqueued_at,
-                        service_s=perf_counter() - started,
-                        batch_size=len(live),
-                    )
-                if engine_span is not None:
-                    trc.finish_span(
-                        engine_span,
-                        served=result.status is ServeStatus.SERVED)
-                self._resolve(item, result)
-
-    def _serve_one(self, shard: Shard, item: _QueuedRequest,
-                   started: float, batch_size: int) -> ServeResult:
-        request = item.request
-        user = self.platform.users.get(request.user_id)
-        outcomes = shard.serve_user_slots(
-            user, item.base_seq, request.slots
-        )
-        ad_ids = []
-        lost = 0
-        unfilled = 0
-        for outcome in outcomes:
-            if outcome.won:
-                ad_ids.append(outcome.winner.ad_id)
-            elif outcome.competing_bid > 0:
-                lost += 1
-            else:
-                unfilled += 1
-        self._m_served.inc()
-        service_s = perf_counter() - started
-        self._m_service.observe(service_s)
-        return ServeResult(
-            request=request,
-            status=ServeStatus.SERVED,
-            shard_index=shard.index,
-            response=AdResponse(
-                user_id=request.user_id,
-                ad_ids=tuple(ad_ids),
-                lost_to_competition=lost,
-                unfilled=unfilled,
-            ),
-            queued_s=started - item.enqueued_at,
-            service_s=service_s,
-            batch_size=batch_size,
-        )
-
-    # -- the process backend: one batch in flight per shard ----------------
-
     def _flush(self, index: int) -> None:
         """The scheduled flush of one shard (runs on the loop)."""
         with self._submit_locks[index]:
@@ -1058,7 +925,7 @@ class ServingRuntime:
         self._send_next(index)
 
     def _send_next(self, index: int) -> None:
-        """Frame the shard's next batch — up to ``max_batch`` of
+        """Send the shard's next batch — up to ``max_batch`` of
         whatever has accumulated — unless one is already in flight."""
         while True:
             with self._submit_locks[index]:
@@ -1074,19 +941,24 @@ class ServingRuntime:
                 self._in_flight[index] = False
 
     def _send_batch(self, index: int, batch: List[_QueuedRequest]) -> bool:
-        """Admit a dequeued batch and frame its survivors to the shard's
+        """Admit a dequeued batch and send its survivors to the shard's
         worker; False when nothing went out (all expired, or the worker
-        is gone — those requests are resolved already)."""
+        is gone — those requests are resolved already).
+
+        The one place a transport is picked: the process backend frames
+        the batch on the worker's channel; the thread backend runs
+        :meth:`Shard.serve_batch` on the shard's worker thread, which
+        posts the outcomes back to the loop. Either way the reply lands
+        in :meth:`_on_batch_reply` on the loop."""
         shard = self.router.shards[index]
         live = self._admit_batch(shard, batch)
         if not live:
             return False
         self._m_batch.observe(len(live))
-        channel = self._clients[index]
         trc = _tracing.tracer()
         # Each frame item carries its request span's (trace_id,
         # span_id): the worker's serve.engine spans parent under it
-        # across the process boundary.
+        # across the thread or process boundary.
         frame: List[_ipc.ServeFrameItem] = [
             (item.request.user_id, item.base_seq, item.request.slots,
              ((item.span.trace_id, item.span.span_id)
@@ -1097,10 +969,19 @@ class ServingRuntime:
                                batch_size=len(live))
                 if trc.enabled else None)
         sent_at = perf_counter()
+
+        def on_reply(replies: Optional[List[_ipc.ServeReplyItem]],
+                     error: Optional[BaseException]) -> None:
+            self._on_batch_reply(index, live, sent_at, span, replies,
+                                 error)
+
         try:
-            channel.send(_ipc.OP_SERVE, frame,
-                         lambda replies, error: self._on_batch_reply(
-                             index, live, sent_at, span, replies, error))
+            if self._process:
+                self._clients[index].send(_ipc.OP_SERVE, frame, on_reply)
+            else:
+                self._workers[index].submit(
+                    _serve_on_thread, self.io_loop(), shard,
+                    self.platform.users, frame, on_reply)
         except _ipc.WorkerLost:
             self._fail_batch(shard, live, "shard worker lost")
             return False
@@ -1114,12 +995,12 @@ class ServingRuntime:
                         sent_at: float, span: Optional[_tracing.Span],
                         replies: Optional[List[_ipc.ServeReplyItem]],
                         error: Optional[BaseException]) -> None:
-        """A serve frame's reply arrived: frame the next batch first (so
-        the worker starts on it while this one resolves), then resolve
-        this batch's futures from the per-request outcomes. A lost
-        worker resolves the batch as ERROR instead of hanging; the
-        journal it flushed per batch is what :meth:`recover_shard`
-        later replays."""
+        """A batch's outcomes arrived: send the next batch first (so the
+        worker starts on it while this one resolves), then resolve this
+        batch's futures from the per-request outcomes. A lost worker
+        resolves the batch as ERROR instead of hanging; the journal it
+        flushed per batch is what :meth:`recover_shard` later
+        replays."""
         if span is not None:
             _tracing.tracer().finish_span(span)
         with self._submit_locks[index]:
@@ -1233,6 +1114,20 @@ class ServingRuntime:
 
 #: How long a telemetry poll waits for each worker's reply.
 _POLL_TIMEOUT_S = 10.0
+
+
+def _serve_on_thread(loop: "asyncio.AbstractEventLoop", shard: Shard,
+                     users: Any, batch: List[_ipc.ServeFrameItem],
+                     on_reply: Callable[..., None]) -> None:
+    """The thread transport (runs on the shard's worker thread): serve
+    one batch and post its outcomes — or the exception that escaped —
+    back to the runtime's loop."""
+    try:
+        replies = shard.serve_batch(users, batch)
+    except Exception as exc:  # noqa: BLE001 - batch-level fence
+        loop.call_soon_threadsafe(on_reply, None, exc)
+        return
+    loop.call_soon_threadsafe(on_reply, replies, None)
 
 
 def _set_if_pending(future: "asyncio.Future[Any]", result: object) -> None:

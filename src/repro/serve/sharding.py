@@ -40,9 +40,21 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from time import perf_counter
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import StoreError
+from repro.obs import metrics as _metrics
+from repro.obs import tracing as _tracing
 from repro.platform.ads import AdAccount, AdInventory
 from repro.platform.billing import BillingLedger
 from repro.platform.delivery import DeliveryEngine
@@ -55,6 +67,9 @@ from repro.store.store import (
     NullStore,
     StateStore,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serve.ipc import ServeFrameItem, ServeReplyItem
 
 _log = logging.getLogger("repro.serve.sharding")
 
@@ -263,13 +278,15 @@ class Shard:
         """Journal a claim bringing the user's slot counter up to
         ``target``; a no-op if it is already there.
 
-        The process backend's claim shape: admission claims happen in
-        the *parent* (so shed requests cost the worker nothing yet
-        still consume slot keys), and the worker bridges its own
-        journal-consistent counter to the parent-issued base the first
-        time a request for that user actually reaches it — gaps left by
-        shed or timed-out requests fold into the next served claim, so
-        a recovered worker resumes the exact keyed sequence."""
+        The serving claim shape: admission claims happen in the
+        runtime's process (so shed requests cost the serving shard
+        nothing yet still consume slot keys), and a forked worker
+        bridges its own journal-consistent counter to the admission-
+        issued base the first time a request for that user actually
+        reaches it — gaps left by shed or timed-out requests fold into
+        the next served claim, so a recovered worker resumes the exact
+        keyed sequence. Where admission claimed on this very shard (the
+        thread transport) the counter is already there."""
         current = self.slot_seq.get(user_id, 0)
         if target > current:
             self.slot_seq[user_id] = target
@@ -287,6 +304,67 @@ class Shard:
             self.cursor.key = (user.user_id, base_seq + offset)
             outcomes.append(self.engine.serve_slot(user))
         return outcomes
+
+    def serve_batch(self, users: Any, batch: List["ServeFrameItem"]
+                    ) -> List["ServeReplyItem"]:
+        """Serve one admitted micro-batch; per-request error fencing.
+
+        The one batch function of both serving transports: the thread
+        transport calls it on this shard's worker thread, a forked
+        worker process on every ``serve`` frame. The batch runs under
+        the shard lock inside one engine serving session, and the
+        store is group-committed before the outcomes are returned — so
+        every acknowledgement built from them is already pushed to the
+        OS, and a process crash cannot lose acknowledged work.
+
+        Each item carries the submitting request span's context; when
+        tracing is on, the per-request ``serve.engine`` span parents
+        under it — across a thread or a process boundary alike.
+        """
+        trc = _tracing.tracer()
+        service_hist = _metrics.registry().histogram("serve.service_time_s")
+        replies: List["ServeReplyItem"] = []
+        with self.lock, \
+                trc.span("serve.batch", shard=self.index,
+                         batch_size=len(batch)), \
+                self.engine.serving_session():
+            for user_id, base_seq, slots, trace_ctx in batch:
+                started = perf_counter()
+                span = None
+                if trc.enabled:
+                    parent = (_tracing.SpanContext(*trace_ctx)
+                              if trace_ctx is not None else None)
+                    span = trc.begin_span("serve.engine",
+                                          parent_context=parent,
+                                          user_id=user_id, slots=slots)
+                try:
+                    self.claim_through(user_id, base_seq + slots)
+                    user = users.get(user_id)
+                    outcomes = self.serve_user_slots(user, base_seq, slots)
+                    ad_ids = []
+                    lost = 0
+                    unfilled = 0
+                    for outcome in outcomes:
+                        if outcome.won:
+                            ad_ids.append(outcome.winner.ad_id)
+                        elif outcome.competing_bid > 0:
+                            lost += 1
+                        else:
+                            unfilled += 1
+                    service_s = perf_counter() - started
+                    service_hist.observe(service_s)
+                    if span is not None:
+                        trc.finish_span(span, served=True)
+                    replies.append((True, tuple(ad_ids), lost, unfilled,
+                                    None, service_s))
+                except Exception as exc:  # noqa: BLE001 - per-request fence
+                    if span is not None:
+                        trc.finish_span(span, served=False)
+                    replies.append((False, (), 0, 0,
+                                    f"{type(exc).__name__}: {exc}",
+                                    perf_counter() - started))
+        self.store.flush()
+        return replies
 
     # -- state owner -------------------------------------------------------
 
@@ -436,7 +514,7 @@ class ShardRouter:
                 shard.store.close()
             self.shards = self._build_shards(num_shards)
             per_shard: List[Dict[str, Any]] = [
-                {"impressions": [], "clicks": [], "extra_caps": []}
+                {"impressions": [], "clicks": []}
                 for _ in range(num_shards)
             ]
             total_impressions = 0
@@ -448,9 +526,6 @@ class ShardRouter:
                 for data in export["clicks"]:
                     per_shard[self.shard_index(data["user_id"])][
                         "clicks"].append(data)
-                for ad_id, user_id, count in export["extra_caps"]:
-                    per_shard[self.shard_index(user_id)][
-                        "extra_caps"].append([ad_id, user_id, count])
             for shard, state in zip(self.shards, per_shard):
                 shard.engine.import_state(state)
             for user_id, seq in slot_seqs.items():

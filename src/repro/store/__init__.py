@@ -12,7 +12,6 @@ from repro.store.records import (
     AudienceDelta,
     CampaignCreated,
     CampaignPaused,
-    CapIncremented,
     ChangeRecord,
     ChargeRecorded,
     ClickRecorded,
@@ -39,7 +38,6 @@ __all__ = [
     "AudienceDelta",
     "CampaignCreated",
     "CampaignPaused",
-    "CapIncremented",
     "ChangeRecord",
     "ChargeRecorded",
     "ClickRecorded",

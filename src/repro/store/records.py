@@ -1,8 +1,8 @@
 """Typed change records: the journal's vocabulary.
 
 Every mutation of platform state — an impression entering a feed, a
-click, a budget charge, a frequency-cap adjustment, an audience coming
-into existence, a serving slot being claimed — is described by exactly
+click, a budget charge, an audience coming into existence, a serving
+slot being claimed — is described by exactly
 one frozen record type from this module. The records are the unit of
 everything the state layer does: live mutation appends them to a
 :class:`~repro.store.store.StateStore`, snapshots serialize them,
@@ -75,24 +75,6 @@ class ChargeRecorded(ChangeRecord):
     account_id: str
     amount: float
     impression_seq: int
-
-
-@dataclass(frozen=True)
-class CapIncremented(ChangeRecord):
-    """A frequency-cap count adjustment with no accompanying impression.
-
-    Normal delivery never emits this — the cap increment is implied by
-    :class:`ImpressionRecorded`. It exists for state migration: an
-    imported state whose ``shown_counts`` exceed what its impressions
-    imply (e.g. a hand-built export) journals the excess explicitly so
-    replay still reproduces the exact cap state.
-    """
-
-    kind: ClassVar[str] = "cap_increment"
-
-    ad_id: str
-    user_id: str
-    count: int
 
 
 @dataclass(frozen=True)
@@ -201,7 +183,6 @@ RECORD_TYPES: Dict[str, Type[ChangeRecord]] = {
         ImpressionRecorded,
         ClickRecorded,
         ChargeRecorded,
-        CapIncremented,
         AudienceDelta,
         SlotClaimed,
         OrgCreated,

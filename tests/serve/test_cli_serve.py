@@ -68,8 +68,7 @@ class TestLoadgenCommand:
 
     def test_loadgen_deadline_and_queue_flags_parse(self, capsys):
         assert main(["loadgen", *FAST, "--deadline-ms", "50",
-                     "--queue-capacity", "64", "--workers", "2",
-                     "--slots", "2"]) == 0
+                     "--queue-capacity", "64", "--slots", "2"]) == 0
 
 
 class TestSloGate:

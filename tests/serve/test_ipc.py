@@ -466,10 +466,6 @@ class TestWorkerLifecycle:
                 router=router,
             )
 
-    def test_process_backend_requires_single_worker(self):
-        with pytest.raises(ValueError, match="workers_per_shard"):
-            RuntimeConfig(backend="process", workers_per_shard=2)
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             RuntimeConfig(backend="greenlet")

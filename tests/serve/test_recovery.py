@@ -255,6 +255,96 @@ class TestRuntimeRecovery:
                 runtime.recover_shard(0)
         _close(runtime.router)
 
+    def test_acknowledged_impressions_are_on_disk(self, make_world,
+                                                  tmp_path, backend):
+        """An ack means the journal is committed: every ad in a SERVED
+        response already has its impression record in the shard's
+        journal file when the result resolves — before any stop(),
+        checkpoint or close could flush it."""
+        from repro.serve.sharding import shard_journal_path
+        from repro.store import ImpressionRecorded
+
+        platform = make_world(users=40)
+        runtime = ServingRuntime(
+            platform,
+            RuntimeConfig(num_shards=2, journal_dir=str(tmp_path),
+                          backend=backend),
+            competition=KeyedCompetition(seed=13),
+        )
+        with runtime:
+            results = runtime.serve_and_wait(
+                [AdRequest(uid) for uid in platform.users.user_ids()])
+            on_disk = set()
+            for index in range(2):
+                for record in JournalStore.read(
+                        shard_journal_path(str(tmp_path), index, 2)):
+                    if isinstance(record, ImpressionRecorded):
+                        on_disk.add((record.ad_id, record.user_id))
+        acknowledged = {(ad_id, result.request.user_id)
+                        for result in results
+                        if result.status is ServeStatus.SERVED
+                        for ad_id in result.response.ad_ids}
+        assert acknowledged, "the run served nothing"
+        assert acknowledged <= on_disk, (
+            f"{len(acknowledged - on_disk)} of {len(acknowledged)} "
+            f"acknowledged impressions missing from the journals")
+        _close(runtime.router)
+
+
+class TestThreadTransportContention:
+    def test_journals_fold_to_live_state_under_contention(
+            self, make_world, tmp_path):
+        """On the thread backend a shard's journal takes slot claims
+        from admission (the loop thread) while the shard's worker
+        thread appends impressions and commits. With more shards than
+        cores, two submitting threads and a tiny switch interval, the
+        journals must still fold back to exactly the live state."""
+        import sys
+        import threading
+
+        from repro.serve.sharding import shard_journal_path
+
+        platform = make_world(seed=17)
+        runtime = ServingRuntime(
+            platform,
+            RuntimeConfig(num_shards=4, queue_capacity=4096,
+                          journal_dir=str(tmp_path)),
+            competition=KeyedCompetition(seed=5),
+        )
+        requests = [AdRequest(uid, slots=2)
+                    for uid in platform.users.user_ids()] * 2
+        results: list = []
+
+        def submit_all() -> None:
+            results.extend(runtime.serve_and_wait(requests, timeout=60))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with runtime:
+                submitters = [threading.Thread(target=submit_all)
+                              for _ in range(2)]
+                for thread in submitters:
+                    thread.start()
+                for thread in submitters:
+                    thread.join(timeout=120)
+                assert not any(t.is_alive() for t in submitters)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 2 * len(requests)
+        assert all(result.ok for result in results)
+        live = canonical_json(state_report(runtime.router))
+        live_slots = [dict(s.slot_seq) for s in runtime.router.shards]
+        _close(runtime.router)
+
+        rebuilt = ShardRouter(make_world(seed=17), num_shards=4,
+                              competition=KeyedCompetition(seed=5))
+        for index, shard in enumerate(rebuilt.shards):
+            shard.store.replay(JournalStore.read(
+                shard_journal_path(str(tmp_path), index, 4)))
+        assert canonical_json(state_report(rebuilt)) == live
+        assert [s.slot_seq for s in rebuilt.shards] == live_slots
+
 
 class TestWorkerSigkill:
     """kill -9 of a shard worker process: fail fast, recover fully."""

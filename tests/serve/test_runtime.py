@@ -19,7 +19,7 @@ from repro.serve import (
 class TestRuntimeConfig:
     @pytest.mark.parametrize("kwargs", [
         {"num_shards": 0},
-        {"workers_per_shard": 0},
+        {"telemetry_retention_s": 0},
         {"queue_capacity": 0},
         {"max_batch": 0},
     ])
@@ -174,12 +174,13 @@ class TestAdmissionControl:
 
 
 class TestBatching:
-    def test_backlog_is_coalesced_into_batches(self, make_world):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_backlog_is_coalesced_into_batches(self, make_world, backend):
         platform = make_world(users=30)
         runtime = ServingRuntime(
             platform,
             RuntimeConfig(num_shards=1, queue_capacity=1024,
-                          max_batch=16),
+                          max_batch=16, backend=backend),
         )
         runtime.start(spawn_workers=False)
         futures = [runtime.submit(AdRequest(uid))
@@ -189,37 +190,21 @@ class TestBatching:
         runtime.stop()
         # A pre-spawned backlog must be served in multi-request batches
         # bounded by max_batch.
+        assert all(r.status is ServeStatus.SERVED for r in results)
         assert max(r.batch_size for r in results) > 1
         assert max(r.batch_size for r in results) <= 16
 
-    def test_multi_worker_still_serves_everything(self, make_world):
-        platform = make_world(users=30)
-        runtime = ServingRuntime(
-            platform,
-            RuntimeConfig(num_shards=2, workers_per_shard=3,
-                          queue_capacity=1024),
-            competition=KeyedCompetition(seed=7),
-        )
-        requests = [AdRequest(uid, slots=2)
-                    for uid in platform.users.user_ids() * 3]
-        with runtime:
-            results = runtime.serve_and_wait(requests)
-        assert all(r.status is ServeStatus.SERVED for r in results)
-        # Invariants hold even without the single-worker determinism
-        # contract: frequency cap 1 means no feed repeats an ad.
-        for uid in platform.users.user_ids():
-            delivered = [d.ad_id for d in runtime.router.feed(uid)]
-            assert len(delivered) == len(set(delivered))
-
 
 class TestMetrics:
-    def test_counters_match_the_tally(self, make_world):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_counters_match_the_tally(self, make_world, backend):
         platform = make_world(users=20)
         registry = MetricsRegistry("serve-test")
         with use_registry(registry):
             runtime = ServingRuntime(
                 platform,
-                RuntimeConfig(num_shards=1, queue_capacity=8),
+                RuntimeConfig(num_shards=1, queue_capacity=8,
+                              backend=backend),
             )
             runtime.start(spawn_workers=False)
             futures = [runtime.submit(AdRequest(uid))
@@ -237,35 +222,24 @@ class TestMetrics:
         batch = registry.get("serve.batch_size")
         assert batch is not None and batch.count >= 1
 
-    def test_error_reason_breakdown(self, make_world):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_error_reason_breakdown(self, make_world, backend):
         # An ERROR result increments the aggregate serve.errors plus a
-        # dynamic per-exception-type counter named after the reason.
+        # dynamic per-exception-type counter named after the reason —
+        # on both transports, from the same "Type: message" string.
         platform = make_world(users=5)
-        registry = MetricsRegistry("serve-errors-test")
+        registry = MetricsRegistry(f"serve-errors-{backend}")
         with use_registry(registry):
             runtime = ServingRuntime(
-                platform, RuntimeConfig(num_shards=1))
-            with runtime:
-                result = runtime.submit(
-                    AdRequest("no-such-user")).result(timeout=10)
-        assert result.status is ServeStatus.ERROR
-        assert registry.value("serve.requests_errored") == 1
-        assert registry.value("serve.errors") == 1
-        assert registry.value("serve.errors.CatalogError") == 1
-
-    def test_error_reason_breakdown_process_backend(self, make_world):
-        # Same contract across the IPC boundary: the worker's error
-        # string carries the exception type, the parent labels it.
-        platform = make_world(users=5)
-        registry = MetricsRegistry("serve-errors-remote-test")
-        with use_registry(registry):
-            runtime = ServingRuntime(
-                platform,
-                RuntimeConfig(num_shards=1, backend="process"))
+                platform, RuntimeConfig(num_shards=1, backend=backend))
             with runtime:
                 result = runtime.submit(
                     AdRequest("no-such-user")).result(timeout=30)
         assert result.status is ServeStatus.ERROR
+        # The same string on both backends (one batch function).
+        assert result.error == "CatalogError: unknown user id " \
+            "'no-such-user'"
+        assert registry.value("serve.requests_errored") == 1
         assert registry.value("serve.errors") == 1
         assert registry.value("serve.errors.CatalogError") == 1
 

@@ -1,9 +1,10 @@
 """Property test: export_state / import_state round-trips exactly.
 
 For *any* randomly generated delivery state (impressions over real ads
-and users, clicks, explicit cap excesses), importing it into a fresh
-engine and exporting again is a fixed point: the second cycle's bytes
-equal the first's, impression for impression, cap for cap. This is the
+and users, clicks), importing it into a fresh engine and exporting
+again is a fixed point: the second cycle's bytes equal the first's,
+impression for impression, and the cap state the impressions imply
+comes back with them. This is the
 contract shard migration and crash recovery lean on — an export is a
 complete, canonical description of delivery state, not an approximation
 of one.
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.provider import TransparencyProvider
+from repro.errors import StoreError
 from repro.platform.billing import BillingLedger
 from repro.platform.catalog import build_us_catalog
 from repro.platform.delivery import DeliveryEngine
@@ -63,7 +65,7 @@ def _canonical(state):
     return json.dumps(state, sort_keys=True)
 
 
-def _state_from(platform, picks, clicks, caps):
+def _state_from(platform, picks, clicks):
     """Assemble an export-shaped state dict from strategy draws."""
     ads = platform.inventory.ads()
     users = platform.users.user_ids()
@@ -87,30 +89,13 @@ def _state_from(platform, picks, clicks, caps):
         }
         for click_seq, pick in enumerate(clicks)
     ] if impressions else []
-    cap_rows = sorted(
-        {
-            (ads[ad_pick % len(ads)].ad_id,
-             users[user_pick % len(users)]): excess
-            for ad_pick, user_pick, excess in caps
-        }.items()
-    )
-    return {
-        "impressions": impressions,
-        "clicks": click_rows,
-        "extra_caps": [[ad_id, user_id, excess]
-                       for (ad_id, user_id), excess in cap_rows],
-    }
+    return {"impressions": impressions, "clicks": click_rows}
 
 
 _PICK = st.tuples(
     st.integers(min_value=0, max_value=10_000),  # ad pick
     st.integers(min_value=0, max_value=10_000),  # user pick
     st.floats(min_value=0.0, max_value=0.02, allow_nan=False),
-)
-_CAP = st.tuples(
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=3),
 )
 
 
@@ -119,12 +104,10 @@ class TestRandomStateRoundTrip:
         picks=st.lists(_PICK, max_size=30),
         clicks=st.lists(st.integers(min_value=0, max_value=10_000),
                         max_size=10),
-        caps=st.lists(_CAP, max_size=8),
     )
     @settings(max_examples=40, deadline=None)
-    def test_two_cycles_are_byte_identical(self, world, picks, clicks,
-                                           caps):
-        state = _state_from(world, picks, clicks, caps)
+    def test_two_cycles_are_byte_identical(self, world, picks, clicks):
+        state = _state_from(world, picks, clicks)
 
         first = _fresh_engine(world)
         first.import_state(state)
@@ -144,25 +127,44 @@ class TestRandomStateRoundTrip:
     )
     @settings(max_examples=25, deadline=None)
     def test_import_preserves_every_impression_field(self, world, picks):
-        state = _state_from(world, picks, [], [])
+        state = _state_from(world, picks, [])
         engine = _fresh_engine(world)
         engine.import_state(state)
         exported = engine.export_state()["impressions"]
         assert exported == state["impressions"]
 
-    @given(
-        picks=st.lists(_PICK, max_size=12),
-        caps=st.lists(_CAP, max_size=6),
-    )
+    @given(picks=st.lists(_PICK, max_size=12))
     @settings(max_examples=25, deadline=None)
-    def test_cap_state_survives_the_round_trip(self, world, picks, caps):
-        state = _state_from(world, picks, [], caps)
+    def test_cap_state_survives_the_round_trip(self, world, picks):
+        # Caps travel implicitly: each imported impression bumps its
+        # (ad, user) count, so the second engine rebuilds the same caps.
+        state = _state_from(world, picks, [])
         first = _fresh_engine(world)
         first.import_state(state)
         second = _fresh_engine(world)
         second.import_state(first.export_state())
         assert first._shown_counts == second._shown_counts
         assert first._capped_for_user == second._capped_for_user
+        assert sum(first._shown_counts.values()) == len(picks)
+
+
+class TestRetiredCapSection:
+    def test_nonempty_extra_caps_is_refused(self, world):
+        # Dumps once carried an ``extra_caps`` list that no engine ever
+        # filled: an empty one (every snapshot written so far) still
+        # loads, a non-empty one is foreign input and is refused.
+        state = _state_from(world, [(0, 0, 0.001)], [])
+        state["extra_caps"] = []
+        engine = _fresh_engine(world)
+        engine.state_load(state)
+        assert len(engine.impressions()) == 1
+
+        state["extra_caps"] = [[state["impressions"][0]["ad_id"],
+                                state["impressions"][0]["user_id"], 1]]
+        with pytest.raises(StoreError, match="extra_caps"):
+            _fresh_engine(world).import_state(state)
+        with pytest.raises(StoreError, match="extra_caps"):
+            _fresh_engine(world).state_load(state)
 
 
 class TestServedScenarioRoundTrip:
