@@ -36,6 +36,7 @@ import argparse
 import http.client
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -165,6 +166,14 @@ def http_post(url: str, path: str, payload: dict) -> dict:
         conn.close()
 
 
+def fresh_dir(path: str) -> str:
+    """``path`` emptied: a journal directory left by an earlier run
+    would be recovered and appended to, and every check would then run
+    against accumulated history instead of this run."""
+    shutil.rmtree(path, ignore_errors=True)
+    return path
+
+
 def fold_journals(journal_dir: str) -> Tuple[str, int, dict]:
     """Rebuild the world from the on-disk manifest and fold every
     journal into it (always in-process on the thread backend — the
@@ -180,7 +189,7 @@ def fold_journals(journal_dir: str) -> Tuple[str, int, dict]:
     assert recovered, "no shard journals to recover"
     report = canonical_json(state_report(runtime.router))
     impressions = runtime.router.total_impressions()
-    store = open_tenancy_store(journal_dir + "-fold-scratch")
+    store = open_tenancy_store(fresh_dir(journal_dir + "-fold-scratch"))
     tenants = TenantRegistry(platform, store)
     for record in JournalStore.read(tenancy_journal_path(journal_dir)):
         tenants.apply_record(record)
@@ -205,7 +214,7 @@ def journaled_impressions(journal_dir: str, shards: int) -> int:
 
 def phase_a_kill_drill(backend: str, out_dir: str) -> None:
     print(f"[phase A] kill -9 drill ({backend} backend)", flush=True)
-    journal_dir = os.path.join(out_dir, "killdrill")
+    journal_dir = fresh_dir(os.path.join(out_dir, "killdrill"))
     gateway = Gateway(journal_dir, backend,
                       os.path.join(out_dir, "gateway-killdrill.log"))
     assert gateway.url is not None
@@ -287,7 +296,7 @@ def phase_b_equivalence_soak(backend: str, out_dir: str,
                              soak_s: float, rps: float) -> None:
     print(f"[phase B] {soak_s:.0f}s equivalence soak "
           f"({backend} backend, {rps:.0f} rps)", flush=True)
-    journal_dir = os.path.join(out_dir, "soak")
+    journal_dir = fresh_dir(os.path.join(out_dir, "soak"))
     trace_path = os.path.join(out_dir, "soak-gateway-trace.json")
     gateway = Gateway(journal_dir, backend,
                       os.path.join(out_dir, "gateway-soak.log"),

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.platform.attributes import Attribute
+from repro.platform.colstore import UserView
 from repro.platform.platform import AdPlatform
-from repro.platform.users import UserProfile
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class CorrelationAuditor:
     def __init__(self, platform: AdPlatform, seed: int = 13):
         self._platform = platform
         self._rng = random.Random(seed)
-        self.controls: List[UserProfile] = []
+        self.controls: List[UserView] = []
         #: Auditor-side ground truth: user_id -> set of planted attr ids.
         self.planted: Dict[str, Set[str]] = {}
 
@@ -53,7 +53,7 @@ class CorrelationAuditor:
         count: int,
         attribute_pool: Sequence[Attribute],
         set_probability: float = 0.5,
-    ) -> List[UserProfile]:
+    ) -> List[UserView]:
         """Create ``count`` fake accounts with random known attributes.
 
         Each control independently gets each pool attribute with

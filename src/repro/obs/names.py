@@ -66,8 +66,9 @@ METRICS: Dict[str, MetricSpec] = {
         HISTOGRAM, "Candidate index entries probed per cache-miss slot.",
         COUNT_BUCKETS),
     "delivery.frequency_cap_rejections": MetricSpec(
-        COUNTER, "Matched candidates skipped because the per-user "
-                 "frequency cap was already reached."),
+        COUNTER, "Matched ads dropped at match time because they were "
+                 "already shown to the user (cap of 1), once per user "
+                 "per serving session, in both delivery modes."),
     "delivery.saturation_pruned": MetricSpec(
         COUNTER, "Capped ads pruned from a user's cached match list."),
     "delivery.clicks_recorded": MetricSpec(

@@ -6,10 +6,12 @@ targeting the user satisfies (the deliver-iff-match contract), auctions
 the slot against ambient competing demand, charges the winner, and places
 the winning creative in the user's feed.
 
-The per-user **frequency cap** (default 1 impression per ad per user)
-reflects how a transparency provider would configure Tread campaigns: each
+The per-user **frequency cap** is fixed at one impression per ad per
+user — how a transparency provider would configure Tread campaigns: each
 Tread needs to reach each matching user exactly once, which is what makes
-the paper's per-attribute cost exactly one CPM-priced impression.
+the paper's per-attribute cost exactly one CPM-priced impression. One
+*shown* bitset per ad (bit = user row) is the cap, the unique reach and
+the per-pair record at once, in both delivery modes.
 
 Performance model (see docs/api_tour.md, "Performance model"): eligibility
 runs against an **inverted candidate index** — ads are bucketed under one
@@ -72,8 +74,6 @@ from repro.store.records import (
     record_to_dict,
 )
 from repro.store.store import MemoryStore, StateStore
-
-_EMPTY_SET: frozenset = frozenset()
 
 _log = logging.getLogger("repro.platform.delivery")
 
@@ -233,6 +233,12 @@ _ENGINE_IDS = itertools.count()
 class DeliveryEngine:
     """Serves ad slots for browsing users.
 
+    ``users`` is the platform's user store: its rows key the per-ad
+    shown bitsets that hold the frequency cap (one impression per ad
+    per user), so every impression's user must be known to it.
+    ``compact`` decides one thing only — whether the impression log,
+    click log and feeds are kept beside those bitsets.
+
     Thread ownership
     ----------------
     An engine instance is **single-owner**: all mutating calls
@@ -261,7 +267,7 @@ class DeliveryEngine:
         audiences: AudienceRegistry,
         ledger: BillingLedger,
         competing_draw: CompetingBidDraw,
-        frequency_cap: int = 1,
+        users: ColumnarUserStore,
         floor_price_cpm: float = 0.0,
         min_match_count: int = 0,
         metrics: Optional[MetricsRegistry] = None,
@@ -269,13 +275,8 @@ class DeliveryEngine:
         store: Optional[StateStore] = None,
         compact: bool = False,
     ):
-        if frequency_cap < 1:
-            raise ValueError("frequency cap must be >= 1")
         if min_match_count < 0:
             raise ValueError("min match count cannot be negative")
-        if compact and frequency_cap != 1:
-            raise ValueError("compact delivery requires a frequency cap "
-                             "of 1")
         self.engine_id = (engine_id if engine_id is not None
                           else f"engine-{next(_ENGINE_IDS)}")
         self._store = store if store is not None else MemoryStore()
@@ -284,19 +285,19 @@ class DeliveryEngine:
         self._audiences = audiences
         self._ledger = ledger
         self._competing_draw = competing_draw
-        self.frequency_cap = frequency_cap
         self.floor_price = floor_price_cpm / 1000.0
         self.min_match_count = min_match_count
-        self._user_store: Optional[ColumnarUserStore] = None
+        #: The platform's user store: rows key the shown bitsets, and the
+        #: narrow-targeting defense and the batch sweep read it.
+        self._user_store = users
         self._match_count_cache: Dict[str, int] = {}
         self._impression_seq = 0
-        #: Million-user memory mode: per-impression structures (logs,
-        #: feeds, per-pair cap counts) are replaced by per-ad shown-user
-        #: bitsets plus count aggregates. Deliver-iff-match and the
-        #: cap-of-1 invariant are unchanged; the APIs that *are* the
-        #: per-impression state raise StoreError instead of lying.
+        #: Million-user memory mode: the per-impression logs and feeds
+        #: are not kept. Cap, reach and counts are the same either way;
+        #: the APIs that *are* the per-impression state raise StoreError
+        #: instead of lying.
         self._compact = compact
-        #: Compact mode: ad_id -> bitset of user rows already shown.
+        #: ad_id -> bitset of user rows already shown (the cap state).
         self._shown_bits: Dict[str, np.ndarray] = {}
         self._impression_count = 0
         self._impression_count_by_ad: Dict[str, int] = {}
@@ -304,13 +305,6 @@ class DeliveryEngine:
         self._impressions: List[Impression] = []
         self._clicks: List[Click] = []
         self._feeds: Dict[str, List[DeliveredAd]] = defaultdict(list)
-        #: (ad_id, user_id) -> impressions delivered. Tuple keys: no
-        #: per-slot string building, no collision with ids containing ':'.
-        self._shown_counts: Dict[Tuple[str, str], int] = {}
-        #: user_id -> ads this user can no longer receive (cap reached).
-        #: Incrementally maintained by :meth:`_deliver`; lets eligibility
-        #: skip saturated candidates with one set lookup.
-        self._capped_for_user: Dict[str, Set[str]] = {}
         # -- inverted candidate index (see _ensure_index) ------------------
         self._indexed_ad_count = 0
         #: attr_id -> [(ad, account, bid, program)] for ads whose spec
@@ -337,7 +331,6 @@ class DeliveryEngine:
         self._match_cache: Optional[Dict[str, List[tuple]]] = None
         # -- indexed reporting views ---------------------------------------
         self._impressions_by_ad: Dict[str, List[Impression]] = {}
-        self._reach_by_ad: Dict[str, Set[str]] = {}
         self._clicks_by_ad: Dict[str, int] = {}
         # -- observability -------------------------------------------------
         # Instruments resolve once, at construction (pass ``metrics`` or
@@ -366,12 +359,6 @@ class DeliveryEngine:
             "delivery.sweep_budget_fallback_rounds")
 
     # -- eligibility ---------------------------------------------------------
-
-    def attach_user_store(self, users: ColumnarUserStore) -> None:
-        """Wire the platform's user store (needed for the narrow-targeting
-        defense's match counting, the batch sweep, and compact mode's
-        user-row bitsets)."""
-        self._user_store = users
 
     def _matches_enough_users(self, ad: Ad) -> bool:
         """Narrow-targeting defense: an ad whose full spec matches fewer
@@ -476,8 +463,11 @@ class DeliveryEngine:
     def _matched_entries(self, user: UserView) -> List[tuple]:
         """Bound index entries whose *targeting* matches ``user``.
 
-        Pure spec match — the dynamic conditions (status, frequency cap,
-        budget, min-match defense) are applied by the caller per slot.
+        Spec match minus the ads already shown to the user (the cap of
+        1, read from the per-ad shown bitsets and counted into
+        ``delivery.frequency_cap_rejections``) — the other dynamic
+        conditions (status, budget, min-match defense) are applied by
+        the caller per slot.
         The row's attribute and page words are read once; candidate
         buckets come from the set bits of ``words & anchor_mask``, and
         each candidate's bound program is a mask compare (plus its
@@ -518,28 +508,26 @@ class DeliveryEngine:
                     matched.append(entry)
         if self._obs_on:
             self._obs_bucket_size.observe(candidates)
-        if self._compact and matched:
-            # Compact mode keeps no per-pair cap counts: ads already
-            # shown (cap of 1) are filtered here, at match time, via the
-            # per-ad shown bitsets. Within a session the cache pruning in
-            # _apply_impression keeps the list current, so the slot path
-            # needs no cap check at all.
-            matched = [entry for entry in matched
-                       if not self._shown_to(entry[0].ad_id, row)]
+        if matched and self._shown_bits:
+            # Within a session the cache pruning in _mark_shown keeps the
+            # list current, so the slot path needs no cap check at all.
+            # ndarray.item, not bitset.test_bit: this runs once per
+            # matched entry, and test_bit's numpy scalar ops cost about
+            # ten times more per call.
+            shown = self._shown_bits
+            word, bit = row >> 6, 1 << (row & 63)
+            kept: List[tuple] = []
+            for entry in matched:
+                ad_bits = shown.get(entry[0].ad_id)
+                if ad_bits is None or word >= len(ad_bits) or \
+                        not ad_bits.item(word) & bit:
+                    kept.append(entry)
+            if self._obs_on and len(kept) < len(matched):
+                self._obs_cap_rejections.inc(len(matched) - len(kept))
+            matched = kept
         if cache is not None:
             cache[user.user_id] = matched
         return matched
-
-    def _compact_row(self, user_id: str) -> Optional[int]:
-        if self._user_store is None:
-            raise StoreError(
-                f"{self.engine_id}: compact delivery needs a user store "
-                "attached")
-        return self._user_store.row_of(user_id)
-
-    def _shown_to(self, ad_id: str, row: int) -> bool:
-        bits = self._shown_bits.get(ad_id)
-        return bits is not None and bitset.test_bit(bits, row)
 
     def _slot_contenders(self, user: UserView) -> Tuple[List[Ad], bool]:
         """Eligible ads for one slot, already deduplicated per account.
@@ -554,17 +542,12 @@ class DeliveryEngine:
         without a second eligibility evaluation.
         """
         self._ensure_index()
-        capped = self._capped_for_user.get(user.user_id, _EMPTY_SET)
         check_min_match = self.min_match_count > 0
         active = AdStatus.ACTIVE
         best: Dict[str, tuple] = {}
         for entry in self._matched_entries(user):
             ad, account, bid = entry[0], entry[1], entry[2]
             if ad.status is not active:
-                continue
-            if ad.ad_id in capped:
-                if self._obs_on:
-                    self._obs_cap_rejections.inc()
                 continue
             if account.budget + 1e-12 < bid:  # inlined Account.can_afford
                 continue
@@ -638,8 +621,8 @@ class DeliveryEngine:
         """
         if ad is None:
             ad = self._inventory.ad(impression.ad_id)
+        self._mark_shown(impression, ad)
         if self._compact:
-            self._apply_impression_compact(impression, ad)
             return
         self._impressions.append(impression)
         # Reporting views, maintained at delivery time so report reads
@@ -647,30 +630,7 @@ class DeliveryEngine:
         per_ad = self._impressions_by_ad.get(impression.ad_id)
         if per_ad is None:
             per_ad = self._impressions_by_ad[impression.ad_id] = []
-            self._reach_by_ad[impression.ad_id] = set()
         per_ad.append(impression)
-        self._reach_by_ad[impression.ad_id].add(impression.user_id)
-        if impression.seq >= self._impression_seq:
-            self._impression_seq = impression.seq + 1
-        key = (impression.ad_id, impression.user_id)
-        shown = self._shown_counts.get(key, 0) + 1
-        self._shown_counts[key] = shown
-        if shown >= self.frequency_cap:
-            self._capped_for_user.setdefault(
-                impression.user_id, set()).add(impression.ad_id)
-            # Caps are monotone within a run, so a just-capped ad can be
-            # pruned from the user's cached match list — later slots then
-            # scan only still-deliverable entries instead of re-skipping
-            # every capped one.
-            cache = self._match_cache
-            if cache is not None:
-                matched = cache.get(impression.user_id)
-                if matched is not None:
-                    if self._obs_on:
-                        self._obs_pruned.inc()
-                    cache[impression.user_id] = [
-                        entry for entry in matched if entry[0] is not ad
-                    ]
         creative = ad.creative
         self._feeds[impression.user_id].append(
             DeliveredAd(
@@ -687,23 +647,22 @@ class DeliveryEngine:
             )
         )
 
-    def _apply_impression_compact(self, impression: Impression,
-                                  ad: Ad) -> None:
-        """Compact fold: one bit and three counters per impression.
+    def _mark_shown(self, impression: Impression, ad: Ad) -> None:
+        """The fold both modes share: one bit and three counters.
 
         Setting the user's bit in the ad's shown bitset *is* the cap
-        state, the reach set, and the per-pair count all at once (cap of
-        1 makes them coincide). No log entry, no feed entry.
+        state, the reach set, and the per-pair record all at once (the
+        cap is 1, so they coincide).
         """
-        row = self._compact_row(impression.user_id)
+        users = self._user_store
+        row = users.row_of(impression.user_id)
         if row is None:
             raise StoreError(
                 f"{self.engine_id}: impression for unknown user "
-                f"{impression.user_id!r} in compact mode")
-        assert self._user_store is not None
+                f"{impression.user_id!r}")
         bits = self._shown_bits.get(impression.ad_id)
         if bits is None:
-            bits = bitset.make_bitset(len(self._user_store))
+            bits = bitset.make_bitset(len(users))
             self._shown_bits[impression.ad_id] = bits
         if row >= bits.shape[0] * bitset.WORD_BITS:
             bits = bitset.ensure_width(bits, row + 1)
@@ -714,6 +673,9 @@ class DeliveryEngine:
             self._impression_count_by_ad.get(impression.ad_id, 0) + 1)
         if impression.seq >= self._impression_seq:
             self._impression_seq = impression.seq + 1
+        # Caps are monotone within a run, so a just-capped ad can be
+        # pruned from the user's cached match list — later slots then
+        # scan only still-deliverable entries.
         cache = self._match_cache
         if cache is not None:
             matched = cache.get(impression.user_id)
@@ -878,14 +840,7 @@ class DeliveryEngine:
         count, price_sum)}`` fold that a parent engine can absorb with
         :meth:`absorb_sweep_delta`.
         """
-        users = self._user_store
-        if users is None:
-            raise StoreError(
-                f"{self.engine_id}: batch sweep needs a user store "
-                "attached (attach_user_store)")
-        cols = users.columns
-        if self.frequency_cap != 1:
-            raise ValueError("batch sweep requires a frequency cap of 1")
+        cols = self._user_store.columns
         check_sweep_args(max_rounds, block_rows)
         start, stop = (0, cols.count) if rows is None else rows
         if start % bitset.WORD_BITS:
@@ -982,28 +937,13 @@ class DeliveryEngine:
         round delivered through the per-impression path."""
         range_words = avail.shape[1]
         word0 = start // bitset.WORD_BITS
-        if self._compact:
-            for i, entry in enumerate(entries):
-                shown = self._shown_bits.get(entry[0].ad_id)
-                if shown is None:
-                    continue
-                part = shown[word0:word0 + range_words]
-                if part.size:
-                    avail[i, :part.size] &= ~part
-            return
-        if not self._capped_for_user:
-            return
-        position = {e[0].ad_id: i for i, e in enumerate(entries)}
-        row_of = self._user_store.row_of
-        for user_id, ads in self._capped_for_user.items():
-            row = row_of(user_id)
-            if row is None or not start <= row < stop:
+        for i, entry in enumerate(entries):
+            shown = self._shown_bits.get(entry[0].ad_id)
+            if shown is None:
                 continue
-            rel = row - start
-            for ad_id in ads:
-                i = position.get(ad_id)
-                if i is not None:
-                    bitset.clear_bit(avail[i], rel)
+            part = shown[word0:word0 + range_words]
+            if part.size:
+                avail[i, :part.size] &= ~part
 
     def _run_sweep(self, stats: DeliveryStats, cols: Any, start: int,
                    stop: int, max_rounds: int, block_rows: int,
@@ -1135,7 +1075,6 @@ class DeliveryEngine:
                      delta: Optional[Dict[str, list]]) -> None:
         """Fold one vector round's wins into engine + ledger state."""
         users = self._user_store
-        assert users is not None
         n = stop - start
         order = np.argsort(wcand, kind="stable")
         grouped = np.split(
@@ -1220,7 +1159,6 @@ class DeliveryEngine:
                 f"{self.engine_id}: sweep deltas fold into compact "
                 "engines only")
         users = self._user_store
-        assert users is not None
         total = 0
         for ad_id in sorted(delta):
             account_id, start_word, words, count, price_sum = delta[ad_id]
@@ -1256,7 +1194,7 @@ class DeliveryEngine:
     def feed(self, user_id: str) -> List[DeliveredAd]:
         """The ads a user has seen, in delivery order (user-visible)."""
         self._require_full_logs("feed")
-        return list(self._feeds[user_id])
+        return list(self._feeds.get(user_id, ()))
 
     def impressions(self) -> List[Impression]:
         """Platform-internal impression log (reporting reads this)."""
@@ -1269,24 +1207,17 @@ class DeliveryEngine:
 
     def impression_count(self) -> int:
         """Total delivered impressions (works in both modes)."""
-        if self._compact:
-            return self._impression_count
-        return len(self._impressions)
+        return self._impression_count
 
     def impression_count_for_ad(self, ad_id: str) -> int:
-        if self._compact:
-            return self._impression_count_by_ad.get(ad_id, 0)
-        return len(self._impressions_by_ad.get(ad_id, ()))
+        return self._impression_count_by_ad.get(ad_id, 0)
 
     def record_click(self, user_id: str, ad_id: str) -> None:
         """Record a click; only users who actually received the ad can
         click it (anything else is a caller bug, not ad traffic)."""
-        if self._compact:
-            row = self._compact_row(user_id)
-            shown = row is not None and self._shown_to(ad_id, row)
-        else:
-            shown = self._shown_counts.get((ad_id, user_id), 0) > 0
-        if not shown:
+        row = self._user_store.row_of(user_id)
+        bits = self._shown_bits.get(ad_id)
+        if row is None or bits is None or not bitset.test_bit(bits, row):
             raise ValueError(
                 f"user {user_id!r} never received ad {ad_id!r}"
             )
@@ -1316,21 +1247,16 @@ class DeliveryEngine:
 
     def unique_reach(self, ad_id: str) -> Set[str]:
         """Distinct users reached by an ad (platform-internal)."""
-        if self._compact:
-            bits = self._shown_bits.get(ad_id)
-            if bits is None:
-                return set()
-            assert self._user_store is not None
-            return self._user_store.rows_to_ids(bits)
-        return set(self._reach_by_ad.get(ad_id, ()))
+        bits = self._shown_bits.get(ad_id)
+        if bits is None:
+            return set()
+        return self._user_store.rows_to_ids(bits)
 
     def reach_count(self, ad_id: str) -> int:
-        """Number of distinct users reached — O(1), no set copy (one
-        popcount in compact mode)."""
-        if self._compact:
-            bits = self._shown_bits.get(ad_id)
-            return 0 if bits is None else bitset.popcount(bits)
-        return len(self._reach_by_ad.get(ad_id, ()))
+        """Number of distinct users reached — one popcount, no set
+        copy."""
+        bits = self._shown_bits.get(ad_id)
+        return 0 if bits is None else bitset.popcount(bits)
 
     # -- state snapshot / migration ------------------------------------------
 
@@ -1341,38 +1267,16 @@ class DeliveryEngine:
         serving layer surfaces one per shard, keyed by ``engine_id``, so
         an imbalanced or double-delivering shard is visible at a glance.
         """
-        if self._compact:
-            nbits = (len(self._user_store)
-                     if self._user_store is not None else 0)
-            reached = bitset.union_all(
-                list(self._shown_bits.values()), nbits)
-            return {
-                "engine_id": self.engine_id,
-                "impressions": self._impression_count,
-                "clicks": self._click_count,
-                "users_with_feeds": 0,
-                "users_reached": bitset.popcount(reached),
-                "ads_delivered": len(self._shown_bits),
-                "capped_pairs": sum(
-                    bitset.popcount(bits)
-                    for bits in self._shown_bits.values()
-                ),
-                "indexed_ads": self._indexed_ad_count,
-                "in_session": self._match_cache is not None,
-            }
+        shown = list(self._shown_bits.values())
+        reached = bitset.union_all(shown, len(self._user_store))
         return {
             "engine_id": self.engine_id,
-            "impressions": len(self._impressions),
-            "clicks": len(self._clicks),
+            "impressions": self._impression_count,
+            "clicks": self._click_count,
             "users_with_feeds": len(self._feeds),
-            "users_reached": len(
-                set().union(*self._reach_by_ad.values())
-                if self._reach_by_ad else ()
-            ),
-            "ads_delivered": len(self._impressions_by_ad),
-            "capped_pairs": sum(
-                len(ads) for ads in self._capped_for_user.values()
-            ),
+            "users_reached": bitset.popcount(reached),
+            "ads_delivered": len(self._shown_bits),
+            "capped_pairs": sum(bitset.popcount(bits) for bits in shown),
             "indexed_ads": self._indexed_ad_count,
             "in_session": self._match_cache is not None,
         }
@@ -1395,11 +1299,11 @@ class DeliveryEngine:
 
         Everything exported is per-user, so exporting the users a shard
         is giving up and importing them elsewhere preserves every
-        engine-level invariant (deliver-once via the cap counts, exact
-        reporting via the logs). The export is JSON-safe — impressions
+        engine-level invariant (deliver-once via the shown bitsets,
+        exact reporting via the logs). The export is JSON-safe — impressions
         and clicks as their journal-record dicts — because it is also
-        the engine's snapshot section (see :meth:`state_dump`). Cap
-        counts and feeds are not exported: import rebuilds both from
+        the engine's snapshot section (see :meth:`state_dump`). Shown
+        bitsets and feeds are not exported: import rebuilds both from
         the impressions (and the shared inventory).
         """
         self._require_full_logs("export state")
@@ -1480,10 +1384,7 @@ class DeliveryEngine:
         self._impressions = []
         self._clicks = []
         self._feeds = defaultdict(list)
-        self._shown_counts = {}
-        self._capped_for_user = {}
         self._impressions_by_ad = {}
-        self._reach_by_ad = {}
         self._clicks_by_ad = {}
         self._shown_bits = {}
         self._impression_count = 0

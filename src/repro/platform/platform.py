@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
-from repro.errors import AccountError, StoreError, TargetingError
+from repro.errors import AccountError, TargetingError
 from repro.ids import IdFactory
 from repro.obs.metrics import registry as obs_registry
 from repro.platform.ads import (
@@ -103,8 +103,6 @@ class PlatformConfig:
     reach_quantum: int = 50
     #: Ad review strictness: "lenient" | "standard" | "strict".
     policy_strictness: str = "standard"
-    #: Per-(ad, user) impression cap.
-    frequency_cap: int = 1
     #: Narrow-targeting defense: an ad only serves while at least this
     #: many users match its full spec (0 = off). Blocks single-user
     #: inference via delivery/billing (the Korolova-style attack of the
@@ -124,11 +122,12 @@ class PlatformConfig:
     #: (:mod:`repro.platform.colstore`) is now the only one, so the
     #: field must stay True; False raises ``ValueError``.
     columnar_users: bool = True
-    #: Million-user memory mode: delivery keeps per-ad shown-user bitsets
-    #: and count aggregates instead of per-impression logs, and billing
-    #: keeps per-account/per-ad aggregates instead of the charge list.
-    #: Requires ``frequency_cap == 1``; APIs that would need the dropped
-    #: per-event state raise ``StoreError``.
+    #: Million-user memory mode: delivery keeps only its per-ad shown
+    #: bitsets and count aggregates (no impression log, click log or
+    #: feeds), and billing keeps per-account/per-ad aggregates instead
+    #: of the charge list. APIs that would need the dropped per-event
+    #: state raise ``StoreError``. The frequency cap is one impression
+    #: per ad per user in both modes.
     compact_delivery: bool = False
 
 
@@ -153,9 +152,6 @@ class AdPlatform:
             raise ValueError(
                 "columnar_users=False is no longer supported: the "
                 "columnar store is the platform's only user store")
-        if self.config.compact_delivery and self.config.frequency_cap != 1:
-            raise StoreError(
-                "compact_delivery requires a frequency cap of 1")
         self.users = ColumnarUserStore(store=self.store)
         self.pixels = PixelRegistry()
         self.audiences = AudienceRegistry(
@@ -185,13 +181,12 @@ class AdPlatform:
             audiences=self.audiences,
             ledger=self.ledger,
             competing_draw=draw,
-            frequency_cap=self.config.frequency_cap,
+            users=self.users,
             floor_price_cpm=self.config.floor_price_cpm,
             min_match_count=self.config.min_delivery_match_count,
             store=self.store,
             compact=self.config.compact_delivery,
         )
-        self.delivery.attach_user_store(self.users)
         self.reporting = ReportingService(
             inventory=self.inventory,
             ledger=self.ledger,

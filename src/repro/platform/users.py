@@ -10,10 +10,13 @@ Profiles are *internal to the platform*: advertisers never see them, and
 the platform's own transparency surfaces deliberately show users only a
 subset (see :mod:`repro.platform.adpreferences`).
 
-:class:`UserProfile` is the plain per-user record. The platform's
-registry is :class:`~repro.platform.colstore.ColumnarUserStore`, which
-ingests these records with ``add`` and hands back row views wearing the
-same API.
+:class:`UserProfile` is the plain per-user record: fields plus read
+helpers, built with its fields given directly. The platform's registry
+is :class:`~repro.platform.colstore.ColumnarUserStore`, which ingests
+these records with ``add`` and hands back row views
+(:class:`~repro.platform.colstore.UserView`) wearing the same read API
+plus the mutators (``set_attribute``, ``clear_attribute``, ``add_pii``);
+every write goes through a view, so it lands in the columns.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Set
 
-from repro.errors import CatalogError, PIIError
-from repro.hashing import PII_KINDS, hash_pii
-from repro.platform.attributes import Attribute, AttributeKind
 
 
 @dataclass
@@ -76,41 +76,6 @@ class UserProfile:
         """Assigned value of a multi attribute, or None when unassigned."""
         return self.multi_attrs.get(attr_id)
 
-    def add_pii_hash(self, kind: str, digest: str) -> None:
-        """Associate one hashed PII value with this user."""
-        if kind not in PII_KINDS:
-            raise PIIError(f"unknown PII kind {kind!r}")
-        self.pii_hashes.setdefault(kind, set()).add(digest)
-
-    def add_pii(self, kind: str, raw_value: str) -> None:
-        """Associate raw PII (hashed internally) with this user."""
-        self.add_pii_hash(kind, hash_pii(kind, raw_value))
-
     def has_pii_hash(self, kind: str, digest: str) -> bool:
         """Whether the platform holds this exact hashed PII for the user."""
         return digest in self.pii_hashes.get(kind, set())
-
-    def set_attribute(self, attribute: Attribute, value: Optional[str] = None) -> None:
-        """Set a catalog attribute on this profile.
-
-        Binary attributes are flagged set; multi attributes require a
-        ``value`` drawn from the attribute's enumerated values.
-        """
-        if attribute.kind is AttributeKind.BINARY:
-            if value is not None:
-                raise CatalogError(
-                    f"binary attribute {attribute.attr_id!r} takes no value"
-                )
-            self.binary_attrs.add(attribute.attr_id)
-            return
-        if value is None:
-            raise CatalogError(
-                f"multi attribute {attribute.attr_id!r} needs a value"
-            )
-        attribute.value_index(value)  # validates membership
-        self.multi_attrs[attribute.attr_id] = value
-
-    def clear_attribute(self, attr_id: str) -> None:
-        """Unset an attribute (used by the broker-shutdown scenario)."""
-        self.binary_attrs.discard(attr_id)
-        self.multi_attrs.pop(attr_id, None)

@@ -445,7 +445,7 @@ class ShardRouter:
             audiences=self.platform.audiences,
             ledger=ledger,
             competing_draw=(cursor := self.competition.cursor()),
-            frequency_cap=self.platform.config.frequency_cap,
+            users=self.platform.users,
             floor_price_cpm=self.platform.config.floor_price_cpm,
             min_match_count=(
                 self.platform.config.min_delivery_match_count
@@ -453,7 +453,6 @@ class ShardRouter:
             engine_id=f"shard-{index}/{num_shards}",
             store=store,
         )
-        engine.attach_user_store(self.platform.users)
         shard = Shard(
             index=index,
             engine=engine,
@@ -633,7 +632,7 @@ class ShardRouter:
     # -- cross-shard aggregation -------------------------------------------
 
     def impressions_for_ad(self, ad_id: str) -> int:
-        return sum(len(s.engine.impressions_for_ad(ad_id))
+        return sum(s.engine.impression_count_for_ad(ad_id)
                    for s in self.shards)
 
     def unique_reach(self, ad_id: str) -> Set[str]:
@@ -654,7 +653,7 @@ class ShardRouter:
         return self.shard_for(user_id).engine.feed(user_id)
 
     def total_impressions(self) -> int:
-        return sum(len(s.engine.impressions()) for s in self.shards)
+        return sum(s.engine.impression_count() for s in self.shards)
 
     def total_spend(self, account_id: str) -> float:
         """Combined spend across live and retired shard ledgers."""

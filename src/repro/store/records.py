@@ -42,7 +42,8 @@ class ImpressionRecorded(ChangeRecord):
 
     Folding it rebuilds the impression log, the per-ad reporting views,
     the user's feed entry (the creative is re-read from the shared ad
-    inventory), and the frequency-cap count for ``(ad_id, user_id)``.
+    inventory), and the user's bit in the ad's shown bitset (the
+    frequency cap for ``(ad_id, user_id)``).
     """
 
     kind: ClassVar[str] = "impression"

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.platform.attributes import Attribute, AttributeKind
+from repro.platform.colstore import UserView
 from repro.platform.databroker import IngestReport
 from repro.platform.platform import AdPlatform
-from repro.platform.users import UserProfile
 from repro.workloads.personas import Persona
 
 _ZIP_POOL = tuple(f"{z:05d}" for z in range(10001, 10051))
@@ -43,7 +43,7 @@ class PopulationBuilder:
 
     # ------------------------------------------------------------------
 
-    def spawn(self, persona: Persona, count: int = 1) -> List[UserProfile]:
+    def spawn(self, persona: Persona, count: int = 1) -> List[UserView]:
         """Create ``count`` users of one persona (broker records staged,
         not yet ingested — call :meth:`finalize`)."""
         users = []
@@ -56,7 +56,7 @@ class PopulationBuilder:
         personas: Sequence[Persona],
         count: int,
         weights: Optional[Sequence[float]] = None,
-    ) -> List[UserProfile]:
+    ) -> List[UserView]:
         """Create ``count`` users drawn from a persona mix."""
         chosen = self._rng.choices(
             list(personas), weights=list(weights) if weights else None,
@@ -112,7 +112,7 @@ class PopulationBuilder:
     # ------------------------------------------------------------------
 
     def _spawn_one(self, persona: Persona,
-                   track: bool = True) -> UserProfile:
+                   track: bool = True) -> UserView:
         rng = self._rng
         user = self.platform.register_user(
             country=self.platform.config.country,
@@ -129,7 +129,7 @@ class PopulationBuilder:
         return user
 
     def _attach_pii(
-        self, user: UserProfile, persona: Persona
+        self, user: UserView, persona: Persona
     ) -> List[Tuple[str, str]]:
         """Synthesize raw PII and register it with the platform.
 
@@ -151,7 +151,7 @@ class PopulationBuilder:
             attached.append((kind, value))
         return attached
 
-    def _set_platform_attributes(self, user: UserProfile,
+    def _set_platform_attributes(self, user: UserView,
                                  persona: Persona) -> None:
         rng = self._rng
         catalog = self.platform.catalog
@@ -169,7 +169,7 @@ class PopulationBuilder:
 
     def _stage_broker_record(
         self,
-        user: UserProfile,
+        user: UserView,
         persona: Persona,
         pii: List[Tuple[str, str]],
     ) -> None:
@@ -190,7 +190,7 @@ class PopulationBuilder:
         )
 
     def _choose_partner_attributes(
-        self, user: UserProfile, persona: Persona, count: int
+        self, user: UserView, persona: Persona, count: int
     ) -> List[Attribute]:
         """Prefer the persona's families; avoid contradictory picks within
         one exclusive family (one net-worth band, not three)."""

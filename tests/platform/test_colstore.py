@@ -157,7 +157,7 @@ class TestPII:
     def test_add_rejects_unindexed_pii_kind_up_front(self):
         store = ColumnarUserStore()
         profile = UserProfile(user_id="u1")
-        # add_pii itself rejects unknown kinds, so smuggle the hash in
+        # A view's add_pii rejects unknown kinds, so smuggle the hash in
         # the way a hand-built or deserialized profile could.
         profile.pii_hashes["ssn"] = {"deadbeef"}
         with pytest.raises(PIIError,
@@ -168,8 +168,9 @@ class TestPII:
 
     def test_add_indexes_preexisting_pii(self):
         store = ColumnarUserStore()
-        profile = UserProfile(user_id="u1")
-        profile.add_pii("email", "a@x.com")
+        profile = UserProfile(
+            user_id="u1",
+            pii_hashes={"email": {hash_pii("email", "a@x.com")}})
         store.add(profile)
         digest = hash_pii("email", "a@x.com")
         assert store.users_matching_pii("email", digest) == {"u1"}

@@ -64,7 +64,8 @@ class _Reference:
         self.profiles[user_id].liked_pages.add(page_id)
 
     def attach_pii(self, user_id, kind, raw_value):
-        self.profiles[user_id].add_pii(kind, raw_value)
+        self.profiles[user_id].pii_hashes.setdefault(kind, set()).add(
+            hash_pii(kind, raw_value))
 
     def user_ids(self):
         return list(self.profiles)
@@ -140,22 +141,29 @@ def _build_stores(ops):
             _assert_set_algebra_equal(reference, columnar, op[1],
                                       set(op[2]))
             continue
-        for store in (reference, columnar):
-            user = store.get(op[1])
-            if op[0] == "set_bin":
-                user.set_attribute(op[2])
-            elif op[0] == "clear":
-                user.clear_attribute(op[2])
-            elif op[0] == "set_multi":
-                attribute, value = op[2], op[3]
-                if value in attribute.values:
-                    user.set_attribute(attribute, value)
-            elif op[0] == "like":
-                store.like_page(op[1], op[2])
-            elif op[0] == "unlike":
-                user.liked_pages.discard(op[2])
-            elif op[0] == "pii":
-                store.attach_pii(op[1], "email", op[2])
+        # Records have no mutators: the reference writes their fields,
+        # the columnar side writes through its row view.
+        profile, view = reference.get(op[1]), columnar.get(op[1])
+        if op[0] == "set_bin":
+            profile.binary_attrs.add(op[2].attr_id)
+            view.set_attribute(op[2])
+        elif op[0] == "clear":
+            profile.binary_attrs.discard(op[2])
+            profile.multi_attrs.pop(op[2], None)
+            view.clear_attribute(op[2])
+        elif op[0] == "set_multi":
+            attribute, value = op[2], op[3]
+            if value in attribute.values:
+                profile.multi_attrs[attribute.attr_id] = value
+                view.set_attribute(attribute, value)
+        else:
+            for store in (reference, columnar):
+                if op[0] == "like":
+                    store.like_page(op[1], op[2])
+                elif op[0] == "unlike":
+                    store.get(op[1]).liked_pages.discard(op[2])
+                elif op[0] == "pii":
+                    store.attach_pii(op[1], "email", op[2])
     return reference, columnar
 
 

@@ -141,6 +141,12 @@ class TestStatsAndViews:
         feed.append("junk")
         assert platform.feed(user.user_id) == []
 
+    def test_reading_a_feed_creates_no_feed_state(self, platform):
+        users = [platform.register_user() for _ in range(5)]
+        for user in users:
+            assert platform.feed(user.user_id) == []
+        assert platform.delivery.snapshot_stats()["users_with_feeds"] == 0
+
 
 class TestSharedCreativeImages:
     """Delivered feeds share one frozen image buffer per creative instead

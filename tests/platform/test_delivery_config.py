@@ -26,19 +26,6 @@ def _one_ad_campaign(platform, bid=10.0):
     return account, ad
 
 
-class TestFrequencyCap:
-    def test_cap_of_three_serves_thrice(self):
-        platform = _platform(frequency_cap=3)
-        user = platform.register_user()
-        _one_ad_campaign(platform)
-        platform.run_delivery(slots_per_user=10)
-        assert len(platform.feed(user.user_id)) == 3
-
-    def test_cap_zero_rejected(self):
-        with pytest.raises(ValueError):
-            _platform(frequency_cap=0)
-
-
 class TestFloorPrice:
     def test_bid_below_floor_never_serves(self):
         platform = AdPlatform(
@@ -73,6 +60,7 @@ class TestMinMatchCount:
                 audiences=platform.audiences,
                 ledger=platform.ledger,
                 competing_draw=zero_competition(),
+                users=platform.users,
                 min_match_count=-1,
             )
 

@@ -84,12 +84,6 @@ class TestPreconditions:
             AdPlatform(config=PlatformConfig(name="legacy",
                                              columnar_users=False))
 
-    def test_needs_unit_frequency_cap(self):
-        platform, _ads = make_world()
-        platform.delivery.frequency_cap = 3
-        with pytest.raises(ValueError, match="frequency cap"):
-            platform.delivery.sweep_slots()
-
     def test_block_rows_must_be_word_multiple(self):
         platform, _ads = make_world(users=10)
         with pytest.raises(ValueError, match="block_rows"):

@@ -12,30 +12,35 @@ BIN = make_binary("b1", "Binary", ("Cat",))
 MULTI = make_multi("m1", "Multi", ("Cat",), values=("x", "y"))
 
 
+def _view():
+    """A fresh user's row view: the one place profile writes happen."""
+    return ColumnarUserStore().new_user("u1")
+
+
 class TestUserProfile:
     def test_set_binary_attribute(self):
-        user = UserProfile(user_id="u1")
+        user = _view()
         user.set_attribute(BIN)
         assert user.has_attribute("b1")
 
     def test_binary_with_value_rejected(self):
-        user = UserProfile(user_id="u1")
+        user = _view()
         with pytest.raises(CatalogError):
             user.set_attribute(BIN, "x")
 
     def test_set_multi_attribute(self):
-        user = UserProfile(user_id="u1")
+        user = _view()
         user.set_attribute(MULTI, "y")
         assert user.attribute_value("m1") == "y"
         assert user.has_attribute("m1")
 
     def test_multi_without_value_rejected(self):
-        user = UserProfile(user_id="u1")
+        user = _view()
         with pytest.raises(CatalogError):
             user.set_attribute(MULTI)
 
     def test_multi_with_bad_value_rejected(self):
-        user = UserProfile(user_id="u1")
+        user = _view()
         with pytest.raises(CatalogError):
             user.set_attribute(MULTI, "zzz")
 
@@ -45,7 +50,7 @@ class TestUserProfile:
         assert user.attribute_value("m1") is None
 
     def test_clear_attribute(self):
-        user = UserProfile(user_id="u1")
+        user = _view()
         user.set_attribute(BIN)
         user.set_attribute(MULTI, "x")
         user.clear_attribute("b1")
@@ -54,13 +59,13 @@ class TestUserProfile:
         assert not user.has_attribute("m1")
 
     def test_add_pii_hashes_internally(self):
-        user = UserProfile(user_id="u1")
+        user = _view()
         user.add_pii("email", "A@b.com")
         digest = hash_pii("email", "a@b.com")
         assert user.has_pii_hash("email", digest)
 
     def test_unknown_pii_kind_rejected(self):
-        user = UserProfile(user_id="u1")
+        user = _view()
         with pytest.raises(PIIError):
             user.add_pii_hash("ssn", "0" * 64)
 
@@ -103,8 +108,9 @@ class TestUserStore:
         assert store.users_matching_pii("phone", digest) == {"u1", "u2"}
 
     def test_preexisting_pii_indexed_on_add(self):
-        profile = UserProfile(user_id="u1")
-        profile.add_pii("email", "x@y.z")
+        profile = UserProfile(
+            user_id="u1",
+            pii_hashes={"email": {hash_pii("email", "x@y.z")}})
         store = ColumnarUserStore()
         store.add(profile)
         digest = hash_pii("email", "x@y.z")

@@ -58,6 +58,7 @@ def _fresh_engine(platform):
         platform.audiences,
         BillingLedger(platform.inventory),
         zero_competition(),
+        platform.users,
     )
 
 
@@ -136,16 +137,32 @@ class TestRandomStateRoundTrip:
     @given(picks=st.lists(_PICK, max_size=12))
     @settings(max_examples=25, deadline=None)
     def test_cap_state_survives_the_round_trip(self, world, picks):
-        # Caps travel implicitly: each imported impression bumps its
-        # (ad, user) count, so the second engine rebuilds the same caps.
+        # Caps travel implicitly: each imported impression sets its
+        # user's bit in the ad's shown bitset, so the second engine
+        # rebuilds the same caps, reach and counts.
         state = _state_from(world, picks, [])
         first = _fresh_engine(world)
         first.import_state(state)
         second = _fresh_engine(world)
         second.import_state(first.export_state())
-        assert first._shown_counts == second._shown_counts
-        assert first._capped_for_user == second._capped_for_user
-        assert sum(first._shown_counts.values()) == len(picks)
+        for ad in world.inventory.ads():
+            pairs = {row["user_id"] for row in state["impressions"]
+                     if row["ad_id"] == ad.ad_id}
+            for engine in (first, second):
+                assert engine.unique_reach(ad.ad_id) == pairs
+                assert engine.reach_count(ad.ad_id) == len(pairs)
+        assert first.impression_count() == second.impression_count() \
+            == len(picks)
+
+
+class TestUnknownUser:
+    def test_import_of_an_unknown_user_is_refused(self, world):
+        # The shown bitsets are keyed by user row, so an impression
+        # whose user the store does not know cannot be folded.
+        state = _state_from(world, [(0, 0, 0.001)], [])
+        state["impressions"][0]["user_id"] = "no-such-user"
+        with pytest.raises(StoreError, match="unknown user"):
+            _fresh_engine(world).import_state(state)
 
 
 class TestRetiredCapSection:
