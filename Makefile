@@ -1,7 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test equivalence bench bench-perf check service-smoke scale-smoke
+.PHONY: test equivalence bench bench-perf check service-smoke scale-smoke \
+	state-smoke
 
 ## Tier-1 test suite (the gate every change must keep green).
 test:
@@ -38,6 +39,19 @@ service-smoke:
 		--out-dir service-smoke-thread
 	$(PYTHON) benchmarks/service_smoke.py --backend process \
 		--out-dir service-smoke-process
+
+## The state layer round trip (what the CI state-smoke job runs):
+## checkpoint a sharded serving run mid-flight, then rebuild it from
+## snapshot + journal suffix and from the full journal. Each command
+## exits non-zero unless the rebuilt end state is byte-identical to the
+## recorded report. The out-dir is cleared first: checkpoint appends to
+## journals it finds there.
+state-smoke:
+	rm -rf state-smoke
+	$(PYTHON) -m repro checkpoint --out state-smoke \
+		--users 40 --shards 4 --rounds 4 --checkpoint-after 2 --seed 11
+	$(PYTHON) -m repro restore --from state-smoke
+	$(PYTHON) -m repro replay --from state-smoke
 
 ## What CI runs: tier-1 suite (includes the equivalence tests) plus the
 ## benchmark shape checks.

@@ -52,7 +52,8 @@ def capture_trace(platform: AdPlatform,
         "users": len(platform.users),
         "ads": len(platform.inventory.ads()),
     })
-    for impression in platform.delivery.impressions():
+    impressions = platform.delivery.impressions()
+    for impression in impressions:
         trace.events.append({
             "kind": "impression",
             "visibility": "platform-internal",
@@ -70,14 +71,16 @@ def capture_trace(platform: AdPlatform,
             "user_id": click.user_id,
             "click_seq": click.click_seq,
         })
-    for charge in platform.ledger.all_charges():
+    # Every delivered impression is billed at its price: the ledger
+    # keeps aggregates only, so each charge is read off its impression.
+    for impression in impressions:
         trace.events.append({
             "kind": "charge",
             "visibility": "advertiser",
-            "ad_id": charge.ad_id,
-            "account_id": charge.account_id,
-            "amount": charge.amount,
-            "impression_seq": charge.impression_seq,
+            "ad_id": impression.ad_id,
+            "account_id": impression.account_id,
+            "amount": impression.price,
+            "impression_seq": impression.seq,
         })
     for website in websites or []:
         for entry in website.access_log:

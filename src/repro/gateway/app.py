@@ -365,17 +365,12 @@ class GatewayApp:
             raise HttpError(404, "unknown_ad",
                             f"unknown ad {ad!r}") from None
         router = self.runtime.router
-        spend = sum(
-            impression.price
-            for shard in router.shards
-            for impression in shard.engine.impressions_for_ad(ad)
-        )
         return Done(200, json_body({
             "ad_id": ad,
             "impressions": router.impressions_for_ad(ad),
             "clicks": router.clicks_for_ad(ad),
             "reach": router.reach_count(ad),
-            "spend": round(spend, 10),
+            "spend": round(router.spend_for_ad(ad), 10),
         }))
 
     def _get_explanation(self, request: Request) -> Done:

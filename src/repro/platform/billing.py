@@ -12,22 +12,25 @@ ever recorded. The ledger makes that observable ("zero per-user cost for
 Treads corresponding to targeting parameters that a user does not have").
 
 State model (PR 4): the ledger is a
-:class:`~repro.store.store.StateOwner` — ``state_dump`` captures the
-charge log plus the account budgets it governs, and ``apply_record``
-folds a journaled charge back in (deducting budget) without re-emitting
-obs signals, so replay never double-counts. Delivery-path charges are
-*implied* by the impression record that lands in the same journal
-(``charge_impression(journal=False)``; the delivery engine re-debits
-them on replay via :meth:`BillingLedger.apply_implied_charge`); only
-direct charges with no impression behind them journal their own
+:class:`~repro.store.store.StateOwner` — ``state_dump`` captures its
+aggregates (per-ad and per-account spend and impression counts, each
+ad's billing account in first-charge order) plus the account budgets it
+governs, and ``apply_record`` folds a journaled charge back in
+(deducting budget) without re-emitting obs signals, so replay never
+double-counts. The ledger keeps no per-impression log: delivery-path
+charges are *implied* by the impression record that lands in the same
+journal (``charge_impression(journal=False)``; the delivery engine
+re-debits them on replay via :meth:`BillingLedger.apply_implied_charge`);
+only direct charges with no impression behind them journal their own
 :class:`~repro.store.records.ChargeRecorded` (re-exported here as
-``ChargeRecord``).
+``ChargeRecord``). Dumps written before the ledger dropped its charge
+log carry a ``charges`` list instead of aggregates; ``state_load``
+still folds one.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +39,7 @@ import numpy as np
 from repro.errors import BudgetError, StoreError
 from repro.obs.metrics import registry as obs_registry
 from repro.platform.ads import AdInventory
-from repro.store.records import ChangeRecord, ChargeRecorded, record_from_dict, record_to_dict
+from repro.store.records import ChangeRecord, ChargeRecorded, record_from_dict
 from repro.store.store import MemoryStore, StateStore
 
 _log = logging.getLogger("repro.platform.billing")
@@ -47,6 +50,10 @@ _BUDGET_EPSILON = 1e-9
 
 #: One billed impression — the journal record *is* the ledger entry.
 ChargeRecord = ChargeRecorded
+
+#: The aggregate rows of an ad / account never charged.
+_NO_AD = (None, 0.0, 0)
+_NO_ACCOUNT = (0.0, 0)
 
 
 def _left_fold(start: float, amounts: np.ndarray) -> float:
@@ -68,32 +75,22 @@ class Invoice:
 
 
 class BillingLedger:
-    """Append-only charge log with per-ad and per-account aggregation."""
+    """Per-ad and per-account spend and impression aggregates."""
 
     store_name = "billing"
     handled_kinds: Tuple[str, ...] = (ChargeRecorded.kind,)
 
     def __init__(self, inventory: AdInventory,
-                 store: Optional[StateStore] = None,
-                 compact: bool = False):
+                 store: Optional[StateStore] = None):
         self._inventory = inventory
         self._store = store if store is not None else MemoryStore()
         self._store.attach(self)
-        #: Compact (million-user) mode: keep only the aggregates below —
-        #: never the per-impression charge log. Invoices and per-account
-        #: spend are aggregate-built in both modes (float-identical to
-        #: a scan, since both add amounts in charge order); compact only
-        #: drops the log itself, so ``all_charges``/``state_dump`` — the
-        #: APIs that *are* the log — raise.
-        self._compact = compact
-        self._charges: List[ChargeRecord] = []
-        self._spend_by_ad: Dict[str, float] = defaultdict(float)
-        self._impressions_by_ad: Dict[str, int] = defaultdict(int)
-        self._spend_by_account: Dict[str, float] = defaultdict(float)
-        self._impressions_by_account: Dict[str, int] = defaultdict(int)
-        #: ad_id -> billing account, in first-charge order (rebuilds the
-        #: invoice's per-ad breakdown without the charge log).
-        self._account_by_ad: Dict[str, str] = {}
+        #: ad_id -> [account_id, spend, impressions] and account_id ->
+        #: [spend, impressions], both in first-charge order. Each total
+        #: adds amounts in charge order, so it is float-identical to a
+        #: left-to-right scan of the charges.
+        self._by_ad: Dict[str, list] = {}
+        self._by_account: Dict[str, list] = {}
         reg = obs_registry()
         self._obs_on = reg.enabled
         self._obs_charged = reg.counter("billing.impressions_charged")
@@ -130,7 +127,7 @@ class BillingLedger:
         # invent a charge a raised BudgetError prevented.
         if journal:
             self._store.append(record)
-        self._fold_charge(record)
+        self._add(ad_id, account_id, amount, 1)
         if self._obs_on:
             self._obs_charged.inc()
         if solvent_before and account.budget <= _BUDGET_EPSILON:
@@ -156,15 +153,10 @@ class BillingLedger:
         The whole run is validated (non-negative amounts, no overdraft
         at any step, known accounts) before any state changes, so a
         :class:`~repro.errors.BudgetError` leaves the ledger untouched.
-        This is the batch sweep's billing step: one call per compact
-        sweep round. Compact mode only, and never journals — the
-        sweep's impression records, when kept, imply the charges as on
-        the scalar path.
+        This is the batch sweep's billing step: one call per sweep
+        round. It never journals — the sweep's impression records, when
+        kept, imply the charges as on the scalar path.
         """
-        if not self._compact:
-            raise StoreError(
-                "impression runs require the compact ledger; the "
-                "full-logs path bills per impression")
         amounts = np.asarray(amounts, dtype=np.float64)
         ad_index = np.asarray(ad_index, dtype=np.int64)
         if amounts.shape != ad_index.shape:
@@ -208,16 +200,14 @@ class BillingLedger:
 
         for group in groups:
             ad_id, account_id = ads[int(ad_index[group[0]])]
-            self._spend_by_ad[ad_id] = _left_fold(
-                self._spend_by_ad.get(ad_id, 0.0), amounts[group])
-            self._impressions_by_ad[ad_id] += len(group)
-            self._account_by_ad.setdefault(ad_id, account_id)
+            row = self._by_ad.setdefault(ad_id, [account_id, 0.0, 0])
+            row[1] = _left_fold(row[1], amounts[group])
+            row[2] += len(group)
         for account, (rows, path) in zip(accounts, budget_paths):
-            account_id = account.account_id
             account.budget = float(path[-1])
-            self._spend_by_account[account_id] = _left_fold(
-                self._spend_by_account.get(account_id, 0.0), amounts[rows])
-            self._impressions_by_account[account_id] += len(rows)
+            row = self._by_account.setdefault(account.account_id, [0.0, 0])
+            row[0] = _left_fold(row[0], amounts[rows])
+            row[1] += len(rows)
         if self._obs_on:
             self._obs_charged.inc(int(amounts.size))
         for account, (rows, path) in zip(accounts, budget_paths):
@@ -236,23 +226,15 @@ class BillingLedger:
         The partitioned sweep's merge step (:meth:`~repro.platform.
         delivery.DeliveryEngine.absorb_sweep_delta`): each worker ships
         per-ad spend sums, so priced parallel sweeps match sequential
-        billing to float tolerance (zero-price sweeps exactly). Compact
-        mode only, and never journals.
+        billing to float tolerance (zero-price sweeps exactly). It never
+        journals.
         """
-        if not self._compact:
-            raise StoreError(
-                "bulk impression charges require the compact ledger; "
-                "the full-logs path bills per impression")
         if count <= 0:
             raise ValueError("bulk charge needs a positive count")
         account = self._inventory.account(account_id)
         solvent_before = account.budget > _BUDGET_EPSILON
         account.charge(amount_total)
-        self._spend_by_ad[ad_id] += amount_total
-        self._impressions_by_ad[ad_id] += count
-        self._spend_by_account[account_id] += amount_total
-        self._impressions_by_account[account_id] += count
-        self._account_by_ad.setdefault(ad_id, account_id)
+        self._add(ad_id, account_id, amount_total, count)
         if self._obs_on:
             self._obs_charged.inc(count)
         if solvent_before and account.budget <= _BUDGET_EPSILON:
@@ -262,15 +244,16 @@ class BillingLedger:
 
     # -- state owner -------------------------------------------------------
 
-    def _fold_charge(self, record: ChargeRecord) -> None:
-        """Log + aggregate one charge (shared by live path and replay)."""
-        if not self._compact:
-            self._charges.append(record)
-        self._spend_by_ad[record.ad_id] += record.amount
-        self._impressions_by_ad[record.ad_id] += 1
-        self._spend_by_account[record.account_id] += record.amount
-        self._impressions_by_account[record.account_id] += 1
-        self._account_by_ad.setdefault(record.ad_id, record.account_id)
+    def _add(self, ad_id: str, account_id: str, amount: float,
+             count: int) -> None:
+        """Fold ``count`` impressions costing ``amount`` in total into
+        the aggregates (shared by the live paths and replay)."""
+        ad = self._by_ad.setdefault(ad_id, [account_id, 0.0, 0])
+        ad[1] += amount
+        ad[2] += count
+        account = self._by_account.setdefault(account_id, [0.0, 0])
+        account[0] += amount
+        account[1] += count
 
     def apply_record(self, record: ChangeRecord) -> None:
         """Replay one journaled charge: deduct the budget and fold the
@@ -279,7 +262,7 @@ class BillingLedger:
             raise StoreError(
                 f"billing cannot apply record kind {record.kind!r}")
         self._inventory.account(record.account_id).charge(record.amount)
-        self._fold_charge(record)
+        self._add(record.ad_id, record.account_id, record.amount, 1)
 
     def apply_implied_charge(self, ad_id: str, account_id: str,
                              amount: float, impression_seq: int) -> None:
@@ -307,11 +290,17 @@ class BillingLedger:
         return list(self._inventory.accounts())
 
     def state_dump(self) -> Dict[str, Any]:
-        if self._compact:
-            raise StoreError(
-                "compact billing ledger does not retain the charge log")
+        """The aggregates and governed budgets, JSON-safe.
+
+        Lists, not maps, keep first-charge order (snapshots serialise
+        with sorted keys): ``ads`` rows are ``[ad_id, account_id,
+        spend, impressions]``, ``accounts`` rows ``[account_id, spend,
+        impressions]``. Floats round-trip exactly through JSON.
+        """
         return {
-            "charges": [record_to_dict(r) for r in self._charges],
+            "ads": [[ad_id, *row] for ad_id, row in self._by_ad.items()],
+            "accounts": [[account_id, *row]
+                         for account_id, row in self._by_account.items()],
             "budgets": {
                 account.account_id: account.budget
                 for account in self._governed_accounts()
@@ -319,35 +308,40 @@ class BillingLedger:
         }
 
     def state_load(self, state: Dict[str, Any]) -> None:
-        """Replace the ledger's state with a prior dump: refold the
-        charge log (aggregates only), then pin budgets to the dumped
-        values — budgets are authoritative in the dump, not re-derived,
-        so a restored ledger is exact even mid-exhaustion."""
-        self._charges = []
-        self._spend_by_ad = defaultdict(float)
-        self._impressions_by_ad = defaultdict(int)
-        self._spend_by_account = defaultdict(float)
-        self._impressions_by_account = defaultdict(int)
-        self._account_by_ad = {}
+        """Replace the ledger's state with a prior dump: set the
+        aggregates, then pin budgets to the dumped values — budgets are
+        authoritative in the dump, not re-derived, so a restored ledger
+        is exact even mid-exhaustion. A legacy dump's ``charges`` list
+        is folded into the aggregates charge by charge."""
+        self._by_ad = {}
+        self._by_account = {}
         for data in state.get("charges", []):
             record = record_from_dict(dict(data))
             if not isinstance(record, ChargeRecorded):
                 raise StoreError(
                     f"billing dump holds a {record.kind!r} record")
-            self._fold_charge(record)
+            self._add(record.ad_id, record.account_id, record.amount, 1)
+        for ad_id, account_id, spend, impressions in state.get("ads", []):
+            self._by_ad[ad_id] = [account_id, float(spend), int(impressions)]
+        for account_id, spend, impressions in state.get("accounts", []):
+            self._by_account[account_id] = [float(spend), int(impressions)]
         for account_id, budget in state.get("budgets", {}).items():
             self._inventory.account(account_id).budget = float(budget)
 
     # -- reads -------------------------------------------------------------
 
     def spend_for_ad(self, ad_id: str) -> float:
-        return self._spend_by_ad.get(ad_id, 0.0)
+        return self._by_ad.get(ad_id, _NO_AD)[1]
 
     def impressions_for_ad(self, ad_id: str) -> int:
-        return self._impressions_by_ad.get(ad_id, 0)
+        return self._by_ad.get(ad_id, _NO_AD)[2]
 
     def spend_for_account(self, account_id: str) -> float:
-        return self._spend_by_account.get(account_id, 0.0)
+        return self._by_account.get(account_id, _NO_ACCOUNT)[0]
+
+    def charged_accounts(self) -> List[str]:
+        """Ids of the accounts charged so far, in first-charge order."""
+        return list(self._by_account)
 
     def effective_cpm(self, ad_id: str) -> float:
         """Realised dollars per thousand impressions for one ad."""
@@ -366,18 +360,9 @@ class BillingLedger:
         ("access to the performance statistics reported by the advertising
         platform (e.g., for billing purposes)").
         """
-        invoice = Invoice(account_id=account_id)
-        invoice.total = self._spend_by_account.get(account_id, 0.0)
-        invoice.impressions = self._impressions_by_account.get(account_id, 0)
-        invoice.by_ad = {
-            ad_id: self._spend_by_ad[ad_id]
-            for ad_id, owner in self._account_by_ad.items()
-            if owner == account_id
-        }
-        return invoice
-
-    def all_charges(self) -> List[ChargeRecord]:
-        if self._compact:
-            raise StoreError(
-                "compact billing ledger does not retain the charge log")
-        return list(self._charges)
+        total, impressions = self._by_account.get(account_id, _NO_ACCOUNT)
+        return Invoice(
+            account_id=account_id, total=total, impressions=impressions,
+            by_ad={ad_id: spend
+                   for ad_id, (owner, spend, _) in self._by_ad.items()
+                   if owner == account_id})

@@ -123,6 +123,20 @@ def _collect_buckets(anchored: int, buckets_by_code: Dict[int, list],
         anchored ^= low
 
 
+def _records_of(state: Dict[str, Any], section: str,
+                kind: type) -> List[ChangeRecord]:
+    """Parse one section of an exported delivery state, refusing any
+    record of another kind."""
+    records = [record_from_dict(dict(data))
+               for data in state.get(section, [])]
+    for record in records:
+        if not isinstance(record, kind):
+            raise StoreError(
+                f"delivery state holds a {record.kind!r} record in its "
+                f"{section} section")
+    return records
+
+
 def check_sweep_args(max_rounds: int, block_rows: int) -> None:
     """Validate the sweep knobs shared by the single-process and the
     partitioned sweep (the latter checks before forking)."""
@@ -330,7 +344,6 @@ class DeliveryEngine:
         #: serve_slot must see live state.
         self._match_cache: Optional[Dict[str, List[tuple]]] = None
         # -- indexed reporting views ---------------------------------------
-        self._impressions_by_ad: Dict[str, List[Impression]] = {}
         self._clicks_by_ad: Dict[str, int] = {}
         # -- observability -------------------------------------------------
         # Instruments resolve once, at construction (pass ``metrics`` or
@@ -622,15 +635,13 @@ class DeliveryEngine:
         if ad is None:
             ad = self._inventory.ad(impression.ad_id)
         self._mark_shown(impression, ad)
-        if self._compact:
-            return
+        if not self._compact:
+            self._log_impression(impression, ad)
+
+    def _log_impression(self, impression: Impression, ad: Ad) -> None:
+        """The full-mode half of the fold: the impression log and the
+        user's feed (compact engines keep neither)."""
         self._impressions.append(impression)
-        # Reporting views, maintained at delivery time so report reads
-        # never scan the full impression log.
-        per_ad = self._impressions_by_ad.get(impression.ad_id)
-        if per_ad is None:
-            per_ad = self._impressions_by_ad[impression.ad_id] = []
-        per_ad.append(impression)
         creative = ad.creative
         self._feeds[impression.user_id].append(
             DeliveredAd(
@@ -835,9 +846,9 @@ class DeliveryEngine:
         :meth:`run_until_saturated` would have produced.
 
         ``_collect_delta`` is the parallel partitioner's hook
-        (:mod:`repro.platform.parsweep`): compact-mode sweeps then also
-        return a per-ad ``{ad_id: (account_id, start_word, words,
-        count, price_sum)}`` fold that a parent engine can absorb with
+        (:mod:`repro.platform.parsweep`): the sweep then also returns a
+        per-ad ``{ad_id: (account_id, start_word, words, count,
+        price_sum)}`` fold that a compact parent engine can absorb with
         :meth:`absorb_sweep_delta`.
         """
         cols = self._user_store.columns
@@ -853,10 +864,6 @@ class DeliveryEngine:
                 f"{cols.count} rows")
         stats = DeliveryStats()
         delta: Optional[Dict[str, list]] = {} if _collect_delta else None
-        if _collect_delta and not self._compact:
-            raise StoreError(
-                f"{self.engine_id}: sweep deltas are a compact-mode "
-                "fold (parallel sweeps merge bitsets and counters)")
         with self.serving_session():
             self._run_sweep(stats, cols, start, stop, max_rounds,
                             block_rows, delta)
@@ -1073,27 +1080,16 @@ class DeliveryEngine:
                      rel_rows: np.ndarray, wcand: np.ndarray,
                      price: np.ndarray, avail: np.ndarray,
                      delta: Optional[Dict[str, list]]) -> None:
-        """Fold one vector round's wins into engine + ledger state."""
+        """Fold one vector round's wins into engine + ledger state, the
+        same way in both modes: one billing run, the impression records
+        (the scalar loop's seq, user, price and row order) to the
+        journal and, in full mode, to the log and feeds, then bulk ORs
+        into the shown bitsets."""
         users = self._user_store
         n = stop - start
         order = np.argsort(wcand, kind="stable")
         grouped = np.split(
             order, np.flatnonzero(np.diff(wcand[order])) + 1)
-        if not self._compact:
-            # Full-logs mode: deliver each win through the exact scalar
-            # commit path (charge -> journal -> fold -> obs), in
-            # ascending row order, so journals and feeds are
-            # byte-identical to the scalar loop.
-            for j in range(len(rel_rows)):
-                entry = entries[int(wcand[j])]
-                self._deliver(entry[0],
-                              UserView(users, start + int(rel_rows[j])),
-                              float(price[j]))
-            for group in grouped:
-                cand = int(wcand[group[0]])
-                avail[cand] &= ~bitset.from_indices(rel_rows[group], n)
-            return
-
         count = len(rel_rows)
         seq_base = self._impression_seq
         word0 = start // bitset.WORD_BITS
@@ -1105,33 +1101,28 @@ class DeliveryEngine:
             [(entries[c][0].ad_id, entries[c][0].account_id)
              for c in group_cands],
             np.searchsorted(group_cands, wcand), price)
-        if self._store.discards_records:
-            self._store.note_discarded(count)
-        else:
-            # Journaling stores get real per-impression records with the
-            # same seq/user/price/order the scalar path would append
-            # (charge first, then journal, as _deliver does).
+        journal = not self._store.discards_records
+        log = not self._compact
+        if journal or log:
+            # Charge first, then journal and log, as _deliver does.
             for j in range(count):
                 ad = entries[int(wcand[j])][0]
-                self._store.append(Impression(
+                impression = Impression(
                     seq=seq_base + j, ad_id=ad.ad_id,
                     account_id=ad.account_id,
                     user_id=users.id_of(start + int(rel_rows[j])),
-                    price=float(price[j])))
+                    price=float(price[j]))
+                if journal:
+                    self._store.append(impression)
+                if log:
+                    self._log_impression(impression, ad)
+        if not journal:
+            self._store.note_discarded(count)
         for cand, group in zip(group_cands, grouped):
             ad = entries[cand][0]
-            shown = self._shown_bits.get(ad.ad_id)
-            if shown is None:
-                shown = bitset.make_bitset(len(users))
-            if stop > shown.shape[0] * bitset.WORD_BITS:
-                shown = bitset.ensure_width(shown, stop)
             added = bitset.from_indices(rel_rows[group], n)
-            shown[word0:word0 + added.size] |= added
-            self._shown_bits[ad.ad_id] = shown
+            self._or_shown(ad.ad_id, word0, added, len(group))
             avail[cand] &= ~added
-            self._impression_count_by_ad[ad.ad_id] = (
-                self._impression_count_by_ad.get(ad.ad_id, 0)
-                + len(group))
             if delta is not None:
                 record = delta.get(ad.ad_id)
                 if record is None:
@@ -1144,6 +1135,21 @@ class DeliveryEngine:
         self._impression_seq = seq_base + count
         if self._obs_on:
             self._obs_impressions.inc(count)
+
+    def _or_shown(self, ad_id: str, word0: int, words: np.ndarray,
+                  count: int) -> None:
+        """Bulk twin of :meth:`_mark_shown`'s bit and per-ad count: OR
+        ``words`` into the ad's shown bitset from word ``word0`` on and
+        count ``count`` impressions of the ad."""
+        shown = self._shown_bits.get(ad_id)
+        if shown is None:
+            shown = bitset.make_bitset(len(self._user_store))
+        shown = bitset.ensure_width(
+            shown, (word0 + len(words)) * bitset.WORD_BITS)
+        shown[word0:word0 + len(words)] |= words
+        self._shown_bits[ad_id] = shown
+        self._impression_count_by_ad[ad_id] = (
+            self._impression_count_by_ad.get(ad_id, 0) + count)
 
     def absorb_sweep_delta(self, delta: Dict[str, tuple]) -> None:
         """Fold a partitioned sweep's per-ad results into this engine.
@@ -1158,20 +1164,10 @@ class DeliveryEngine:
             raise StoreError(
                 f"{self.engine_id}: sweep deltas fold into compact "
                 "engines only")
-        users = self._user_store
         total = 0
         for ad_id in sorted(delta):
             account_id, start_word, words, count, price_sum = delta[ad_id]
-            shown = self._shown_bits.get(ad_id)
-            if shown is None:
-                shown = bitset.make_bitset(len(users))
-            need_bits = (start_word + len(words)) * bitset.WORD_BITS
-            if need_bits > shown.shape[0] * bitset.WORD_BITS:
-                shown = bitset.ensure_width(shown, need_bits)
-            shown[start_word:start_word + len(words)] |= words
-            self._shown_bits[ad_id] = shown
-            self._impression_count_by_ad[ad_id] = (
-                self._impression_count_by_ad.get(ad_id, 0) + count)
+            self._or_shown(ad_id, start_word, words, count)
             self._ledger.charge_impressions_bulk(
                 ad_id, account_id, price_sum, count)
             total += count
@@ -1201,16 +1197,16 @@ class DeliveryEngine:
         self._require_full_logs("impressions")
         return list(self._impressions)
 
-    def impressions_for_ad(self, ad_id: str) -> List[Impression]:
-        self._require_full_logs("impressions_for_ad")
-        return list(self._impressions_by_ad.get(ad_id, ()))
-
     def impression_count(self) -> int:
         """Total delivered impressions (works in both modes)."""
         return self._impression_count
 
     def impression_count_for_ad(self, ad_id: str) -> int:
         return self._impression_count_by_ad.get(ad_id, 0)
+
+    def delivered_ads(self) -> List[str]:
+        """Ids of the ads with at least one impression (both modes)."""
+        return list(self._impression_count_by_ad)
 
     def record_click(self, user_id: str, ad_id: str) -> None:
         """Record a click; only users who actually received the ad can
@@ -1337,6 +1333,10 @@ class DeliveryEngine:
         self._fold_state(state, journal=True)
 
     def _fold_state(self, state: Dict[str, Any], journal: bool) -> None:
+        """Fold an exported state in, all or nothing: every record is
+        checked (its kind; a known user for every impression) before
+        any is journaled or folded, so refused input leaves neither the
+        journal nor the engine changed."""
         if state.get("extra_caps"):
             # Dumps once carried an (always empty) ``extra_caps`` list of
             # cap counts beyond what the impressions imply; no engine
@@ -1345,21 +1345,18 @@ class DeliveryEngine:
                 "delivery state carries cap counts beyond its "
                 "impressions (extra_caps); every cap must come from an "
                 "impression record")
-        for data in state.get("impressions", []):
-            record = record_from_dict(dict(data))
-            if not isinstance(record, ImpressionRecorded):
+        impressions = _records_of(state, "impressions", ImpressionRecorded)
+        clicks = _records_of(state, "clicks", ClickRecorded)
+        for record in impressions:
+            if self._user_store.row_of(record.user_id) is None:
                 raise StoreError(
-                    f"delivery state holds a {record.kind!r} record "
-                    "in its impressions section")
+                    f"{self.engine_id}: impression for unknown user "
+                    f"{record.user_id!r}")
+        for record in impressions:
             if journal:
                 self._store.append(record)
             self._apply_impression(record)
-        for data in state.get("clicks", []):
-            record = record_from_dict(dict(data))
-            if not isinstance(record, ClickRecorded):
-                raise StoreError(
-                    f"delivery state holds a {record.kind!r} record "
-                    "in its clicks section")
+        for record in clicks:
             if journal:
                 self._store.append(record)
             self._apply_click(record)
@@ -1384,7 +1381,6 @@ class DeliveryEngine:
         self._impressions = []
         self._clicks = []
         self._feeds = defaultdict(list)
-        self._impressions_by_ad = {}
         self._clicks_by_ad = {}
         self._shown_bits = {}
         self._impression_count = 0
@@ -1401,7 +1397,7 @@ class DeliveryEngine:
         An impression record implies its charge (see ``_deliver``), so
         replaying one re-debits the ledger first — matching the live
         order — then folds the impression. Snapshot restore does NOT
-        come through here: the ledger's own dump carries the charge log
+        come through here: the ledger's own dump carries its aggregates
         and budgets, so only journal replay re-derives charges.
         """
         if isinstance(record, ImpressionRecorded):

@@ -154,9 +154,6 @@ def parallel_sweep(
         raise ValueError("workers must be positive")
     check_sweep_args(max_rounds, block_rows)
     users = engine._user_store
-    if users is None:
-        raise StoreError(
-            "parallel sweep needs a user store attached")
     if not engine._compact:
         raise StoreError(
             "parallel sweep needs a compact delivery engine (deltas "

@@ -124,10 +124,9 @@ class PlatformConfig:
     columnar_users: bool = True
     #: Million-user memory mode: delivery keeps only its per-ad shown
     #: bitsets and count aggregates (no impression log, click log or
-    #: feeds), and billing keeps per-account/per-ad aggregates instead
-    #: of the charge list. APIs that would need the dropped per-event
-    #: state raise ``StoreError``. The frequency cap is one impression
-    #: per ad per user in both modes.
+    #: feeds). APIs that would need the dropped per-event state raise
+    #: ``StoreError``. The frequency cap is one impression per ad per
+    #: user, and billing keeps aggregates only, in both modes.
     compact_delivery: bool = False
 
 
@@ -164,10 +163,7 @@ class AdPlatform:
             store=self.store,
         )
         self.inventory = AdInventory()
-        self.ledger = BillingLedger(
-            self.inventory, store=self.store,
-            compact=self.config.compact_delivery,
-        )
+        self.ledger = BillingLedger(self.inventory, store=self.store)
         self.policy = PolicyEngine(
             self.catalog, strictness=self.config.policy_strictness
         )

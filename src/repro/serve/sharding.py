@@ -648,6 +648,15 @@ class ShardRouter:
     def clicks_for_ad(self, ad_id: str) -> int:
         return sum(s.engine.clicks_for_ad(ad_id) for s in self.shards)
 
+    def _all_ledgers(self) -> List[BillingLedger]:
+        """Live shard ledgers, then those retired by rebalance()."""
+        return [s.ledger for s in self.shards] + self._retired_ledgers
+
+    def spend_for_ad(self, ad_id: str) -> float:
+        """Combined spend on one ad across live and retired ledgers."""
+        return sum(ledger.spend_for_ad(ad_id)
+                   for ledger in self._all_ledgers())
+
     def feed(self, user_id: str):
         """A user's feed, answered by the owning shard alone."""
         return self.shard_for(user_id).engine.feed(user_id)
@@ -657,10 +666,8 @@ class ShardRouter:
 
     def total_spend(self, account_id: str) -> float:
         """Combined spend across live and retired shard ledgers."""
-        ledgers = [s.ledger for s in self.shards]
-        ledgers.extend(self._retired_ledgers)
         return sum(ledger.spend_for_account(account_id)
-                   for ledger in ledgers)
+                   for ledger in self._all_ledgers())
 
     def aggregate_report(self) -> Dict[str, Dict[str, int]]:
         """Per-ad delivery report merged across shards.
@@ -672,14 +679,11 @@ class ShardRouter:
         """
         ad_ids: Set[str] = set()
         for shard in self.shards:
-            ad_ids.update(
-                impression.ad_id
-                for impression in shard.engine.impressions()
-            )
+            ad_ids.update(shard.engine.delivered_ads())
         return {
             ad_id: {
                 "impressions": self.impressions_for_ad(ad_id),
-                "reach": len(self.unique_reach(ad_id)),
+                "reach": self.reach_count(ad_id),
                 "clicks": self.clicks_for_ad(ad_id),
             }
             for ad_id in sorted(ad_ids)

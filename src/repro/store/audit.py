@@ -19,7 +19,7 @@ engine/ledger pairs — without importing any of those modules, so
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["canonical_json", "state_report"]
 
@@ -41,62 +41,43 @@ def _engine_ledger_pairs(target: Any) -> List[Tuple[Any, Any]]:
     )
 
 
-def _charged_accounts_of(ledger: Any) -> Iterable[Any]:
-    """The accounts the ledger has actually charged, in charge order.
-
-    Deliberately *not* every account the ledger's inventory view has
-    touched: a live run may lazily clone an account just to read its
-    budget during an auction, and replay (which only re-applies
-    committed charges) never recreates those read-only clones. Charged
-    accounts, by contrast, exist — with identical budgets — on both
-    paths, so they are the comparable set.
-    """
-    seen: Dict[str, Any] = {}
-    for charge in ledger.all_charges():
-        if charge.account_id not in seen:
-            seen[charge.account_id] = ledger._inventory.account(
-                charge.account_id)
-    return list(seen.values())
-
-
 def state_report(target: Any) -> Dict[str, Any]:
     """One canonical, JSON-serialisable summary of delivery + billing
     state, aggregated across however many engine/ledger pairs ``target``
     holds. Two worlds are "the same" iff their reports are equal.
+
+    Read from aggregates only, so compact platforms report too: engine
+    counters and shown bitsets (shards own disjoint users, so reaches
+    add), and ledger spend — retired ledgers included, as a rebalance
+    re-homes impressions but not their charges.
     """
+    pairs = _engine_ledger_pairs(target)
+    ledgers = [ledger for _, ledger in pairs]
+    ledgers.extend(getattr(target, "_retired_ledgers", ()))
     ads: Dict[str, Dict[str, Any]] = {}
     accounts: Dict[str, Dict[str, float]] = {}
-    total_impressions = 0
-    total_clicks = 0
-    total_spend = 0.0
-    for engine, ledger in _engine_ledger_pairs(target):
-        for impression in engine.impressions():
+    for engine, ledger in pairs:
+        for ad_id in engine.delivered_ads():
             row = ads.setdefault(
-                impression.ad_id,
-                {"impressions": 0, "clicks": 0, "reach": set(),
-                 "spend": 0.0},
-            )
-            row["impressions"] += 1
-            row["spend"] += impression.price
-            row["reach"].add(impression.user_id)
-            total_impressions += 1
-            total_spend += impression.price
-        for click in engine.clicks():
-            row = ads.setdefault(
-                click.ad_id,
-                {"impressions": 0, "clicks": 0, "reach": set(),
-                 "spend": 0.0},
-            )
-            row["clicks"] += 1
-            total_clicks += 1
-        for account in _charged_accounts_of(ledger):
+                ad_id, {"impressions": 0, "clicks": 0, "reach": 0})
+            row["impressions"] += engine.impression_count_for_ad(ad_id)
+            row["clicks"] += engine.clicks_for_ad(ad_id)
+            row["reach"] += engine.reach_count(ad_id)
+        # Charged accounts only — they exist, with identical budgets, on
+        # the live and the replay path alike. A live run may also clone
+        # an account just to read its budget in an auction; replay,
+        # which re-applies committed charges only, never does.
+        for account_id in ledger.charged_accounts():
+            budget = ledger._inventory.account(account_id).budget
             row2 = accounts.setdefault(
-                account.account_id, {"spent": 0.0, "budget": 0.0})
-            row2["spent"] += ledger.spend_for_account(account.account_id)
-            row2["budget"] += round(account.budget, 10)
-    for row in ads.values():
-        row["reach"] = len(row["reach"])
-        row["spend"] = round(row["spend"], 10)
+                account_id, {"spent": 0.0, "budget": 0.0})
+            row2["spent"] += ledger.spend_for_account(account_id)
+            row2["budget"] += round(budget, 10)
+    total_spend = 0.0
+    for ad_id in sorted(ads):
+        spend = sum(ledger.spend_for_ad(ad_id) for ledger in ledgers)
+        total_spend += spend
+        ads[ad_id]["spend"] = round(spend, 10)
     for row2 in accounts.values():
         row2["spent"] = round(row2["spent"], 10)
         row2["budget"] = round(row2["budget"], 10)
@@ -104,8 +85,8 @@ def state_report(target: Any) -> Dict[str, Any]:
         "ads": ads,
         "accounts": accounts,
         "totals": {
-            "impressions": total_impressions,
-            "clicks": total_clicks,
+            "impressions": sum(row["impressions"] for row in ads.values()),
+            "clicks": sum(row["clicks"] for row in ads.values()),
             "spend": round(total_spend, 10),
         },
     }

@@ -26,6 +26,7 @@ from repro.errors import StoreError
 from repro.platform.catalog import build_us_catalog
 from repro.platform.platform import AdPlatform, PlatformConfig
 from repro.platform.web import WebDirectory
+from repro.store.audit import canonical_json, state_report
 from repro.workloads.competition import zero_competition
 
 
@@ -152,8 +153,17 @@ class TestDeliverIffMatch:
 
         with pytest.raises(StoreError, match="compact delivery"):
             compact_engine.impressions()
-        with pytest.raises(StoreError, match="charge log"):
-            compact_platform.ledger.all_charges()
+
+    def test_compact_state_report_equals_full_mode(self):
+        """The state report reads counters and ledger aggregates only,
+        so a compact sweep world reports exactly what the full-logs
+        world does."""
+        full_platform, _ = _sweep_world(users=300, sweep=True)
+        compact_platform, _ = _sweep_world(users=300, compact=True,
+                                           sweep=True)
+        full = canonical_json(state_report(full_platform))
+        assert json.loads(full)["totals"]["impressions"] == 300 * 11
+        assert canonical_json(state_report(compact_platform)) == full
 
     def test_second_saturation_delivers_nothing(self):
         """Frequency caps hold in compact mode: saturation is stable."""

@@ -1,5 +1,7 @@
 """Unit tests for the billing ledger."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.errors import BudgetError, StoreError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.platform.ads import AdAccount, AdInventory
 from repro.platform.billing import BillingLedger
+from repro.store.records import ChargeRecorded, record_to_dict
 
 
 @pytest.fixture
@@ -76,12 +79,6 @@ class TestInvoice:
         assert invoice.total == 0.0
         assert invoice.impressions == 0
 
-    def test_all_charges_copy(self, ledger):
-        ledger.charge_impression("ad-1", "acct-1", 0.002, 0)
-        charges = ledger.all_charges()
-        charges.clear()
-        assert len(ledger.all_charges()) == 1
-
 
 class TestImpressionRun:
     """``charge_impression_run`` is bit-identical to sequential charges."""
@@ -96,7 +93,7 @@ class TestImpressionRun:
             for account_id, budget in budgets.items():
                 inv.add_account(AdAccount(account_id=account_id,
                                           owner_name="x", budget=budget))
-            ledger = BillingLedger(inv, compact=True)
+            ledger = BillingLedger(inv)
         return inv, ledger, registry
 
     @staticmethod
@@ -186,8 +183,88 @@ class TestImpressionRun:
             ledger.charge_impression_run(self.ADS, index[100:], bad)
         assert self._observed(inv, ledger, registry) == before
 
-    def test_needs_compact_ledger(self, ledger):
-        with pytest.raises(StoreError, match="compact"):
-            ledger.charge_impression_run(
-                [("ad-1", "acct-1")], np.zeros(1, dtype=np.int64),
-                np.full(1, 0.002))
+
+class TestStateDump:
+    """The ledger's snapshot section: aggregates plus budgets."""
+
+    CHARGES = [("ad-2", "acct-2", 0.003), ("ad-1", "acct-1", 0.002),
+               ("ad-2", "acct-2", 0.0011), ("ad-1", "acct-1", 0.1),
+               ("ad-3", "acct-1", 0.0)]
+
+    @staticmethod
+    def _inventory():
+        inv = AdInventory()
+        for account_id in ("acct-1", "acct-2"):
+            inv.add_account(AdAccount(account_id=account_id,
+                                      owner_name="x", budget=1.0))
+        return inv
+
+    def _charged(self):
+        inv = self._inventory()
+        ledger = BillingLedger(inv)
+        for seq, (ad_id, account_id, amount) in enumerate(self.CHARGES):
+            ledger.charge_impression(ad_id, account_id, amount, seq,
+                                     journal=False)
+        return inv, ledger
+
+    @staticmethod
+    def _observed(inv, ledger):
+        ads = ("ad-1", "ad-2", "ad-3")
+        return {
+            "budgets": {a.account_id: a.budget for a in inv.accounts()},
+            "spend_by_ad": {ad: ledger.spend_for_ad(ad) for ad in ads},
+            "impressions_by_ad": {ad: ledger.impressions_for_ad(ad)
+                                  for ad in ads},
+            "charged": ledger.charged_accounts(),
+            "invoices": {a.account_id: (
+                ledger.invoice(a.account_id).total,
+                ledger.invoice(a.account_id).impressions,
+                list(ledger.invoice(a.account_id).by_ad.items()))
+                for a in inv.accounts()},
+        }
+
+    def _restored(self, state):
+        inv = self._inventory()
+        ledger = BillingLedger(inv)
+        ledger.state_load(json.loads(json.dumps(state, sort_keys=True)))
+        return inv, ledger
+
+    def test_dump_holds_aggregates_not_charges(self):
+        _inv, ledger = self._charged()
+        dump = ledger.state_dump()
+        assert set(dump) == {"ads", "accounts", "budgets"}
+        # one row per ad and per account, in first-charge order
+        assert [row[0] for row in dump["ads"]] == ["ad-2", "ad-1", "ad-3"]
+        assert [row[0] for row in dump["accounts"]] == ["acct-2", "acct-1"]
+
+    def test_dump_round_trips_exactly_through_json(self):
+        inv, ledger = self._charged()
+        want = self._observed(inv, ledger)
+        got_inv, got = self._restored(ledger.state_dump())
+        assert self._observed(got_inv, got) == want
+        assert got.state_dump() == ledger.state_dump()
+
+    def test_legacy_charge_list_restores(self):
+        # Snapshots written while the ledger kept a charge log carry a
+        # "charges" list and no aggregates; they still load.
+        inv, ledger = self._charged()
+        legacy = {
+            "charges": [
+                record_to_dict(ChargeRecorded(
+                    ad_id=ad_id, account_id=account_id, amount=amount,
+                    impression_seq=seq))
+                for seq, (ad_id, account_id, amount)
+                in enumerate(self.CHARGES)
+            ],
+            "budgets": ledger.state_dump()["budgets"],
+        }
+        got_inv, got = self._restored(legacy)
+        assert self._observed(got_inv, got) == \
+            self._observed(inv, ledger)
+        assert got.state_dump() == ledger.state_dump()
+
+    def test_legacy_list_of_another_kind_is_refused(self):
+        legacy = {"charges": [{"kind": "click", "ad_id": "ad-1",
+                               "user_id": "u", "click_seq": 0}]}
+        with pytest.raises(StoreError, match="click"):
+            self._restored(legacy)

@@ -164,6 +164,29 @@ class TestScalarEquality:
         assert second.filled_by_tracked_ads == 0
 
 
+class TestCompactLedgerState:
+    """Billing is modeless: a compact platform's ledger dumps and
+    reloads like a full one."""
+
+    def test_compact_ledger_dump_round_trips(self):
+        platform, ads = make_world(compact=True, accounts=2,
+                                   draw=fixed_competition(1.0))
+        platform.run_sweep()
+        dump = json.loads(json.dumps(platform.ledger.state_dump(),
+                                     sort_keys=True))
+        fresh, fresh_ads = make_world(compact=True, accounts=2,
+                                      draw=fixed_competition(1.0))
+        fresh.ledger.state_load(dump)
+        assert fresh.ledger.state_dump() == platform.ledger.state_dump()
+        for ad, twin in zip(ads, fresh_ads):
+            assert fresh.ledger.spend_for_ad(twin.ad_id) == \
+                platform.ledger.spend_for_ad(ad.ad_id) > 0
+            assert fresh.ledger.invoice(twin.account_id) == \
+                platform.ledger.invoice(ad.account_id)
+            assert fresh.inventory.account(twin.account_id).budget == \
+                platform.inventory.account(ad.account_id).budget
+
+
 class OpaquePredicate(HasAttr):
     """Compiles with base semantics but defeats the exact-type lowerer."""
 

@@ -45,9 +45,10 @@ def _close(router: ShardRouter) -> None:
 def _spends(router: ShardRouter) -> dict:
     out: dict = {}
     for shard in router.shards:
-        for charge in shard.ledger.all_charges():
-            out[charge.account_id] = round(
-                out.get(charge.account_id, 0.0) + charge.amount, 10)
+        for account_id in shard.ledger.charged_accounts():
+            out[account_id] = round(
+                out.get(account_id, 0.0)
+                + shard.ledger.spend_for_account(account_id), 10)
     return out
 
 
@@ -126,8 +127,7 @@ class TestShardCrashRecovery:
         ref_budgets = {a.account_id: round(a.budget, 10) for a in
                        ref_shard.ledger._inventory.local_accounts()
                        .values() if a.budget != a.budget or True}
-        rec_charged = {c.account_id
-                       for c in rec_shard.ledger.all_charges()}
+        rec_charged = rec_shard.ledger.charged_accounts()
         for account_id in rec_charged:
             assert round(
                 rec_shard.ledger._inventory.account(account_id).budget,
@@ -455,6 +455,27 @@ class TestJournaledEquivalence:
                 if line.strip():
                     total += len(json.loads(line))
         assert total > 0
+
+
+class TestSnapshotBillingSection:
+    def test_billing_section_holds_no_per_impression_list(
+            self, make_world):
+        # A shard snapshot carries each impression once, in the delivery
+        # section; billing keeps one row per ad and per account.
+        platform = make_world(seed=11)
+        router = ShardRouter(platform, num_shards=2,
+                             competition=KeyedCompetition(seed=7))
+        _serve_round(router, platform)
+        for snapshot in router.checkpoint_shards():
+            billing = snapshot.state["billing"]
+            impressions = snapshot.state["delivery"]["impressions"]
+            assert impressions, "the round should have delivered"
+            assert set(billing) == {"ads", "accounts", "budgets"}
+            assert len(billing["ads"]) == \
+                len({row["ad_id"] for row in impressions})
+            assert sum(row[3] for row in billing["ads"]) == \
+                len(impressions)
+        _close(router)
 
 
 class TestColumnarCheckpointBundle:

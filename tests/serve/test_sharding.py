@@ -131,7 +131,7 @@ class TestShardRouterAggregation:
         assert report, "the sweep should have delivered something"
         for ad_id, row in report.items():
             per_shard_impressions = [
-                len(shard.engine.impressions_for_ad(ad_id))
+                shard.engine.impression_count_for_ad(ad_id)
                 for shard in router.shards
             ]
             assert row["impressions"] == sum(per_shard_impressions)

@@ -164,6 +164,21 @@ class TestUnknownUser:
         with pytest.raises(StoreError, match="unknown user"):
             _fresh_engine(world).import_state(state)
 
+    def test_refused_import_journals_and_folds_nothing(self, world):
+        # The whole import is checked before any record is appended, so
+        # a refusal of the second impression leaves the first out of
+        # the journal and out of the engine too.
+        engine = _fresh_engine(world)
+        engine.import_state(_state_from(world, [(2, 2, 0.003)], []))
+        records = engine.store.record_count
+        impressions = engine.impression_count()
+        state = _state_from(world, [(0, 0, 0.001), (1, 1, 0.002)], [])
+        state["impressions"][1]["user_id"] = "no-such-user"
+        with pytest.raises(StoreError, match="unknown user"):
+            engine.import_state(state)
+        assert engine.store.record_count == records
+        assert engine.impression_count() == impressions
+
 
 class TestRetiredCapSection:
     def test_nonempty_extra_caps_is_refused(self, world):
