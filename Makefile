@@ -21,16 +21,21 @@ bench:
 bench-perf:
 	$(PYTHON) -m pytest benchmarks/bench_perf_throughput.py --benchmark-only
 
-## The columnar scale tiers: the 100k-user scalar sweep and the 100k
-## batch-sweep comparison (byte-identical reports, >=3x impressions/s)
-## CI runs under a hard RSS ceiling; the full million-user proof is
-## REPRO_SCALE_1M=1 (numbers land in perf_trajectory.json scale_1m).
+## The columnar scale tiers (what the CI scale-smoke job runs): the
+## 100k-user sweep under a hard RSS ceiling, the 100k batch-sweep
+## comparison (byte-identical reports, >=3x impressions/s), the
+## streaming populate CLI, and the forked-worker sweep CLI. The full
+## million-user proof is REPRO_SCALE_1M=1 (numbers land in
+## perf_trajectory.json scale_1m).
 scale-smoke:
-	$(PYTHON) -m pytest -q \
+	$(PYTHON) -m pytest \
 		benchmarks/bench_scale_1m.py::test_scale_100k_columnar_sweep \
+		--benchmark-disable -q
+	$(PYTHON) -m pytest \
 		benchmarks/bench_scale_1m.py::test_scale_100k_batch_sweep \
-		--benchmark-disable
+		--benchmark-disable -q
 	$(PYTHON) -m repro populate --users 100000 --stats
+	$(PYTHON) -m repro populate --users 20000 --sweep --sweep-workers 2
 
 ## The gateway kill drill + 60s HTTP/in-process equivalence soak, both
 ## serving backends (what the CI service-smoke matrix runs).
@@ -44,8 +49,8 @@ service-smoke:
 ## checkpoint a sharded serving run mid-flight, then rebuild it from
 ## snapshot + journal suffix and from the full journal. Each command
 ## exits non-zero unless the rebuilt end state is byte-identical to the
-## recorded report. The out-dir is cleared first: checkpoint appends to
-## journals it finds there.
+## recorded report. The out-dir is cleared first: checkpoint refuses a
+## non-empty one.
 state-smoke:
 	rm -rf state-smoke
 	$(PYTHON) -m repro checkpoint --out state-smoke \

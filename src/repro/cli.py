@@ -323,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            "snapshot mid-run, record the final state"
     )
     checkpoint.add_argument("--out", required=True, metavar="DIR",
-                            help="directory for journals, snapshots, "
-                                 "manifest, and final report")
+                            help="new or empty directory for journals, "
+                                 "snapshots, manifest, and final report")
     checkpoint.add_argument("--seed", type=int, default=11)
     checkpoint.add_argument("--users", type=int, default=40,
                             help="persona-mix population size")
@@ -1041,6 +1041,13 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
     if not 0 <= args.checkpoint_after <= args.rounds:
         print("--checkpoint-after must be within [0, --rounds]",
+              file=sys.stderr)
+        return 2
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        # The shard journals would append to the ones already there, so
+        # the new bundle would not replay to its own recorded report.
+        print(f"--out {args.out} is not empty; checkpoint writes a "
+              "fresh bundle into a new or empty directory",
               file=sys.stderr)
         return 2
     platform, router = _build_state_world(

@@ -166,8 +166,10 @@ class BillingLedger:
         if (amounts < 0).any():
             raise BudgetError("charge must be non-negative")
         # Ads and accounts in first-charge order: the order the
-        # sequential calls would first touch (and insert) them.
-        by_ad = np.argsort(ad_index, kind="stable")
+        # sequential calls would first touch (and insert) them. (A
+        # narrow key sorts by radix.)
+        by_ad = np.argsort(ad_index.astype(np.min_scalar_type(len(ads))),
+                           kind="stable")
         starts = np.flatnonzero(np.diff(ad_index[by_ad])) + 1
         groups = np.split(by_ad, starts)
         groups.sort(key=lambda group: group[0])

@@ -85,35 +85,6 @@ Impression = ImpressionRecorded
 Click = ClickRecorded
 
 
-def _first_owners(block: np.ndarray) -> np.ndarray:
-    """For each bit column of a packed ``(rows x words)`` block, the
-    index of the first row with that bit set, or -1.
-
-    A prefix-OR down the rows, then ``row & ~prefix`` keeps every bit
-    only in the row where it first appears; the surviving bits are read
-    out of the nonzero words one lowest-set-bit at a time. ``block`` is
-    overwritten.
-    """
-    rows, words = block.shape
-    owner = np.full(words * bitset.WORD_BITS, -1, dtype=np.int64)
-    prefix = np.bitwise_or.accumulate(block, axis=0)
-    np.invert(prefix[:-1], out=prefix[:-1])
-    block[1:] &= prefix[:-1]
-    hits = np.flatnonzero(block)
-    which, word = np.divmod(hits, words)
-    values = block.reshape(-1)[hits]
-    base = word * bitset.WORD_BITS
-    one = np.uint64(1)
-    while values.size:
-        low = values & (~values + one)
-        # low is a power of two, exact as a float: frexp gives its bit.
-        owner[base + np.frexp(low.astype(np.float64))[1] - 1] = which
-        values ^= low
-        keep = np.flatnonzero(values)
-        values, base, which = values[keep], base[keep], which[keep]
-    return owner
-
-
 def _collect_buckets(anchored: int, buckets_by_code: Dict[int, list],
                      out: List[list]) -> None:
     """Append the bucket of every set bit (code) of ``anchored``."""
@@ -137,69 +108,196 @@ def _records_of(state: Dict[str, Any], section: str,
     return records
 
 
-def check_sweep_args(max_rounds: int, block_rows: int) -> None:
-    """Validate the sweep knobs shared by the single-process and the
+def check_sweep_args(max_rounds: int) -> None:
+    """Validate the sweep knob shared by the single-process and the
     partitioned sweep (the latter checks before forking)."""
     if not isinstance(max_rounds, numbers.Integral) or max_rounds < 0:
         raise ValueError("max_rounds must be a non-negative integer")
-    if block_rows <= 0 or block_rows % bitset.WORD_BITS:
-        raise ValueError("block_rows must be a positive multiple "
-                         f"of {bitset.WORD_BITS}")
 
 
-def sweep_auction(avail: np.ndarray, candidates: np.ndarray,
-                  accounts: np.ndarray, nrows: int, block_rows: int
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                             np.ndarray]:
-    """One round's per-row auction selection over packed availability.
+#: Rows per block while :class:`SweepLists` is built. It bounds the
+#: build's transients whatever the range size: the block's packed copy
+#: (512 bytes per candidate) and a few 8-byte integers per bit set in it.
+_LIST_BLOCK_ROWS = 4096
+
+
+class SweepLists:
+    """Per-row candidate lists: the sweep rounds' auction kernel.
 
     ``avail`` is a packed ``(entries x words)`` matrix whose bit ``r`` of
     row ``e`` says entry ``e`` is available to row ``r``;
-    ``candidates`` lists the entries in the round, in auction-priority
-    order, and ``accounts[k]`` is the account of ``candidates[k]``.
-    Each account's champion for a row is its first available candidate
-    in priority order (:func:`_first_owners` over the account's slice
-    of the block); the winner is the best champion and the runner-up
-    the second best — the scalar auction's per-account dedupe, then
-    top-2. Rows go ``block_rows`` at a time, so the transient working
-    set is about ``2 x len(candidates) x block_rows / 8`` bytes.
+    ``candidates`` lists the round's entries in auction-priority order
+    and ``accounts[k]`` is the account of ``candidates[k]``. Each of the
+    ``nrows`` (at least one) rows gets the list of its available candidates (entry
+    indices, priority order) in one CSR, plus, per list position, the
+    offset to the next position held by another account and the number
+    of distinct accounts from there to the row's end — 5 bytes a pair
+    for the Treads campaign (2-byte entry and offset, 1-byte count).
 
-    Returns ``(rows, winner, runner, contenders)`` over the ascending
-    rows in ``[0, nrows)`` that have any available candidate: the
-    positions in ``candidates`` of the winner and of the runner-up (-1
-    when no other account has one), and how many accounts do.
+    Across rounds a row's winner is its next undelivered candidate: a
+    won slot caps exactly that (entry, row) pair, so :meth:`advance`
+    moves the row's pointer past it and everything behind the pointer
+    is still available. The lists hold only while the candidate set
+    does; the sweep builds new ones when it changes.
     """
-    none = len(candidates)
-    groups = [np.flatnonzero(accounts == a) for a in np.unique(accounts)]
-    block_words = block_rows // bitset.WORD_BITS
-    found: List[Tuple[np.ndarray, ...]] = []
-    for w0 in range(0, bitset.words_for(nrows), block_words):
-        w1 = w0 + block_words
-        r0 = w0 * bitset.WORD_BITS
-        nb = min(nrows, w1 * bitset.WORD_BITS) - r0
-        champs = np.full((len(groups), nb), none, dtype=np.int64)
-        for k, group in enumerate(groups):
-            owner = _first_owners(avail[candidates[group], w0:w1])[:nb]
-            hit = owner >= 0
-            champs[k, hit] = group[owner[hit]]
-        champs.sort(axis=0)
-        rows = np.flatnonzero(champs[0] < none)
-        if not rows.size:
-            continue
-        if len(groups) > 1:
-            runner = champs[1, rows]
-            runner[runner == none] = -1
-            contenders = np.count_nonzero(champs[:, rows] < none, axis=0)
-        else:
-            runner = np.full(rows.size, -1, dtype=np.int64)
-            contenders = np.ones(rows.size, dtype=np.int64)
-        found.append((rows + r0, champs[0, rows], runner, contenders))
-    if not found:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty
-    rows, winner, runner, contenders = (np.concatenate(part)
-                                        for part in zip(*found))
-    return rows, winner, runner, contenders
+
+    def __init__(self, avail: np.ndarray, candidates: Sequence[int],
+                 accounts: Sequence[int], nrows: int) -> None:
+        candidates = np.asarray(candidates, dtype=np.int64)
+        codes, accounts = np.unique(np.asarray(accounts),
+                                    return_inverse=True)
+        cand_parts: List[np.ndarray] = []
+        skip_parts: List[np.ndarray] = []
+        distinct_parts: List[np.ndarray] = []
+        counts = np.zeros(nrows, dtype=np.int64)
+        for r0 in range(0, nrows, _LIST_BLOCK_ROWS):
+            nb = min(nrows - r0, _LIST_BLOCK_ROWS)
+            w0 = r0 // bitset.WORD_BITS
+            block = avail[candidates, w0:w0 + bitset.words_for(nb)]
+            row, pos = _set_bits(block.view(np.uint8), nb)
+            row_counts = np.bincount(row, minlength=nb)
+            counts[r0:r0 + nb] = row_counts
+            acct = accounts[pos]
+            cand_parts.append(candidates[pos].astype(
+                np.min_scalar_type(len(avail))))
+            skip_parts.append(_next_other_account(row, acct).astype(
+                np.min_scalar_type(len(candidates))))
+            distinct_parts.append(
+                _accounts_to_row_end(row, acct, row_counts,
+                                     len(codes)).astype(
+                    np.min_scalar_type(len(codes))))
+        self.cand = np.concatenate(cand_parts)
+        self.skip = np.concatenate(skip_parts)
+        self.distinct = np.concatenate(distinct_parts)
+        self.end = np.cumsum(counts)
+        self.ptr = self.end - counts
+
+    def auction(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
+        """The current round's per-row selection: ``(rows, winner,
+        runner, contenders)`` over the ascending rows with a candidate
+        left — the winner's entry index, the best other account's entry
+        index (-1 when none), and how many accounts have one."""
+        rows = np.flatnonzero(self.ptr < self.end)
+        at = self.ptr[rows]
+        winner = self.cand[at].astype(np.int64)
+        nxt = at + self.skip[at]
+        has = nxt < self.end[rows]
+        runner = np.full(rows.size, -1, dtype=np.int64)
+        runner[has] = self.cand[nxt[has]]
+        return rows, winner, runner, self.distinct[at]
+
+    def advance(self, rows: np.ndarray) -> None:
+        """The winners of ``rows`` were delivered: step past them."""
+        self.ptr[rows] += 1
+
+
+def _set_bits(block: np.ndarray, nrows: int
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every set bit of a packed ``(candidates x bytes)`` block as
+    ``(row, candidate position)`` pairs in (row, position) order, rows
+    below ``nrows`` (at most 65,536) only."""
+    width = block.shape[1]
+    flat = block.reshape(-1)
+    at = np.flatnonzero(flat)
+    bits = np.flatnonzero(np.unpackbits(flat[at][:, None], axis=1,
+                                        bitorder="little"))
+    at = at[bits >> 3]
+    pos = at // width
+    row = ((at - pos * width) << 3) + (bits & 7)
+    keep = row < nrows
+    row, pos = row[keep].astype(np.uint16), pos[keep]
+    # Stable by row, so positions stay ascending within each row (a
+    # 16-bit key sorts by radix).
+    order = np.argsort(row, kind="stable")
+    return row[order], pos[order]
+
+
+def _next_other_account(row: np.ndarray, acct: np.ndarray) -> np.ndarray:
+    """Per pair of a CSR in (row, priority) order, the offset to the
+    next pair of the same row held by another account — or to the
+    row's end when none is: the end of its run of one account."""
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (acct[1:] != acct[:-1])
+    run_starts = np.append(np.flatnonzero(first), len(row))
+    return run_starts[np.cumsum(first)] - np.arange(len(row))
+
+
+def _accounts_to_row_end(row: np.ndarray, acct: np.ndarray,
+                         row_counts: np.ndarray,
+                         n_accounts: int) -> np.ndarray:
+    """Per pair of a CSR in (row, priority) order, how many distinct
+    accounts hold a pair from it to the row's end: a suffix count of
+    each (row, account)'s last pair."""
+    key = row.astype(np.int64) * n_accounts + acct
+    # A narrow key (rows of one block x accounts) sorts by radix.
+    by_key = np.argsort(
+        key.astype(np.min_scalar_type(_LIST_BLOCK_ROWS * n_accounts)),
+        kind="stable")
+    sorted_key = key[by_key]
+    ends = np.ones(len(row), dtype=bool)
+    ends[:-1] = sorted_key[1:] != sorted_key[:-1]
+    last = np.zeros(len(row) + 1, dtype=np.int64)
+    last[by_key[ends]] = 1
+    suffix = np.cumsum(last[::-1])[::-1]
+    return suffix[:-1] - suffix[np.cumsum(row_counts)[row]]
+
+
+class _SweepWins:
+    """A sweep range's wins since their last fold into engine state.
+
+    ``delivered`` is a packed ``(entries x words)`` matrix (bit ``r`` of
+    row ``e``: entry ``e`` won row ``r``), ``counts`` the impressions per
+    entry, ``order`` the entries in first-win order. ``spent`` (kept when
+    ``priced``: a parallel worker's delta) is each entry's price sum
+    with the association the delta has always had — per round a left
+    fold over the entry's wins in row order, added to the running sum.
+    """
+
+    def __init__(self, shape: Tuple[int, int], priced: bool) -> None:
+        self.shape = shape
+        self.priced = priced
+        self.reset()
+
+    def reset(self) -> None:
+        # A fresh matrix, not a zeroed one: a delta may hold rows of it.
+        self.delivered = np.zeros(self.shape, dtype=np.uint64)
+        self.counts = np.zeros(self.shape[0], dtype=np.int64)
+        self.spent = np.zeros(self.shape[0])
+        self.order: List[int] = []
+
+    def record(self, rows: np.ndarray, cand: np.ndarray,
+               price: np.ndarray) -> None:
+        """Add one round's wins: ``cand[j]`` won range row ``rows[j]``
+        at ``price[j]``, rows ascending."""
+        round_counts = np.bincount(cand, minlength=self.shape[0])
+        self.order.extend(np.flatnonzero(
+            round_counts * (self.counts == 0)).tolist())
+        self.counts += round_counts
+        words = self.shape[1]
+        np.bitwise_or.at(
+            self.delivered.reshape(-1),
+            cand * words + rows // bitset.WORD_BITS,
+            np.left_shift(np.uint64(1),
+                          (rows % bitset.WORD_BITS).astype(np.uint64)))
+        if self.priced:
+            # A narrow key sorts by radix.
+            by_cand = np.argsort(
+                cand.astype(np.min_scalar_type(self.shape[0])),
+                kind="stable")
+            grouped = cand[by_cand]
+            starts = np.flatnonzero(
+                np.append(True, grouped[1:] != grouped[:-1]))
+            ends = np.append(starts[1:], len(cand))
+            prices = price[by_cand]
+            for c, a, b in zip(grouped[starts].tolist(), starts.tolist(),
+                               ends.tolist()):
+                self.spent[c] += float(np.add.accumulate(prices[a:b])[-1])
+
+    def clear_from(self, avail: np.ndarray) -> None:
+        """Remove the recorded wins from an availability matrix."""
+        if self.order:
+            avail &= ~self.delivered
 
 
 @dataclass(frozen=True)
@@ -814,12 +912,14 @@ class DeliveryEngine:
     #
     # The vectorized twin of run_until_saturated: eligibility is
     # evaluated for a whole row range at once via the range backend of
-    # each spec's mask program (repro.platform.targeting.lower_spec), each
-    # round's per-user second-price auction is a first-set-bit scan
-    # over the packed (candidates x users) availability words in
-    # bounded blocks (sweep_auction), and the results fold in bulk
-    # (shown-bitset ORs, one order-exact billing fold, batched
-    # counters). Semantics — winners, prices, stats,
+    # each spec's mask program (repro.platform.targeting.lower_spec).
+    # The rounds then walk per-row candidate lists (SweepLists): a row's
+    # winner is its next undelivered candidate in priority order, so a
+    # round reads one list position per row instead of re-running an
+    # auction over the packed matrix. Each round bills in one
+    # order-exact fold and records its wins in a delivered matrix; the
+    # shown bitsets and counters (and a parallel worker's delta) absorb
+    # that matrix once per sweep. Semantics — winners, prices, stats,
     # reports — are identical to running the scalar loop over the same
     # rows (pinned by tests/integration/test_columnar_equivalence.py);
     # the two escape hatches back to the scalar path are per-spec
@@ -832,17 +932,17 @@ class DeliveryEngine:
         rows: Optional[Tuple[int, int]] = None,
         *,
         max_rounds: int = 50,
-        block_rows: int = 1 << 16,
         _collect_delta: bool = False,
     ):
         """Saturate delivery over a columnar row range, vectorized.
 
         ``rows`` is a ``(start, stop)`` half-open row range (default:
         the whole store); ``start`` must be 64-aligned so bitset state
-        slices word-cleanly. ``block_rows`` bounds the packed working
-        set: each round's auction runs over blocks of at most this many
-        users, so peak transient memory stays flat regardless of range
-        size. Returns the same :class:`DeliveryStats` the scalar
+        slices word-cleanly. Beyond the packed eligibility matrix, the
+        range's state is its candidate lists (about 5 bytes per
+        eligible (user, ad) pair) and a delivered matrix the size of the
+        eligibility one; list building works in bounded row blocks.
+        Returns the same :class:`DeliveryStats` the scalar
         :meth:`run_until_saturated` would have produced.
 
         ``_collect_delta`` is the parallel partitioner's hook
@@ -852,7 +952,7 @@ class DeliveryEngine:
         :meth:`absorb_sweep_delta`.
         """
         cols = self._user_store.columns
-        check_sweep_args(max_rounds, block_rows)
+        check_sweep_args(max_rounds)
         start, stop = (0, cols.count) if rows is None else rows
         if start % bitset.WORD_BITS:
             raise ValueError(
@@ -863,22 +963,16 @@ class DeliveryEngine:
                 f"sweep range [{start}, {stop}) outside the store's "
                 f"{cols.count} rows")
         stats = DeliveryStats()
-        delta: Optional[Dict[str, list]] = {} if _collect_delta else None
+        delta: Optional[Dict[str, tuple]] = {} if _collect_delta else None
         with self.serving_session():
-            self._run_sweep(stats, cols, start, stop, max_rounds,
-                            block_rows, delta)
+            self._run_sweep(stats, cols, start, stop, max_rounds, delta)
         _log.info(
             "sweep_slots[%d:%d]: %d slots (%d filled, %d lost)",
             start, stop, stats.slots, stats.filled_by_tracked_ads,
             stats.lost_to_competition,
         )
         if _collect_delta:
-            out = {
-                ad_id: (rec[0], start // bitset.WORD_BITS, rec[1],
-                        rec[2], rec[3])
-                for ad_id, rec in delta.items()  # type: ignore[union-attr]
-            }
-            return stats, out
+            return stats, delta
         return stats
 
     def _sweep_candidates(self) -> List[tuple]:
@@ -887,8 +981,8 @@ class DeliveryEngine:
         Sorting by (bid desc, ad id asc) makes "first eligible
         candidate" coincide with the scalar path's winner (per-account
         champions, then top-2 — both use exactly this order), so each
-        user's winner is the first set bit down the availability
-        matrix (:func:`sweep_auction`).
+        user's winner is the head of its candidate list
+        (:class:`SweepLists`).
         """
         self._ensure_index()
         entries: List[tuple] = []
@@ -953,8 +1047,8 @@ class DeliveryEngine:
                 avail[i, :part.size] &= ~part
 
     def _run_sweep(self, stats: DeliveryStats, cols: Any, start: int,
-                   stop: int, max_rounds: int, block_rows: int,
-                   delta: Optional[Dict[str, list]]) -> None:
+                   stop: int, max_rounds: int,
+                   delta: Optional[Dict[str, tuple]]) -> None:
         n = stop - start
         if n == 0:
             return
@@ -974,133 +1068,149 @@ class DeliveryEngine:
         constant = getattr(draw, "constant", None)
         floor = self.floor_price
         obs_on = self._obs_on
+        wins = _SweepWins(avail.shape, priced=delta is not None)
+        lists: Optional[SweepLists] = None
+        lists_for: Optional[List[int]] = None
 
-        for _ in range(max_rounds):
-            # Round candidates: the dynamic checks the scalar slot path
-            # applies per user, hoisted — status and affordability are
-            # user-independent, so one pass per round suffices.
-            rc = [i for i, e in enumerate(entries)
-                  if e[0].status is active and e[1].budget + 1e-12 >= e[2]]
-            if not rc:
-                break
-            rc_arr = np.asarray(rc, dtype=np.int64)
-
-            # Phase A: per-row winner/runner-up selection on the packed
-            # words. Both are draw-independent (the competing bid only
-            # decides win/lose and price), so no RNG is consumed before
-            # the budget certificate — a fallback round must replay
-            # with a virgin draw stream.
-            rel_rows, wpos, rpos, contenders = sweep_auction(
-                avail, rc_arr, acct_idx[rc_arr], n, block_rows)
-            if not rel_rows.size:
-                # No user in range has any eligible candidate left: the
-                # scalar loop would drop every user and stop. Nothing
-                # is counted (dropped users never reach the auction).
-                break
-            wcand = rc_arr[wpos]
-            runner = np.where(rpos >= 0, bids[rc_arr[rpos]], 0.0)
-            slots = len(rel_rows)
-            winner_bids = bids[wcand]
-
-            # Phase B: the budget certificate. The vector round assumed
-            # eligibility fixed at round start; that is exactly the
-            # scalar outcome unless some account's budget could cross
-            # below a candidate's bid mid-round. Bound each win's charge
-            # (the exact price under a constant draw, the winner's bid
-            # otherwise), sum per account, and require every round
-            # candidate to remain affordable under full planned spend —
-            # budgets are monotone, so passing the worst case certifies
-            # every intermediate state.
-            if constant is not None:
-                bound = np.minimum(
-                    np.maximum(np.maximum(runner, constant), floor),
-                    winner_bids)
-            else:
-                bound = winner_bids
-            planned = np.zeros(len(account_index))
-            np.add.at(planned, acct_idx[wcand], bound)
-            certified = all(
-                entries[i][1].budget - planned[acct_idx[i]] + 1e-12
-                >= entries[i][2]
-                for i in rc
-            )
-            if not certified:
-                if delta is not None:
-                    raise StoreError(
-                        f"{self.engine_id}: budget flip inside a "
-                        "partitioned sweep range; run the sweep "
-                        "single-process (sweep_slots) so the scalar "
-                        "fallback can replay the round exactly")
-                if obs_on:
-                    self._obs_sweep_budget_rounds.inc()
-                # Exact scalar replay of this round: the same per-user
-                # code path run_until_saturated uses, over every row in
-                # range (users with nothing eligible contribute nothing,
-                # matching the scalar loop's drop-from-rotation). The
-                # session match cache may hold entries the bulk applies
-                # never pruned — drop it wholesale first.
-                if self._match_cache is not None:
-                    self._match_cache.clear()
-                store = self._user_store
-                progressed, _ = self._serve_round(
-                    (UserView(store, r) for r in range(start, stop)),
-                    stats, saturating=True)
-                self._sweep_subtract_shown(avail, entries, start, stop)
-                if not progressed:
+        try:
+            for _ in range(max_rounds):
+                # Round candidates: the dynamic checks the scalar slot
+                # path applies per user, hoisted — status and
+                # affordability are user-independent, so one pass per
+                # round suffices. A certified round leaves every one
+                # affordable, so the lists built for them carry over.
+                rc = [i for i, e in enumerate(entries)
+                      if e[0].status is active
+                      and e[1].budget + 1e-12 >= e[2]]
+                if not rc:
                     break
-                continue
+                if rc != lists_for:
+                    wins.clear_from(avail)
+                    lists = SweepLists(avail, rc, acct_idx[rc], n)
+                    lists_for = rc
 
-            # Phase C: decide, count, and apply in bulk. Draws happen
-            # here, one per auctioned user in ascending row order — the
-            # exact sequence the scalar loop consumes.
-            if constant is not None:
-                competing = np.full(slots, constant)
-            else:
-                competing = np.fromiter(
-                    (draw() for _ in range(slots)),
-                    dtype=np.float64, count=slots)
-            won = (winner_bids > competing) & (winner_bids >= floor)
-            price = np.minimum(
-                np.maximum(np.maximum(runner, competing), floor),
-                winner_bids)
-            wins = int(won.sum())
-            stats.slots += slots
-            stats.filled_by_tracked_ads += wins
-            stats.lost_to_competition += slots - wins
-            if obs_on:
-                self._obs_slots.inc(slots)
-                self._obs_sweep_rounds.inc()
-            observe_auctions(contenders, price[won], slots - wins)
-            if wins == 0:
-                break
-            self._sweep_apply(entries, start, stop, rel_rows[won],
-                              wcand[won], price[won], avail, delta)
+                # Phase A: per-row winner/runner-up selection, the head
+                # of each row's list. Both are draw-independent (the
+                # competing bid only decides win/lose and price), so no
+                # RNG is consumed before the budget certificate — a
+                # fallback round must replay with a virgin draw stream.
+                rel_rows, wcand, rcand, contenders = lists.auction()
+                if not rel_rows.size:
+                    # No user in range has any eligible candidate left:
+                    # the scalar loop would drop every user and stop.
+                    # Nothing is counted (dropped users never reach the
+                    # auction).
+                    break
+                runner = np.where(rcand >= 0, bids[rcand], 0.0)
+                slots = len(rel_rows)
+                winner_bids = bids[wcand]
 
-    def _sweep_apply(self, entries: List[tuple], start: int, stop: int,
+                # Phase B: the budget certificate. The vector round
+                # assumed eligibility fixed at round start; that is
+                # exactly the scalar outcome unless some account's
+                # budget could cross below a candidate's bid mid-round.
+                # Bound each win's charge (the exact price under a
+                # constant draw, the winner's bid otherwise), sum per
+                # account, and require every round candidate to remain
+                # affordable under full planned spend — budgets are
+                # monotone, so passing the worst case certifies every
+                # intermediate state.
+                if constant is not None:
+                    bound = np.minimum(
+                        np.maximum(np.maximum(runner, constant), floor),
+                        winner_bids)
+                else:
+                    bound = winner_bids
+                planned = np.bincount(acct_idx[wcand], weights=bound,
+                                      minlength=len(account_index))
+                certified = all(
+                    entries[i][1].budget - planned[acct_idx[i]] + 1e-12
+                    >= entries[i][2]
+                    for i in rc
+                )
+                if not certified:
+                    if delta is not None:
+                        raise StoreError(
+                            f"{self.engine_id}: budget flip inside a "
+                            "partitioned sweep range; run the sweep "
+                            "single-process (sweep_slots) so the scalar "
+                            "fallback can replay the round exactly")
+                    if obs_on:
+                        self._obs_sweep_budget_rounds.inc()
+                    # Exact scalar replay of this round: the same
+                    # per-user code path run_until_saturated uses, over
+                    # every row in range (users with nothing eligible
+                    # contribute nothing, matching the scalar loop's
+                    # drop-from-rotation). It reads the shown bitsets as
+                    # the cap, so the vector rounds' wins fold in first;
+                    # the lists are rebuilt from what it leaves. The
+                    # session match cache may hold entries the vector
+                    # rounds never pruned — drop it wholesale.
+                    self._sweep_fold(entries, start, wins, delta)
+                    if self._match_cache is not None:
+                        self._match_cache.clear()
+                    store = self._user_store
+                    progressed, _ = self._serve_round(
+                        (UserView(store, r) for r in range(start, stop)),
+                        stats, saturating=True)
+                    self._sweep_subtract_shown(avail, entries, start, stop)
+                    lists_for = None
+                    if not progressed:
+                        break
+                    continue
+
+                # Phase C: decide, count, and apply in bulk. Draws
+                # happen here, one per auctioned user in ascending row
+                # order — the exact sequence the scalar loop consumes.
+                if constant is not None:
+                    competing = np.full(slots, constant)
+                else:
+                    competing = np.fromiter(
+                        (draw() for _ in range(slots)),
+                        dtype=np.float64, count=slots)
+                won = (winner_bids > competing) & (winner_bids >= floor)
+                price = np.minimum(
+                    np.maximum(np.maximum(runner, competing), floor),
+                    winner_bids)
+                won_count = int(won.sum())
+                stats.slots += slots
+                stats.filled_by_tracked_ads += won_count
+                stats.lost_to_competition += slots - won_count
+                if obs_on:
+                    self._obs_slots.inc(slots)
+                    self._obs_sweep_rounds.inc()
+                observe_auctions(contenders, price[won], slots - won_count)
+                if won_count == 0:
+                    break
+                # A lost slot keeps its candidate for the next round.
+                lists.advance(rel_rows[won])
+                self._sweep_apply(entries, start, rel_rows[won],
+                                  wcand[won], price[won], wins)
+        finally:
+            self._sweep_fold(entries, start, wins, delta)
+
+    def _sweep_apply(self, entries: List[tuple], start: int,
                      rel_rows: np.ndarray, wcand: np.ndarray,
-                     price: np.ndarray, avail: np.ndarray,
-                     delta: Optional[Dict[str, list]]) -> None:
-        """Fold one vector round's wins into engine + ledger state, the
-        same way in both modes: one billing run, the impression records
-        (the scalar loop's seq, user, price and row order) to the
-        journal and, in full mode, to the log and feeds, then bulk ORs
-        into the shown bitsets."""
+                     price: np.ndarray, wins: "_SweepWins") -> None:
+        """Bill and record one vector round's wins, the same way in both
+        modes: one billing run, the impression records (the scalar
+        loop's seq, user, price and row order) to the journal and, in
+        full mode, to the log and feeds, and the wins into ``wins`` for
+        the shown-bitset fold (:meth:`_sweep_fold`)."""
         users = self._user_store
-        n = stop - start
-        order = np.argsort(wcand, kind="stable")
-        grouped = np.split(
-            order, np.flatnonzero(np.diff(wcand[order])) + 1)
         count = len(rel_rows)
         seq_base = self._impression_seq
-        word0 = start // bitset.WORD_BITS
         # One order-exact billing fold for the whole round: budgets and
         # spend accumulate in delivery (row) order, exactly as per-
         # impression charges would.
-        group_cands = [int(wcand[group[0]]) for group in grouped]
+        round_cands = np.flatnonzero(
+            np.bincount(wcand, minlength=len(entries)))
+        slot = np.empty(len(entries), dtype=np.int64)
+        slot[round_cands] = np.arange(len(round_cands))
         self._ledger.charge_impression_run(
             [(entries[c][0].ad_id, entries[c][0].account_id)
-             for c in group_cands],
-            np.searchsorted(group_cands, wcand), price)
+             for c in round_cands.tolist()],
+            slot[wcand], price)
         journal = not self._store.discards_records
         log = not self._compact
         if journal or log:
@@ -1118,23 +1228,29 @@ class DeliveryEngine:
                     self._log_impression(impression, ad)
         if not journal:
             self._store.note_discarded(count)
-        for cand, group in zip(group_cands, grouped):
-            ad = entries[cand][0]
-            added = bitset.from_indices(rel_rows[group], n)
-            self._or_shown(ad.ad_id, word0, added, len(group))
-            avail[cand] &= ~added
-            if delta is not None:
-                record = delta.get(ad.ad_id)
-                if record is None:
-                    record = delta[ad.ad_id] = [
-                        ad.account_id, bitset.make_bitset(n), 0, 0.0]
-                record[1] |= added
-                record[2] += len(group)
-                record[3] += float(np.add.accumulate(price[group])[-1])
+        wins.record(rel_rows, wcand, price)
         self._impression_count += count
         self._impression_seq = seq_base + count
         if self._obs_on:
             self._obs_impressions.inc(count)
+
+    def _sweep_fold(self, entries: List[tuple], start: int,
+                    wins: "_SweepWins",
+                    delta: Optional[Dict[str, tuple]]) -> None:
+        """Fold the wins recorded since the last fold into the shown
+        bitsets and per-ad counts (ads in first-win order, as per-round
+        folds would insert them) and, for a parallel worker, into its
+        delta. A worker folds once: it never runs a fallback round."""
+        word0 = start // bitset.WORD_BITS
+        for cand in wins.order:
+            ad = entries[cand][0]
+            words = wins.delivered[cand]
+            count = int(wins.counts[cand])
+            self._or_shown(ad.ad_id, word0, words, count)
+            if delta is not None:
+                delta[ad.ad_id] = (ad.account_id, word0, words, count,
+                                   float(wins.spent[cand]))
+        wins.reset()
 
     def _or_shown(self, ad_id: str, word0: int, words: np.ndarray,
                   count: int) -> None:

@@ -2,7 +2,7 @@
 
 The single-process batch sweep
 (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`) is column
-algebra over row blocks; this module partitions the row space itself.
+algebra over one row range; this module partitions the row space itself.
 Each forked worker inherits the built platform world by copy-on-write —
 catalog, columns, lowered mask programs — sweeps its
 own disjoint ``(start, stop)`` range, and ships back a compact per-ad
@@ -139,7 +139,6 @@ def parallel_sweep(
     engine: DeliveryEngine,
     workers: Optional[int] = None,
     max_rounds: int = 50,
-    block_rows: int = 1 << 16,
 ) -> DeliveryStats:
     """Sweep the whole attached columnar store across forked workers.
 
@@ -152,7 +151,7 @@ def parallel_sweep(
         workers = visible_cores()
     if workers <= 0:
         raise ValueError("workers must be positive")
-    check_sweep_args(max_rounds, block_rows)
+    check_sweep_args(max_rounds)
     users = engine._user_store
     if not engine._compact:
         raise StoreError(
@@ -165,8 +164,7 @@ def parallel_sweep(
     nrows = len(users)
     ranges = partition_rows(nrows, workers)
     if len(ranges) <= 1:
-        return engine.sweep_slots(max_rounds=max_rounds,
-                                  block_rows=block_rows)
+        return engine.sweep_slots(max_rounds=max_rounds)
     certify_budgets(engine, nrows)
     ctx = get_context("fork")
     spawned = []
@@ -175,7 +173,7 @@ def parallel_sweep(
         process = ctx.Process(
             target=_worker_main,
             args=(child_sock, parent_sock, engine, start, stop,
-                  max_rounds, block_rows),
+                  max_rounds),
             name=f"parsweep-{start}-{stop}",
             daemon=True,
         )
@@ -220,7 +218,7 @@ def parallel_sweep(
 
 def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
                  engine: DeliveryEngine, start: int, stop: int,
-                 max_rounds: int, block_rows: int) -> None:
+                 max_rounds: int) -> None:
     """Forked worker: sweep one row range on COW state, ship the delta.
 
     The worker's engine/ledger/metrics mutations are its own
@@ -232,8 +230,7 @@ def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
     try:
         try:
             stats, delta = engine.sweep_slots(
-                (start, stop), max_rounds=max_rounds,
-                block_rows=block_rows, _collect_delta=True)
+                (start, stop), max_rounds=max_rounds, _collect_delta=True)
         except Exception as exc:  # noqa: BLE001 - shipped to the parent
             framer.send(("error", f"{type(exc).__name__}: {exc}"))
             return

@@ -7,9 +7,18 @@ benchmarks, not here) need real parallel hardware.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import random
+
 import pytest
 
+from repro.core.provider import TransparencyProvider
 from repro.errors import StoreError
+from repro.platform.ads import AdCreative
+from repro.platform.catalog import build_us_catalog
+from repro.platform.platform import AdPlatform, PlatformConfig
 from repro.platform import parsweep
 from repro.platform.parsweep import (
     certify_budgets,
@@ -17,6 +26,7 @@ from repro.platform.parsweep import (
     partition_rows,
     visible_cores,
 )
+from repro.platform.web import WebDirectory
 from repro.store.store import NullStore
 from repro.workloads.competition import (
     fixed_competition,
@@ -101,8 +111,6 @@ class TestPreconditions:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kwargs, match", [
-        ({"block_rows": 100}, "block_rows must be a positive multiple"),
-        ({"block_rows": 0}, "block_rows must be a positive multiple"),
         ({"max_rounds": -1}, "max_rounds must be a non-negative"),
         ({"max_rounds": 2.5}, "max_rounds must be a non-negative"),
     ])
@@ -171,3 +179,63 @@ class TestWorkerEquality:
         # A second pass over saturated inventory delivers nothing.
         assert parallel_sweep(platform.delivery,
                               workers=4).filled_by_tracked_ads == 0
+
+
+#: SHA-256 of the canonical reports of :func:`priced_campaign_reports`
+#: (workers=2), as the per-round delta folds produced them before the
+#: sweep rounds walked candidate lists. Spend is summed per worker range
+#: and folded into the ledger, so any change in how the delta adds up
+#: prices changes these bits.
+PINNED_PRICED_DIGEST = (
+    "f522388794f7baf7a82f6a0bd29211bae4e4e89d7739344f1e81004b208f0bba")
+
+
+def priced_campaign_reports(users, workers):
+    """A small copy of the perfbench ``sweep`` world: the partner-sweep
+    Treads at 10 CPM and one competitor's broad ads at 8/9/11/12 CPM over
+    ``users`` users holding ten partner attributes each, under a
+    constant 1 CPM competing bid. Returns the canonical reports' JSON."""
+    platform = AdPlatform(
+        config=PlatformConfig(name="priced", compact_delivery=True),
+        catalog=build_us_catalog(),
+        competing_draw=fixed_competition(1.0),
+        store=NullStore(),
+    )
+    provider = TransparencyProvider(platform, WebDirectory(),
+                                    budget=500_000.0, bid_cap_cpm=10.0)
+    attrs = platform.catalog.partner_attributes()
+    rng = random.Random(3)
+    user_ids = []
+    for i in range(users):
+        user = platform.register_user(
+            age=rng.randint(18, 64),
+            gender="female" if rng.random() < 0.5 else "male")
+        for k in range(10):
+            user.set_attribute(attrs[(i * 10 + k) % len(attrs)])
+        user_ids.append(user.user_id)
+    account = platform.create_ad_account("competitor", budget=10_000.0)
+    campaign = platform.create_campaign(account.account_id, "broad")
+    for spec, bid in (("age:18-34", 8.0), ("age:35-64", 12.0),
+                      ("gender:female", 9.0), ("gender:male", 11.0)):
+        platform.submit_ad(account.account_id, campaign.campaign_id,
+                           AdCreative("broad", "buy now"), spec,
+                           bid_cap_cpm=bid)
+    for user_id in user_ids:
+        provider.optin.via_page_like(user_id)
+    provider.launch_partner_sweep()
+    platform.run_sweep(workers=workers)
+    rows = []
+    for account_id in (provider.account.account_id, account.account_id):
+        rows.extend(dataclasses.asdict(report)
+                    for report in platform.reports(account_id))
+    rows.sort(key=lambda row: row["ad_id"])
+    return json.dumps(rows, sort_keys=True)
+
+
+class TestPricedDigest:
+    def test_priced_parallel_sweep_digest_is_pinned(self):
+        text = priced_campaign_reports(users=3000, workers=2)
+        spend = sum(row["spend"] for row in json.loads(text))
+        assert spend > 0
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            PINNED_PRICED_DIGEST

@@ -2,10 +2,11 @@
 
 The integration equivalence suite pins the full 2,000-user partner
 sweep; these tests pin the engine-level machinery — precondition
-errors, block decomposition, partial row ranges, per-spec matcher
-fallback routing, multi-account runner-up pricing, the sweep's
-observability counters, and the packed winner-selection kernel against
-an unpacked-argmax reference.
+errors, partial row ranges, per-spec matcher fallback routing,
+multi-account runner-up pricing, lost slots under a random draw, budget
+fallback rounds, the sweep's observability counters, and the per-row
+candidate lists, driven round by round, against an unpacked-argmax
+reference.
 """
 
 from __future__ import annotations
@@ -19,10 +20,14 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.platform import bitset
 from repro.platform.ads import AdCreative
 from repro.platform.catalog import build_us_catalog
-from repro.platform.delivery import sweep_auction
+from repro.platform.delivery import SweepLists
 from repro.platform.platform import AdPlatform, PlatformConfig
 from repro.platform.targeting import HasAttr, lower_spec
-from repro.workloads.competition import fixed_competition, zero_competition
+from repro.workloads.competition import (
+    fixed_competition,
+    lognormal_competition,
+    zero_competition,
+)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -84,11 +89,6 @@ class TestPreconditions:
             AdPlatform(config=PlatformConfig(name="legacy",
                                              columnar_users=False))
 
-    def test_block_rows_must_be_word_multiple(self):
-        platform, _ads = make_world(users=10)
-        with pytest.raises(ValueError, match="block_rows"):
-            platform.delivery.sweep_slots(block_rows=100)
-
     def test_range_validation(self):
         platform, _ads = make_world(users=70)
         with pytest.raises(ValueError, match="boundary"):
@@ -98,15 +98,6 @@ class TestPreconditions:
 
 
 class TestBlockDecomposition:
-    def test_tiny_blocks_match_one_big_block(self):
-        platform_a, ads_a = make_world(users=200)
-        platform_b, ads_b = make_world(users=200)
-        stats_a = platform_a.delivery.sweep_slots(block_rows=64)
-        stats_b = platform_b.delivery.sweep_slots()
-        assert stats_a == stats_b
-        assert engine_state(platform_a, ads_a) == \
-            engine_state(platform_b, ads_b)
-
     def test_partial_ranges_compose_to_full_sweep(self):
         platform_a, ads_a = make_world(users=150)
         platform_b, ads_b = make_world(users=150)
@@ -162,6 +153,63 @@ class TestScalarEquality:
         assert first.filled_by_tracked_ads > 0
         second = platform.run_sweep()
         assert second.filled_by_tracked_ads == 0
+
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("accounts", [1, 2])
+    def test_lost_slots_keep_their_candidate(self, compact, accounts):
+        """A random draw around the bids loses real slots: a losing row
+        keeps its candidate for the next round, and the draws go to the
+        auctioned rows in ascending order, as in the scalar loop."""
+        def world():
+            return make_world(compact=compact, accounts=accounts,
+                              draw=lognormal_competition(
+                                  median_cpm=9.5, seed=5))
+        platform_a, ads_a = world()
+        platform_b, ads_b = world()
+        stats_sweep = platform_a.run_sweep()
+        stats_scalar = platform_b.run_until_saturated()
+        assert stats_sweep.lost_to_competition > 0
+        assert stats_sweep == stats_scalar
+        assert engine_state(platform_a, ads_a) == \
+            engine_state(platform_b, ads_b)
+
+    def test_fallback_round_mid_sweep_then_vector_rounds(self):
+        """One account's budget runs out mid-sweep: that round replays
+        through the scalar loop, and the other account keeps delivering
+        in vector rounds built from what the replay left."""
+        def world():
+            platform, ads = make_world(accounts=2,
+                                       draw=fixed_competition(1.0))
+            # Enough for the first round's wins at the runner-up's
+            # 9 CPM (130 users), not for the second round's.
+            platform.inventory.account(ads[0].account_id).budget = 1.4
+            return platform, ads
+
+        with use_registry(MetricsRegistry("sweeptest")) as reg:
+            platform_a, ads_a = world()
+            engine = platform_a.delivery
+            vector_rounds_at_fallback = []
+            serve_round = engine._serve_round
+
+            def traced_serve_round(*args, **kwargs):
+                vector_rounds_at_fallback.append(
+                    reg.counter("delivery.sweep_rounds").value)
+                return serve_round(*args, **kwargs)
+            engine._serve_round = traced_serve_round
+            stats_sweep = platform_a.run_sweep()
+            assert reg.counter(
+                "delivery.sweep_budget_fallback_rounds").value >= 1
+            assert vector_rounds_at_fallback[0] >= 1
+            assert reg.counter("delivery.sweep_rounds").value > \
+                vector_rounds_at_fallback[-1]
+        platform_b, ads_b = world()
+        stats_scalar = platform_b.run_until_saturated()
+        assert stats_sweep == stats_scalar
+        assert engine_state(platform_a, ads_a) == \
+            engine_state(platform_b, ads_b)
+        late = [ad for ad in ads_a if ad.account_id != ads_a[0].account_id]
+        assert sum(platform_a.delivery.impression_count_for_ad(ad.ad_id)
+                   for ad in late) > 0
 
 
 class TestCompactLedgerState:
@@ -244,120 +292,151 @@ class TestBudgetFallback:
             engine_state(platform_b, ads_b)
 
 
-def reference_auction(avail, candidates, accounts, nrows, block_rows):
+def reference_auction(avail, candidates, accounts, nrows):
     """The sweep's earlier winner selection, kept as the reference: unpack
-    each block to one byte per (candidate, row), take the first available
+    the matrix to one byte per (candidate, row), take the first available
     candidate with an argmax down the candidate axis, mask the winner's
     account out for the runner-up argmax, and count accounts with any
-    available candidate."""
-    mat_bytes = avail[candidates].view(np.uint8)
-    multi_account = len(np.unique(accounts)) > 1
-    found = []
-    for r0 in range(0, nrows, block_rows):
-        nb = min(r0 + block_rows, nrows) - r0
-        block = np.unpackbits(
-            mat_bytes[:, r0 // 8: r0 // 8 + (nb + 7) // 8],
-            axis=1, count=nb, bitorder="little")
-        positions = np.arange(nb)
-        wpos = block.argmax(axis=0)
-        has = block[wpos, positions] == 1
-        if not has.any():
-            continue
-        hrows = np.flatnonzero(has)
-        if multi_account:
-            winner_acct = accounts[wpos]
-            others = np.where(
-                accounts[:, None] == winner_acct[None, :], 0, block)
-            rpos = others.argmax(axis=0)
-            rhas = others[rpos, positions] == 1
-            runner = np.where(rhas, rpos, -1)[hrows]
-            counts = np.zeros(nb, dtype=np.int64)
-            for a in np.unique(accounts):
-                counts += block[accounts == a].any(axis=0)
-            counts = counts[hrows]
-        else:
-            runner = np.full(len(hrows), -1)
-            counts = np.ones(len(hrows), dtype=np.int64)
-        found.append((hrows + r0, wpos[hrows], runner, counts))
-    if not found:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
-    return tuple(np.concatenate(part) for part in zip(*found))
+    available candidate. Returns ``(rows, winner, runner, contenders)``
+    with winner and runner as positions in ``candidates``."""
+    block = np.unpackbits(avail[candidates].view(np.uint8), axis=1,
+                          count=nrows, bitorder="little")
+    positions = np.arange(nrows)
+    wpos = block.argmax(axis=0)
+    has = block[wpos, positions] == 1
+    hrows = np.flatnonzero(has)
+    if len(np.unique(accounts)) > 1:
+        winner_acct = accounts[wpos]
+        others = np.where(
+            accounts[:, None] == winner_acct[None, :], 0, block)
+        rpos = others.argmax(axis=0)
+        rhas = others[rpos, positions] == 1
+        runner = np.where(rhas, rpos, -1)[hrows]
+        counts = np.zeros(nrows, dtype=np.int64)
+        for a in np.unique(accounts):
+            counts += block[accounts == a].any(axis=0)
+        counts = counts[hrows]
+    else:
+        runner = np.full(len(hrows), -1)
+        counts = np.ones(len(hrows), dtype=np.int64)
+    return hrows, wpos[hrows], runner, counts
 
 
-def random_round(seed):
-    """A random availability matrix and round, as ``_run_sweep`` builds
-    them: entries in (bid desc, id asc) priority order — with tied bids —
-    a random subset of them in the round, 1-4 accounts, a row count that
-    is rarely a word multiple, some rows with nothing available, and a
-    block size usually smaller than the range."""
-    rng = np.random.default_rng(seed)
+def assert_round_matches_reference(lists, avail, delivered, candidates,
+                                   entry_accounts, nrows):
+    """One round of the lists equals the reference over the matrix with
+    the delivered pairs cleared; returns the round."""
+    got = lists.auction()
+    rows, wpos, rpos, counts = reference_auction(
+        avail & ~delivered, candidates, entry_accounts[candidates], nrows)
+    want = (rows, candidates[wpos],
+            np.where(rpos >= 0, candidates[rpos], -1), counts)
+    for name, g, w in zip(("rows", "winner", "runner", "contenders"),
+                          got, want):
+        assert np.array_equal(g, w), (name, g, w)
+    return got
+
+
+def deliver(delivered, rows, winners):
+    for row, entry in zip(rows.tolist(), winners.tolist()):
+        delivered[entry, row // 64] |= np.uint64(1 << (row % 64))
+
+
+def random_world(rng):
+    """A random availability matrix as ``_run_sweep`` builds one:
+    entries in (bid desc, id asc) priority order — with tied bids — 1-4
+    accounts, a row count that is rarely a word multiple, and some rows
+    with nothing available."""
     nrows = int(rng.integers(1, 400))
     n_entries = int(rng.integers(1, 14))
     bids = rng.choice([8.0, 9.0, 10.0, 10.0, 12.0], size=n_entries)
     order = np.lexsort((np.arange(n_entries), -bids))
-    bids = bids[order]
     entry_accounts = rng.integers(0, int(rng.integers(1, 5)),
-                                  size=n_entries)
+                                  size=n_entries)[order]
     density = rng.uniform(0.0, 0.6, size=(n_entries, 1))
     flags = rng.random((n_entries, nrows)) < density
     flags[:, rng.random(nrows) < 0.2] = False  # users with no candidate
     avail = np.stack([bitset.pack_bools(row) for row in flags])
+    return avail, entry_accounts, nrows
+
+
+def assert_rounds_match_reference(seed):
+    """Drive the lists through several rounds — random win/loss masks,
+    and one round whose candidate set shrinks, rebuilding the lists from
+    the matrix with the delivered pairs cleared, as the sweep does."""
+    rng = np.random.default_rng(seed)
+    avail, entry_accounts, nrows = random_world(rng)
+    n_entries = len(avail)
     candidates = np.flatnonzero(rng.random(n_entries) < 0.8)
     if not candidates.size:
         candidates = np.arange(n_entries)
-    block_rows = 64 * int(rng.integers(1, 4))
-    return (avail, candidates, entry_accounts[candidates], nrows,
-            block_rows, bids)
-
-
-def assert_kernel_matches_reference(seed):
-    avail, candidates, accounts, nrows, block_rows, bids = \
-        random_round(seed)
-    got = sweep_auction(avail, candidates, accounts, nrows, block_rows)
-    want = reference_auction(avail, candidates, accounts, nrows,
-                             block_rows)
-    for name, g, w in zip(("rows", "winner", "runner", "contenders"),
-                          got, want):
-        assert np.array_equal(g, w), (seed, name, g, w)
-    # The prices the sweep derives from the runner-up agree too.
-    _rows, _winner, runner, _counts = got
-    ref_runner = want[2]
-    assert np.array_equal(
-        np.where(runner >= 0, bids[candidates[runner]], 0.0),
-        np.where(ref_runner >= 0, bids[candidates[ref_runner]], 0.0))
+    delivered = np.zeros_like(avail)
+    lists = SweepLists(avail, candidates, entry_accounts[candidates], nrows)
+    shrink_at = int(rng.integers(1, 5))
+    for round_no in range(6):
+        if round_no == shrink_at:
+            # The sweep stops on an empty candidate set: keep one.
+            keep = rng.random(len(candidates)) < 0.7
+            keep[0] = True
+            candidates = candidates[keep]
+            lists = SweepLists(avail & ~delivered, candidates,
+                               entry_accounts[candidates], nrows)
+        rows, winner, _runner, _counts = assert_round_matches_reference(
+            lists, avail, delivered, candidates, entry_accounts, nrows)
+        won = rng.random(len(rows)) < rng.uniform(0.2, 1.0)
+        lists.advance(rows[won])
+        deliver(delivered, rows[won], winner[won])
 
 
 class TestAuctionKernel:
     def test_edge_cases_match_reference(self):
         # One candidate; nobody available; everybody available to every
-        # candidate of two accounts; a range spanning several blocks.
+        # candidate of two accounts over several words — each driven
+        # until every row has won all its candidates.
         cases = [
-            (np.array([[0b1011]], dtype=np.uint64), [0], [0], 4, 64),
-            (np.zeros((3, 2), dtype=np.uint64), [0, 1, 2], [0, 1, 0],
-             100, 64),
+            (np.array([[0b1011]], dtype=np.uint64), [0], [0], 4),
+            (np.zeros((3, 2), dtype=np.uint64), [0, 1, 2], [0, 1, 0], 100),
             (np.full((3, 4), np.uint64(2 ** 64 - 1)), [0, 1, 2],
-             [1, 1, 0], 256, 128),
+             [1, 1, 0], 256),
         ]
-        for avail, candidates, accounts, nrows, block_rows in cases:
-            args = (avail, np.array(candidates), np.array(accounts),
-                    nrows, block_rows)
-            for g, w in zip(sweep_auction(*args), reference_auction(*args)):
-                assert np.array_equal(g, w)
+        for avail, candidates, accounts, nrows in cases:
+            candidates = np.array(candidates)
+            entry_accounts = np.array(accounts)
+            delivered = np.zeros_like(avail)
+            lists = SweepLists(avail, candidates, entry_accounts, nrows)
+            for _ in range(len(candidates) + 1):
+                rows, winner, _runner, _counts = \
+                    assert_round_matches_reference(
+                        lists, avail, delivered, candidates,
+                        entry_accounts, nrows)
+                lists.advance(rows)
+                deliver(delivered, rows, winner)
+            assert not lists.auction()[0].size
 
     def test_runner_up_is_best_other_account(self):
         # Row 0: candidates 0 (acct 0), 1 (acct 0), 2 (acct 1) -> the
         # runner-up skips the winner's sibling. Row 1: only acct 0.
         avail = np.array([[0b01], [0b11], [0b01]], dtype=np.uint64)
-        rows, winner, runner, contenders = sweep_auction(
-            avail, np.arange(3), np.array([0, 0, 1]), 2, 64)
-        assert rows.tolist() == [0, 1]
-        assert winner.tolist() == [0, 1]
-        assert runner.tolist() == [2, -1]
-        assert contenders.tolist() == [2, 1]
+        lists = SweepLists(avail, np.arange(3), np.array([0, 0, 1]), 2)
+        rounds = []
+        for won in ([0, 1], [], [0], [0]):
+            rows, winner, runner, contenders = lists.auction()
+            rounds.append((rows.tolist(), winner.tolist(),
+                           runner.tolist(), contenders.tolist()))
+            lists.advance(np.array(won, dtype=np.int64))
+        assert rounds == [
+            ([0, 1], [0, 1], [2, -1], [2, 1]),
+            # Both advance; row 1 is done. Row 0 then loses a slot and
+            # keeps its candidate.
+            ([0], [1], [2], [2]),
+            ([0], [1], [2], [2]),
+            ([0], [2], [-1], [1]),
+        ]
+        assert not lists.auction()[0].size
 
     def test_seeded_random_rounds_match_reference(self):
         for seed in range(60):
-            assert_kernel_matches_reference(seed)
+            assert_rounds_match_reference(seed)
 
 
 if HAVE_HYPOTHESIS:
@@ -365,4 +444,4 @@ if HAVE_HYPOTHESIS:
         @settings(max_examples=150, deadline=None)
         @given(seed=st.integers(0, 2 ** 32 - 1))
         def test_random_rounds_match_reference(self, seed):
-            assert_kernel_matches_reference(seed)
+            assert_rounds_match_reference(seed)

@@ -33,6 +33,22 @@ class TestCheckpointCommand:
         assert main(["checkpoint", "--out", str(tmp_path),
                      "--rounds", "2", "--checkpoint-after", "5"]) == 2
 
+    def test_second_checkpoint_into_the_same_directory_is_refused(
+            self, capsys, tmp_path):
+        """A second bundle would append to the first one's journals and
+        fail its own replay; it is refused, and the first bundle still
+        restores and replays byte-identically."""
+        out = str(tmp_path)
+        assert main(["checkpoint", "--out", out, *FAST]) == 0
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["checkpoint", "--out", out, *FAST]) == 2
+        assert out in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == \
+            written
+        assert main(["restore", "--from", out]) == 0
+        assert main(["replay", "--from", out]) == 0
+
 
 class TestRestoreAndReplayCommands:
     def test_restore_and_replay_are_byte_identical(self, capsys,
