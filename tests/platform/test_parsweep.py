@@ -111,6 +111,8 @@ class TestPreconditions:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kwargs, match", [
+        ({"max_rounds": None}, "max_rounds must be a non-negative"),
+        ({"max_rounds": "3"}, "max_rounds must be a non-negative"),
         ({"max_rounds": -1}, "max_rounds must be a non-negative"),
         ({"max_rounds": 2.5}, "max_rounds must be a non-negative"),
     ])
