@@ -55,14 +55,21 @@ def ensure_width(bits: np.ndarray, nbits: int) -> np.ndarray:
     return np.concatenate([bits, np.zeros(pad, dtype=np.uint64)])
 
 
+#: ``BIT_MASKS[b]`` is the word with only bit ``b`` set, and
+#: ``CLEAR_MASKS[b]`` its complement: one tuple index per write instead
+#: of building a ``np.uint64`` from a Python shift.
+BIT_MASKS = tuple(np.uint64(1 << b) for b in range(WORD_BITS))
+CLEAR_MASKS = tuple(~mask for mask in BIT_MASKS)
+
+
 def set_bit(bits: np.ndarray, index: int) -> None:
     """Set bit ``index`` in place (the bitset must already be wide enough)."""
-    bits[index >> 6] |= np.uint64(1 << (index & 63))
+    bits[index >> 6] |= BIT_MASKS[index & 63]
 
 
 def clear_bit(bits: np.ndarray, index: int) -> None:
     """Clear bit ``index`` in place."""
-    bits[index >> 6] &= np.uint64(~(1 << (index & 63)) & 0xFFFFFFFFFFFFFFFF)
+    bits[index >> 6] &= CLEAR_MASKS[index & 63]
 
 
 def test_bit(bits: np.ndarray, index: int) -> bool:

@@ -187,6 +187,8 @@ class UserColumns:
         return out
 
     def _attr_code(self, attr_id: str) -> int:
+        """Intern a new attribute, widening the matrix past each 64-code
+        boundary."""
         code = self.attrs.code(attr_id)
         if code >= self.attr_bits.shape[1] * bitset.WORD_BITS:
             self.attr_bits = self._widened(
@@ -194,6 +196,7 @@ class UserColumns:
         return code
 
     def _page_code(self, page_id: str) -> int:
+        """Intern a new page, widening the matrix like :meth:`_attr_code`."""
         code = self.pages.code(page_id)
         if code >= self.page_bits.shape[1] * bitset.WORD_BITS:
             self.page_bits = self._widened(
@@ -218,16 +221,17 @@ class UserColumns:
     # -- binary attributes -------------------------------------------------
 
     def set_attr(self, row: int, attr_id: str) -> None:
-        # Resolve the code *before* slicing out the row: interning a new
-        # attribute may widen (replace) the matrix, and a pre-widening
-        # row view would be too narrow for the new code.
-        code = self._attr_code(attr_id)
-        bitset.set_bit(self.attr_bits[row], code)
+        # Resolve the code *before* indexing the matrix: interning a new
+        # attribute may widen (replace) it. Only a new code pays for that.
+        code = self.attrs.get(attr_id)
+        if code is None:
+            code = self._attr_code(attr_id)
+        self.attr_bits[row, code >> 6] |= bitset.BIT_MASKS[code & 63]
 
     def clear_attr(self, row: int, attr_id: str) -> None:
         code = self.attrs.get(attr_id)
         if code is not None:
-            bitset.clear_bit(self.attr_bits[row], code)
+            self.attr_bits[row, code >> 6] &= bitset.CLEAR_MASKS[code & 63]
 
     def has_attr(self, row: int, attr_id: str) -> bool:
         code = self.attrs.get(attr_id)
@@ -282,15 +286,17 @@ class UserColumns:
     # -- page likes --------------------------------------------------------
 
     def like(self, row: int, page_id: str) -> None:
-        # Code first, then row view — interning may widen the matrix
+        # Code first, then the write — interning may widen the matrix
         # (see set_attr).
-        code = self._page_code(page_id)
-        bitset.set_bit(self.page_bits[row], code)
+        code = self.pages.get(page_id)
+        if code is None:
+            code = self._page_code(page_id)
+        self.page_bits[row, code >> 6] |= bitset.BIT_MASKS[code & 63]
 
     def unlike(self, row: int, page_id: str) -> None:
         code = self.pages.get(page_id)
         if code is not None:
-            bitset.clear_bit(self.page_bits[row], code)
+            self.page_bits[row, code >> 6] &= bitset.CLEAR_MASKS[code & 63]
 
     def has_page(self, row: int, page_id: str) -> bool:
         code = self.pages.get(page_id)
@@ -671,8 +677,9 @@ class UserView:
                 raise CatalogError(
                     f"binary attribute {attribute.attr_id!r} takes no value"
                 )
-            self._store._write(UserColumns.set_attr, self._row,
-                               attribute.attr_id)
+            store = self._store
+            store.columns.set_attr(self._row, attribute.attr_id)
+            store._epoch += 1
             return
         if value is None:
             raise CatalogError(
@@ -743,7 +750,8 @@ class ColumnarUserStore:
         self._dense_prefix = None
 
     def _register_id(self, user_id: str) -> None:
-        """Record the id for the row about to be appended."""
+        """Record the id for the row about to be appended, when it is not
+        the next dense id (:meth:`new_user` checks that first)."""
         row = self.columns.count
         if self._ids is not None:
             assert self._rows is not None
@@ -761,8 +769,6 @@ class ColumnarUserStore:
             self._rows = {}
             self._ids.append(user_id)
             self._rows[user_id] = row
-            return
-        if user_id == self._dense_id(row):
             return
         self._materialize_ids()
         assert self._ids is not None and self._rows is not None
@@ -816,9 +822,13 @@ class ColumnarUserStore:
                  ) -> UserView:
         """Object-free registration: append a row directly (the streaming
         population path — no transient :class:`UserProfile`)."""
-        if self.row_of(user_id) is not None:
-            raise CatalogError(f"duplicate user id {user_id!r}")
-        self._register_id(user_id)
+        # The next dense id is neither a duplicate nor a break in the
+        # sequence, so the common case formats one id and compares once.
+        if (self._dense_prefix is None
+                or user_id != self._dense_id(self.columns.count)):
+            if self.row_of(user_id) is not None:
+                raise CatalogError(f"duplicate user id {user_id!r}")
+            self._register_id(user_id)
         row = self.columns.append_row(country, age, gender, zip_code)
         self._epoch += 1
         return UserView(self, row, user_id)
@@ -905,8 +915,11 @@ class ColumnarUserStore:
 
     def like_page(self, user_id: str, page_id: str) -> None:
         """Record a page like (the epoch-honest mutation path)."""
-        view = self.get(user_id)
-        self._write(UserColumns.like, view.row, page_id)
+        row = self.row_of(user_id)
+        if row is None:
+            raise CatalogError(f"unknown user id {user_id!r}")
+        self.columns.like(row, page_id)
+        self._epoch += 1
 
     # -- columnar extras ---------------------------------------------------
 

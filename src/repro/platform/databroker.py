@@ -115,6 +115,7 @@ def ingest_broker_feed(
             report.unmatched_record_ids.append(record.record_id)
             continue
         report.records_matched += 1
+        views = [users.get(user_id) for user_id in matched_users]
         for attr_id, value in record.attributes:
             attribute = catalog.get(attr_id)
             if attribute.source is not AttributeSource.PARTNER:
@@ -122,9 +123,9 @@ def ingest_broker_feed(
                     f"broker {broker.name!r} tried to set non-partner "
                     f"attribute {attr_id!r}"
                 )
-            for user_id in matched_users:
-                users.get(user_id).set_attribute(attribute, value)
-                report.attributes_set += 1
+            for view in views:
+                view.set_attribute(attribute, value)
+            report.attributes_set += len(views)
     return report
 
 

@@ -27,9 +27,57 @@ from repro.workloads.personas import Persona
 _ZIP_POOL = tuple(f"{z:05d}" for z in range(10001, 10051))
 
 
+class _CatalogPools:
+    """The catalog's attribute pools for one spawn call.
+
+    Scanning the ~1,100-attribute catalog costs more than the user it
+    feeds, so each :class:`PopulationBuilder` spawn call takes the pools
+    once: the binary platform attributes, the multi attributes, and per
+    persona-family tuple the partner attributes split into the persona's
+    families and the rest (both in catalog order). They are never kept
+    across calls, because the catalog may change between calls.
+    """
+
+    __slots__ = ("country", "binary", "multi", "_partner", "_splits")
+
+    def __init__(self, platform: AdPlatform) -> None:
+        catalog = platform.catalog
+        self.country = country = platform.config.country
+        self.binary = [
+            attribute
+            for attribute in catalog.platform_attributes(country)
+            if attribute.kind is AttributeKind.BINARY
+        ]
+        self.multi = catalog.multi_attributes(country)
+        self._partner = catalog.partner_attributes(country)
+        self._splits: Dict[Tuple[str, ...],
+                           Tuple[List[Attribute], List[Attribute]]] = {}
+
+    def partner_split(self, families: Tuple[str, ...]
+                      ) -> Tuple[List[Attribute], List[Attribute]]:
+        """(in ``families``, not in them) — shared lists; copy before
+        shuffling."""
+        split = self._splits.get(families)
+        if split is None:
+            preferred: List[Attribute] = []
+            rest: List[Attribute] = []
+            for attribute in self._partner:
+                if attribute.attr_id.startswith(families):
+                    preferred.append(attribute)
+                else:
+                    rest.append(attribute)
+            split = self._splits[families] = (preferred, rest)
+        return split
+
+
 @dataclass
 class PopulationBuilder:
-    """Builds a persona-mixed population on one platform."""
+    """Builds a persona-mixed population on one platform.
+
+    Each ``spawn``/``spawn_mix``/``spawn_stream`` call reads the
+    catalog's attribute pools once (not once per user), so attributes
+    added to or removed from the catalog take effect from the next call.
+    """
 
     platform: AdPlatform
     seed: int = 42
@@ -46,10 +94,8 @@ class PopulationBuilder:
     def spawn(self, persona: Persona, count: int = 1) -> List[UserView]:
         """Create ``count`` users of one persona (broker records staged,
         not yet ingested — call :meth:`finalize`)."""
-        users = []
-        for _ in range(count):
-            users.append(self._spawn_one(persona))
-        return users
+        pools = _CatalogPools(self.platform)
+        return [self._spawn_one(persona, pools) for _ in range(count)]
 
     def spawn_mix(
         self,
@@ -62,7 +108,8 @@ class PopulationBuilder:
             list(personas), weights=list(weights) if weights else None,
             k=count,
         )
-        return [self._spawn_one(persona) for persona in chosen]
+        pools = _CatalogPools(self.platform)
+        return [self._spawn_one(persona, pools) for persona in chosen]
 
     def spawn_stream(
         self,
@@ -94,13 +141,15 @@ class PopulationBuilder:
             raise ValueError("chunk_size must be >= 1")
         pool = list(personas)
         weight_list = list(weights) if weights else None
+        pools = _CatalogPools(self.platform)
         remaining = count
         while remaining > 0:
             take = min(chunk_size, remaining)
             chosen = self._rng.choices(pool, weights=weight_list, k=take)
             chunk = []
             for persona in chosen:
-                user = self._spawn_one(persona, track=track_personas)
+                user = self._spawn_one(persona, pools,
+                                       track=track_personas)
                 chunk.append(user.user_id)
             yield chunk
             remaining -= take
@@ -111,11 +160,11 @@ class PopulationBuilder:
 
     # ------------------------------------------------------------------
 
-    def _spawn_one(self, persona: Persona,
+    def _spawn_one(self, persona: Persona, pools: _CatalogPools,
                    track: bool = True) -> UserView:
         rng = self._rng
         user = self.platform.register_user(
-            country=self.platform.config.country,
+            country=pools.country,
             age=rng.randint(*persona.age_range),
             gender=rng.choice(persona.genders),
             zip_code=rng.choice(_ZIP_POOL),
@@ -123,9 +172,9 @@ class PopulationBuilder:
         if track:
             self.persona_of[user.user_id] = persona.name
         pii = self._attach_pii(user, persona)
-        self._set_platform_attributes(user, persona)
+        self._set_platform_attributes(user, persona, pools)
         if rng.random() < persona.broker_coverage:
-            self._stage_broker_record(user, persona, pii)
+            self._stage_broker_record(persona, pii, pools)
         return user
 
     def _attach_pii(
@@ -151,34 +200,29 @@ class PopulationBuilder:
             attached.append((kind, value))
         return attached
 
-    def _set_platform_attributes(self, user: UserView,
-                                 persona: Persona) -> None:
+    def _set_platform_attributes(self, user: UserView, persona: Persona,
+                                 pools: _CatalogPools) -> None:
         rng = self._rng
-        catalog = self.platform.catalog
-        binary_pool = [
-            attribute
-            for attribute in catalog.platform_attributes(user.country)
-            if attribute.kind is AttributeKind.BINARY
-        ]
+        binary_pool = pools.binary
         count = rng.randint(*persona.platform_attr_range)
         count = min(count, len(binary_pool))
         for attribute in rng.sample(binary_pool, count):
             user.set_attribute(attribute)
-        for attribute in catalog.multi_attributes(user.country):
+        for attribute in pools.multi:
             user.set_attribute(attribute, rng.choice(attribute.values))
 
     def _stage_broker_record(
         self,
-        user: UserView,
         persona: Persona,
         pii: List[Tuple[str, str]],
+        pools: _CatalogPools,
     ) -> None:
         """Write one broker record carrying this persona's partner attrs."""
         rng = self._rng
         count = rng.randint(*persona.partner_attr_range)
         if count == 0 or not pii:
             return
-        chosen = self._choose_partner_attributes(user, persona, count)
+        chosen = self._choose_partner_attributes(persona, count, pools)
         if not chosen:
             return
         broker = self.platform.brokers.broker(self.broker_name)
@@ -190,21 +234,14 @@ class PopulationBuilder:
         )
 
     def _choose_partner_attributes(
-        self, user: UserView, persona: Persona, count: int
+        self, persona: Persona, count: int, pools: _CatalogPools
     ) -> List[Attribute]:
         """Prefer the persona's families; avoid contradictory picks within
         one exclusive family (one net-worth band, not three)."""
         rng = self._rng
-        catalog = self.platform.catalog
-        partner_pool = catalog.partner_attributes(user.country)
-        preferred: List[Attribute] = []
-        rest: List[Attribute] = []
-        for attribute in partner_pool:
-            if any(attribute.attr_id.startswith(prefix)
-                   for prefix in persona.partner_families):
-                preferred.append(attribute)
-            else:
-                rest.append(attribute)
+        preferred, rest = pools.partner_split(persona.partner_families)
+        preferred = list(preferred)
+        rest = list(rest)
         rng.shuffle(preferred)
         rng.shuffle(rest)
         chosen: List[Attribute] = []

@@ -191,6 +191,28 @@ class TestColumnarBitsetCache:
         # Stable again until the next mutation.
         assert registry.member_bitset_cached("aud-page") is after
 
+    def test_view_set_attribute_invalidates(self):
+        """The binary ``set_attribute`` write path bumps the epoch too, so
+        a keyword audience's cached reach sees the new attribute."""
+        from repro.platform.attributes import AttributeCatalog, make_binary
+
+        coffee = make_binary("b-coffee", "Coffee lovers", ("Food",))
+        store = ColumnarUserStore()
+        for index in range(10):
+            view = store.new_user(f"cu{index}")
+            if index < 6:
+                view.set_attribute(coffee)
+        registry = AudienceRegistry(
+            users=store, pixels=PixelRegistry(),
+            catalog=AttributeCatalog([coffee]), reach_floor=0,
+            reach_quantum=1)
+        registry.create_keyword_audience("aud-kw", "acct-1", ["coffee"])
+        assert registry.estimated_reach("aud-kw").displayed == 6
+        before = registry.member_bitset_cached("aud-kw")
+        store.get("cu8").set_attribute(coffee)
+        assert registry.estimated_reach("aud-kw").displayed == 7
+        assert registry.member_bitset_cached("aud-kw") is not before
+
     def test_unrelated_mutations_still_invalidate(self, columnar_world):
         """The key is world-level, deliberately coarse: any epoch bump
         rebuilds, never serving a stale mask."""

@@ -30,6 +30,19 @@ class TestBitLayout:
         assert not bitset.test_bit(bits, 64)
         assert bitset.popcount(bits) == 7
 
+    @pytest.mark.parametrize("index", [0, 63, 64, 127])
+    def test_word_edges_set_and_clear_only_their_bit(self, index):
+        """Bits 0 and 63 of each word; 63 is the ``uint64`` high bit."""
+        for fill in (0, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA):
+            before = np.full(2, fill, dtype=np.uint64)
+            only = bitset.from_indices([index], 128)
+            bits = before.copy()
+            bitset.set_bit(bits, index)
+            assert bits.tolist() == (before | only).tolist()
+            bitset.clear_bit(bits, index)
+            assert bits.tolist() == (before & ~only).tolist()
+            assert bits.dtype == np.uint64
+
     def test_test_bit_past_width_is_false(self):
         bits = bitset.make_bitset(64)
         assert not bitset.test_bit(bits, 1000)

@@ -72,6 +72,32 @@ class TestDenseIds:
         with pytest.raises(CatalogError, match="unknown user id 'nope'"):
             store.get("nope")
 
+    def test_duplicate_dense_id_changes_nothing(self):
+        store = ColumnarUserStore()
+        for index in range(3):
+            store.new_user(f"fb-user-{index:06d}")
+        epoch = store.mutation_epoch
+        for user_id in ("fb-user-000000", "fb-user-000002"):
+            with pytest.raises(CatalogError,
+                               match=f"duplicate user id '{user_id}'"):
+                store.new_user(user_id)
+        assert len(store) == 3
+        assert store.mutation_epoch == epoch
+        assert store.stats()["dense_ids"] is True
+        store.new_user("fb-user-000003")
+        assert store.row_of("fb-user-000003") == 3
+
+    def test_like_page_of_unknown_user_raises(self):
+        store = ColumnarUserStore()
+        store.new_user("fb-user-000000")
+        epoch = store.mutation_epoch
+        for user_id in ("fb-user-000001", "fb-user-0", "nope"):
+            with pytest.raises(CatalogError,
+                               match=f"unknown user id '{user_id}'"):
+                store.like_page(user_id, "page-1")
+        assert store.mutation_epoch == epoch
+        assert len(store.columns.pages) == 0
+
 
 class TestMatrixWidening:
     def test_attr_matrix_widens_past_64_codes(self):

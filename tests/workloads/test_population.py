@@ -1,6 +1,13 @@
 """Tests for population generation and the broker pipeline."""
 
+import hashlib
+import json
+
 import pytest
+
+from repro.platform.attributes import Attribute, AttributeSource
+from repro.platform.catalog import build_us_catalog
+from repro.platform.platform import AdPlatform, PlatformConfig
 
 from repro.workloads.personas import (
     AVERAGE_CONSUMER,
@@ -48,8 +55,6 @@ class TestSpawn:
             "recent_arrival_grad_student"
 
     def test_reproducible_with_same_seed(self, full_platform):
-        from repro.platform.catalog import build_us_catalog
-        from repro.platform.platform import AdPlatform, PlatformConfig
         from repro.workloads.competition import zero_competition
 
         def build():
@@ -118,29 +123,72 @@ class TestGroundTruth:
         }
 
 
+def _population_digest(platform) -> str:
+    """SHA-256 over every user's row fields, in row order."""
+    rows = []
+    for user_id in platform.users.user_ids():
+        user = platform.users.get(user_id)
+        rows.append([
+            user.user_id, user.country, user.age, user.gender,
+            user.zip_code, sorted(user.binary_attrs),
+            sorted(user.multi_attrs.items()),
+            sorted((kind, sorted(hashes))
+                   for kind, hashes in user.pii_hashes.items()),
+            sorted(user.liked_pages),
+        ])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 class TestGatewayWorldPinned:
     """The benchmark's HTTP world is a pure function of its manifest;
     pin the population digest so a refactor cannot silently change it
     (any RNG-draw reordering in the builder shows up here)."""
 
     def test_seed_42_150_user_population_digest(self):
-        import hashlib
-        import json
-
         from repro.gateway.world import WorldManifest, build_world
 
         platform = build_world(WorldManifest(seed=42, users=150))
-        rows = []
-        for user_id in platform.users.user_ids():
-            user = platform.users.get(user_id)
-            rows.append([
-                user.user_id, user.country, user.age, user.gender,
-                user.zip_code, sorted(user.binary_attrs),
-                sorted(user.multi_attrs.items()),
-                sorted((kind, sorted(hashes))
-                       for kind, hashes in user.pii_hashes.items()),
-                sorted(user.liked_pages),
-            ])
-        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-        assert digest == ("a9a19b0efdb506dc6e09a3cebd8acbe9e6b39186"
-                          "d4e0f6c6cfc4ce7f3cffe930")
+        assert _population_digest(platform) == (
+            "a9a19b0efdb506dc6e09a3cebd8acbe9e6b39186"
+            "d4e0f6c6cfc4ce7f3cffe930")
+
+
+class TestStreamPinned:
+    """The streaming path (``repro populate``) pinned the same way: three
+    personas, chunks that split the count unevenly, broker ingest run."""
+
+    def test_seed_9_1200_user_stream_digest(self):
+        platform = AdPlatform(config=PlatformConfig(name="stream"),
+                              catalog=build_us_catalog())
+        builder = PopulationBuilder(platform, seed=9)
+        chunks = list(builder.spawn_stream(
+            [AVERAGE_CONSUMER, ESTABLISHED_PROFESSIONAL,
+             RECENT_ARRIVAL_GRAD_STUDENT], 1200, chunk_size=500))
+        assert [len(chunk) for chunk in chunks] == [500, 500, 200]
+        builder.finalize()
+        assert _population_digest(platform) == (
+            "1a001792fb23418a60d9cae7b8aa2e456c8ea460"
+            "e98896f4418738e6f85c75bf")
+
+
+class TestPoolsPerCall:
+    def test_catalog_edits_between_calls_reach_the_next_call(self, platform):
+        """Attribute pools are read once per spawn call, never kept: a
+        partner attribute removed between calls is never drawn again, and
+        one added in the persona's family is drawn."""
+        families = ESTABLISHED_PROFESSIONAL.partner_families
+        builder = PopulationBuilder(platform, seed=4)
+        builder.spawn(ESTABLISHED_PROFESSIONAL, 5)
+        broker = platform.brokers.broker(builder.broker_name)
+        first_records = len(broker.records)
+        removed = platform.catalog.remove("pc-credit-000")
+        assert removed.attr_id.startswith(families)
+        added = Attribute("pc-credit-new", "Credit: new",
+                          AttributeSource.PARTNER, broker="Experian")
+        platform.catalog.add(added)
+        builder.spawn(ESTABLISHED_PROFESSIONAL, 20)
+        drawn = [attr_id for record in broker.records[first_records:]
+                 for attr_id, _ in record.attributes]
+        assert len(broker.records) - first_records == 20
+        assert removed.attr_id not in drawn
+        assert added.attr_id in drawn
