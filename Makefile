@@ -22,15 +22,12 @@ bench-perf:
 	$(PYTHON) -m pytest benchmarks/bench_perf_throughput.py --benchmark-only
 
 ## The columnar scale tiers (what the CI scale-smoke job runs): the
-## 100k-user sweep under a hard RSS ceiling, the 100k batch-sweep
-## comparison (byte-identical reports, >=3x impressions/s), the
-## streaming populate CLI, and the forked-worker sweep CLI. The full
+## 100k-user batch sweep under a hard RSS ceiling, checked against the
+## per-slot reference loop (byte-identical reports, >=3x impressions/s),
+## the streaming populate CLI, and the forked-worker sweep CLI. The full
 ## million-user proof is REPRO_SCALE_1M=1 (numbers land in
 ## perf_trajectory.json scale_1m).
 scale-smoke:
-	$(PYTHON) -m pytest \
-		benchmarks/bench_scale_1m.py::test_scale_100k_columnar_sweep \
-		--benchmark-disable -q
 	$(PYTHON) -m pytest \
 		benchmarks/bench_scale_1m.py::test_scale_100k_batch_sweep \
 		--benchmark-disable -q

@@ -41,7 +41,7 @@ def run_correlation_curve():
                 f"attr:{attr.attr_id} & country:US", bid_cap_cpm=10.0,
             )
             truth[ad.ad_id] = attr.attr_id
-        platform.run_until_saturated()
+        platform.run_sweep()
         rows.append((
             control_count,
             auditor.accuracy(truth, pool),

@@ -25,7 +25,9 @@ _ROUNDS = 3
 
 
 def _delivery_run():
-    """The 50 x 21 perf-tier body (setup + saturating delivery)."""
+    """The 50 x 21 perf-tier body: setup, then 21 slots per user through
+    the per-slot serving path (every slot fills one Tread), so the ratio
+    prices the per-slot instrumentation."""
     platform = make_platform(name="obs-overhead", partner_count=25)
     web = WebDirectory()
     provider = TransparencyProvider(platform, web, budget=500.0)
@@ -36,7 +38,7 @@ def _delivery_run():
             user.set_attribute(attr)
         provider.optin.via_page_like(user.user_id)
     provider.launch_attribute_sweep(attrs)
-    provider.run_delivery()
+    platform.run_delivery(slots_per_user=21)
     return provider
 
 

@@ -9,13 +9,13 @@ population in packed numpy columns, delivery state in per-ad shown
 bitsets (``compact_delivery``), billing in aggregates, and discards
 journal records (:class:`~repro.store.store.NullStore`).
 
-On top of that sits the **batch sweep** tier: the same worlds delivered
-through :meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots` —
-population-scale delivery as column algebra (mask programs, argmax
-auctions over row blocks) instead of the scalar per-user loop. The 100k
-tier proves byte-identical reports *and* a >= 3x impressions/s floor on
-every CI push; the 1M tier (``REPRO_SCALE_1M=1``) is the occasional
-full proof.
+Delivery is the provider's campaign run, the **batch sweep**
+(:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`) —
+population-scale delivery as column algebra (mask programs, candidate
+lists over row blocks). The 100k tier checks it against the per-slot
+reference loop (``tests/platform/scalar_reference.py``): byte-identical
+reports *and* a >= 3x impressions/s floor on every CI push; the 1M tier
+(``REPRO_SCALE_1M=1``) is the occasional full proof.
 
 Honesty note: the measured numbers in ``perf_trajectory.json`` are one
 run on the reference container, single-core CPython — no numba, no
@@ -40,6 +40,7 @@ from repro.platform.platform import AdPlatform, PlatformConfig
 from repro.platform.web import WebDirectory
 from repro.store.store import NullStore
 from repro.workloads.competition import zero_competition
+from tests.platform.scalar_reference import saturate
 
 #: Hard peak-RSS ceilings (MB) per tier — the "bounded memory" claim as
 #: an assertion. The 100k tier fits comfortably under half a GB; the 1M
@@ -47,9 +48,9 @@ from repro.workloads.competition import zero_competition
 #: per-ad shown bitsets (~63 MB), and transient numpy temporaries.
 RSS_CEILING_MB = {100_000: 512.0, 1_000_000: 2048.0}
 
-#: The batch sweep must beat the scalar loop by at least this factor in
-#: impressions/s on the 100k CI tier (measured: ~8x; the floor leaves
-#: headroom for container noise).
+#: The batch sweep must beat the per-slot reference loop by at least this
+#: factor in impressions/s on the 100k CI tier (measured: ~30x; the
+#: floor leaves headroom for container noise).
 SWEEP_SPEEDUP_FLOOR = 3.0
 
 ATTRS_PER_USER = 10
@@ -61,18 +62,18 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _run_columnar_sweep(users: int, sweep: bool = False,
-                        sweep_workers=None):
+def _run_columnar_sweep(users: int, sweep: bool = True):
     """Build, populate, launch, and saturate one columnar world.
 
+    ``sweep`` delivers through the provider's campaign run (the batch
+    sweep); otherwise the per-slot reference loop saturates the world.
     Returns ``(platform, provider, timings)`` where ``timings`` carries
     wall-clock and CPU seconds for the build and delivery phases.
     """
     t_build = time.perf_counter()
     c_build = time.process_time()
     platform = AdPlatform(
-        config=PlatformConfig(name="scale", columnar_users=True,
-                              compact_delivery=True),
+        config=PlatformConfig(name="scale", compact_delivery=True),
         catalog=build_us_catalog(),
         competing_draw=zero_competition(),
         store=NullStore(),
@@ -94,7 +95,10 @@ def _run_columnar_sweep(users: int, sweep: bool = False,
 
     t_deliver = time.perf_counter()
     c_deliver = time.process_time()
-    provider.run_delivery(sweep=sweep, sweep_workers=sweep_workers)
+    if sweep:
+        provider.run_delivery()
+    else:
+        saturate(platform)
     timings["deliver_s"] = time.perf_counter() - t_deliver
     timings["deliver_cpu_s"] = time.process_time() - c_deliver
     return platform, provider, timings
@@ -106,11 +110,10 @@ def _canonical_reports(platform, account_id: str) -> str:
     return json.dumps(reports, sort_keys=True)
 
 
-def _scale_tier(users: int, sweep: bool = False):
-    platform, provider, timings = _run_columnar_sweep(users, sweep=sweep)
+def _assert_tier_shape(platform, provider, users: int) -> None:
+    """Deliver-iff-match at scale (10 matched Treads + control per
+    user), dense ids, and the tier's hard RSS ceiling."""
     peak_mb = _peak_rss_mb()
-
-    # Deliver-iff-match at scale: 10 matched Treads + control, per user.
     assert provider.total_impressions() == users * (ATTRS_PER_USER + 1)
     stats = platform.users.stats()
     assert stats["rows"] == users
@@ -119,7 +122,11 @@ def _scale_tier(users: int, sweep: bool = False):
         f"peak RSS {peak_mb:.0f} MB exceeds the {RSS_CEILING_MB[users]:.0f}"
         f" MB ceiling for the {users:,}-user tier")
 
-    engine = "batch sweep" if sweep else "scalar loop"
+
+def _scale_tier(users: int):
+    platform, provider, timings = _run_columnar_sweep(users)
+    _assert_tier_shape(platform, provider, users)
+    stats = platform.users.stats()
     record_table(format_table(
         ("metric", "value"),
         [
@@ -131,37 +138,31 @@ def _scale_tier(users: int, sweep: bool = False):
             ("impressions/s",
              f"{provider.total_impressions() / timings['deliver_s']:,.0f}"),
             ("user columns (MB)", f"{stats['column_bytes'] / 1e6:.1f}"),
-            ("peak RSS (MB)", f"{peak_mb:.0f}"),
+            ("peak RSS (MB)", f"{_peak_rss_mb():.0f}"),
         ],
-        title=f"SCALE — columnar compact {engine}, {users:,} users "
+        title=f"SCALE — columnar compact batch sweep, {users:,} users "
               f"(single core)",
     ))
     return timings
 
 
-def test_scale_100k_columnar_sweep():
-    """CI's scale-smoke tier: 100k users under a hard RSS ceiling."""
-    _scale_tier(100_000)
-
-
 def test_scale_100k_batch_sweep():
-    """CI's batch-sweep tier: same 100k world through the vectorized
-    engine — byte-identical reports, >= 3x impressions/s over scalar."""
+    """CI's scale-smoke tier: 100k users through the batch sweep under a
+    hard RSS ceiling — byte-identical reports to the per-slot reference
+    loop, >= 3x its impressions/s."""
     scalar_platform, scalar_provider, scalar_t = _run_columnar_sweep(
         100_000, sweep=False)
     batch_platform, batch_provider, batch_t = _run_columnar_sweep(
-        100_000, sweep=True)
-    peak_mb = _peak_rss_mb()
+        100_000)
 
     impressions = 100_000 * (ATTRS_PER_USER + 1)
-    assert scalar_provider.total_impressions() == impressions
-    assert batch_provider.total_impressions() == impressions
+    _assert_tier_shape(scalar_platform, scalar_provider, 100_000)
+    _assert_tier_shape(batch_platform, batch_provider, 100_000)
     assert _canonical_reports(
         scalar_platform, scalar_provider.account.account_id) == \
         _canonical_reports(
             batch_platform, batch_provider.account.account_id), \
-        "batch sweep reports must be byte-identical to the scalar loop"
-    assert peak_mb < RSS_CEILING_MB[100_000]
+        "batch sweep reports must be byte-identical to the per-slot loop"
 
     scalar_ips = impressions / scalar_t["deliver_s"]
     batch_ips = impressions / batch_t["deliver_s"]
@@ -169,17 +170,17 @@ def test_scale_100k_batch_sweep():
     record_table(format_table(
         ("engine", "wall (s)", "cpu (s)", "impressions/s"),
         [
-            ("scalar loop", f"{scalar_t['deliver_s']:.1f}",
+            ("per-slot loop", f"{scalar_t['deliver_s']:.1f}",
              f"{scalar_t['deliver_cpu_s']:.1f}", f"{scalar_ips:,.0f}"),
             ("batch sweep", f"{batch_t['deliver_s']:.1f}",
              f"{batch_t['deliver_cpu_s']:.1f}", f"{batch_ips:,.0f}"),
             ("speedup", "-", "-", f"{speedup:.1f}x"),
         ],
-        title="SCALE — 100k delivery: batch sweep vs scalar loop",
+        title="SCALE — 100k delivery: batch sweep vs per-slot loop",
     ))
     assert speedup >= SWEEP_SPEEDUP_FLOOR, (
-        f"batch sweep only {speedup:.1f}x over scalar; floor is "
-        f"{SWEEP_SPEEDUP_FLOOR:.0f}x")
+        f"batch sweep only {speedup:.1f}x over the per-slot loop; floor "
+        f"is {SWEEP_SPEEDUP_FLOOR:.0f}x")
 
 
 _SCALE_1M_GATE = pytest.mark.skipif(
@@ -190,17 +191,11 @@ _SCALE_1M_GATE = pytest.mark.skipif(
 
 
 @_SCALE_1M_GATE
-def test_scale_1m_columnar_sweep():
-    """The full million-user tier behind an explicit opt-in."""
-    _scale_tier(1_000_000)
-
-
-@_SCALE_1M_GATE
 def test_scale_1m_batch_sweep():
     """The million-user batch sweep: the 336 s scalar delivery as
     column algebra, single-core, bounded to 70 s and the same RSS
     ceiling."""
-    timings = _scale_tier(1_000_000, sweep=True)
+    timings = _scale_tier(1_000_000)
     assert timings["deliver_s"] <= 70.0, (
         f"1M batch-sweep delivery took {timings['deliver_s']:.1f} s; "
         "the acceptance bound is 70 s single-core")

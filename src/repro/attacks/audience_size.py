@@ -129,7 +129,7 @@ class DeliveryInferenceAttack:
             f"audience:{audience.audience_id} & attr:{attr_id}",
             bid_cap_cpm=self.bid_cap_cpm,
         )
-        self._platform.run_until_saturated()
+        self._platform.run_sweep()
         report = self._platform.report(account.account_id, ad.ad_id)
         if report.impressions > 0:
             inferred: Optional[bool] = True

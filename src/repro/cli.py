@@ -1030,8 +1030,7 @@ def _cmd_populate(args: argparse.Namespace) -> int:
         # sweep workers' time lands in RUSAGE_CHILDREN once joined.
         cpu_before = _cpu_with_children()
         deliver_wall = time.perf_counter()
-        provider.run_delivery(sweep=True,
-                              sweep_workers=args.sweep_workers)
+        provider.run_delivery(sweep_workers=args.sweep_workers)
         deliver_wall = time.perf_counter() - deliver_wall
         deliver_cpu = _cpu_with_children() - cpu_before
         impressions = provider.total_impressions()

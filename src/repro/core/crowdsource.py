@@ -134,7 +134,7 @@ class CrowdsourcedProvider:
         return report
 
     def run_delivery(self) -> None:
-        self.platform.run_until_saturated()
+        self.platform.run_sweep()
 
     def publish_decode_pack(self) -> DecodePack:
         """One decode pack covering every member's Treads.

@@ -557,16 +557,14 @@ class TransparencyProvider:
     def total_impressions(self) -> int:
         return self.platform.invoice(self.account.account_id).impressions
 
-    def run_delivery(self, max_rounds: int = 50, sweep: bool = False,
+    def run_delivery(self, max_rounds: int = 50,
                      sweep_workers: Optional[int] = None) -> None:
         """Drive the platform until the Tread campaign saturates.
 
-        ``sweep=True`` uses the vectorized batch sweep (columnar
-        platforms only) — same deliveries and reports, column algebra
-        instead of the per-user loop; ``sweep_workers`` > 1 additionally
-        partitions rows across forked processes (compact platforms)."""
-        if sweep:
+        Runs the platform's batch sweep (:meth:`AdPlatform.run_sweep`);
+        ``sweep_workers`` > 1 partitions rows across forked processes
+        (compact platforms)."""
+        with obs_tracing.tracer().span("provider.run_delivery",
+                                       max_rounds=max_rounds):
             self.platform.run_sweep(max_rounds=max_rounds,
                                     workers=sweep_workers)
-        else:
-            self.platform.run_until_saturated(max_rounds=max_rounds)

@@ -219,7 +219,6 @@ METRICS: Dict[str, MetricSpec] = {
 #: Span names emitted by the built-in instrumentation, name -> meaning.
 SPANS: Dict[str, str] = {
     "delivery.run_sessions": "One round-robin delivery run.",
-    "delivery.run_until_saturated": "One saturating campaign run.",
     "serve_slot": "One ad slot: eligibility, auction, delivery.",
     "serve.batch": "One micro-batched delivery pass on a shard.",
     "serve.request": "One request, admission to resolved result.",
@@ -231,6 +230,8 @@ SPANS: Dict[str, str] = {
     "gateway.request": "One HTTP request: parse, route, handle, "
                        "response queued.",
     "provider.launch": "Render + submit one batch of Treads.",
+    "provider.run_delivery": "One saturating campaign run (the batch "
+                             "sweep).",
     "client.sync": "One client-side feed scan and decode.",
     "store.checkpoint": "Dump every attached state owner to a snapshot.",
     "store.restore": "Load a snapshot back into the attached owners.",

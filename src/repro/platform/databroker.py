@@ -48,8 +48,8 @@ class BrokerRecord:
 class DataBroker:
     """A data broker: a named bag of consumer records.
 
-    Records are appended by workload generation; :meth:`records_for_broker`
-    on :class:`BrokerNetwork` feeds them to the platform's ingest step.
+    Records are appended by workload generation;
+    :meth:`BrokerNetwork.ingest_all` joins the new ones onto users.
     """
 
     name: str
@@ -107,26 +107,38 @@ def ingest_broker_feed(
     """
     report = IngestReport(broker=broker.name)
     for record in broker.records:
-        report.records_seen += 1
-        matched_users: Set[str] = set()
-        for kind, digest in record.pii:
-            matched_users |= users.users_matching_pii(kind, digest)
-        if not matched_users:
-            report.unmatched_record_ids.append(record.record_id)
-            continue
-        report.records_matched += 1
-        views = [users.get(user_id) for user_id in matched_users]
-        for attr_id, value in record.attributes:
-            attribute = catalog.get(attr_id)
-            if attribute.source is not AttributeSource.PARTNER:
-                raise CatalogError(
-                    f"broker {broker.name!r} tried to set non-partner "
-                    f"attribute {attr_id!r}"
-                )
-            for view in views:
-                view.set_attribute(attribute, value)
-            report.attributes_set += len(views)
+        _ingest_record(broker.name, record, users, catalog, report)
     return report
+
+
+def _ingest_record(
+    broker_name: str,
+    record: BrokerRecord,
+    users: ColumnarUserStore,
+    catalog: AttributeCatalog,
+    report: IngestReport,
+) -> None:
+    """Join one record onto every user sharing any of its PII values,
+    tallied into ``report``."""
+    report.records_seen += 1
+    matched_users: Set[str] = set()
+    for kind, digest in record.pii:
+        matched_users |= users.users_matching_pii(kind, digest)
+    if not matched_users:
+        report.unmatched_record_ids.append(record.record_id)
+        return
+    report.records_matched += 1
+    views = [users.get(user_id) for user_id in matched_users]
+    for attr_id, value in record.attributes:
+        attribute = catalog.get(attr_id)
+        if attribute.source is not AttributeSource.PARTNER:
+            raise CatalogError(
+                f"broker {broker_name!r} tried to set non-partner "
+                f"attribute {attr_id!r}"
+            )
+        for view in views:
+            view.set_attribute(attribute, value)
+        report.attributes_set += len(views)
 
 
 class BrokerNetwork:
@@ -134,6 +146,8 @@ class BrokerNetwork:
 
     def __init__(self) -> None:
         self._brokers: Dict[str, DataBroker] = {}
+        # Per broker, how many of its records are already joined.
+        self._ingested: Dict[str, int] = {}
         self.partner_categories_active = True
 
     def broker(self, name: str) -> DataBroker:
@@ -148,11 +162,22 @@ class BrokerNetwork:
     def ingest_all(
         self, users: ColumnarUserStore, catalog: AttributeCatalog
     ) -> List[IngestReport]:
-        """Run the ingest pipeline for every broker."""
-        return [
-            ingest_broker_feed(broker, users, catalog)
-            for broker in self._brokers.values()
-        ]
+        """Join every broker's pending records — those added since the
+        last call — onto user profiles; one report per broker.
+
+        Each record counts as joined once it has been applied, so a
+        record that raises stays pending and raises again next call.
+        """
+        reports = []
+        for name, broker in self._brokers.items():
+            report = IngestReport(broker=name)
+            reports.append(report)
+            done = self._ingested.get(name, 0)
+            for record in broker.records[done:]:
+                _ingest_record(name, record, users, catalog, report)
+                done += 1
+                self._ingested[name] = done
+        return reports
 
 
 def shutdown_partner_categories(

@@ -820,7 +820,8 @@ class DeliveryEngine:
                      stats: DeliveryStats,
                      saturating: bool) -> Tuple[bool, List[UserView]]:
         """Serve one slot to each of ``users`` in order, tallied into
-        ``stats`` — the one per-slot body of every scalar loop.
+        ``stats`` — the per-slot body of :meth:`run_sessions` and of
+        the sweep's budget-fallback round.
 
         ``saturating`` is the campaign mode: a user with nothing
         eligible is dropped without an auction (no competing bid is
@@ -875,42 +876,9 @@ class DeliveryEngine:
         )
         return stats
 
-    def run_until_saturated(
-        self,
-        users: Sequence[UserView],
-        max_rounds: int = 50,
-    ) -> DeliveryStats:
-        """Serve slots until no tracked ad can deliver another impression.
-
-        This is the Treads campaign mode: keep going until every matching
-        (user, ad) pair has hit the frequency cap or budgets are spent.
-        """
-        stats = DeliveryStats()
-        # Within one run every eligibility condition is monotone —
-        # caps only accumulate, budgets only shrink, statuses and
-        # matches are static — so a user whose eligible set empties
-        # can never regain one and is dropped from the rotation.
-        with self.serving_session(), \
-                obs_tracing.tracer().span("delivery.run_until_saturated",
-                                          users=len(users),
-                                          max_rounds=max_rounds):
-            active: Sequence[UserView] = users
-            for _ in range(max_rounds):
-                progressed, active = self._serve_round(active, stats,
-                                                       saturating=True)
-                if not progressed:
-                    break
-        _log.info(
-            "run_until_saturated: %d slots (%d filled, %d lost) "
-            "for %d users",
-            stats.slots, stats.filled_by_tracked_ads,
-            stats.lost_to_competition, len(users),
-        )
-        return stats
-
     # -- batch sweep ---------------------------------------------------------
     #
-    # The vectorized twin of run_until_saturated: eligibility is
+    # The one saturation loop (the Treads campaign mode): eligibility is
     # evaluated for a whole row range at once via the range backend of
     # each spec's mask program (repro.platform.targeting.lower_spec).
     # The rounds then walk per-row candidate lists (SweepLists): a row's
@@ -920,9 +888,9 @@ class DeliveryEngine:
     # order-exact fold and records its wins in a delivered matrix; the
     # shown bitsets and counters (and a parallel worker's delta) absorb
     # that matrix once per sweep. Semantics — winners, prices, stats,
-    # reports — are identical to running the scalar loop over the same
-    # rows (pinned by tests/integration/test_columnar_equivalence.py);
-    # the two escape hatches back to the scalar path are per-spec
+    # reports — are identical to saturating the same rows one slot at a
+    # time (pinned by tests/integration/test_columnar_equivalence.py);
+    # the two escape hatches back to the per-slot path are per-spec
     # (unlowerable Expr -> Expr.matches per row fills that ad's mask) and
     # per-round (an account budget that could flip eligibility mid-round
     # replays the round through serve_slot's exact code path).
@@ -942,8 +910,8 @@ class DeliveryEngine:
         range's state is its candidate lists (about 5 bytes per
         eligible (user, ad) pair) and a delivered matrix the size of the
         eligibility one; list building works in bounded row blocks.
-        Returns the same :class:`DeliveryStats` the scalar
-        :meth:`run_until_saturated` would have produced.
+        Returns the same :class:`DeliveryStats` that saturating the
+        range one slot at a time would have produced.
 
         ``_collect_delta`` is the parallel partitioner's hook
         (:mod:`repro.platform.parsweep`): the sweep then also returns a
@@ -1097,7 +1065,7 @@ class DeliveryEngine:
                 rel_rows, wcand, rcand, contenders = lists.auction()
                 if not rel_rows.size:
                     # No user in range has any eligible candidate left:
-                    # the scalar loop would drop every user and stop.
+                    # the per-slot loop would drop every user and stop.
                     # Nothing is counted (dropped users never reach the
                     # auction).
                     break
@@ -1138,9 +1106,9 @@ class DeliveryEngine:
                     if obs_on:
                         self._obs_sweep_budget_rounds.inc()
                     # Exact scalar replay of this round: the same
-                    # per-user code path run_until_saturated uses, over
+                    # per-user code path serve_slot uses, over
                     # every row in range (users with nothing eligible
-                    # contribute nothing, matching the scalar loop's
+                    # contribute nothing, matching the per-slot loop's
                     # drop-from-rotation). It reads the shown bitsets as
                     # the cap, so the vector rounds' wins fold in first;
                     # the lists are rebuilt from what it leaves. The
@@ -1161,7 +1129,7 @@ class DeliveryEngine:
 
                 # Phase C: decide, count, and apply in bulk. Draws
                 # happen here, one per auctioned user in ascending row
-                # order — the exact sequence the scalar loop consumes.
+                # order — the exact sequence the per-slot loop consumes.
                 if constant is not None:
                     competing = np.full(slots, constant)
                 else:

@@ -21,7 +21,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
 from repro.errors import AccountError, TargetingError
 from repro.ids import IdFactory
@@ -522,44 +522,28 @@ class AdPlatform:
     # simulation drivers
     # ------------------------------------------------------------------
 
-    def run_delivery(self, slots_per_user: int = 1,
-                     user_ids: Optional[Iterable[str]] = None) -> DeliveryStats:
-        """Serve ad slots for (a subset of) the user base."""
-        users = self._resolve_users(user_ids)
-        return self.delivery.run_sessions(users, slots_per_user)
-
-    def run_until_saturated(
-        self, user_ids: Optional[Iterable[str]] = None,
-        max_rounds: int = 50,
-    ) -> DeliveryStats:
-        """Serve slots until every deliverable (ad, user) pair is served."""
-        users = self._resolve_users(user_ids)
-        return self.delivery.run_until_saturated(users, max_rounds=max_rounds)
+    def run_delivery(self, slots_per_user: int = 1) -> DeliveryStats:
+        """Serve ``slots_per_user`` ad slots to every user, round-robin."""
+        return self.delivery.run_sessions(list(self.users), slots_per_user)
 
     def run_sweep(self, max_rounds: int = 50,
                   workers: Optional[int] = None) -> DeliveryStats:
         """Saturate delivery over the whole user base, vectorized.
 
-        The batch twin of :meth:`run_until_saturated`: eligibility, auctions, and state folds all run as
-        column algebra over row blocks
-        (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`),
+        The campaign mode: slots are served until every deliverable
+        (ad, user) pair is served or budgets run out. Eligibility,
+        auctions, and state folds all run as column algebra over row
+        blocks (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`),
         producing the same impressions, spend, stats, and reports as
-        the scalar loop. ``workers`` > 1 partitions the row space
-        across forked processes (compact platforms only — see
-        :mod:`repro.platform.parsweep`).
+        saturating the users one slot at a time. ``workers`` > 1
+        partitions the row space across forked processes (compact
+        platforms only — see :mod:`repro.platform.parsweep`).
         """
         if workers is not None and workers > 1:
             from repro.platform.parsweep import parallel_sweep
             return parallel_sweep(self.delivery, workers=workers,
                                   max_rounds=max_rounds)
         return self.delivery.sweep_slots(max_rounds=max_rounds)
-
-    def _resolve_users(
-        self, user_ids: Optional[Iterable[str]]
-    ) -> List[UserView]:
-        if user_ids is None:
-            return list(self.users)
-        return [self.users.get(user_id) for user_id in user_ids]
 
     def ingest_brokers(self) -> List[IngestReport]:
         """Run all pending broker feeds into user profiles."""

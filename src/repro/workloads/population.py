@@ -183,12 +183,14 @@ class PopulationBuilder:
         """Synthesize raw PII and register it with the platform.
 
         The raw values are derived from the user id, so tests can
-        re-derive them; the platform stores only hashes.
+        re-derive them; the platform stores only hashes. Every user id
+        gets its own phone (``+1617555XXXX`` below 10,000 users, then
+        counting on), so a broker record never matches a stranger.
         """
         suffix = user.user_id.rsplit("-", 1)[-1]
         raw_values = {
             "email": f"user{suffix}@example.com",
-            "phone": f"+1617555{int(suffix) % 10000:04d}",
+            "phone": f"+1617{5550000 + int(suffix):07d}",
             "first_name": f"First{suffix}",
             "last_name": f"Last{suffix}",
             "zip": user.zip_code,

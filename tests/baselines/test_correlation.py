@@ -47,7 +47,7 @@ class TestInference:
         auditor = CorrelationAuditor(platform, seed=2)
         auditor.create_controls(10, pool)
         truth = _mystery_ads(platform, pool[:1])
-        platform.run_until_saturated()
+        platform.run_sweep()
         ad_id = next(iter(truth))
         receivers = auditor.receivers_of(ad_id)
         expected = {uid for uid, attrs in auditor.planted.items()
@@ -60,7 +60,7 @@ class TestInference:
         auditor = CorrelationAuditor(platform, seed=3)
         auditor.create_controls(40, pool)
         truth = _mystery_ads(platform, pool)
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert auditor.accuracy(truth, pool) >= 0.9
 
     def test_one_control_is_ambiguous(self, platform, pool):
@@ -69,7 +69,7 @@ class TestInference:
         auditor = CorrelationAuditor(platform, seed=4)
         auditor.create_controls(1, pool, set_probability=0.5)
         truth = _mystery_ads(platform, pool)
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert auditor.accuracy(truth, pool) < 0.75
 
     def test_empty_truth_zero_accuracy(self, platform, pool):
@@ -83,7 +83,7 @@ class TestInference:
         auditor = CorrelationAuditor(platform, seed=8)
         auditor.create_controls(2, pool, set_probability=0.5)
         truth = _mystery_ads(platform, pool[:1])
-        platform.run_until_saturated()
+        platform.run_sweep()
         ad_id, attr_id = next(iter(truth.items()))
         assert auditor.significance(ad_id, attr_id) > 0.05
 
@@ -91,7 +91,7 @@ class TestInference:
         auditor = CorrelationAuditor(platform, seed=9)
         auditor.create_controls(40, pool, set_probability=0.5)
         truth = _mystery_ads(platform, pool[:1])
-        platform.run_until_saturated()
+        platform.run_sweep()
         ad_id, attr_id = next(iter(truth.items()))
         assert auditor.significance(ad_id, attr_id) < 0.001
 
@@ -100,7 +100,7 @@ class TestInference:
         auditor = CorrelationAuditor(platform, seed=10)
         auditor.create_controls(40, pool, set_probability=0.5)
         truth = _mystery_ads(platform, pool[:3])
-        platform.run_until_saturated()
+        platform.run_sweep()
         count = auditor.significant_inferences(truth, pool)
         assert 0 <= count <= 3
 
@@ -108,6 +108,6 @@ class TestInference:
         auditor = CorrelationAuditor(platform, seed=6)
         auditor.create_controls(5, pool)
         truth = _mystery_ads(platform, pool[:1])
-        platform.run_until_saturated()
+        platform.run_sweep()
         outcome = auditor.infer_targeting(next(iter(truth)), pool)
         assert 0.0 <= outcome.confidence <= 1.0

@@ -41,7 +41,7 @@ class TestStatusQuoView:
             " & ".join(f"attr:{a.attr_id}" for a in binaries),
             bid_cap_cpm=10.0,
         )
-        platform.run_until_saturated()
+        platform.run_sweep()
         view = status_quo_view(platform, user.user_id)
         # the ad targeted 3 attributes; the explanation reveals only 1
         assert len(view.explanation_attributes) == 1

@@ -25,7 +25,7 @@ def _run_ad(platform, account, campaign, targeting, with_user_attrs):
         account.account_id, campaign.campaign_id,
         AdCreative("h", "b"), targeting, bid_cap_cpm=10.0,
     )
-    platform.run_until_saturated()
+    platform.run_sweep()
     return ad, user
 
 

@@ -35,7 +35,7 @@ def shop_scenario(platform, web, funded_account, campaign):
         f"age:30-65 & attr:{salsa.attr_id}",
         bid_cap_cpm=10.0,
     )
-    platform.run_until_saturated()
+    platform.run_sweep()
     return shop, salsa, user, ad
 
 
@@ -92,7 +92,7 @@ class TestIntentTreads:
             registry_book,
         )
         assert companion.status.value == "active"
-        platform.run_until_saturated()
+        platform.run_sweep()
 
         pack = DecodePack(
             provider_name="intent-registry",
@@ -119,7 +119,7 @@ class TestIntentTreads:
             platform, funded_account.account_id, campaign.campaign_id,
             ad, "reach dancers", Codebook(salt="r"),
         )
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert platform.feed(outsider.user_id) == []
 
     def test_pipe_in_intent_rejected(self, platform, shop_scenario,

@@ -2,7 +2,7 @@
 
 The 2,000-user x full partner-sweep delivery tier must produce
 **byte-identical** advertiser reports on every delivery path — the
-scalar loop, the batch sweep, compact mode — and those reports must
+per-slot reference loop, the batch sweep, compact mode — and those reports must
 equal the ones the retired object user store produced, pinned below as
 SHA-256 digests of the canonical report JSON. The deliver-iff-match
 invariant must hold on each path.
@@ -28,10 +28,11 @@ from repro.platform.platform import AdPlatform, PlatformConfig
 from repro.platform.web import WebDirectory
 from repro.store.audit import canonical_json, state_report
 from repro.workloads.competition import zero_competition
+from tests.platform.scalar_reference import saturate
 
 
 #: users -> SHA-256 of the canonical report JSON the object user store
-#: produced for :func:`_sweep_world` (scalar loop, full logs).
+#: produced for :func:`_sweep_world` (per-slot loop, full logs).
 PINNED_REPORT_DIGESTS = {
     2000: "390a019dc66021e47ba2163b6fb0cdfc72b202feb829a32c1a26619448b0c2bd",
     300: "631a09320b112655f6df594beeb7c7a8540eb75a28781bebf38f87598730c1c7",
@@ -41,9 +42,9 @@ PINNED_REPORT_DIGESTS = {
 def _sweep_world(users: int = 2000, compact: bool = False,
                  sweep: bool = False):
     """The scale-tier world: ``users`` users, 10 rotating partner
-    attributes each, full partner sweep launched. ``sweep`` routes
-    delivery through the vectorized batch sweep engine instead of the
-    scalar per-user loop."""
+    attributes each, full partner sweep launched. ``sweep`` delivers
+    through the provider's campaign run (the vectorized batch sweep);
+    otherwise the per-slot reference loop saturates the platform."""
     platform = AdPlatform(
         config=PlatformConfig(name="coleq", compact_delivery=compact),
         catalog=build_us_catalog(614, 507),
@@ -57,7 +58,10 @@ def _sweep_world(users: int = 2000, compact: bool = False,
             user.set_attribute(attrs[(i * 10 + k) % len(attrs)])
         provider.optin.via_page_like(user.user_id)
     provider.launch_partner_sweep()
-    provider.run_delivery(sweep=sweep)
+    if sweep:
+        provider.run_delivery()
+    else:
+        saturate(platform)
     return platform, provider
 
 
@@ -90,7 +94,7 @@ class TestScaleSweepEquivalence:
     @pytest.mark.parametrize("compact", [False, True])
     def test_reports_byte_identical_scalar_vs_batch_sweep(self, compact):
         """The batch-sweep acceptance bar: the vectorized engine must
-        reproduce the scalar loop's 2,000-user reports byte for byte."""
+        reproduce the per-slot loop's 2,000-user reports byte for byte."""
         scalar_platform, scalar_provider = _sweep_world(compact=compact)
         batch_platform, batch_provider = _sweep_world(compact=compact,
                                                       sweep=True)

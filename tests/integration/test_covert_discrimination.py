@@ -79,7 +79,7 @@ class TestCovertChannel:
             f"audience:{lookalike.audience_id}",
             bid_cap_cpm=10.0, special_category="housing",
         )
-        platform.run_until_saturated()
+        platform.run_sweep()
         disparity = delivery_disparity(
             platform.delivery.unique_reach(ad.ad_id), group_a, group_b
         )
@@ -109,7 +109,7 @@ class TestCovertChannel:
             bid_cap_cpm=10.0, special_category="housing",
         )
         assert ad.targeting.referenced_attributes() == []  # review-blind
-        platform.run_until_saturated()
+        platform.run_sweep()
         disparity = delivery_disparity(
             platform.delivery.unique_reach(ad.ad_id), group_a, group_b
         )

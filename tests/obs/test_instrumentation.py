@@ -13,8 +13,14 @@ from repro.obs.metrics import (
 from repro.obs.tracing import Tracer, use_tracer
 
 
-def _run_scenario(platform, web):
-    """A small end-to-end sweep touching every instrumented layer."""
+def _run_scenario(platform, web, per_slot=False):
+    """A small end-to-end sweep touching every instrumented layer.
+
+    The Treads are delivered by the provider's campaign run (the batch
+    sweep), or with ``per_slot`` one slot at a time through the per-slot
+    serving path (``platform.run_delivery``): one user, four matching
+    Treads, five slots.
+    """
     provider = TransparencyProvider(platform, web, budget=100.0)
     attrs = platform.catalog.partner_attributes()[:3]
     user = platform.register_user()
@@ -22,7 +28,10 @@ def _run_scenario(platform, web):
         user.set_attribute(attr)
     provider.optin.via_page_like(user.user_id)
     provider.launch_attribute_sweep(attrs)
-    provider.run_delivery()
+    if per_slot:
+        platform.run_delivery(slots_per_user=5)
+    else:
+        provider.run_delivery()
     client = TreadClient(user.user_id, platform,
                          provider.publish_decode_pack())
     client.sync()
@@ -38,12 +47,11 @@ class TestEnabledRegistry:
             platform = platform_factory()
             _run_scenario(platform, web)
         assert reg.value("delivery.slots_served") > 0
+        assert reg.value("delivery.sweep_rounds") > 0
         assert reg.value("delivery.impressions_delivered") == 4
-        assert reg.value("delivery.match_cache_hits") > 0
-        assert reg.value("delivery.match_cache_misses") > 0
         assert reg.value("auction.contenders") > 0
         assert reg.value("auction.slots_won") == 4
-        assert reg.value("targeting.specs_compiled") > 0
+        assert reg.value("targeting.specs_lowered") > 0
         assert reg.value("platform.ads_submitted") == 4
         assert reg.value("platform.users_registered") == 1
         assert reg.value("billing.impressions_charged") == 4
@@ -51,6 +59,21 @@ class TestEnabledRegistry:
         assert reg.value("provider.decode_packs_published") == 1
         assert reg.value("client.syncs") == 1
         assert reg.value("client.treads_decoded") == 4
+
+        # The per-slot path binds row programs and evaluates each user's
+        # matches once per serving session: one miss, then hits for the
+        # later slots.
+        per_slot = MetricsRegistry("itest-per-slot")
+        with use_registry(per_slot):
+            _run_scenario(platform_factory(), web, per_slot=True)
+        assert per_slot.value("delivery.slots_served") == 5
+        assert per_slot.value("delivery.impressions_delivered") == 4
+        assert per_slot.value("delivery.match_cache_misses") == 1
+        assert per_slot.value("delivery.match_cache_hits") == 4
+        assert per_slot.value("delivery.sweep_rounds") == 0
+        assert per_slot.value("auction.slots_won") == 4
+        assert per_slot.value("targeting.specs_compiled") > 0
+        assert per_slot.value("client.treads_decoded") == 4
 
     def test_events_flow_during_scenario(self, platform_factory, web):
         # The as-it-happened record of each delivery is its journal
@@ -68,20 +91,28 @@ class TestEnabledRegistry:
         assert impressions == platform.delivery.impressions()
 
     def test_spans_nest_under_the_run(self, platform_factory, web):
-        trc = Tracer()
-        with use_tracer(trc):
-            platform = platform_factory()
-            _run_scenario(platform, web)
-        names = {span.name for span in trc.spans}
-        assert "provider.launch" in names
-        assert "serve_slot" in names
-        assert "client.sync" in names
-        run_ids = {span.span_id for span in trc.spans
-                   if span.name.startswith("delivery.run_")}
-        for span in trc.spans:
-            if span.name == "serve_slot":
-                assert span.parent_id in run_ids
-        assert trc.open_depth == 0
+        # The campaign run is one span; the batch sweep inside it opens
+        # none of its own.
+        campaign = Tracer()
+        with use_tracer(campaign):
+            _run_scenario(platform_factory(), web)
+        assert [span.name for span in campaign.spans] == [
+            "provider.launch", "provider.run_delivery", "client.sync"]
+        assert all(span.parent_id is None for span in campaign.spans)
+        assert campaign.open_depth == 0
+
+        # The per-slot path: every serve_slot span nests under its run.
+        per_slot = Tracer()
+        with use_tracer(per_slot):
+            _run_scenario(platform_factory(), web, per_slot=True)
+        runs = [span for span in per_slot.spans
+                if span.name == "delivery.run_sessions"]
+        slots = [span for span in per_slot.spans
+                 if span.name == "serve_slot"]
+        assert len(runs) == 1
+        assert len(slots) == 5
+        assert all(span.parent_id == runs[0].span_id for span in slots)
+        assert per_slot.open_depth == 0
 
 
 class TestNoopRegistry:

@@ -16,7 +16,7 @@ def archived(platform, funded_account, campaign):
         AdCreative("Fresh pizza", "Delivered hot, every time."),
         f"attr:{attr.attr_id} & country:US", bid_cap_cpm=10.0,
     )
-    platform.run_until_saturated()
+    platform.run_sweep()
     return ad, user
 
 

@@ -15,7 +15,7 @@ def delivered(platform, funded_account, campaign):
         AdCreative("h", "b", landing_url=LandingURL("shop.example", "/p")),
         f"attr:{attr.attr_id} & country:US", bid_cap_cpm=10.0,
     )
-    platform.run_until_saturated()
+    platform.run_sweep()
     return user, ad
 
 
@@ -32,7 +32,7 @@ class TestClickAd:
             funded_account.account_id, campaign.campaign_id,
             AdCreative("h", "b"), "country:US", bid_cap_cpm=10.0,
         )
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert platform.click_ad(user.user_id, ad.ad_id) is None
 
     def test_click_on_unreceived_ad_rejected(self, platform, delivered):

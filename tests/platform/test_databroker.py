@@ -1,5 +1,7 @@
 """Unit tests for brokers, ingest matching, and the shutdown switch."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CatalogError
@@ -114,6 +116,26 @@ class TestBrokerNetwork:
             "r2", [("email", "a@b.com")], [("pc-travel-000", None)])
         reports = network.ingest_all(store, _catalog())
         assert len(reports) == 2
+        assert store.get("u1").has_attribute("pc-travel-000")
+
+
+    def test_raising_record_stays_pending(self):
+        """Records before a bad one are joined once; the bad one raises
+        on every call until it is fixed."""
+        store = _store_with_user()
+        network = BrokerNetwork()
+        broker = network.broker("Acxiom")
+        broker.add_record("r1", [("email", "a@b.com")],
+                          [("pc-networth-006", None)])
+        broker.add_record("r2", [("email", "a@b.com")],
+                          [("pf-interest-000", None)])
+        for _ in range(2):
+            with pytest.raises(CatalogError):
+                network.ingest_all(store, _catalog())
+        broker.records[1] = dataclasses.replace(
+            broker.records[1], attributes=(("pc-travel-000", None),))
+        report, = network.ingest_all(store, _catalog())
+        assert report.records_seen == 1
         assert store.get("u1").has_attribute("pc-travel-000")
 
 

@@ -27,7 +27,7 @@ class TestDeliverIffMatch:
         attr = platform.catalog.partner_attributes()[0]
         user.set_attribute(attr)
         _activate_sweep(platform, funded_account, campaign, [attr.attr_id])
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert len(platform.feed(user.user_id)) == 1
 
     def test_nonmatching_user_never_receives_ad(self, platform,
@@ -35,7 +35,7 @@ class TestDeliverIffMatch:
         user = platform.register_user()
         attr = platform.catalog.partner_attributes()[0]
         _activate_sweep(platform, funded_account, campaign, [attr.attr_id])
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert platform.feed(user.user_id) == []
 
     def test_each_user_gets_exactly_their_attributes(self, platform,
@@ -50,7 +50,7 @@ class TestDeliverIffMatch:
             user_b.set_attribute(attr)
         ads = _activate_sweep(platform, funded_account, campaign,
                               [a.attr_id for a in partner[:8]])
-        platform.run_until_saturated()
+        platform.run_sweep()
         by_body_a = {ad.body for ad in platform.feed(user_a.user_id)}
         by_body_b = {ad.body for ad in platform.feed(user_b.user_id)}
         assert by_body_a == {f"ref {a.attr_id}" for a in partner[:5]}
@@ -76,7 +76,7 @@ class TestDeliverIffMatch:
             f"attr:{attr.attr_id} & country:US", bid_cap_cpm=10.0,
         )
         assert ad.status.value == "rejected"
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert platform.feed(user.user_id) == []
 
 
@@ -88,7 +88,7 @@ class TestBudgets:
         attr = platform.catalog.partner_attributes()[0]
         user.set_attribute(attr)
         _activate_sweep(platform, funded_account, campaign, [attr.attr_id])
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert platform.feed(user.user_id) == []
 
     def test_budget_decremented_by_spend(self, platform, funded_account,
@@ -98,7 +98,7 @@ class TestBudgets:
         user.set_attribute(attr)
         before = funded_account.budget
         _activate_sweep(platform, funded_account, campaign, [attr.attr_id])
-        platform.run_until_saturated()
+        platform.run_sweep()
         spend = platform.invoice(funded_account.account_id).total
         assert funded_account.budget == pytest.approx(before - spend)
 
@@ -111,7 +111,7 @@ class TestStatsAndViews:
             user.set_attribute(attr)
         ads = _activate_sweep(platform, funded_account, campaign,
                               [attr.attr_id])
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert platform.delivery.unique_reach(ads[0].ad_id) == {
             u.user_id for u in users
         }
@@ -130,7 +130,7 @@ class TestStatsAndViews:
         for user in users:
             user.set_attribute(attr)
         _activate_sweep(platform, funded_account, campaign, [attr.attr_id])
-        platform.run_until_saturated()
+        platform.run_sweep()
         seqs = [imp.seq for imp in platform.delivery.impressions()]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
@@ -167,7 +167,7 @@ class TestSharedCreativeImages:
         for user in users:
             user.set_attribute(attr)
         ad = self._image_ad(platform, funded_account, campaign, attr.attr_id)
-        platform.run_until_saturated()
+        platform.run_sweep()
         images = [platform.feed(u.user_id)[0].image for u in users]
         assert images[0] is images[1]
         # Read-only view: bytes, not the advertiser's mutable bytearray.

@@ -46,7 +46,7 @@ class TestFloorPrice:
         )
         platform.register_user()
         account, ad = _one_ad_campaign(platform, bid=10.0)
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert platform.ledger.effective_cpm(ad.ad_id) == pytest.approx(1.0)
 
 
@@ -68,5 +68,5 @@ class TestMinMatchCount:
         platform = _platform(min_delivery_match_count=3)
         users = [platform.register_user() for _ in range(3)]
         _one_ad_campaign(platform)
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert all(len(platform.feed(u.user_id)) == 1 for u in users)

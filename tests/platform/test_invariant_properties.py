@@ -104,7 +104,7 @@ def test_deliver_iff_match_property(profile_bits):
             AdCreative("h", f"ref {attr.attr_id}"),
             f"attr:{attr.attr_id} & country:US", bid_cap_cpm=10.0,
         )
-    platform.run_until_saturated()
+    platform.run_sweep()
 
     for user, expected in users:
         received = {

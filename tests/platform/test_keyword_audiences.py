@@ -81,7 +81,7 @@ class TestTreadsOverKeywordAudiences:
             AdCreative("h", "Reference: 1,234,567."),
             f"audience:{audience.audience_id}", bid_cap_cpm=10.0,
         )
-        platform.run_until_saturated()
+        platform.run_sweep()
         assert all(len(platform.feed(u.user_id)) == 1 for u in users)
         assert platform.feed(outsider.user_id) == []
 

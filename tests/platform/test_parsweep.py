@@ -33,6 +33,7 @@ from repro.workloads.competition import (
     lognormal_competition,
 )
 
+from tests.platform.scalar_reference import saturate
 from tests.platform.test_sweep_delivery import engine_state, make_world
 
 
@@ -156,7 +157,7 @@ class TestWorkerEquality:
         scalar, ads_scalar = parallel_world(
             users=300, accounts=2, draw=fixed_competition(1.0))
         parallel_sweep(parallel.delivery, workers=3)
-        scalar.run_until_saturated()
+        saturate(scalar)
         for ad_parallel, ad_scalar in zip(ads_parallel, ads_scalar):
             assert parallel.delivery.impression_count_for_ad(
                 ad_parallel.ad_id) == \

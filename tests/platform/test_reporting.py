@@ -34,7 +34,7 @@ def _run_campaign(platform, user_count, attr_index=0, bid=10.0):
         AdCreative("h", "neutral"), f"attr:{attr.attr_id} & country:US",
         bid_cap_cpm=bid,
     )
-    platform.run_until_saturated()
+    platform.run_sweep()
     return account, ad
 
 

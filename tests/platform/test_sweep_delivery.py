@@ -1,4 +1,7 @@
-"""The batch sweep engine: vectorized delivery == scalar delivery.
+"""The batch sweep engine: vectorized delivery == per-slot delivery.
+
+The per-slot side is :func:`tests.platform.scalar_reference.saturate`,
+the engine's ``_serve_round`` repeated until saturation.
 
 The integration equivalence suite pins the full 2,000-user partner
 sweep; these tests pin the engine-level machinery — precondition
@@ -28,6 +31,7 @@ from repro.workloads.competition import (
     lognormal_competition,
     zero_competition,
 )
+from tests.platform.scalar_reference import saturate
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -120,7 +124,7 @@ class TestScalarEquality:
         platform_a, ads_a = make_world(compact=compact, accounts=accounts)
         platform_b, ads_b = make_world(compact=compact, accounts=accounts)
         stats_sweep = platform_a.run_sweep()
-        stats_scalar = platform_b.run_until_saturated()
+        stats_scalar = saturate(platform_b)
         assert stats_sweep == stats_scalar
         assert engine_state(platform_a, ads_a) == \
             engine_state(platform_b, ads_b)
@@ -133,7 +137,7 @@ class TestScalarEquality:
         platform_b, ads_b = make_world(accounts=2,
                                        draw=fixed_competition(1.0))
         platform_a.run_sweep()
-        platform_b.run_until_saturated()
+        saturate(platform_b)
         assert engine_state(platform_a, ads_a) == \
             engine_state(platform_b, ads_b)
         # Winner pays the runner-up's bid, not its own: spend exists and
@@ -167,7 +171,7 @@ class TestScalarEquality:
         platform_a, ads_a = world()
         platform_b, ads_b = world()
         stats_sweep = platform_a.run_sweep()
-        stats_scalar = platform_b.run_until_saturated()
+        stats_scalar = saturate(platform_b)
         assert stats_sweep.lost_to_competition > 0
         assert stats_sweep == stats_scalar
         assert engine_state(platform_a, ads_a) == \
@@ -203,7 +207,7 @@ class TestScalarEquality:
             assert reg.counter("delivery.sweep_rounds").value > \
                 vector_rounds_at_fallback[-1]
         platform_b, ads_b = world()
-        stats_scalar = platform_b.run_until_saturated()
+        stats_scalar = saturate(platform_b)
         assert stats_sweep == stats_scalar
         assert engine_state(platform_a, ads_a) == \
             engine_state(platform_b, ads_b)
@@ -268,7 +272,7 @@ class TestFallbackRouting:
                 "delivery.sweep_fallback_specs").value >= 1
             assert reg.counter("delivery.sweep_rounds").value >= 1
         platform_b, ads_b = self._world_with_opaque_spec()
-        platform_b.run_until_saturated()
+        saturate(platform_b)
         assert engine_state(platform_a, ads_a) == \
             engine_state(platform_b, ads_b)
         assert platform_a.delivery.impression_count_for_ad(
@@ -287,7 +291,7 @@ class TestBudgetFallback:
                 "delivery.sweep_budget_fallback_rounds").value >= 1
         platform_b, ads_b = make_world(budget=0.05,
                                        draw=fixed_competition(5.0))
-        platform_b.run_until_saturated()
+        saturate(platform_b)
         assert engine_state(platform_a, ads_a) == \
             engine_state(platform_b, ads_b)
 

@@ -285,7 +285,7 @@ class TestCompilerMechanics:
                 AdCreative("h", "b"), TargetingSpec(expr=OpaqueEvenAge()),
                 bid_cap_cpm=10.0)
             assert lower_spec(ad.targeting) is None
-            platform.run_until_saturated()
+            platform.run_sweep()
             assert reg.counter("targeting.lower_fallbacks").value >= 1
         for user in users:
             delivered = [d.ad_id for d in platform.feed(user.user_id)]

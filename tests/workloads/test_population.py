@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.hashing import hash_pii
 from repro.platform.attributes import Attribute, AttributeSource
 from repro.platform.catalog import build_us_catalog
 from repro.platform.platform import AdPlatform, PlatformConfig
@@ -192,3 +193,63 @@ class TestPoolsPerCall:
         assert len(broker.records) - first_records == 20
         assert removed.attr_id not in drawn
         assert added.attr_id in drawn
+
+
+def _partner_attrs(user):
+    return {a for a in user.binary_attrs if a.startswith("pc-")}
+
+
+class TestPhonePerUser:
+    def test_broker_record_never_reaches_the_user_10000_rows_back(
+            self, platform):
+        """Users 10,000 rows apart keep distinct phones, so a profiled
+        user's broker record does not land on an unprofiled one."""
+        builder = PopulationBuilder(platform, seed=3)
+        student = builder.spawn(RECENT_ARRIVAL_GRAD_STUDENT, 1)[0]
+        for _ in range(9_999):
+            platform.register_user()
+        professional = builder.spawn(ESTABLISHED_PROFESSIONAL, 1)[0]
+        assert student.user_id.endswith("-000000")
+        assert professional.user_id.endswith("-010000")
+        assert student.pii_hashes["phone"] != \
+            professional.pii_hashes["phone"]
+        # Phones below 10,000 users keep their earlier values.
+        assert student.pii_hashes["phone"] == \
+            {hash_pii("phone", "+16175550000")}
+        builder.finalize()
+        assert _partner_attrs(professional)
+        assert not _partner_attrs(student)
+
+
+class TestIncrementalIngest:
+    """``finalize()`` joins only the broker records staged since the
+    last call."""
+
+    def test_second_finalize_sees_no_records(self, platform):
+        builder = PopulationBuilder(platform, seed=3)
+        builder.spawn(ESTABLISHED_PROFESSIONAL, 4)
+        first = builder.finalize()
+        assert sum(report.records_seen for report in first) == 4
+        second = builder.finalize()
+        assert sum(report.records_seen for report in second) == 0
+
+    def test_removed_drawn_attribute_does_not_break_finalize(self, platform):
+        builder = PopulationBuilder(platform, seed=3)
+        user = builder.spawn(ESTABLISHED_PROFESSIONAL, 1)[0]
+        builder.finalize()
+        drawn = sorted(_partner_attrs(user))[0]
+        platform.catalog.remove(drawn)
+        reports = builder.finalize()
+        assert sum(report.records_seen for report in reports) == 0
+
+    def test_record_added_between_calls_is_ingested(self, platform):
+        builder = PopulationBuilder(platform, seed=3)
+        early = builder.spawn(ESTABLISHED_PROFESSIONAL, 1)[0]
+        builder.finalize()
+        late = builder.spawn(ESTABLISHED_PROFESSIONAL, 1)[0]
+        assert not _partner_attrs(late)
+        reports = builder.finalize()
+        assert sum(report.records_seen for report in reports) == 1
+        assert sum(report.records_matched for report in reports) == 1
+        assert _partner_attrs(late)
+        assert _partner_attrs(early)
