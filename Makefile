@@ -8,10 +8,13 @@ export PYTHONPATH := src:.
 test:
 	$(PYTHON) -m pytest -q
 
-## Row-backend-vs-interpreted targeting equivalence suite on its own —
-## the property the per-request delivery path rests on.
+## The lowered-program-vs-interpreted equivalence suites on their own —
+## the range backend every delivery path evaluates, and the per-slot
+## kernel checked slot by slot against an Expr.matches reference.
 equivalence:
-	$(PYTHON) -m pytest -q tests/platform/test_targeting_compile.py
+	$(PYTHON) -m pytest -q tests/platform/test_mask_lowering.py \
+		tests/platform/test_targeting_compile.py \
+		tests/platform/test_delivery_kernel.py
 
 ## Paper-reproduction benchmarks, single run each (fast, shape checks).
 bench:

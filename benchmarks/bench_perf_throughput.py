@@ -120,7 +120,7 @@ def test_perf_delivery_scale(benchmark):
             ("2,000 users x 508 ads", "71.3", f"{seconds:.2f}",
              f"{cpu_elapsed:.2f}", f"{71.3 / seconds:.0f}x"),
         ],
-        title="PERF — compiled targeting + candidate index delivery",
+        title="PERF — lowered targeting + candidate list delivery",
     ))
     assert seconds < 10.0, "scale tier must stay single-digit seconds"
 

@@ -36,8 +36,13 @@ from repro.serve import (
     ServingRuntime,
 )
 
-USERS = 150
-ROUNDS = 24
+#: Sized so each arm's drive lasts over a second (about 1.5 s on a
+#: 2-core container): a drive of one to three 100 ms poll intervals
+#: makes the streaming ratio noise. The backlog holds the whole drive,
+#: so no request is shed.
+USERS = 600
+ROUNDS = 36
+QUEUE_CAPACITY = 32768
 SLOTS = 2
 SHARDS = 2
 BEST_OF = 3
@@ -53,7 +58,7 @@ def _drive(arm: str, telemetry_interval_s=None, traced=False):
         runtime = ServingRuntime(
             platform,
             RuntimeConfig(num_shards=SHARDS, backend="process",
-                          queue_capacity=8192, max_batch=64,
+                          queue_capacity=QUEUE_CAPACITY, max_batch=64,
                           telemetry_interval_s=telemetry_interval_s),
             competition=KeyedCompetition(seed=7),
         )

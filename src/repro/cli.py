@@ -951,8 +951,7 @@ def _serve_rounds(platform, router, rounds: int, slots: int) -> None:
         for user in platform.users:
             shard = router.shard_for(user.user_id)
             base = shard.claim_slots(user.user_id, slots)
-            with shard.engine.serving_session():
-                shard.serve_user_slots(user, base, slots)
+            shard.serve_user_slots(user, base, slots)
 
 
 def _cpu_with_children() -> float:

@@ -58,19 +58,10 @@ METRICS: Dict[str, MetricSpec] = {
         COUNTER, "Ad slots auctioned by the delivery engine."),
     "delivery.impressions_delivered": MetricSpec(
         COUNTER, "Impressions placed in user feeds (auction wins)."),
-    "delivery.match_cache_hits": MetricSpec(
-        COUNTER, "Per-run match-cache lookups answered from cache."),
-    "delivery.match_cache_misses": MetricSpec(
-        COUNTER, "Per-run match-cache lookups that evaluated specs."),
-    "delivery.candidate_bucket_size": MetricSpec(
-        HISTOGRAM, "Candidate index entries probed per cache-miss slot.",
-        COUNT_BUCKETS),
     "delivery.frequency_cap_rejections": MetricSpec(
-        COUNTER, "Matched ads dropped at match time because they were "
-                 "already shown to the user (cap of 1), once per user "
-                 "per serving session, in both delivery modes."),
-    "delivery.saturation_pruned": MetricSpec(
-        COUNTER, "Capped ads pruned from a user's cached match list."),
+        COUNTER, "Matched ads skipped by a slot because they were "
+                 "already shown to the user (cap of 1), per slot, in "
+                 "both delivery modes."),
     "delivery.clicks_recorded": MetricSpec(
         COUNTER, "Ad clicks recorded by the platform."),
     "delivery.sweep_rounds": MetricSpec(
@@ -78,9 +69,10 @@ METRICS: Dict[str, MetricSpec] = {
                  "sweep_slots (each auctions one slot per still-active "
                  "user in the swept row range)."),
     "delivery.sweep_fallback_specs": MetricSpec(
-        COUNTER, "Sweep candidates whose targeting spec could not be "
+        COUNTER, "Candidates whose targeting spec could not be "
                  "lowered to a column-mask program and was evaluated "
-                 "with the per-user compiled matcher instead."),
+                 "with Expr.matches per row instead (per sweep, and "
+                 "per candidate-list block of the per-slot path)."),
     "delivery.sweep_budget_fallback_rounds": MetricSpec(
         COUNTER, "Sweep rounds replayed through the scalar per-user "
                  "path because an account's budget could flip "
@@ -98,12 +90,6 @@ METRICS: Dict[str, MetricSpec] = {
         COUNTER, "Auctions where ambient competition outbid every "
                  "tracked contender (or none was eligible)."),
     # -- targeting lowerer -------------------------------------------------
-    "targeting.specs_compiled": MetricSpec(
-        COUNTER, "Row programs built by binding a lowered spec to a "
-                 "user store's attribute and page codes."),
-    "targeting.compile_cache_hits": MetricSpec(
-        COUNTER, "Row-program binds served from the lowered program's "
-                 "bind memo."),
     "targeting.specs_lowered": MetricSpec(
         COUNTER, "Targeting specs lowered to mask programs."),
     "targeting.lower_fallbacks": MetricSpec(

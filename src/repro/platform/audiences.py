@@ -440,18 +440,26 @@ class AudienceRegistry:
         assert audience.seed_audience_id is not None
         return self._lookalike_bitset(audience, nrows)
 
+    @property
+    def mutation_key(self) -> Tuple[int, int]:
+        """``(users.mutation_epoch, pixels.mutation_seq)``: changes with
+        every store-API mutation (attributes, page likes, new rows, PII
+        attached) and every pixel fire — what membership, and so every
+        targeting spec's match, can depend on."""
+        return self._users.mutation_epoch, self._pixels.mutation_seq
+
     def member_bitset_cached(self, audience_id: str) -> np.ndarray:
         """:meth:`member_bitset`, memoized against world mutations.
 
-        Keyed on ``(users.mutation_epoch, pixels.mutation_seq)`` exactly
-        like the count cache, so any store-API mutation (attributes, page
-        likes, new rows, pixel fires, PII uploads) invalidates the mask.
+        Keyed on :attr:`mutation_key` exactly like the count cache (and
+        the delivery engine's candidate lists), so any store-API mutation
+        or pixel fire invalidates the mask.
         This is the resolver the batch sweep and reach estimation share:
         the same materialized audience answers every row-range
         evaluation until the world actually changes. Callers must not
         mutate the returned array.
         """
-        key = (self._users.mutation_epoch, self._pixels.mutation_seq)
+        key = self.mutation_key
         cached = self._bitset_cache.get(audience_id)
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -526,7 +534,7 @@ class AudienceRegistry:
         audience = self.get(audience_id)
         if audience.kind is AudienceKind.PII:
             return len(audience._matched_user_ids)
-        key = (self._users.mutation_epoch, self._pixels.mutation_seq)
+        key = self.mutation_key
         cached = self._count_cache.get(audience_id)
         if cached is not None and cached[0] == key:
             return cached[1]

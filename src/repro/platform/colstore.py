@@ -25,9 +25,8 @@ object graph. This module is that store, and the only one:
 ``UserProfile`` read/write API — ``binary_attrs``/``multi_attrs``/
 ``liked_pages`` behave like sets and dicts, which is what
 ``Expr.matches`` and the brokers, explanations and preference pages
-read. The per-request delivery path skips the view and evaluates
-lowered targeting programs on the row's packed words
-(:meth:`UserColumns.row_words`). :class:`ColumnarUserStore` ingests
+read. Delivery skips the view: lowered targeting programs evaluate
+whole row ranges of the columns. :class:`ColumnarUserStore` ingests
 :class:`~repro.platform.users.UserProfile` records via ``add``.
 
 User ids are usually the dense ``<prefix>-user-<n>`` sequence the
@@ -247,12 +246,6 @@ class UserColumns:
 
     def attr_count_of(self, row: int) -> int:
         return bitset.popcount(self.attr_bits[row])
-
-    def row_words(self, row: int) -> Tuple[int, int]:
-        """The row's attribute and page words, each as one int whose bit
-        ``c`` is code ``c`` — the input of a bound targeting program."""
-        return (int.from_bytes(self.attr_bits[row].tobytes(), "little"),
-                int.from_bytes(self.page_bits[row].tobytes(), "little"))
 
     # -- multi attributes --------------------------------------------------
 

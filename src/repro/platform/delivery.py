@@ -13,18 +13,16 @@ the paper's per-attribute cost exactly one CPM-priced impression. One
 *shown* bitset per ad (bit = user row) is the cap, the unique reach and
 the per-pair record at once, in both delivery modes.
 
-Performance model (see docs/api_tour.md, "Performance model"): eligibility
-runs against an **inverted candidate index** — ads are bucketed under one
-attribute/page their spec *requires*
-(:func:`repro.platform.targeting.required_anchors`), keyed by the user
-store's integer codes, so a slot only evaluates ads reachable from the
-user's own attribute and page bits. Each candidate's spec is the
-**row backend** of its lowered program
-(:meth:`repro.platform.targeting.MaskProgram.bind`): a mask compare on
-the row's packed words for every Tread shape, instead of re-walking the
-spec's AST. Reporting reads (per-ad impressions, clicks, unique reach)
-are maintained incrementally at delivery time instead of scanning the
-logs.
+Performance model (see docs/api_tour.md, "Performance model"): one
+eligibility kernel serves every slot, online or in a campaign. Each
+spec is lowered once (:func:`repro.platform.targeting.lower_spec`) and
+evaluated by its range backend over a block of rows at a time; a slot
+then reads its row's **candidate list** — the spec-matched ads in
+auction-priority order — and skips what is capped, inactive or
+unaffordable. The lists are rebuilt only when an ad arrives or the
+world the specs read changes. Reporting reads (per-ad impressions,
+clicks, unique reach) are maintained incrementally at delivery time
+instead of scanning the logs.
 
 State model (PR 4, see docs/state.md): the engine is a
 :class:`~repro.store.store.StateOwner`. Every impression and click is a
@@ -43,10 +41,9 @@ import itertools
 import logging
 import numbers
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
-    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -64,8 +61,8 @@ from repro.platform.auction import (
 )
 from repro.platform.audiences import AudienceRegistry
 from repro.platform.billing import BillingLedger
-from repro.platform.colstore import ColumnarUserStore, UserColumns, UserView
-from repro.platform.targeting import bind_key, lower_spec, required_anchors
+from repro.platform.colstore import ColumnarUserStore, UserView
+from repro.platform.targeting import lower_spec
 from repro.store.records import (
     ChangeRecord,
     ClickRecorded,
@@ -83,15 +80,6 @@ Impression = ImpressionRecorded
 
 #: Platform-internal record of one ad click.
 Click = ClickRecorded
-
-
-def _collect_buckets(anchored: int, buckets_by_code: Dict[int, list],
-                     out: List[list]) -> None:
-    """Append the bucket of every set bit (code) of ``anchored``."""
-    while anchored:
-        low = anchored & -anchored
-        out.append(buckets_by_code[low.bit_length() - 1])
-        anchored ^= low
 
 
 def _records_of(state: Dict[str, Any], section: str,
@@ -115,9 +103,11 @@ def check_sweep_args(max_rounds: int) -> None:
         raise ValueError("max_rounds must be a non-negative integer")
 
 
-#: Rows per block while :class:`SweepLists` is built. It bounds the
-#: build's transients whatever the range size: the block's packed copy
-#: (512 bytes per candidate) and a few 8-byte integers per bit set in it.
+#: Rows per block while candidate lists are built (:class:`SweepLists`,
+#: and the per-slot lists of :meth:`DeliveryEngine._row_candidates`). It
+#: bounds the build's transients whatever the range size: the block's
+#: packed copy (512 bytes per candidate) and a few 8-byte integers per
+#: bit set in it.
 _LIST_BLOCK_ROWS = 4096
 
 
@@ -360,8 +350,8 @@ class DeliveryEngine:
     engine plus a shard lock and routes each user to exactly one shard,
     which is what makes lock-free per-engine state safe. Shared *read*
     structure (the inventory's ad list, lowered programs from the
-    process-wide lowering cache) is safe across engines because bound
-    row programs are pure functions; everything mutable — match caches,
+    process-wide lowering cache) is safe across engines because lowered
+    programs are pure functions; everything mutable — candidate lists,
     caps, feeds, logs, reporting views — is per-instance, created in
     ``__init__`` and never shared. ``engine_id`` names the instance in
     logs and :meth:`snapshot_stats` so shard-owned engines stay
@@ -417,30 +407,15 @@ class DeliveryEngine:
         self._impressions: List[Impression] = []
         self._clicks: List[Click] = []
         self._feeds: Dict[str, List[DeliveredAd]] = defaultdict(list)
-        # -- inverted candidate index (see _ensure_index) ------------------
-        self._indexed_ad_count = 0
-        #: attr_id -> [(ad, account, bid, program)] for ads whose spec
-        #: requires that attribute (``program`` is the spec's
-        #: MaskProgram, None when the lowerer refused it).
-        self._index_by_attr: Dict[str, List[tuple]] = {}
-        #: page_id -> same, for ads anchored on a required page like.
-        self._index_by_page: Dict[str, List[tuple]] = {}
-        #: Ads with no attribute/page anchor — evaluated for every slot.
-        self._index_general: List[tuple] = []
-        # -- code-keyed buckets of bound entries (see _sync_code_maps) -----
-        self._code_maps_key: Optional[tuple] = None
-        self._attr_code_buckets: Dict[int, List[tuple]] = {}
-        self._attr_anchor_mask = 0
-        self._page_code_buckets: Dict[int, List[tuple]] = {}
-        self._page_anchor_mask = 0
-        self._general_bound: List[tuple] = []
-        #: Per-run cache: user_id -> index entries whose spec matches the
-        #: user. Match outcomes are static for the duration of one
-        #: synchronous run (profiles, likes, and memberships cannot change
-        #: mid-loop), so each (user, ad) pair is evaluated once per run
-        #: instead of once per slot. None outside runs — a one-off
-        #: serve_slot must see live state.
-        self._match_cache: Optional[Dict[str, List[tuple]]] = None
+        # -- candidates (see _sweep_candidates, _row_candidates) ------------
+        #: ``(ad, account, bid)`` per ad that passed the min-match
+        #: defense, in auction-priority order (bid desc, ad id asc).
+        self._candidates: List[tuple] = []
+        self._candidate_ad_count = 0
+        #: block index -> (row offsets, candidate indices): one CSR of
+        #: each row's spec-matched candidates, in priority order.
+        self._row_lists: Dict[int, Tuple[List[int], np.ndarray]] = {}
+        self._row_lists_key: Optional[tuple] = None
         # -- indexed reporting views ---------------------------------------
         self._clicks_by_ad: Dict[str, int] = {}
         # -- observability -------------------------------------------------
@@ -455,13 +430,8 @@ class DeliveryEngine:
         self._obs_on = reg.enabled
         self._obs_slots = reg.counter("delivery.slots_served")
         self._obs_impressions = reg.counter("delivery.impressions_delivered")
-        self._obs_cache_hits = reg.counter("delivery.match_cache_hits")
-        self._obs_cache_misses = reg.counter("delivery.match_cache_misses")
-        self._obs_bucket_size = reg.histogram(
-            "delivery.candidate_bucket_size")
         self._obs_cap_rejections = reg.counter(
             "delivery.frequency_cap_rejections")
-        self._obs_pruned = reg.counter("delivery.saturation_pruned")
         self._obs_clicks = reg.counter("delivery.clicks_recorded")
         self._obs_sweep_rounds = reg.counter("delivery.sweep_rounds")
         self._obs_sweep_fallback_specs = reg.counter(
@@ -488,187 +458,99 @@ class DeliveryEngine:
             self._match_count_cache[ad.ad_id] = cached
         return cached >= self.min_match_count
 
-    def _ensure_index(self) -> None:
-        """Bring the inverted candidate index up to date.
+    def _sweep_candidates(self) -> List[tuple]:
+        """The candidate list, brought up to date with the inventory.
 
-        Each ad is lowered once and bucketed under exactly one *required*
-        anchor — an attribute (preferred: most selective), else a page
-        like, else the always-evaluated general bucket. Ads are never
-        removed from the inventory, so maintenance is incremental: only
-        ads added since the last sync are indexed. Status flips (pause,
-        un-pause, review outcomes) and budget exhaustion need no index
-        surgery — they are re-checked per candidate at evaluation time,
-        so the index can never serve a stale verdict.
+        ``(ad, account, bid)`` per ad, in global auction-priority order:
+        sorting by (bid desc, ad id asc) makes a row's first eligible
+        candidate its winner (per-account champions, then top-2 —
+        :func:`repro.platform.auction.run_auction` uses exactly this
+        order). Ads are never removed from the inventory, so only ads
+        added since the last sync join, and ads the min-match defense
+        withholds never do. Status flips and budget exhaustion need no
+        list surgery: every slot and every sweep round re-checks them.
         """
         count = self._inventory.ad_count()
-        if count == self._indexed_ad_count:
-            return
-        for ad in self._inventory.ads()[self._indexed_ad_count:]:
-            account = self._inventory.account(ad.account_id)
-            entry = (ad, account, ad.bid_per_impression,
-                     lower_spec(ad.targeting))
-            attrs, pages, _ = required_anchors(ad.targeting.expr)
-            if attrs:
-                self._index_by_attr.setdefault(min(attrs), []).append(entry)
-            elif pages:
-                self._index_by_page.setdefault(min(pages), []).append(entry)
-            else:
-                self._index_general.append(entry)
-        self._indexed_ad_count = count
+        if count != self._candidate_ad_count:
+            for ad in self._inventory.ads()[self._candidate_ad_count:]:
+                if self._matches_enough_users(ad):
+                    self._candidates.append(
+                        (ad, self._inventory.account(ad.account_id),
+                         ad.bid_per_impression))
+            self._candidates.sort(key=lambda e: (-e[2], e[0].ad_id))
+            self._candidate_ad_count = count
+        return self._candidates
 
-    def _bound_entry(self, entry: tuple, store: ColumnarUserStore,
-                     cols: UserColumns) -> tuple:
-        """``(ad, account, bid, attr_mask, page_mask, residual)``: an
-        index entry with its spec bound to the store's current codes. A
-        spec the lowerer refused evaluates ``Expr.matches`` on the row's
-        view."""
-        ad, account, bid, program = entry
-        if program is not None:
-            return (ad, account, bid) + program.bind(cols)
-        expr, resolver = ad.targeting.expr, self._audiences.is_member
+    def _row_candidates(self, row: int) -> List[int]:
+        """Indices into :meth:`_sweep_candidates` of the ads whose spec
+        matches store row ``row``, in priority order.
 
-        def reference(row, aw, pw, bits):
-            return expr.matches(UserView(store, row), resolver)
-
-        return ad, account, bid, 0, 0, reference
-
-    def _sync_code_maps(self, store: ColumnarUserStore) -> None:
-        """Key the anchor buckets by the store's integer codes, binding
-        every entry's row program to those same codes.
-
-        Rebuilt whenever new ads arrive or the store interns new
-        attribute/page codes or multi columns — all visible in the key
-        below — so a bound program never sees stale codes. Ads anchored
-        on an attribute that has a multi column join the general bucket
-        (a set bit alone would not witness the anchor).
+        The lists come from the sweep's own eligibility evaluation
+        (:meth:`_sweep_eligibility`), built for a block of
+        ``_LIST_BLOCK_ROWS`` rows on its first use. They are dropped
+        whenever an ad arrives or the world the specs read changes: the
+        key is the ad count plus what the audience bitsets key on
+        (:attr:`repro.platform.audiences.AudienceRegistry.mutation_key`).
         """
-        cols = store.columns
-        key = (store, self._indexed_ad_count) + bind_key(cols)
-        if self._code_maps_key == key:
-            return
+        key = (self._inventory.ad_count(), self._audiences.mutation_key)
+        if key != self._row_lists_key:
+            self._row_lists = {}
+            self._row_lists_key = key
+        block, at = divmod(row, _LIST_BLOCK_ROWS)
+        lists = self._row_lists.get(block)
+        if lists is None:
+            entries = self._sweep_candidates()
+            start = block * _LIST_BLOCK_ROWS
+            n = min(len(self._user_store) - start, _LIST_BLOCK_ROWS)
+            avail = self._sweep_eligibility(entries, self._user_store.columns,
+                                            start, start + n)
+            rows, pos = _set_bits(avail.view(np.uint8), n)
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+            lists = (offsets.tolist(),
+                     pos.astype(np.min_scalar_type(len(entries))))
+            self._row_lists[block] = lists
+        offsets, cand = lists
+        return cand[offsets[at]:offsets[at + 1]].tolist()
 
-        def bound(bucket: List[tuple]) -> List[tuple]:
-            return [self._bound_entry(entry, store, cols)
-                    for entry in bucket]
+    def _slot_contenders(self, user: UserView) -> Tuple[List[Ad], bool]:
+        """Eligible ads for one slot, one per account.
 
-        attr_map: Dict[int, List[tuple]] = {}
-        general = bound(self._index_general)
-        for attr_id, bucket in self._index_by_attr.items():
-            code = cols.attrs.get(attr_id)
-            if attr_id in cols.multi_cols:
-                general.extend(bound(bucket))
-            elif code is not None:
-                attr_map[code] = bound(bucket)
-        page_map: Dict[int, List[tuple]] = {}
-        for page_id, bucket in self._index_by_page.items():
-            code = cols.pages.get(page_id)
-            if code is not None:
-                page_map[code] = bound(bucket)
-        self._attr_code_buckets = attr_map
-        self._attr_anchor_mask = sum(1 << code for code in attr_map)
-        self._page_code_buckets = page_map
-        self._page_anchor_mask = sum(1 << code for code in page_map)
-        self._general_bound = general
-        self._code_maps_key = key
-
-    def _matched_entries(self, user: UserView) -> List[tuple]:
-        """Bound index entries whose *targeting* matches ``user``.
-
-        Spec match minus the ads already shown to the user (the cap of
-        1, read from the per-ad shown bitsets and counted into
-        ``delivery.frequency_cap_rejections``) — the other dynamic
-        conditions (status, budget, min-match defense) are applied by
-        the caller per slot.
-        The row's attribute and page words are read once; candidate
-        buckets come from the set bits of ``words & anchor_mask``, and
-        each candidate's bound program is a mask compare (plus its
-        residual, if any). Inside a run the result is cached per user
-        (matches are static for the run's duration); outside runs it is
-        computed live.
+        Returns ``(contenders, had_eligible)``. Walks the row's candidate
+        list and skips what the spec match does not settle: ads already
+        shown to the user (the cap of 1, read from the per-ad shown
+        bitsets and counted into ``delivery.frequency_cap_rejections``),
+        ads not ``ACTIVE``, and ads their account cannot afford. The
+        list is in priority order, so the first survivor per account is
+        the one ad of that account the auction would consider.
+        ``had_eligible`` feeds the run-loop stats (lost-to-competition
+        vs no-eligible-ad) without a second evaluation.
         """
-        cache = self._match_cache
-        if cache is not None:
-            cached = cache.get(user.user_id)
-            if cached is not None:
-                if self._obs_on:
-                    self._obs_cache_hits.inc()
-                return cached
-        if self._obs_on:
-            self._obs_cache_misses.inc()
-        store = user.store
-        self._sync_code_maps(store)
-        cols = store.columns
         row = user.row
-        aw, pw = cols.row_words(row)
-        buckets: List[List[tuple]] = []
-        _collect_buckets(aw & self._attr_anchor_mask,
-                         self._attr_code_buckets, buckets)
-        _collect_buckets(pw & self._page_anchor_mask,
-                         self._page_code_buckets, buckets)
-        if self._general_bound:
-            buckets.append(self._general_bound)
-        bits = self._audiences.member_bitset_cached
-        matched: List[tuple] = []
-        candidates = 0
-        for bucket in buckets:
-            candidates += len(bucket)
-            for entry in bucket:
-                _, _, _, am, pm, residual = entry
-                if aw & am == am and pw & pm == pm and (
-                        residual is None or residual(row, aw, pw, bits)):
-                    matched.append(entry)
-        if self._obs_on:
-            self._obs_bucket_size.observe(candidates)
-        if matched and self._shown_bits:
-            # Within a session the cache pruning in _mark_shown keeps the
-            # list current, so the slot path needs no cap check at all.
+        matched = self._row_candidates(row)
+        entries = self._candidates
+        shown = self._shown_bits
+        word, bit = row >> 6, 1 << (row & 63)
+        active = AdStatus.ACTIVE
+        accounts: Set[str] = set()
+        contenders: List[Ad] = []
+        capped = 0
+        for i in matched:
+            ad, account, bid = entries[i]
             # ndarray.item, not bitset.test_bit: this runs once per
             # matched entry, and test_bit's numpy scalar ops cost about
             # ten times more per call.
-            shown = self._shown_bits
-            word, bit = row >> 6, 1 << (row & 63)
-            kept: List[tuple] = []
-            for entry in matched:
-                ad_bits = shown.get(entry[0].ad_id)
-                if ad_bits is None or word >= len(ad_bits) or \
-                        not ad_bits.item(word) & bit:
-                    kept.append(entry)
-            if self._obs_on and len(kept) < len(matched):
-                self._obs_cap_rejections.inc(len(matched) - len(kept))
-            matched = kept
-        if cache is not None:
-            cache[user.user_id] = matched
-        return matched
-
-    def _slot_contenders(self, user: UserView) -> Tuple[List[Ad], bool]:
-        """Eligible ads for one slot, already deduplicated per account.
-
-        Returns ``(contenders, had_eligible)``. The auction only ever
-        considers each account's best eligible ad (same bid/ad-id
-        ordering as :func:`repro.platform.auction.run_auction`), so the
-        dedup happens here, during the one pass over matched entries —
-        the auction then runs on the handful of per-account champions
-        instead of re-scanning the full eligible list. ``had_eligible``
-        feeds the run-loop stats (lost-to-competition vs no-eligible-ad)
-        without a second eligibility evaluation.
-        """
-        self._ensure_index()
-        check_min_match = self.min_match_count > 0
-        active = AdStatus.ACTIVE
-        best: Dict[str, tuple] = {}
-        for entry in self._matched_entries(user):
-            ad, account, bid = entry[0], entry[1], entry[2]
-            if ad.status is not active:
-                continue
-            if account.budget + 1e-12 < bid:  # inlined Account.can_afford
-                continue
-            if check_min_match and not self._matches_enough_users(ad):
-                continue
-            held = best.get(ad.account_id)
-            if held is None or bid > held[0] or \
-                    (bid == held[0] and ad.ad_id < held[1].ad_id):
-                best[ad.account_id] = (bid, ad)
-        return [pair[1] for pair in best.values()], bool(best)
+            bits = shown.get(ad.ad_id)
+            if bits is not None and word < len(bits) and \
+                    bits.item(word) & bit:
+                capped += 1
+            elif (ad.account_id not in accounts and ad.status is active
+                  and account.budget + 1e-12 >= bid):  # can_afford
+                accounts.add(ad.account_id)
+                contenders.append(ad)
+        if capped and self._obs_on:
+            self._obs_cap_rejections.inc(capped)
+        return contenders, bool(contenders)
 
     # -- slot serving --------------------------------------------------------
 
@@ -727,8 +609,7 @@ class DeliveryEngine:
 
         Shared by the live path, snapshot restore, migration import, and
         journal replay — the non-live callers pass no ``ad`` (it is
-        re-read from the shared inventory) and run with no match cache,
-        so the live-only pruning below is naturally inert for them.
+        re-read from the shared inventory).
         """
         if ad is None:
             ad = self._inventory.ad(impression.ad_id)
@@ -782,39 +663,6 @@ class DeliveryEngine:
             self._impression_count_by_ad.get(impression.ad_id, 0) + 1)
         if impression.seq >= self._impression_seq:
             self._impression_seq = impression.seq + 1
-        # Caps are monotone within a run, so a just-capped ad can be
-        # pruned from the user's cached match list — later slots then
-        # scan only still-deliverable entries.
-        cache = self._match_cache
-        if cache is not None:
-            matched = cache.get(impression.user_id)
-            if matched is not None:
-                if self._obs_on:
-                    self._obs_pruned.inc()
-                cache[impression.user_id] = [
-                    entry for entry in matched if entry[0] is not ad
-                ]
-
-    @contextmanager
-    def serving_session(self) -> Iterator["DeliveryEngine"]:
-        """Match cache for a multi-slot serving window.
-
-        Inside the ``with`` block, ``(user, ad)`` spec matches are
-        evaluated once per user — the fast-path state the run loops
-        install (audience memberships come from the registry's
-        epoch-keyed bitset cache either way). Valid across any window in
-        which profiles, likes, and audience memberships do not change
-        (one run loop; one serve-layer batch window). Re-entrant:
-        nesting installs a fresh cache and restores the outer one on
-        exit. The caller owns the engine for the duration (see the class
-        docstring's thread-ownership note).
-        """
-        outer = self._match_cache
-        self._match_cache = {}
-        try:
-            yield self
-        finally:
-            self._match_cache = outer
 
     def _serve_round(self, users: Iterable[UserView],
                      stats: DeliveryStats,
@@ -862,10 +710,9 @@ class DeliveryEngine:
         mid-run.
         """
         stats = DeliveryStats()
-        with self.serving_session(), \
-                obs_tracing.tracer().span("delivery.run_sessions",
-                                          users=len(users),
-                                          slots_per_user=slots_per_user):
+        with obs_tracing.tracer().span("delivery.run_sessions",
+                                       users=len(users),
+                                       slots_per_user=slots_per_user):
             for _ in range(slots_per_user):
                 self._serve_round(users, stats, saturating=False)
         _log.info(
@@ -932,8 +779,7 @@ class DeliveryEngine:
                 f"{cols.count} rows")
         stats = DeliveryStats()
         delta: Optional[Dict[str, tuple]] = {} if _collect_delta else None
-        with self.serving_session():
-            self._run_sweep(stats, cols, start, stop, max_rounds, delta)
+        self._run_sweep(stats, cols, start, stop, max_rounds, delta)
         _log.info(
             "sweep_slots[%d:%d]: %d slots (%d filled, %d lost)",
             start, stop, stats.slots, stats.filled_by_tracked_ads,
@@ -942,28 +788,6 @@ class DeliveryEngine:
         if _collect_delta:
             return stats, delta
         return stats
-
-    def _sweep_candidates(self) -> List[tuple]:
-        """Every indexed entry once, in global auction-priority order.
-
-        Sorting by (bid desc, ad id asc) makes "first eligible
-        candidate" coincide with the scalar path's winner (per-account
-        champions, then top-2 — both use exactly this order), so each
-        user's winner is the head of its candidate list
-        (:class:`SweepLists`).
-        """
-        self._ensure_index()
-        entries: List[tuple] = []
-        for bucket in self._index_by_attr.values():
-            entries.extend(bucket)
-        for bucket in self._index_by_page.values():
-            entries.extend(bucket)
-        entries.extend(self._index_general)
-        if self.min_match_count > 0:
-            entries = [e for e in entries
-                       if self._matches_enough_users(e[0])]
-        entries.sort(key=lambda e: (-e[2], e[0].ad_id))
-        return entries
 
     def _sweep_eligibility(self, entries: List[tuple], cols: Any,
                            start: int, stop: int) -> np.ndarray:
@@ -1111,12 +935,8 @@ class DeliveryEngine:
                     # contribute nothing, matching the per-slot loop's
                     # drop-from-rotation). It reads the shown bitsets as
                     # the cap, so the vector rounds' wins fold in first;
-                    # the lists are rebuilt from what it leaves. The
-                    # session match cache may hold entries the vector
-                    # rounds never pruned — drop it wholesale.
+                    # the lists are rebuilt from what it leaves.
                     self._sweep_fold(entries, start, wins, delta)
-                    if self._match_cache is not None:
-                        self._match_cache.clear()
                     store = self._user_store
                     progressed, _ = self._serve_round(
                         (UserView(store, r) for r in range(start, stop)),
@@ -1357,20 +1177,12 @@ class DeliveryEngine:
             "users_reached": bitset.popcount(reached),
             "ads_delivered": len(self._shown_bits),
             "capped_pairs": sum(bitset.popcount(bits) for bits in shown),
-            "indexed_ads": self._indexed_ad_count,
-            "in_session": self._match_cache is not None,
+            "candidate_ads": len(self._candidates),
         }
 
     @property
     def store(self) -> StateStore:
         return self._store
-
-    def _require_out_of_session(self, operation: str) -> None:
-        if self._match_cache is not None:
-            raise StoreError(
-                f"{self.engine_id}: cannot {operation} inside a "
-                "serving session"
-            )
 
     def export_state(
         self, user_ids: Optional[Set[str]] = None
@@ -1408,11 +1220,9 @@ class DeliveryEngine:
         state it holds, or crash recovery after a migration would lose
         it) and folded through the same ``_apply_*`` path as live
         delivery, so every read answers as if this engine had delivered
-        the imported impressions itself. Must not be called mid-session
-        (single-owner rule; the serving layer only migrates between
-        serving windows).
+        the imported impressions itself. Single-owner rule: the serving
+        layer only migrates between batches.
         """
-        self._require_out_of_session("import state")
         self._require_full_logs("import state")
         self._fold_state(state, journal=True)
 
@@ -1460,7 +1270,6 @@ class DeliveryEngine:
         journal, before the snapshot point), and existing state is
         discarded first.
         """
-        self._require_out_of_session("load state")
         self._impression_seq = 0
         self._impressions = []
         self._clicks = []

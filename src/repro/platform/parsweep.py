@@ -112,7 +112,7 @@ def certify_budgets(engine: DeliveryEngine, nrows: int) -> None:
         return
     floor = engine.floor_price
     by_account: Dict[str, Tuple[object, List[float]]] = {}
-    for ad, account, bid, _matcher in entries:
+    for ad, account, bid in entries:
         by_account.setdefault(account.account_id, (account, []))[1].append(bid)
         # Warm the lower cache pre-fork: every worker then inherits the
         # compiled mask programs by copy-on-write instead of re-lowering.

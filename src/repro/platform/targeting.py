@@ -27,17 +27,15 @@ Treads (paper section 1): "a user is supposed to see a targeted ad if and
 only if they satisfy the advertiser's targeting parameters".
 ``Expr.matches`` is its reference semantics. Every fast path runs one
 lowering instead (:func:`lower_spec`): a :class:`MaskProgram` evaluated
-over a row range of the columnar user store (sweeps, match counts) or
-bound to one row's packed words (per-request delivery), each tested
-against ``Expr.matches``.
+over a row range of the columnar user store — sweeps, per-slot candidate
+lists, match counts — and tested against ``Expr.matches``.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
-    Any, Callable, FrozenSet, Iterator, List, Optional, Set, Tuple,
+    Callable, FrozenSet, Iterator, List, Optional, Set, Tuple,
 )
 
 import numpy as np
@@ -516,22 +514,17 @@ def parse(text: str) -> TargetingSpec:
 
 
 # ---------------------------------------------------------------------------
-# Lowerer: Expr tree -> MaskProgram over UserColumns, two backends.
+# Lowerer: Expr tree -> MaskProgram over UserColumns.
 # ---------------------------------------------------------------------------
 #
 # Every fast path evaluates a spec through one lowering. :func:`lower_spec`
-# walks the Expr tree once (:func:`_lower`) and yields two backends over the
-# columnar store (:class:`~repro.platform.colstore.UserColumns`):
-#
-# * the **range backend** (:meth:`MaskProgram.evaluate`): vectorized column
-#   ops (attr/page bit-column extraction, coded demographic comparisons,
-#   multi-attr code matches, audience-membership bitset slices) producing a
-#   boolean eligibility array for rows ``[start, stop)``. The batch sweep,
-#   the min-match defense and reach estimates count with it.
-# * the **row backend** (:meth:`MaskProgram.bind`): the same tree bound to
-#   the store's current attribute and page codes as a :data:`RowProgram`,
-#   evaluated by the per-request delivery path against one row's packed
-#   words.
+# walks the Expr tree once (:func:`_lower`) into vectorized column ops over
+# the columnar store (:class:`~repro.platform.colstore.UserColumns`):
+# attr/page bit-column extraction, coded demographic comparisons,
+# multi-attr code matches and audience-membership bitset slices, producing
+# a boolean eligibility array for rows ``[start, stop)``
+# (:meth:`MaskProgram.evaluate`). The batch sweep, the per-slot candidate
+# lists, the min-match defense and reach estimates all count with it.
 #
 # The lowerer is deliberately *exact-type* dispatched: an ``Expr`` subclass
 # (say, an experiment's opaque predicate) may override ``matches`` in ways
@@ -540,103 +533,20 @@ def parse(text: str) -> TargetingSpec:
 # reference semantics, ``Expr.matches``.
 
 
-def required_anchors(
-    expr: Expr,
-) -> Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]:
-    """(attributes, pages, audiences) a user MUST have to match ``expr``.
-
-    AND unions its operands' requirements; OR keeps only what every
-    branch requires; NOT (and predicates that carry no set-membership
-    requirement) contribute nothing. Sound by construction: it only ever
-    *under*-approximates, so the delivery engine's candidate index built
-    on it can skip an ad for a user only when the ad provably cannot
-    match.
-    """
-    if isinstance(expr, (HasAttr, AttrIs)):
-        return frozenset((expr.attr_id,)), frozenset(), frozenset()
-    if isinstance(expr, LikesPage):
-        return frozenset(), frozenset((expr.page_id,)), frozenset()
-    if isinstance(expr, InAudience):
-        return frozenset(), frozenset(), frozenset((expr.audience_id,))
-    if isinstance(expr, And):
-        attrs: FrozenSet[str] = frozenset()
-        pages: FrozenSet[str] = frozenset()
-        auds: FrozenSet[str] = frozenset()
-        for op in expr.operands:
-            a, p, d = required_anchors(op)
-            attrs, pages, auds = attrs | a, pages | p, auds | d
-        return attrs, pages, auds
-    if isinstance(expr, Or):
-        parts = [required_anchors(op) for op in expr.operands]
-        attrs, pages, auds = parts[0]
-        for a, p, d in parts[1:]:
-            attrs, pages, auds = attrs & a, pages & p, auds & d
-        return attrs, pages, auds
-    return frozenset(), frozenset(), frozenset()
-
-
 #: Resolves an audience id to its full-population membership bitset
 #: (packed ``uint64``, bit = store row). Delivery binds this to
 #: :meth:`repro.platform.audiences.AudienceRegistry.member_bitset_cached`.
 MaskResolver = Callable[[str], np.ndarray]
 
-#: A spec bound to one store's codes for single-row evaluation:
-#: ``(attr_mask, page_mask, residual)``. Row ``r`` matches iff its
-#: attribute words (one int, bit ``c`` = attribute code ``c``) hold every
-#: bit of ``attr_mask``, its page words every bit of ``page_mask``, and
-#: ``residual`` is None or ``residual(r, attr_words, page_words, bits)``
-#: is true, ``bits`` being a :data:`MaskResolver`. A conjunction of
-#: positive ``attr:``/``page:`` leaves (every Tread spec) is masks alone.
-RowProgram = Tuple[int, int, Optional[Callable[..., Any]]]
-
-_ROW_TRUE: RowProgram = (0, 0, None)
-_ROW_NEVER: RowProgram = (0, 0, lambda row, aw, pw, bits: False)
-
-
-def _row_fn(program: RowProgram) -> Callable[..., Any]:
-    """The whole program as one residual-shaped callable."""
-    am, pm, fn = program
-    if fn is None:
-        return lambda row, aw, pw, bits: aw & am == am and pw & pm == pm
-    if not (am or pm):
-        return fn
-    return lambda row, aw, pw, bits: (
-        aw & am == am and pw & pm == pm and fn(row, aw, pw, bits))
-
-
-def _and_rows(programs: List[RowProgram]) -> RowProgram:
-    """AND: masks OR together, residuals chain."""
-    am = pm = 0
-    fns = []
-    for a, p, fn in programs:
-        am, pm = am | a, pm | p
-        if fn is not None:
-            fns.append(fn)
-    if len(fns) > 1:
-        parts = tuple(fns)
-        fns = [lambda row, aw, pw, bits: all(
-            part(row, aw, pw, bits) for part in parts)]
-    return am, pm, (fns[0] if fns else None)
-
-
-def bind_key(cols: Any) -> tuple:
-    """What a bound :data:`RowProgram` depends on: the attribute and page
-    vocabularies (by identity: ``state_load`` replaces them) and their
-    sizes, plus which multi columns exist. Demographic and multi-value
-    vocabularies are looked up per call and need no place here."""
-    return (cols.attrs, len(cols.attrs), cols.pages, len(cols.pages),
-            len(cols.multi_cols))
-
 
 @dataclass(frozen=True)
 class MaskProgram:
-    """A targeting spec lowered to both evaluation backends.
+    """A targeting spec lowered to vectorized column operations.
 
     ``evaluate(cols, start, stop, resolver)`` returns a boolean array of
     length ``stop - start`` where entry ``i`` says whether store row
-    ``start + i`` matches the spec. ``bind(cols)`` returns the spec as a
-    :data:`RowProgram` over ``cols``'s current codes. Both are
-    elementwise identical to ``Expr.matches`` on each row's
+    ``start + i`` matches the spec — elementwise identical to
+    ``Expr.matches`` on each row's
     :class:`~repro.platform.colstore.UserView`
     (``tests/platform/test_mask_lowering.py`` and
     ``tests/platform/test_targeting_compile.py`` enforce the property on
@@ -649,49 +559,17 @@ class MaskProgram:
 
     source: str
     fn: Callable[..., np.ndarray]
-    binder: Callable[[Any], RowProgram]
     referenced_audiences: Tuple[str, ...]
-    #: One-slot bind memo: ``(weakref to cols, bind key, RowProgram)``.
-    _bound: List[Any] = field(default_factory=lambda: [None], repr=False,
-                              compare=False)
 
-    def _check_resolver(self, resolver: Optional[MaskResolver]) -> None:
+    def evaluate(self, cols, start: int, stop: int,
+                 resolver: Optional[MaskResolver] = None) -> np.ndarray:
         if resolver is None and self.referenced_audiences:
             raise TargetingError(
                 f"mask program references audiences "
                 f"{list(self.referenced_audiences)} but no bitset resolver "
                 f"was given"
             )
-
-    def evaluate(self, cols, start: int, stop: int,
-                 resolver: Optional[MaskResolver] = None) -> np.ndarray:
-        self._check_resolver(resolver)
         return self.fn(cols, start, stop, resolver)
-
-    def bind(self, cols) -> RowProgram:
-        """This spec bound to ``cols``'s current attribute and page codes.
-
-        Memoized per store state (see :func:`bind_key`), counted as
-        ``targeting.specs_compiled`` builds and
-        ``targeting.compile_cache_hits`` reuses.
-        """
-        key = bind_key(cols)
-        built_c, hits_c = _obs_compile()
-        slot = self._bound[0]
-        if slot is not None and slot[0]() is cols and slot[1] == key:
-            hits_c.inc()
-            return slot[2]
-        built_c.inc()
-        program = self.binder(cols)
-        self._bound[0] = (weakref.ref(cols), key, program)
-        return program
-
-    def match_row(self, cols, row: int,
-                  resolver: Optional[MaskResolver] = None) -> bool:
-        """Whether store row ``row`` matches, via the row backend."""
-        self._check_resolver(resolver)
-        aw, pw = cols.row_words(row)
-        return bool(_row_fn(self.bind(cols))(row, aw, pw, resolver))
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -711,21 +589,18 @@ def _bit_flags(matrix: np.ndarray, code: Optional[int],
     return ((matrix[start:stop, word] >> shift) & np.uint64(1)).astype(bool)
 
 
-def _lower(expr: Expr) -> Tuple[Callable[..., np.ndarray],
-                                Callable[[Any], RowProgram]]:
-    """Recursively build ``(range evaluator, row binder)`` for ``expr``.
+def _lower(expr: Expr) -> Callable[..., np.ndarray]:
+    """Recursively build the range evaluator for ``expr``.
 
-    Row leaves over vocabularies that grow without changing the bind key
-    (demographics, multi-attribute values) look their codes up on each
-    call. Dispatch is on ``type(expr) is X`` — never isinstance — so
-    subclassed nodes with overridden semantics fall through to
-    :class:`_Unlowerable` and the ``Expr.matches`` fallback.
+    Leaves look their codes up on each call, so a program stays valid as
+    the store interns new attributes, pages and values. Dispatch is on
+    ``type(expr) is X`` — never isinstance — so subclassed nodes with
+    overridden semantics fall through to :class:`_Unlowerable` and the
+    ``Expr.matches`` fallback.
     """
     kind = type(expr)
     if kind is All:
-        return (lambda cols, start, stop, r: np.ones(stop - start,
-                                                     dtype=bool),
-                lambda cols: _ROW_TRUE)
+        return lambda cols, start, stop, r: np.ones(stop - start, dtype=bool)
     if kind is HasAttr:
         attr_id = expr.attr_id
 
@@ -737,44 +612,23 @@ def _lower(expr: Expr) -> Tuple[Callable[..., np.ndarray],
                 out |= multi[start:stop] != 0
             return out
 
-        def bind_has_attr(cols):
-            code = cols.attrs.get(attr_id)
-            if attr_id not in cols.multi_cols:
-                return _ROW_NEVER if code is None else (1 << code, 0, None)
-            bit = 0 if code is None else 1 << code
-            return 0, 0, lambda row, aw, pw, bits: bool(aw & bit) or (
-                cols.multi_cols[attr_id][row] != 0)
-
-        return has_attr, bind_has_attr
+        return has_attr
     if kind is AttrIs:
         attr_id, value = expr.attr_id, expr.value
 
-        def value_code(cols):
+        def attr_is(cols, start, stop, r):
             multi = cols.multi_cols.get(attr_id)
             code = (None if multi is None
                     else cols.multi_vocabs[attr_id].get(value))
-            return multi, code
-
-        def attr_is(cols, start, stop, r):
-            multi, code = value_code(cols)
             if code is None:
                 return _zeros(stop - start)
             return multi[start:stop] == code + 1
 
-        def attr_is_row(cols):
-            def attr_is_at(row, aw, pw, bits):
-                multi, code = value_code(cols)
-                return code is not None and multi[row] == code + 1
-            return 0, 0, attr_is_at
-
-        return attr_is, attr_is_row
+        return attr_is
     if kind is AgeBetween:
         lo, hi = expr.min_age, expr.max_age
-        return (lambda cols, start, stop, r: (
-                    (cols.age[start:stop] >= lo)
-                    & (cols.age[start:stop] <= hi)),
-                lambda cols: (0, 0, lambda row, aw, pw, bits:
-                              lo <= cols.age[row] <= hi))
+        return lambda cols, start, stop, r: (
+            (cols.age[start:stop] >= lo) & (cols.age[start:stop] <= hi))
     if kind is GenderIs or kind is InCountry:
         if kind is GenderIs:
             value, column, vocab = expr.gender, "gender", "genders"
@@ -787,59 +641,32 @@ def _lower(expr: Expr) -> Tuple[Callable[..., np.ndarray],
                 return _zeros(stop - start)
             return getattr(cols, column)[start:stop] == code
 
-        def coded_row(cols):
-            def coded_at(row, aw, pw, bits):
-                code = getattr(cols, vocab).get(value)
-                return code is not None and getattr(cols, column)[row] == code
-            return 0, 0, coded_at
-
-        return coded, coded_row
+        return coded
     if kind is InZip:
         zips = sorted(expr.zips)
 
-        def zip_codes(cols):
-            return [c for c in (cols.zips.get(z) for z in zips)
-                    if c is not None]
-
         def in_zip(cols, start, stop, r):
-            codes = zip_codes(cols)
+            codes = [c for c in (cols.zips.get(z) for z in zips)
+                     if c is not None]
             if not codes:
                 return _zeros(stop - start)
             return np.isin(cols.zip[start:stop],
                            np.asarray(codes, dtype=np.int32))
 
-        return in_zip, lambda cols: (0, 0, lambda row, aw, pw, bits: (
-            int(cols.zip[row]) in zip_codes(cols)))
+        return in_zip
     if kind is InAudience:
         audience_id = expr.audience_id
-        return (lambda cols, start, stop, r: bitset.unpack_range(
-                    r(audience_id), start, stop),
-                lambda cols: (0, 0, lambda row, aw, pw, bits:
-                              bitset.test_bit(bits(audience_id), row)))
+        return lambda cols, start, stop, r: bitset.unpack_range(
+            r(audience_id), start, stop)
     if kind is LikesPage:
         page_id = expr.page_id
-
-        def bind_page(cols):
-            code = cols.pages.get(page_id)
-            return _ROW_NEVER if code is None else (0, 1 << code, None)
-
-        return (lambda cols, start, stop, r: _bit_flags(
-                    cols.page_bits, cols.pages.get(page_id), start, stop),
-                bind_page)
+        return lambda cols, start, stop, r: _bit_flags(
+            cols.page_bits, cols.pages.get(page_id), start, stop)
     if kind is Not:
-        child, bind_child = _lower(expr.child)
-
-        def not_row(cols):
-            inner = _row_fn(bind_child(cols))
-            return 0, 0, lambda row, aw, pw, bits: not inner(
-                row, aw, pw, bits)
-
-        return (lambda cols, start, stop, r: ~child(cols, start, stop, r),
-                not_row)
+        child = _lower(expr.child)
+        return lambda cols, start, stop, r: ~child(cols, start, stop, r)
     if kind is And or kind is Or:
-        lowered = [_lower(op) for op in expr.operands]
-        parts = [part for part, _ in lowered]
-        binders = [binder for _, binder in lowered]
+        parts = [_lower(op) for op in expr.operands]
 
         def combine(cols, start, stop, r, fold=(np.ndarray.__iand__
                                                 if kind is And
@@ -849,15 +676,7 @@ def _lower(expr: Expr) -> Tuple[Callable[..., np.ndarray],
                 fold(out, part(cols, start, stop, r))
             return out
 
-        def and_row(cols):
-            return _and_rows([binder(cols) for binder in binders])
-
-        def or_row(cols):
-            fns = [_row_fn(binder(cols)) for binder in binders]
-            return 0, 0, lambda row, aw, pw, bits: any(
-                fn(row, aw, pw, bits) for fn in fns)
-
-        return combine, and_row if kind is And else or_row
+        return combine
     raise _Unlowerable(type(expr).__qualname__)
 
 
@@ -889,14 +708,6 @@ _obs_lower = _obs_bind(lambda reg: (
     reg.counter("targeting.lower_fallbacks"),
 ))
 
-#: Row-program binds (builds, memo reuses). Programs outlive registry
-#: swaps, so a fresh registry may see hits against builds recorded by
-#: its predecessor.
-_obs_compile = _obs_bind(lambda reg: (
-    reg.counter("targeting.specs_compiled"),
-    reg.counter("targeting.compile_cache_hits"),
-))
-
 
 def lower_spec(spec: "TargetingSpec | Expr | str") -> Optional[MaskProgram]:
     """Lower a spec to a :class:`MaskProgram`, or ``None`` (cached).
@@ -919,7 +730,7 @@ def lower_spec(spec: "TargetingSpec | Expr | str") -> Optional[MaskProgram]:
         return cached
     lowered_c, fallback_c = _obs_lower()
     try:
-        fn, binder = _lower(expr)
+        fn = _lower(expr)
     except _Unlowerable:
         fallback_c.inc()
         _LOWER_CACHE[key] = None
@@ -930,7 +741,6 @@ def lower_spec(spec: "TargetingSpec | Expr | str") -> Optional[MaskProgram]:
     program = MaskProgram(
         source=expr.to_string(),
         fn=fn,
-        binder=binder,
         referenced_audiences=audiences,
     )
     _LOWER_CACHE[key] = program

@@ -22,8 +22,8 @@ Division of labour (the whole point of the design):
   arrive and resolved in the order their frames were sent. No parent
   thread ever blocks on a worker.
 * **Worker** — delivery. One single-threaded loop: receive a batch
-  frame, hand it to ``Shard.serve_batch`` (one engine serving session,
-  then a group commit of the journal), answer with per-request
+  frame, hand it to ``Shard.serve_batch`` (the batch's slots, then a
+  group commit of the journal), answer with per-request
   outcomes. The worker owns the shard's ``shard-i-of-n``
   journal/snapshot files; flushing before every acknowledgement means
   a ``kill -9`` can never lose acknowledged work.

@@ -1,10 +1,10 @@
 """User sharding: consistent routing, shard-owned engines, aggregation.
 
 The serving runtime scales by partitioning *users*, not ads: every ad is
-visible on every shard (the inventory is read-shared; compiled matchers
+visible on every shard (the inventory is read-shared; lowered programs
 are pure functions), but each user is owned by exactly one shard, and
 all mutable delivery state — frequency caps, feeds, impression logs,
-match caches — lives in that shard's own :class:`DeliveryEngine`. Since
+candidate lists — lives in that shard's own :class:`DeliveryEngine`. Since
 the deliver-iff-match contract is evaluated per ``(ad, user)`` pair and
 every per-pair invariant (cap, match, feed) involves one user, shards
 never need to coordinate during serving: the partition *is* the
@@ -297,7 +297,7 @@ class Shard:
                          slots: int) -> List:
         """Serve ``slots`` keyed slots for one user; returns outcomes.
 
-        Caller holds ``lock`` and an open engine serving session.
+        Caller holds ``lock``.
         """
         outcomes = []
         for offset in range(slots):
@@ -312,8 +312,7 @@ class Shard:
         The one batch function of both serving transports: the thread
         transport calls it on this shard's worker thread, a forked
         worker process on every ``serve`` frame. The batch runs under
-        the shard lock inside one engine serving session, and the
-        store is group-committed before the outcomes are returned — so
+        the shard lock, and the store is group-committed before the outcomes are returned — so
         every acknowledgement built from them is already pushed to the
         OS, and a process crash cannot lose acknowledged work.
 
@@ -326,8 +325,7 @@ class Shard:
         replies: List["ServeReplyItem"] = []
         with self.lock, \
                 trc.span("serve.batch", shard=self.index,
-                         batch_size=len(batch)), \
-                self.engine.serving_session():
+                         batch_size=len(batch)):
             for user_id, base_seq, slots, trace_ctx in batch:
                 started = perf_counter()
                 span = None

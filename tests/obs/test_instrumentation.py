@@ -60,19 +60,17 @@ class TestEnabledRegistry:
         assert reg.value("client.syncs") == 1
         assert reg.value("client.treads_decoded") == 4
 
-        # The per-slot path binds row programs and evaluates each user's
-        # matches once per serving session: one miss, then hits for the
-        # later slots.
+        # The per-slot path walks the user's candidate list every slot, skipping the Treads already shown:
+        # 0 + 1 + 2 + 3 + 4 cap rejections over the five slots.
         per_slot = MetricsRegistry("itest-per-slot")
         with use_registry(per_slot):
             _run_scenario(platform_factory(), web, per_slot=True)
         assert per_slot.value("delivery.slots_served") == 5
         assert per_slot.value("delivery.impressions_delivered") == 4
-        assert per_slot.value("delivery.match_cache_misses") == 1
-        assert per_slot.value("delivery.match_cache_hits") == 4
+        assert per_slot.value("delivery.frequency_cap_rejections") == 10
         assert per_slot.value("delivery.sweep_rounds") == 0
+        assert per_slot.value("delivery.sweep_fallback_specs") == 0
         assert per_slot.value("auction.slots_won") == 4
-        assert per_slot.value("targeting.specs_compiled") > 0
         assert per_slot.value("client.treads_decoded") == 4
 
     def test_events_flow_during_scenario(self, platform_factory, web):

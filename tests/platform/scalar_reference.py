@@ -17,10 +17,9 @@ def saturate(platform, max_rounds: int = 50) -> DeliveryStats:
     engine = platform.delivery
     stats = DeliveryStats()
     active = list(platform.users)
-    with engine.serving_session():
-        for _ in range(max_rounds):
-            progressed, active = engine._serve_round(active, stats,
-                                                     saturating=True)
-            if not progressed:
-                break
+    for _ in range(max_rounds):
+        progressed, active = engine._serve_round(active, stats,
+                                                 saturating=True)
+        if not progressed:
+            break
     return stats

@@ -1,7 +1,7 @@
 """Fixtures for the serving-runtime suite.
 
 Every test here wants the same kind of world: a seeded persona-mix
-population with a full Tread sweep launched, so the candidate index has
+population with a full Tread sweep launched, so the candidate lists have
 real ads and the audience registry real members. ``make_world`` is a
 factory (not a prebuilt fixture) because the equivalence tests need
 *several* identically-seeded worlds — one per shard count — that must

@@ -33,8 +33,7 @@ def _serve_round(router: ShardRouter, platform, slots: int = 3) -> None:
     for user in platform.users:
         shard = router.shard_for(user.user_id)
         base = shard.claim_slots(user.user_id, slots)
-        with shard.engine.serving_session():
-            shard.serve_user_slots(user, base, slots)
+        shard.serve_user_slots(user, base, slots)
 
 
 def _close(router: ShardRouter) -> None:

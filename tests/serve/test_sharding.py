@@ -117,8 +117,7 @@ def _serve_everything(router: ShardRouter, platform, slots: int = 3,
             shard = router.shard_for(user.user_id)
             base = shard.slot_seq.get(user.user_id, 0)
             shard.slot_seq[user.user_id] = base + slots
-            with shard.engine.serving_session():
-                shard.serve_user_slots(user, base, slots)
+            shard.serve_user_slots(user, base, slots)
 
 
 class TestShardRouterAggregation:
@@ -222,7 +221,7 @@ class TestEngineSnapshot:
         assert len(stats) == 2
         for i, row in enumerate(stats):
             assert row["engine_id"] == f"shard-{i}/2"
-            assert row["in_session"] is False
+            assert row["candidate_ads"] == platform.inventory.ad_count()
             assert row["impressions"] >= 0
         assert sum(row["impressions"] for row in stats) \
             == router.total_impressions()

@@ -209,9 +209,8 @@ class TestServedScenarioRoundTrip:
         users = list(platform.users)
         # deterministic mini-run shaped by the seed
         for user in users[seed % 3:]:
-            with engine.serving_session():
-                for _ in range(1 + seed % 2):
-                    engine.serve_slot(user)
+            for _ in range(1 + seed % 2):
+                engine.serve_slot(user)
         exported = engine.export_state()
 
         rebuilt = _fresh_engine(platform)

@@ -82,19 +82,17 @@ def test_api_tour_scenario_end_to_end():
     from repro.core.regulator import AdvertiserAuditor  # noqa: F401
     from repro.platform.policy import TreadPatternDetector  # noqa: F401
 
-    # 8. performance model: one lowering, a row backend per request
-    from repro.platform.targeting import lower_spec, parse, required_anchors
+    # 8. performance model: one lowering, evaluated over row ranges
+    from repro.platform.targeting import lower_spec, parse
 
     spec = parse(f"attr:pc-networth-006 & page:{provider.page.page_id}")
     program = lower_spec(spec)
     users = platform.users
     row = users.row_of(user.user_id)
-    assert program.match_row(users.columns, row) == spec.matches(user)
-    attr_mask, page_mask, residual = program.bind(users.columns)
-    assert attr_mask and page_mask and residual is None
-    assert required_anchors(spec.expr) == (
-        frozenset({"pc-networth-006"}),
-        frozenset({provider.page.page_id}), frozenset())
+    flags = program.evaluate(users.columns, 0, len(users))
+    assert flags.shape == (len(users),)
+    assert bool(flags[row]) == spec.matches(user)
+    assert flags.sum() == sum(spec.matches(view) for view in users)
 
     # 9. observability: registry swapped in before the platform is built
     from repro.obs import export
