@@ -9,11 +9,13 @@ test:
 	$(PYTHON) -m pytest -q
 
 ## The lowered-program-vs-interpreted equivalence suites on their own —
-## the range backend every delivery path evaluates, and the per-slot
-## kernel checked slot by slot against an Expr.matches reference.
+## the packed range pass every delivery path evaluates (and its edge
+## inputs and store immutability), and the per-slot kernel checked slot
+## by slot against an Expr.matches reference.
 equivalence:
 	$(PYTHON) -m pytest -q tests/platform/test_mask_lowering.py \
 		tests/platform/test_targeting_compile.py \
+		tests/platform/test_packed_kernel.py \
 		tests/platform/test_delivery_kernel.py
 
 ## Paper-reproduction benchmarks, single run each (fast, shape checks).

@@ -16,10 +16,14 @@ Two channels:
 * :class:`DeliveryInferenceAttack` — actually run an ad at
   ``audience & attr:A``: only the victim can match, so a single billed
   impression reveals the bit. This channel is what the paper's
-  "we assume any such leaks will be patched" waves at; the simulator's
-  ``min_delivery_match_count`` defense blocks it — and benchmark A3 shows
-  the same defense breaks Treads on small opted-in audiences, because
-  the attack and Treads exploit the *same* deliver-iff-match contract.
+  "we assume any such leaks will be patched" waves at. The simulator's
+  ``min_delivery_match_count`` defense blocks this single-match probe,
+  and benchmark A3 shows the same defense breaks Treads on small
+  opted-in audiences, because the attack and Treads exploit the *same*
+  deliver-iff-match contract. It does not block a padded probe: pad the
+  audience with at least that many attacker-controlled users who *have*
+  A, and the owner's exact report reads one impression more when the
+  victim has A (``tests/test_attacks.py::TestPaddedProbe``).
 """
 
 from __future__ import annotations

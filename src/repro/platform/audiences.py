@@ -36,7 +36,9 @@ from repro.platform.attributes import AttributeCatalog
 from repro.platform.colstore import ColumnarUserStore
 from repro.platform.pii import PIIRecord, validate_upload
 from repro.platform.pixels import PixelRegistry
-from repro.platform.targeting import TargetingSpec, lower_spec
+from repro.platform.targeting import (
+    TargetingSpec, evaluate_packed, lower_spec,
+)
 from repro.store.records import (
     AudienceDelta,
     ChangeRecord,
@@ -547,9 +549,9 @@ class AudienceRegistry:
     def count_matching(self, spec: TargetingSpec) -> int:
         """How many users match ``spec`` (platform-internal).
 
-        One vectorized mask evaluation over every row
-        (:meth:`~repro.platform.targeting.MaskProgram.evaluate`); a spec
-        the lowerer refuses is counted with ``Expr.matches`` instead.
+        One packed mask evaluation over every row, counted by popcount
+        (:func:`~repro.platform.targeting.evaluate_packed`); a spec the
+        lowerer refuses is counted with ``Expr.matches`` instead.
         Serves the potential-reach preview and the delivery engine's
         narrow-targeting defense.
         """
@@ -558,9 +560,9 @@ class AudienceRegistry:
         if program is None:
             return sum(1 for view in users
                        if spec.matches(view, self.is_member))
-        return int(np.count_nonzero(program.evaluate(
-            users.columns, 0, len(users),
-            resolver=self.member_bitset_cached)))
+        return bitset.popcount(evaluate_packed(
+            [program], users.columns, 0, len(users),
+            self.member_bitset_cached))
 
     # -- advertiser-facing -------------------------------------------------
 

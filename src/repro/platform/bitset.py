@@ -192,46 +192,3 @@ def column_bitset(matrix: np.ndarray, nrows: int, bit: int) -> np.ndarray:
     out_bytes = out.view(np.uint8)
     out_bytes[: packed.size] = packed
     return out
-
-
-def pack_bools(flags: np.ndarray) -> np.ndarray:
-    """Pack a boolean (or 0/1) row-flag array into a bitset.
-
-    Bit ``i`` of the result is ``flags[i]`` — the inverse of
-    :func:`unpack_range` over ``[0, len(flags))``. The batch sweep packs
-    mask-program outputs through here so eligibility lives in the same
-    word layout as the store's columns and the shown bitsets.
-    """
-    out = make_bitset(len(flags))
-    if len(flags):
-        packed = np.packbits(np.asarray(flags, dtype=np.uint8),
-                             bitorder="little")
-        out.view(np.uint8)[: packed.size] = packed
-    return out
-
-
-def unpack_range(bits: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Bits ``[start, stop)`` of a bitset as a boolean array.
-
-    ``start`` must be byte-aligned (``start % 8 == 0``; sweep callers
-    use 64-aligned row ranges). Bits past the array's width read as
-    zero, so a narrow bitset against a wide row range is handled the
-    same way :func:`test_bit` handles it.
-    """
-    if start % 8 != 0:
-        raise ValueError(f"unpack_range start must be byte-aligned, "
-                         f"got {start}")
-    n = stop - start
-    out = np.zeros(max(0, n), dtype=bool)
-    if n <= 0 or bits.size == 0:
-        return out
-    byte_view = np.ascontiguousarray(bits).view(np.uint8)
-    take = min(n, max(0, byte_view.size * 8 - start))
-    if take <= 0:
-        return out
-    first = start // 8
-    nbytes = (take + 7) // 8
-    out[:take] = np.unpackbits(
-        byte_view[first:first + nbytes], count=take, bitorder="little",
-    ).astype(bool)
-    return out

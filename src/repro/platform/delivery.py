@@ -62,7 +62,7 @@ from repro.platform.auction import (
 from repro.platform.audiences import AudienceRegistry
 from repro.platform.billing import BillingLedger
 from repro.platform.colstore import ColumnarUserStore, UserView
-from repro.platform.targeting import lower_spec
+from repro.platform.targeting import evaluate_packed, lower_spec
 from repro.store.records import (
     ChangeRecord,
     ClickRecorded,
@@ -726,17 +726,19 @@ class DeliveryEngine:
     # -- batch sweep ---------------------------------------------------------
     #
     # The one saturation loop (the Treads campaign mode): eligibility is
-    # evaluated for a whole row range at once via the range backend of
-    # each spec's mask program (repro.platform.targeting.lower_spec).
+    # evaluated for a whole row range at once, every candidate's mask
+    # program in one packed pass (repro.platform.targeting.evaluate_packed).
     # The rounds then walk per-row candidate lists (SweepLists): a row's
     # winner is its next undelivered candidate in priority order, so a
     # round reads one list position per row instead of re-running an
     # auction over the packed matrix. Each round bills in one
-    # order-exact fold and records its wins in a delivered matrix; the
-    # shown bitsets and counters (and a parallel worker's delta) absorb
-    # that matrix once per sweep. Semantics — winners, prices, stats,
-    # reports — are identical to saturating the same rows one slot at a
-    # time (pinned by tests/integration/test_columnar_equivalence.py);
+    # order-exact fold (a parallel worker only debits budgets; its
+    # parent bills the delta) and records its wins in a delivered
+    # matrix; the shown bitsets and counters (and a parallel worker's
+    # delta) absorb that matrix once per sweep. Semantics — winners,
+    # prices, stats, reports — are identical to saturating the same rows
+    # one slot at a time (pinned by
+    # tests/integration/test_columnar_equivalence.py);
     # the two escape hatches back to the per-slot path are per-spec
     # (unlowerable Expr -> Expr.matches per row fills that ad's mask) and
     # per-round (an account budget that could flip eligibility mid-round
@@ -794,32 +796,32 @@ class DeliveryEngine:
         """Per-candidate packed eligibility over rows [start, stop).
 
         Bit ``r`` of row ``i`` (relative to ``start``) says entry ``i``'s
-        spec matches store row ``start + r``. Lowered specs evaluate as
-        one mask program; unlowerable specs fall back to ``Expr.matches``
-        on each row's view (counted by ``delivery.sweep_fallback_specs``).
+        spec matches store row ``start + r``; bits past ``stop`` are
+        zero. The lowered specs evaluate in one packed pass
+        (:func:`repro.platform.targeting.evaluate_packed`), which
+        computes each column read they share once; unlowerable specs
+        fall back to ``Expr.matches`` on each row's view (counted by
+        ``delivery.sweep_fallback_specs``).
         """
-        n = stop - start
-        avail = np.zeros((len(entries), bitset.words_for(n)),
-                         dtype=np.uint64)
-        bits_resolver = self._audiences.member_bitset_cached
-        fallbacks = 0
-        for i, entry in enumerate(entries):
-            spec = entry[0].targeting
-            program = lower_spec(spec)
-            if program is not None:
-                flags = program.evaluate(cols, start, stop,
-                                         resolver=bits_resolver)
-            else:
-                fallbacks += 1
-                resolver = self._audiences.is_member
-                store = self._user_store
-                flags = np.zeros(n, dtype=bool)
-                for r in range(start, stop):
-                    if spec.matches(UserView(store, r), resolver):
-                        flags[r - start] = True
-            avail[i] = bitset.pack_bools(flags)
-        if self._obs_on and fallbacks:
-            self._obs_sweep_fallback_specs.inc(fallbacks)
+        programs = [lower_spec(entry[0].targeting) for entry in entries]
+        lowered = [p for p in programs if p is not None]
+        avail = evaluate_packed(lowered, cols, start, stop,
+                                self._audiences.member_bitset_cached)
+        fallbacks = len(programs) - len(lowered)
+        if fallbacks:
+            resolver = self._audiences.is_member
+            store = self._user_store
+            packed = iter(avail)
+            avail = np.stack([
+                next(packed) if program is not None
+                else bitset.from_indices(
+                    [r - start for r in range(start, stop)
+                     if entry[0].targeting.matches(UserView(store, r),
+                                                   resolver)],
+                    stop - start)
+                for entry, program in zip(entries, programs)])
+            if self._obs_on:
+                self._obs_sweep_fallback_specs.inc(fallbacks)
         return avail
 
     def _sweep_subtract_shown(self, avail: np.ndarray,
@@ -850,10 +852,13 @@ class DeliveryEngine:
         avail = self._sweep_eligibility(entries, cols, start, stop)
         self._sweep_subtract_shown(avail, entries, start, stop)
         account_index: Dict[str, int] = {}
+        accounts: List[Any] = []
         acct_idx = np.empty(len(entries), dtype=np.int64)
         for i, entry in enumerate(entries):
-            acct_idx[i] = account_index.setdefault(
-                entry[0].account_id, len(account_index))
+            if entry[0].account_id not in account_index:
+                account_index[entry[0].account_id] = len(accounts)
+                accounts.append(entry[1])
+            acct_idx[i] = account_index[entry[0].account_id]
         bids = np.array([e[2] for e in entries], dtype=np.float64)
         active = AdStatus.ACTIVE
         draw = self._competing_draw
@@ -974,6 +979,16 @@ class DeliveryEngine:
                 lists.advance(rel_rows[won])
                 self._sweep_apply(entries, start, rel_rows[won],
                                   wcand[won], price[won], wins)
+                if delta is not None:
+                    # A worker bills nothing (see _sweep_apply), but the
+                    # next round's certificate must see this round's
+                    # spend: debit it. Under the constant draw a worker
+                    # runs with, each price is its Phase B bound.
+                    spent = np.bincount(acct_idx[wcand[won]],
+                                        weights=price[won],
+                                        minlength=len(accounts))
+                    for account, amount in zip(accounts, spent.tolist()):
+                        account.budget -= amount
         finally:
             self._sweep_fold(entries, start, wins, delta)
 
@@ -984,21 +999,27 @@ class DeliveryEngine:
         modes: one billing run, the impression records (the scalar
         loop's seq, user, price and row order) to the journal and, in
         full mode, to the log and feeds, and the wins into ``wins`` for
-        the shown-bitset fold (:meth:`_sweep_fold`)."""
+        the shown-bitset fold (:meth:`_sweep_fold`).
+
+        A parallel worker (``wins.priced``: its wins become a delta)
+        skips the billing run. Its ledger dies with the process; the
+        delta carries each ad's spend, which the parent bills once in
+        :meth:`absorb_sweep_delta`."""
         users = self._user_store
         count = len(rel_rows)
         seq_base = self._impression_seq
-        # One order-exact billing fold for the whole round: budgets and
-        # spend accumulate in delivery (row) order, exactly as per-
-        # impression charges would.
-        round_cands = np.flatnonzero(
-            np.bincount(wcand, minlength=len(entries)))
-        slot = np.empty(len(entries), dtype=np.int64)
-        slot[round_cands] = np.arange(len(round_cands))
-        self._ledger.charge_impression_run(
-            [(entries[c][0].ad_id, entries[c][0].account_id)
-             for c in round_cands.tolist()],
-            slot[wcand], price)
+        if not wins.priced:
+            # One order-exact billing fold for the whole round: budgets
+            # and spend accumulate in delivery (row) order, exactly as
+            # per-impression charges would.
+            round_cands = np.flatnonzero(
+                np.bincount(wcand, minlength=len(entries)))
+            slot = np.empty(len(entries), dtype=np.int64)
+            slot[round_cands] = np.arange(len(round_cands))
+            self._ledger.charge_impression_run(
+                [(entries[c][0].ad_id, entries[c][0].account_id)
+                 for c in round_cands.tolist()],
+                slot[wcand], price)
         journal = not self._store.discards_records
         log = not self._compact
         if journal or log:

@@ -5,9 +5,9 @@ The single-process batch sweep
 algebra over one row range; this module partitions the row space itself.
 Each forked worker inherits the built platform world by copy-on-write —
 catalog, columns, lowered mask programs — sweeps its
-own disjoint ``(start, stop)`` range, and ships back a compact per-ad
-delta (shown-bitset words, impression count, spend). The parent folds
-the deltas with
+own disjoint ``(start, stop)`` range without billing, and ships back a
+compact per-ad delta (shown-bitset words, impression count, spend). The
+parent folds — and bills — the deltas with
 :meth:`~repro.platform.delivery.DeliveryEngine.absorb_sweep_delta` in
 range order, so the merged engine state is deterministic regardless of
 which worker finishes first.
@@ -221,9 +221,12 @@ def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
                  max_rounds: int) -> None:
     """Forked worker: sweep one row range on COW state, ship the delta.
 
-    The worker's engine/ledger/metrics mutations are its own
-    copy-on-write pages and die with the process — the delta frame is
-    the only state that crosses back.
+    The worker's engine and metrics mutations are its own copy-on-write
+    pages and die with the process — the delta frame is the only state
+    that crosses back. So the worker does not bill: its sweep debits
+    each round's spend from the account budgets its certificate reads,
+    and the parent bills each ad's spend once, in
+    :meth:`~repro.platform.delivery.DeliveryEngine.absorb_sweep_delta`.
     """
     parent_sock.close()
     framer = Framer(child_sock)

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Callable, FrozenSet, Iterator, List, Optional, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 import numpy as np
@@ -518,13 +519,18 @@ def parse(text: str) -> TargetingSpec:
 # ---------------------------------------------------------------------------
 #
 # Every fast path evaluates a spec through one lowering. :func:`lower_spec`
-# walks the Expr tree once (:func:`_lower`) into vectorized column ops over
-# the columnar store (:class:`~repro.platform.colstore.UserColumns`):
-# attr/page bit-column extraction, coded demographic comparisons,
-# multi-attr code matches and audience-membership bitset slices, producing
-# a boolean eligibility array for rows ``[start, stop)``
-# (:meth:`MaskProgram.evaluate`). The batch sweep, the per-slot candidate
-# lists, the min-match defense and reach estimates all count with it.
+# walks the Expr tree once (:func:`_lower`) into word operations over
+# packed row bitsets. Each predicate becomes a *leaf*: a hashable key
+# naming one column read of the columnar store
+# (:class:`~repro.platform.colstore.UserColumns`) — an attr/page bit
+# column, a coded demographic comparison, a multi-attr code match or an
+# audience-membership bitset slice. ``And``/``Or``/``Not`` combine the
+# leaves' ``uint64`` words. :func:`evaluate_packed` runs any number of
+# programs over a row range in one pass: per block of rows it reads each
+# referenced bit-matrix word column once, computes each distinct leaf
+# once (the 507 Treads share one ``page:`` leaf), and writes one packed
+# row per program. The batch sweep, the per-slot candidate lists, the
+# min-match defense and reach estimates all count with it.
 #
 # The lowerer is deliberately *exact-type* dispatched: an ``Expr`` subclass
 # (say, an experiment's opaque predicate) may override ``matches`` in ways
@@ -538,146 +544,228 @@ def parse(text: str) -> TargetingSpec:
 #: :meth:`repro.platform.audiences.AudienceRegistry.member_bitset_cached`.
 MaskResolver = Callable[[str], np.ndarray]
 
+#: A leaf of a lowered program: ``(kind, *args)``, e.g. ``("attr", id)``.
+#: Equal leaves read the same column, so a pass computes each once.
+Leaf = Tuple
+
+#: The ``all`` leaf: every row of the block. A pass always computes it
+#: (``Not`` flips against it), so no tail bit is ever set.
+_ALL: Leaf = ("all",)
+
+#: Leaf key per exactly-typed predicate node.
+_LEAF_OF: Dict[type, Callable[..., Leaf]] = {
+    All: lambda e: _ALL,
+    HasAttr: lambda e: ("attr", e.attr_id),
+    AttrIs: lambda e: ("value", e.attr_id, e.value),
+    AgeBetween: lambda e: ("age", e.min_age, e.max_age),
+    GenderIs: lambda e: ("gender", e.gender),
+    InCountry: lambda e: ("country", e.country),
+    InZip: lambda e: ("zip", tuple(sorted(e.zips))),
+    InAudience: lambda e: ("audience", e.audience_id),
+    LikesPage: lambda e: ("page", e.page_id),
+}
+
+#: Rows per block of an evaluation pass. It bounds the pass's transients
+#: whatever the range size: one word column of the block (512 KiB) and
+#: one packed row per distinct leaf (8 KiB each).
+_PASS_BLOCK_ROWS = 65536
+
+#: ``_BYTE_BITS[b]`` is the byte with only bit ``b`` set.
+_BYTE_BITS = tuple(np.uint8(1 << b) for b in range(8))
+
 
 @dataclass(frozen=True)
 class MaskProgram:
-    """A targeting spec lowered to vectorized column operations.
+    """A targeting spec lowered to word operations over packed row bitsets.
 
-    ``evaluate(cols, start, stop, resolver)`` returns a boolean array of
-    length ``stop - start`` where entry ``i`` says whether store row
-    ``start + i`` matches the spec — elementwise identical to
-    ``Expr.matches`` on each row's
+    ``leaves`` are the distinct column reads the spec needs; ``fn`` maps
+    one block's leaf words (``{leaf: uint64 words}``, ``_ALL`` always
+    present) to the block's match words, without writing to them. Run
+    programs with :func:`evaluate_packed`: bit ``r`` of a program's row
+    says store row ``start + r`` matches the spec — identical to
+    ``Expr.matches`` on that row's
     :class:`~repro.platform.colstore.UserView`
     (``tests/platform/test_mask_lowering.py`` and
     ``tests/platform/test_targeting_compile.py`` enforce the property on
     random trees and populations).
-
-    ``start`` must be byte-aligned (``start % 8 == 0``) so audience
-    bitsets can be sliced without bit-shifting; sweep callers use
-    64-aligned blocks.
     """
 
     source: str
-    fn: Callable[..., np.ndarray]
+    fn: Callable[[Dict[Leaf, np.ndarray]], np.ndarray]
+    leaves: Tuple[Leaf, ...]
     referenced_audiences: Tuple[str, ...]
 
-    def evaluate(self, cols, start: int, stop: int,
-                 resolver: Optional[MaskResolver] = None) -> np.ndarray:
-        if resolver is None and self.referenced_audiences:
-            raise TargetingError(
-                f"mask program references audiences "
-                f"{list(self.referenced_audiences)} but no bitset resolver "
-                f"was given"
-            )
-        return self.fn(cols, start, stop, resolver)
 
+def evaluate_packed(programs: Sequence[MaskProgram], cols, start: int,
+                    stop: int,
+                    resolver: Optional[MaskResolver] = None) -> np.ndarray:
+    """Evaluate ``programs`` over store rows ``[start, stop)`` in one pass.
 
-def _zeros(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=bool)
-
-
-def _bit_flags(matrix: np.ndarray, code: Optional[int],
-               start: int, stop: int) -> np.ndarray:
-    """Column ``code`` of a user-major bitset matrix as booleans.
-
-    ``None`` / out-of-width codes read as all-False — the same semantics
-    :func:`repro.platform.bitset.test_bit` gives scalar probes.
+    Returns a ``(len(programs), words_for(stop - start))`` ``uint64``
+    matrix: bit ``r`` of row ``i`` says store row ``start + r`` matches
+    ``programs[i]``, and every bit past ``stop`` is zero. ``start`` must
+    be byte-aligned (``start % 8 == 0``) so audience bitsets slice
+    without bit shifting; sweep callers use 64-aligned ranges. Neither
+    the store's columns nor the resolver's bitsets are written.
     """
-    if code is None or code >= matrix.shape[1] * bitset.WORD_BITS:
-        return _zeros(stop - start)
-    word, shift = code >> 6, np.uint64(code & 63)
-    return ((matrix[start:stop, word] >> shift) & np.uint64(1)).astype(bool)
+    if start % 8:
+        raise ValueError(
+            f"evaluation range start must be byte-aligned, got {start}")
+    if resolver is None:
+        audiences = [a for p in programs for a in p.referenced_audiences]
+        if audiences:
+            raise TargetingError(
+                f"mask programs reference audiences {audiences} but no "
+                f"bitset resolver was given")
+    leaves = list(dict.fromkeys(leaf for p in programs for leaf in p.leaves))
+    columns = _bit_columns(cols, leaves)
+    out = np.zeros((len(programs), bitset.words_for(stop - start)),
+                   dtype=np.uint64)
+    for b0 in range(start, stop, _PASS_BLOCK_ROWS):
+        b1 = min(b0 + _PASS_BLOCK_ROWS, stop)
+        env = _block_leaves(cols, leaves, columns, b0, b1, resolver)
+        w0 = (b0 - start) // bitset.WORD_BITS
+        w1 = w0 + bitset.words_for(b1 - b0)
+        for i, program in enumerate(programs):
+            out[i, w0:w1] = program.fn(env)
+    return out
 
 
-def _lower(expr: Expr) -> Callable[..., np.ndarray]:
-    """Recursively build the range evaluator for ``expr``.
+def _bit_columns(cols, leaves: Sequence[Leaf]
+                 ) -> Dict[Tuple[str, int], List[Tuple[Leaf, int]]]:
+    """The ``attr``/``page`` leaves grouped by the bit-matrix word column
+    they read: ``{(matrix name, word): [(leaf, bit in word)]}``. Codes
+    the store never interned read no column (all-False, as
+    :func:`repro.platform.bitset.test_bit` reads past the width)."""
+    columns: Dict[Tuple[str, int], List[Tuple[Leaf, int]]] = {}
+    for leaf in leaves:
+        if leaf[0] == "attr":
+            name, code = "attr_bits", cols.attrs.get(leaf[1])
+        elif leaf[0] == "page":
+            name, code = "page_bits", cols.pages.get(leaf[1])
+        else:
+            continue
+        if code is not None and \
+                code < getattr(cols, name).shape[1] * bitset.WORD_BITS:
+            columns.setdefault((name, code >> 6), []).append(
+                (leaf, code & 63))
+    return columns
 
-    Leaves look their codes up on each call, so a program stays valid as
-    the store interns new attributes, pages and values. Dispatch is on
-    ``type(expr) is X`` — never isinstance — so subclassed nodes with
+
+def _block_leaves(cols, leaves: Sequence[Leaf],
+                  columns: Dict[Tuple[str, int], List[Tuple[Leaf, int]]],
+                  b0: int, b1: int,
+                  resolver: Optional[MaskResolver]) -> Dict[Leaf, np.ndarray]:
+    """Every leaf's packed words over rows ``[b0, b1)``, read-only."""
+    nw = bitset.words_for(b1 - b0)
+    tail = np.uint64((1 << ((b1 - b0) % bitset.WORD_BITS)) - 1)
+    ones = np.full(nw, ~np.uint64(0))
+    if tail:
+        ones[-1] = tail
+    env: Dict[Leaf, np.ndarray] = {_ALL: ones}
+    for (name, word), members in columns.items():
+        # The word column's bytes are its bit lanes: one strided read
+        # for a lone leaf, else one copy of the column for all of them.
+        # (Views of the store: only ever read from them.)
+        lanes = getattr(cols, name).view(np.uint8)[
+            b0:b1, word * 8:word * 8 + 8]
+        if len(members) > 1:
+            lanes = lanes.copy()
+        for leaf, bit in members:
+            env[leaf] = _pack(lanes[:, bit >> 3] & _BYTE_BITS[bit & 7], nw)
+    zeros = np.zeros(nw, dtype=np.uint64)
+    for leaf in leaves:
+        kind = leaf[0]
+        if kind == "attr":
+            words = env.get(leaf, zeros)
+            multi = cols.multi_cols.get(leaf[1])
+            if multi is not None:
+                words = words | _pack(multi[b0:b1] != 0, nw)
+        elif kind == "page" or kind == "all":
+            words = env.get(leaf, zeros)
+        elif kind == "audience":
+            words = np.zeros(nw, dtype=np.uint64)
+            members = np.ascontiguousarray(
+                resolver(leaf[1])).view(np.uint8)[b0 // 8:]
+            take = min(members.size, nw * 8)
+            words.view(np.uint8)[:take] = members[:take]
+            if tail:
+                words[-1] &= tail
+        else:
+            flags = _column_flags(cols, leaf, b0, b1)
+            words = zeros if flags is None else _pack(flags, nw)
+        env[leaf] = words
+    for words in env.values():
+        words.flags.writeable = False
+    return env
+
+
+def _column_flags(cols, leaf: Leaf, b0: int,
+                  b1: int) -> Optional[np.ndarray]:
+    """A coded-column leaf over rows ``[b0, b1)`` as one flag per row, or
+    ``None`` when a value the store never interned makes it all-False."""
+    kind = leaf[0]
+    if kind == "age":
+        age = cols.age[b0:b1]
+        return (age >= leaf[1]) & (age <= leaf[2])
+    if kind == "value":
+        multi = cols.multi_cols.get(leaf[1])
+        code = (None if multi is None
+                else cols.multi_vocabs[leaf[1]].get(leaf[2]))
+        return None if code is None else multi[b0:b1] == code + 1
+    if kind == "zip":
+        codes = [c for c in (cols.zips.get(z) for z in leaf[1])
+                 if c is not None]
+        if not codes:
+            return None
+        return np.isin(cols.zip[b0:b1], np.asarray(codes, dtype=np.int32))
+    column, vocab = (("gender", cols.genders) if kind == "gender"
+                     else ("country", cols.countries))
+    code = vocab.get(leaf[1])
+    return None if code is None else getattr(cols, column)[b0:b1] == code
+
+
+def _pack(flags: np.ndarray, nw: int) -> np.ndarray:
+    """Row flags (any nonzero is set) as ``nw`` packed words."""
+    words = np.zeros(nw, dtype=np.uint64)
+    packed = np.packbits(flags, bitorder="little")
+    words.view(np.uint8)[:packed.size] = packed
+    return words
+
+
+def _lower(expr: Expr, leaves: Dict[Leaf, None]
+           ) -> Callable[[Dict[Leaf, np.ndarray]], np.ndarray]:
+    """Recursively build the block combinator for ``expr``, adding its
+    leaves to ``leaves``.
+
+    Leaves look their codes up on each pass, so a program stays valid as
+    the store interns new attributes, pages and values. Combinators
+    allocate their result and never write to a leaf's words. Dispatch is
+    on the exact type — never isinstance — so subclassed nodes with
     overridden semantics fall through to :class:`_Unlowerable` and the
     ``Expr.matches`` fallback.
     """
     kind = type(expr)
-    if kind is All:
-        return lambda cols, start, stop, r: np.ones(stop - start, dtype=bool)
-    if kind is HasAttr:
-        attr_id = expr.attr_id
-
-        def has_attr(cols, start, stop, r):
-            out = _bit_flags(cols.attr_bits, cols.attrs.get(attr_id),
-                             start, stop)
-            multi = cols.multi_cols.get(attr_id)
-            if multi is not None:
-                out |= multi[start:stop] != 0
-            return out
-
-        return has_attr
-    if kind is AttrIs:
-        attr_id, value = expr.attr_id, expr.value
-
-        def attr_is(cols, start, stop, r):
-            multi = cols.multi_cols.get(attr_id)
-            code = (None if multi is None
-                    else cols.multi_vocabs[attr_id].get(value))
-            if code is None:
-                return _zeros(stop - start)
-            return multi[start:stop] == code + 1
-
-        return attr_is
-    if kind is AgeBetween:
-        lo, hi = expr.min_age, expr.max_age
-        return lambda cols, start, stop, r: (
-            (cols.age[start:stop] >= lo) & (cols.age[start:stop] <= hi))
-    if kind is GenderIs or kind is InCountry:
-        if kind is GenderIs:
-            value, column, vocab = expr.gender, "gender", "genders"
-        else:
-            value, column, vocab = expr.country, "country", "countries"
-
-        def coded(cols, start, stop, r):
-            code = getattr(cols, vocab).get(value)
-            if code is None:
-                return _zeros(stop - start)
-            return getattr(cols, column)[start:stop] == code
-
-        return coded
-    if kind is InZip:
-        zips = sorted(expr.zips)
-
-        def in_zip(cols, start, stop, r):
-            codes = [c for c in (cols.zips.get(z) for z in zips)
-                     if c is not None]
-            if not codes:
-                return _zeros(stop - start)
-            return np.isin(cols.zip[start:stop],
-                           np.asarray(codes, dtype=np.int32))
-
-        return in_zip
-    if kind is InAudience:
-        audience_id = expr.audience_id
-        return lambda cols, start, stop, r: bitset.unpack_range(
-            r(audience_id), start, stop)
-    if kind is LikesPage:
-        page_id = expr.page_id
-        return lambda cols, start, stop, r: _bit_flags(
-            cols.page_bits, cols.pages.get(page_id), start, stop)
+    leaf_of = _LEAF_OF.get(kind)
+    if leaf_of is not None:
+        leaf = leaf_of(expr)
+        leaves[leaf] = None
+        return lambda env: env[leaf]
     if kind is Not:
-        child = _lower(expr.child)
-        return lambda cols, start, stop, r: ~child(cols, start, stop, r)
+        child = _lower(expr.child, leaves)
+        return lambda env: np.bitwise_xor(child(env), env[_ALL])
     if kind is And or kind is Or:
-        parts = [_lower(op) for op in expr.operands]
+        parts = [_lower(op, leaves) for op in expr.operands]
+        op = np.bitwise_and if kind is And else np.bitwise_or
 
-        def combine(cols, start, stop, r, fold=(np.ndarray.__iand__
-                                                if kind is And
-                                                else np.ndarray.__ior__)):
-            out = parts[0](cols, start, stop, r)
-            for part in parts[1:]:
-                fold(out, part(cols, start, stop, r))
+        def combine(env):
+            out = op(parts[0](env), parts[1](env))
+            for part in parts[2:]:
+                op(out, part(env), out=out)
             return out
 
         return combine
-    raise _Unlowerable(type(expr).__qualname__)
+    raise _Unlowerable(kind.__qualname__)
 
 
 class _Unlowerable(Exception):
@@ -729,8 +817,9 @@ def lower_spec(spec: "TargetingSpec | Expr | str") -> Optional[MaskProgram]:
     if cached is not _LOWER_MISSING:
         return cached
     lowered_c, fallback_c = _obs_lower()
+    leaves: Dict[Leaf, None] = {}
     try:
-        fn = _lower(expr)
+        fn = _lower(expr, leaves)
     except _Unlowerable:
         fallback_c.inc()
         _LOWER_CACHE[key] = None
@@ -741,6 +830,7 @@ def lower_spec(spec: "TargetingSpec | Expr | str") -> Optional[MaskProgram]:
     program = MaskProgram(
         source=expr.to_string(),
         fn=fn,
+        leaves=tuple(leaves),
         referenced_audiences=audiences,
     )
     _LOWER_CACHE[key] = program

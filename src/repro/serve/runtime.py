@@ -363,10 +363,13 @@ class ServingRuntime:
         return self
 
     def spawn_workers(self) -> None:
-        """Start one worker per shard: a thread, or a forked process.
+        """Start one worker per shard: a thread, or a forked process,
+        then the IO loop (:meth:`io_loop`), after any fork.
 
-        Requests admitted before the spawn are batched as soon as the
-        loop sees the new workers.
+        The loop starts here rather than on the first :meth:`submit`, so
+        no request's deadline pays for its start-up. Requests admitted
+        before the spawn are batched as soon as the loop sees the new
+        workers.
         """
         if self._spawned:
             raise RuntimeError("workers already spawned")
@@ -384,14 +387,14 @@ class ServingRuntime:
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._attach_channels,
                                             self._loop)
-        elif any(self._backlogs):
+        else:
             self.io_loop()
 
     def _spawn_process_workers(self) -> None:
         """Fork one worker process per shard and open its channel.
 
         Every fork happens before the runtime starts any thread — its
-        IO loop is created on first use, after this — and workers are
+        IO loop starts at the end of :meth:`spawn_workers` — and workers are
         seeded from the shadow shards' checkpoints only once those
         shadows actually hold state: a first spawn starts empty and
         cheap.
@@ -536,8 +539,9 @@ class ServingRuntime:
     def io_loop(self) -> asyncio.AbstractEventLoop:
         """The runtime's event loop, running on its own IO thread.
 
-        Started on first use — after :meth:`start` forked any worker
-        processes — and stopped by :meth:`stop`. It cuts every batch and
+        Started by :meth:`spawn_workers`, after it forked any worker
+        processes (or on first use, when admission opened without
+        workers), and stopped by :meth:`stop`. It cuts every batch and
         resolves every reply (on the process backend it also watches
         every worker channel); a caller that runs its own asyncio code
         on it (the gateway's HTTP server) submits without crossing a

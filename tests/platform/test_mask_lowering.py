@@ -2,8 +2,10 @@
 
 The batch sweep's correctness rests on one identity: for any targeting
 Expr tree and any columnar population, the lowered
-:class:`~repro.platform.targeting.MaskProgram` must produce exactly the
-boolean vector the reference ``Expr.matches`` produces row by row —
+:class:`~repro.platform.targeting.MaskProgram`, run by
+:func:`~repro.platform.targeting.evaluate_packed`, must set exactly the
+bits the reference ``Expr.matches`` says match, row by row, and no bit
+past the range —
 including every missing-vocabulary edge (attributes, pages, zips,
 countries, genders the store has never interned read as all-False).
 Hypothesis drives random trees against random populations; the explicit
@@ -33,6 +35,7 @@ from repro.platform.targeting import (
     LikesPage,
     Not,
     Or,
+    evaluate_packed,
     lower_spec,
 )
 
@@ -133,24 +136,28 @@ class TestMaskMatcherEquivalence:
         expected = np.array(
             [bool(expr.matches(view, row_resolver)) for view in store],
             dtype=bool)
-        got = program.evaluate(store.columns, 0, n,
-                               resolver=bitsets.__getitem__)
-        assert np.array_equal(got, expected)
+        words = evaluate_packed([program], store.columns, 0, n,
+                                resolver=bitsets.__getitem__)[0]
+        assert words.shape == (bitset.words_for(n),)
+        # Exactly the matching rows' bits, and none past the range.
+        assert np.array_equal(bitset.to_indices(words),
+                              np.flatnonzero(expected))
 
     @settings(max_examples=40, deadline=None)
     @given(expr=expr_trees(),
            users=st.lists(user_strategy, min_size=65, max_size=160))
     def test_split_ranges_agree_with_full_range(self, expr, users):
-        """Evaluating 64-aligned sub-ranges concatenates to the full
-        evaluation — the block decomposition the sweep engine uses."""
+        """Evaluating 64-aligned sub-ranges concatenates, word for word,
+        to the full evaluation — the block decomposition the sweep
+        engine uses."""
         store, _members, bitsets = build_world(users)
         n = len(store)
         program = lower_spec(expr)
         assert program is not None
         resolver = bitsets.__getitem__
-        full = program.evaluate(store.columns, 0, n, resolver=resolver)
-        head = program.evaluate(store.columns, 0, 64, resolver=resolver)
-        tail = program.evaluate(store.columns, 64, n, resolver=resolver)
+        full, = evaluate_packed([program], store.columns, 0, n, resolver)
+        head, = evaluate_packed([program], store.columns, 0, 64, resolver)
+        tail, = evaluate_packed([program], store.columns, 64, n, resolver)
         assert np.array_equal(np.concatenate([head, tail]), full)
 
 
@@ -190,7 +197,7 @@ class TestFallbackRouting:
             "pages": set(), "audiences": set(),
         }])
         with pytest.raises(TargetingError, match="resolver"):
-            program.evaluate(store.columns, 0, 1)
+            evaluate_packed([program], store.columns, 0, 1)
 
     def test_unaligned_start_rejected(self):
         program = lower_spec(InAudience("aud-1"))
@@ -201,5 +208,5 @@ class TestFallbackRouting:
             "pages": set(), "audiences": {"aud-1"},
         }] * 9)
         with pytest.raises(ValueError, match="aligned"):
-            program.evaluate(store.columns, 3, 9,
-                             resolver=bitsets.__getitem__)
+            evaluate_packed([program], store.columns, 3, 9,
+                            resolver=bitsets.__getitem__)

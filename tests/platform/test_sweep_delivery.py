@@ -360,7 +360,8 @@ def random_world(rng):
     density = rng.uniform(0.0, 0.6, size=(n_entries, 1))
     flags = rng.random((n_entries, nrows)) < density
     flags[:, rng.random(nrows) < 0.2] = False  # users with no candidate
-    avail = np.stack([bitset.pack_bools(row) for row in flags])
+    avail = np.stack([bitset.from_indices(np.flatnonzero(row), nrows)
+                      for row in flags])
     return avail, entry_accounts, nrows
 
 

@@ -1,15 +1,15 @@
 """Randomized lowered-program-vs-interpreted equivalence for targeting specs.
 
-Every delivery path evaluates each candidate ad's spec through the range
-backend of its lowered program (:meth:`MaskProgram.evaluate`) — the
+Every delivery path evaluates each candidate ad's spec through its
+lowered program's packed range pass (:func:`evaluate_packed`) — the
 sweep directly, each slot through the per-row candidate lists built from
 it — so the *entire* deliver-iff-match contract rests on the equivalence
-``evaluate(...)[row] == expr.matches(view)``. This suite generates ~200
-random specs (round-tripped through the compact syntax parser, exactly
-as ads submit them), evaluates both forms on the rows of a columnar
-store — including audience predicates, NOT/exclusion trees, and codes
-the store interns only after the candidate lists were built — and
-requires bit-for-bit agreement. It also checks that a spec the lowerer
+``test_bit(evaluate_packed(...)[i], row) == expr.matches(view)``. This
+suite generates ~200 random specs (round-tripped through the compact
+syntax parser, exactly as ads submit them), evaluates both forms on the
+rows of a columnar store — including audience predicates, NOT/exclusion
+trees, and codes the store interns only after the candidate lists were
+built — and requires bit-for-bit agreement. It also checks that a spec the lowerer
 refuses is delivered by ``Expr.matches``.
 """
 
@@ -42,6 +42,7 @@ from repro.platform.targeting import (
     Not,
     Or,
     TargetingSpec,
+    evaluate_packed,
     lower_spec,
     parse,
 )
@@ -151,13 +152,15 @@ class TestCompiledEquivalence:
             assert program is not None
             # Byte-aligned sub-ranges, as the list blocks slice the store.
             split = 8 * rng.randint(0, len(store) // 8)
-            flags = list(program.evaluate(store.columns, 0, split,
-                                          bits.__getitem__))
-            flags += list(program.evaluate(store.columns, split,
-                                           len(store), bits.__getitem__))
+            head, = evaluate_packed([program], store.columns, 0, split,
+                                    bits.__getitem__)
+            tail, = evaluate_packed([program], store.columns, split,
+                                    len(store), bits.__getitem__)
+            matched = set(bitset.to_indices(head).tolist())
+            matched |= {split + row for row in bitset.to_indices(tail)}
             for view in store:
                 interpreted = reparsed.matches(view, _resolver)
-                assert bool(flags[view.row]) == interpreted, (
+                assert (view.row in matched) == interpreted, (
                     f"case {case}: lowered program disagrees with "
                     f"interpreter on {spec.to_string()} for {view.user_id}"
                 )
@@ -251,8 +254,9 @@ class TestCompilerMechanics:
         program = lower_spec("audience:aud-0")
         row = store.row_of("user-3")
         expected = _resolver("aud-0", "user-3")
-        flags = program.evaluate(store.columns, 0, len(store), resolver)
-        assert bool(flags[row]) == expected
+        words, = evaluate_packed([program], store.columns, 0, len(store),
+                                 resolver)
+        assert bitset.test_bit(words, row) == expected
         assert calls == ["aud-0"]
 
     @staticmethod

@@ -41,6 +41,22 @@ class TestLifecycle:
             assert result.status is ServeStatus.SERVED
         assert not runtime.running
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_io_loop_runs_once_start_returns(self, make_world, backend):
+        """The IO loop starts with the workers, not on the first submit,
+        so the first request's deadline does not pay for its start-up."""
+        import threading
+
+        runtime = ServingRuntime(
+            make_world(users=5),
+            RuntimeConfig(num_shards=2, backend=backend))
+        with runtime:
+            io_threads = [t for t in threading.enumerate()
+                          if t.name == "serve-io"]
+            assert len(io_threads) == 1 and io_threads[0].is_alive()
+            assert runtime.io_loop().is_running()
+        assert not io_threads[0].is_alive()
+
     def test_submit_requires_started(self, make_world):
         runtime = ServingRuntime(make_world(users=5),
                                  RuntimeConfig(num_shards=1))

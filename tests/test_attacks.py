@@ -3,8 +3,11 @@
 import pytest
 
 from repro.attacks import DeliveryInferenceAttack, SizeEstimateAttack
+from repro.platform.ads import AdCreative
 from repro.platform.catalog import build_us_catalog
+from repro.platform.pii import record_from_raw
 from repro.platform.platform import AdPlatform, PlatformConfig
+from repro.platform.targeting import parse
 from repro.workloads.competition import zero_competition
 
 VICTIM_EMAIL = "victim@example.com"
@@ -81,6 +84,47 @@ class TestDeliveryInferenceAttack:
         )
         assert outcome.inferred_bit is None
         assert "impressions: 0" in outcome.observable
+
+
+class TestPaddedProbe:
+    """The delivery probe the min-match defense does not block: the
+    attacker pads the probe's PII audience with users of its own who all
+    have the target attribute. The spec then matches at least the
+    padding, which clears ``min_delivery_match_count``, and the owner's
+    exact report counts the victim as one impression more. Recorded
+    here as a live leak; no defense covers it yet."""
+
+    PADDING = 20
+
+    def _probe(self, victim_has_attr):
+        platform = _platform(min_match=self.PADDING)
+        _, attr = _plant_victim(platform, has_attr=victim_has_attr)
+        account = platform.create_ad_account("padded-acct", budget=10.0)
+        campaign = platform.create_campaign(account.account_id, "probe")
+        records = [record_from_raw("email", VICTIM_EMAIL)]
+        for index in range(self.PADDING):
+            pad = platform.register_user()
+            email = f"pad{index}@attacker.example"
+            platform.users.attach_pii(pad.user_id, "email", email)
+            pad.set_attribute(attr)
+            records.append(record_from_raw("email", email))
+        audience = platform.create_pii_audience(account.account_id, records)
+        spec = f"audience:{audience.audience_id} & attr:{attr.attr_id}"
+        matching = platform.audiences.count_matching(parse(spec))
+        ad = platform.submit_ad(account.account_id, campaign.campaign_id,
+                                AdCreative("Great deals", "This week only."),
+                                spec, bid_cap_cpm=10.0)
+        platform.run_sweep()
+        report = platform.report(account.account_id, ad.ad_id)
+        return matching, report
+
+    def test_padding_clears_the_defense_and_the_report_leaks(self):
+        matching, report = self._probe(victim_has_attr=True)
+        assert matching == self.PADDING + 1
+        assert (report.impressions, report.reach) == (21, 21)
+        matching, report = self._probe(victim_has_attr=False)
+        assert matching == self.PADDING
+        assert (report.impressions, report.reach) == (20, 20)
 
 
 class TestDefenseCostToTreads:

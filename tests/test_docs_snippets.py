@@ -83,16 +83,18 @@ def test_api_tour_scenario_end_to_end():
     from repro.platform.policy import TreadPatternDetector  # noqa: F401
 
     # 8. performance model: one lowering, evaluated over row ranges
-    from repro.platform.targeting import lower_spec, parse
+    from repro.platform import bitset
+    from repro.platform.targeting import evaluate_packed, lower_spec, parse
 
     spec = parse(f"attr:pc-networth-006 & page:{provider.page.page_id}")
     program = lower_spec(spec)
     users = platform.users
     row = users.row_of(user.user_id)
-    flags = program.evaluate(users.columns, 0, len(users))
-    assert flags.shape == (len(users),)
-    assert bool(flags[row]) == spec.matches(user)
-    assert flags.sum() == sum(spec.matches(view) for view in users)
+    words = evaluate_packed([program], users.columns, 0, len(users))[0]
+    assert words.shape == (bitset.words_for(len(users)),)
+    assert bitset.test_bit(words, row) == spec.matches(user)
+    assert bitset.popcount(words) == sum(
+        spec.matches(view) for view in users)
 
     # 9. observability: registry swapped in before the platform is built
     from repro.obs import export
