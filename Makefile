@@ -10,13 +10,17 @@ test:
 
 ## The lowered-program-vs-interpreted equivalence suites on their own —
 ## the packed range pass every delivery path evaluates (and its edge
-## inputs and store immutability), and the per-slot kernel checked slot
-## by slot against an Expr.matches reference.
+## inputs and store immutability), the per-slot kernel checked slot
+## by slot against an Expr.matches reference, and the batch sweep
+## (one-step and round-by-round) checked against the per-slot loop,
+## with the parallel sweep's priced digest.
 equivalence:
 	$(PYTHON) -m pytest -q tests/platform/test_mask_lowering.py \
 		tests/platform/test_targeting_compile.py \
 		tests/platform/test_packed_kernel.py \
-		tests/platform/test_delivery_kernel.py
+		tests/platform/test_delivery_kernel.py \
+		tests/platform/test_sweep_delivery.py \
+		tests/platform/test_parsweep.py
 
 ## Paper-reproduction benchmarks, single run each (fast, shape checks).
 bench:

@@ -167,26 +167,29 @@ class Histogram:
         self._sum += value
         self._count += 1
 
-    def observe_many(self, values) -> None:
-        """Record a whole array of observations in one bulk update.
+    def observe_many(self, values, counts) -> None:
+        """Record a whole array of observations in one bulk update:
+        ``counts[i]`` observations of each ``values[i]``.
 
-        Equivalent to ``for v in values: self.observe(v)`` — bucket
-        assignment uses the same left-bisect rule — but costs one
-        ``searchsorted`` + ``bincount`` instead of a Python loop. The
-        batch sweep feeds its per-round contender counts and clearing
-        prices through here.
+        Equivalent to that many :meth:`observe` calls — bucket
+        assignment uses the same left-bisect rule, and the sum agrees up
+        to float rounding — but costs one ``searchsorted`` +
+        ``bincount`` instead of a Python loop. The batch sweep feeds its
+        tallied contender counts and clearing prices through here.
         """
         import numpy as np
         arr = np.asarray(values, dtype=np.float64)
         if arr.size == 0:
             return
+        weights = np.asarray(counts, dtype=np.int64)
         idx = np.searchsorted(self.buckets, arr, side="left")
-        added = np.bincount(idx, minlength=len(self.buckets) + 1)
-        for i, extra in enumerate(added):
+        added = np.bincount(idx, weights=weights,
+                            minlength=len(self.buckets) + 1)
+        for i, extra in enumerate(added.tolist()):
             if extra:
                 self._counts[i] += int(extra)
-        self._sum += float(arr.sum())
-        self._count += int(arr.size)
+        self._sum += float(arr @ weights)
+        self._count += int(weights.sum())
 
     @property
     def count(self) -> int:
@@ -496,7 +499,7 @@ class _NullHistogram(Histogram):
     def observe(self, value: float) -> None:
         pass
 
-    def observe_many(self, values) -> None:
+    def observe_many(self, values, counts) -> None:
         pass
 
 

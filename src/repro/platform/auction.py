@@ -90,32 +90,36 @@ def run_auction(
 
 
 def observe_auctions(
-    contender_counts,
+    contender_slots,
     prices_won,
+    price_wins,
     lost_count: int,
 ) -> None:
-    """Bulk-record a whole round of auction outcomes.
+    """Bulk-record a batch of auction outcomes, tallied.
 
     The batch sweep (:meth:`repro.platform.delivery.DeliveryEngine.
     sweep_slots`) decides thousands of slot auctions per vectorized
-    round; this folds them into the same four instruments
-    :func:`run_auction` maintains, in one update per round.
-    ``contender_counts`` is the per-slot eligible-account count (any
-    array-like), ``prices_won`` the per-impression dollar prices of the
-    won slots, ``lost_count`` how many slots had no tracked winner.
-    No-op while the registry is disabled, same as the scalar path.
+    round — a whole row range's at once in its one-step delivery; this
+    folds them into the same four instruments :func:`run_auction`
+    maintains, in one update. ``contender_slots[k]`` is how many slots
+    had ``k`` eligible accounts (an ``np.bincount`` of the per-slot
+    counts), ``price_wins[i]`` how many won slots cleared at
+    ``prices_won[i]`` dollars, and ``lost_count`` how many slots had no
+    tracked winner. No-op while the registry is disabled, same as the
+    scalar path.
     """
     instruments = _instruments()
     if instruments is None:
         return
+    import numpy as np
     contenders, clearing_price, slots_won, slots_lost = instruments
-    contenders.observe_many(contender_counts)
-    won = len(prices_won)
+    contenders.observe_many(np.arange(len(contender_slots)),
+                            contender_slots)
+    won = int(np.sum(price_wins))
     if won:
         slots_won.inc(won)
-        import numpy as np
         clearing_price.observe_many(
-            np.asarray(prices_won, dtype=np.float64) * 1000.0)
+            np.asarray(prices_won, dtype=np.float64) * 1000.0, price_wins)
     if lost_count:
         slots_lost.inc(lost_count)
 

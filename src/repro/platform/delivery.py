@@ -43,7 +43,7 @@ import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
-    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -118,21 +118,27 @@ class SweepLists:
     row ``e`` says entry ``e`` is available to row ``r``;
     ``candidates`` lists the round's entries in auction-priority order
     and ``accounts[k]`` is the account of ``candidates[k]``. Each of the
-    ``nrows`` (at least one) rows gets the list of its available candidates (entry
-    indices, priority order) in one CSR, plus, per list position, the
-    offset to the next position held by another account and the number
-    of distinct accounts from there to the row's end — 5 bytes a pair
-    for the Treads campaign (2-byte entry and offset, 1-byte count).
+    ``nrows`` (at least one) rows gets the list of its available
+    candidates (entry indices, priority order) in one CSR, plus, per
+    list position, the offset to the next position held by another
+    account, the number of distinct accounts from there to the row's
+    end and the round that delivered it — 6 bytes a pair for the Treads
+    campaign (2-byte entry and offset, 1-byte count and round).
 
     Across rounds a row's winner is its next undelivered candidate: a
     won slot caps exactly that (entry, row) pair, so :meth:`advance`
     moves the row's pointer past it and everything behind the pointer
-    is still available. The lists hold only while the candidate set
-    does; the sweep builds new ones when it changes.
+    is still available. The lists are therefore also the sweep's record
+    of its wins: a row delivered the positions in front of its pointer,
+    and ``won`` holds the round each position was delivered in
+    (``max_rounds`` while it is not). The lists hold only while the
+    candidate set does; the sweep folds their wins and builds new ones
+    when it changes.
     """
 
     def __init__(self, avail: np.ndarray, candidates: Sequence[int],
-                 accounts: Sequence[int], nrows: int) -> None:
+                 accounts: Sequence[int], nrows: int,
+                 max_rounds: int) -> None:
         candidates = np.asarray(candidates, dtype=np.int64)
         codes, accounts = np.unique(np.asarray(accounts),
                                     return_inverse=True)
@@ -161,6 +167,9 @@ class SweepLists:
         self.distinct = np.concatenate(distinct_parts)
         self.end = np.cumsum(counts)
         self.ptr = self.end - counts
+        self.no_round = max_rounds
+        self.won = np.full(len(self.cand), max_rounds,
+                           dtype=np.min_scalar_type(max_rounds))
 
     def auction(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray]:
@@ -177,9 +186,48 @@ class SweepLists:
         runner[has] = self.cand[nxt[has]]
         return rows, winner, runner, self.distinct[at]
 
-    def advance(self, rows: np.ndarray) -> None:
-        """The winners of ``rows`` were delivered: step past them."""
-        self.ptr[rows] += 1
+    def advance(self, rows: np.ndarray, round_no: int) -> None:
+        """The winners of ``rows`` were delivered in round ``round_no``:
+        step past them."""
+        at = self.ptr[rows]
+        self.won[at] = round_no
+        self.ptr[rows] = at + 1
+
+    def prefixes(self, take: np.ndarray
+                 ) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
+        """The next ``take[r]`` positions of every row ``r``, per block of
+        rows: ``(positions, offsets)`` in (row, list) order, ``offsets``
+        counting each row's positions from 0."""
+        for r0 in range(0, len(take), _LIST_BLOCK_ROWS):
+            block = take[r0:r0 + _LIST_BLOCK_ROWS]
+            total = int(block.sum())
+            if total:
+                offsets = np.arange(total) - np.repeat(
+                    np.cumsum(block) - block, block)
+                yield (np.repeat(self.ptr[r0:r0 + _LIST_BLOCK_ROWS], block)
+                       + offsets, offsets)
+
+    def delivered_words(self, avail: np.ndarray,
+                        entries: np.ndarray) -> np.ndarray:
+        """The packed ``(len(entries) x words)`` matrix of what each of
+        ``entries`` (entry indices among the lists' candidates)
+        delivered: their ``avail`` rows minus the positions still
+        undelivered."""
+        width = avail.shape[1]
+        words = avail[entries]
+        slot = np.full(len(avail), -1, dtype=np.int64)
+        slot[entries] = np.arange(len(entries))
+        pos = np.flatnonzero(self.won == self.no_round)
+        owner = slot[self.cand[pos]]
+        pos, owner = pos[owner >= 0], owner[owner >= 0]
+        if pos.size:
+            # Each bit is set, so subtracting it clears it (and takes a
+            # faster path than bitwise_and.at).
+            row = np.searchsorted(self.end, pos, side="right")
+            np.subtract.at(words.reshape(-1), owner * width + (row >> 6),
+                           np.left_shift(np.uint64(1),
+                                         (row & 63).astype(np.uint64)))
+        return words
 
 
 def _set_bits(block: np.ndarray, nrows: int
@@ -233,61 +281,22 @@ def _accounts_to_row_end(row: np.ndarray, acct: np.ndarray,
     return suffix[:-1] - suffix[np.cumsum(row_counts)[row]]
 
 
-class _SweepWins:
-    """A sweep range's wins since their last fold into engine state.
-
-    ``delivered`` is a packed ``(entries x words)`` matrix (bit ``r`` of
-    row ``e``: entry ``e`` won row ``r``), ``counts`` the impressions per
-    entry, ``order`` the entries in first-win order. ``spent`` (kept when
-    ``priced``: a parallel worker's delta) is each entry's price sum
-    with the association the delta has always had — per round a left
-    fold over the entry's wins in row order, added to the running sum.
+class SweepDelta(NamedTuple):
+    """A parallel sweep range's wins, as the parent folds them
+    (:meth:`DeliveryEngine.absorb_sweep_delta`): one row per ad that won
+    in the range, in first-win order. ``words`` is one packed
+    ``(ads x range words)`` matrix of the rows each ad delivered, from
+    shown-bitset word ``start_word`` on; ``counts`` and ``spent`` are
+    each ad's impressions and spend. One matrix, so the whole delta
+    crosses a socket as three out-of-band buffers whatever the ad count.
     """
 
-    def __init__(self, shape: Tuple[int, int], priced: bool) -> None:
-        self.shape = shape
-        self.priced = priced
-        self.reset()
-
-    def reset(self) -> None:
-        # A fresh matrix, not a zeroed one: a delta may hold rows of it.
-        self.delivered = np.zeros(self.shape, dtype=np.uint64)
-        self.counts = np.zeros(self.shape[0], dtype=np.int64)
-        self.spent = np.zeros(self.shape[0])
-        self.order: List[int] = []
-
-    def record(self, rows: np.ndarray, cand: np.ndarray,
-               price: np.ndarray) -> None:
-        """Add one round's wins: ``cand[j]`` won range row ``rows[j]``
-        at ``price[j]``, rows ascending."""
-        round_counts = np.bincount(cand, minlength=self.shape[0])
-        self.order.extend(np.flatnonzero(
-            round_counts * (self.counts == 0)).tolist())
-        self.counts += round_counts
-        words = self.shape[1]
-        np.bitwise_or.at(
-            self.delivered.reshape(-1),
-            cand * words + rows // bitset.WORD_BITS,
-            np.left_shift(np.uint64(1),
-                          (rows % bitset.WORD_BITS).astype(np.uint64)))
-        if self.priced:
-            # A narrow key sorts by radix.
-            by_cand = np.argsort(
-                cand.astype(np.min_scalar_type(self.shape[0])),
-                kind="stable")
-            grouped = cand[by_cand]
-            starts = np.flatnonzero(
-                np.append(True, grouped[1:] != grouped[:-1]))
-            ends = np.append(starts[1:], len(cand))
-            prices = price[by_cand]
-            for c, a, b in zip(grouped[starts].tolist(), starts.tolist(),
-                               ends.tolist()):
-                self.spent[c] += float(np.add.accumulate(prices[a:b])[-1])
-
-    def clear_from(self, avail: np.ndarray) -> None:
-        """Remove the recorded wins from an availability matrix."""
-        if self.order:
-            avail &= ~self.delivered
+    ad_ids: List[str]
+    account_ids: List[str]
+    start_word: int
+    words: np.ndarray
+    counts: np.ndarray
+    spent: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -728,21 +737,27 @@ class DeliveryEngine:
     # The one saturation loop (the Treads campaign mode): eligibility is
     # evaluated for a whole row range at once, every candidate's mask
     # program in one packed pass (repro.platform.targeting.evaluate_packed).
-    # The rounds then walk per-row candidate lists (SweepLists): a row's
-    # winner is its next undelivered candidate in priority order, so a
-    # round reads one list position per row instead of re-running an
-    # auction over the packed matrix. Each round bills in one
-    # order-exact fold (a parallel worker only debits budgets; its
-    # parent bills the delta) and records its wins in a delivered
-    # matrix; the shown bitsets and counters (and a parallel worker's
-    # delta) absorb that matrix once per sweep. Semantics — winners,
-    # prices, stats, reports — are identical to saturating the same rows
-    # one slot at a time (pinned by
-    # tests/integration/test_columnar_equivalence.py);
-    # the two escape hatches back to the per-slot path are per-spec
-    # (unlowerable Expr -> Expr.matches per row fills that ad's mask) and
-    # per-round (an account budget that could flip eligibility mid-round
-    # replays the round through serve_slot's exact code path).
+    # Delivery then walks per-row candidate lists (SweepLists): a row's
+    # winner is its next undelivered candidate in priority order. Under a
+    # constant competing draw every remaining round is known as soon as
+    # the lists exist — each position wins iff its bid beats the constant
+    # and the floor, at a price its runner-up fixes — so one step
+    # delivers them all: each row takes its winning list prefix at once,
+    # gated by one budget certificate over the step's exact spend. A
+    # random draw (or a failed step certificate) runs round by round,
+    # each round reading one list position per row. Single-process
+    # sweeps bill each round in one order-exact fold; a parallel worker
+    # bills nothing and ships its spend in its delta, which its parent
+    # bills. The lists record every win (pointer and won round per
+    # position), so the shown bitsets and counters — or a worker's delta
+    # — absorb them once, from the lists. Semantics — winners, prices,
+    # stats, reports — are identical to saturating the same rows one
+    # slot at a time (pinned by tests/integration/test_columnar_equivalence.py
+    # and tests/platform/test_sweep_delivery.py); the two escape hatches
+    # back to the per-slot path are per-spec (unlowerable Expr ->
+    # Expr.matches per row fills that ad's mask) and per-round (an
+    # account budget that could flip eligibility mid-round replays the
+    # round through serve_slot's exact code path).
 
     def sweep_slots(
         self,
@@ -756,17 +771,19 @@ class DeliveryEngine:
         ``rows`` is a ``(start, stop)`` half-open row range (default:
         the whole store); ``start`` must be 64-aligned so bitset state
         slices word-cleanly. Beyond the packed eligibility matrix, the
-        range's state is its candidate lists (about 5 bytes per
-        eligible (user, ad) pair) and a delivered matrix the size of the
-        eligibility one; list building works in bounded row blocks.
-        Returns the same :class:`DeliveryStats` that saturating the
-        range one slot at a time would have produced.
+        range's state is its candidate lists (about 6 bytes per
+        eligible (user, ad) pair); list building and the one-step
+        delivery work in bounded row blocks. Returns the same
+        :class:`DeliveryStats` that saturating the range one slot at a
+        time would have produced.
 
         ``_collect_delta`` is the parallel partitioner's hook
-        (:mod:`repro.platform.parsweep`): the sweep then also returns a
-        per-ad ``{ad_id: (account_id, start_word, words, count,
-        price_sum)}`` fold that a compact parent engine can absorb with
-        :meth:`absorb_sweep_delta`.
+        (:mod:`repro.platform.parsweep`): the sweep then bills nothing,
+        leaves this engine's shown bitsets alone, and also returns the
+        range's :class:`SweepDelta`, which a compact parent engine
+        absorbs with :meth:`absorb_sweep_delta`. It needs a constant
+        competing draw and a certified step (raises StoreError
+        otherwise).
         """
         cols = self._user_store.columns
         check_sweep_args(max_rounds)
@@ -780,14 +797,19 @@ class DeliveryEngine:
                 f"sweep range [{start}, {stop}) outside the store's "
                 f"{cols.count} rows")
         stats = DeliveryStats()
-        delta: Optional[Dict[str, tuple]] = {} if _collect_delta else None
-        self._run_sweep(stats, cols, start, stop, max_rounds, delta)
+        delta = self._run_sweep(stats, cols, start, stop, max_rounds,
+                                _collect_delta)
         _log.info(
             "sweep_slots[%d:%d]: %d slots (%d filled, %d lost)",
             start, stop, stats.slots, stats.filled_by_tracked_ads,
             stats.lost_to_competition,
         )
         if _collect_delta:
+            if delta is None:
+                delta = SweepDelta([], [], start // bitset.WORD_BITS,
+                                   np.zeros((0, 0), dtype=np.uint64),
+                                   np.zeros(0, dtype=np.int64),
+                                   np.zeros(0))
             return stats, delta
         return stats
 
@@ -842,13 +864,13 @@ class DeliveryEngine:
 
     def _run_sweep(self, stats: DeliveryStats, cols: Any, start: int,
                    stop: int, max_rounds: int,
-                   delta: Optional[Dict[str, tuple]]) -> None:
+                   collect: bool) -> Optional[SweepDelta]:
         n = stop - start
         if n == 0:
-            return
+            return None
         entries = self._sweep_candidates()
         if not entries:
-            return
+            return None
         avail = self._sweep_eligibility(entries, cols, start, stop)
         self._sweep_subtract_shown(avail, entries, start, stop)
         account_index: Dict[str, int] = {}
@@ -865,26 +887,41 @@ class DeliveryEngine:
         constant = getattr(draw, "constant", None)
         floor = self.floor_price
         obs_on = self._obs_on
-        wins = _SweepWins(avail.shape, priced=delta is not None)
+        spent = np.zeros(len(entries)) if collect else None
         lists: Optional[SweepLists] = None
         lists_for: Optional[List[int]] = None
+        delta: Optional[SweepDelta] = None
+        round_no = 0
 
         try:
-            for _ in range(max_rounds):
+            while round_no < max_rounds:
                 # Round candidates: the dynamic checks the scalar slot
                 # path applies per user, hoisted — status and
                 # affordability are user-independent, so one pass per
                 # round suffices. A certified round leaves every one
-                # affordable, so the lists built for them carry over.
+                # affordable, so the lists built for them carry over;
+                # only a scalar replay round retires them.
                 rc = [i for i, e in enumerate(entries)
                       if e[0].status is active
                       and e[1].budget + 1e-12 >= e[2]]
                 if not rc:
                     break
                 if rc != lists_for:
-                    wins.clear_from(avail)
-                    lists = SweepLists(avail, rc, acct_idx[rc], n)
+                    lists = SweepLists(avail, rc, acct_idx[rc], n,
+                                       max_rounds)
                     lists_for = rc
+                    if constant is not None and self._sweep_step(
+                            lists, entries, rc, acct_idx, accounts, bids,
+                            constant, round_no, max_rounds, stats, start,
+                            spent):
+                        break
+                    if collect:
+                        raise StoreError(
+                            f"{self.engine_id}: a partitioned sweep "
+                            "range needs a constant competing draw and "
+                            "a budget-certified step; run the sweep "
+                            "single-process (sweep_slots) so its "
+                            "fallback rounds can replay exactly")
 
                 # Phase A: per-row winner/runner-up selection, the head
                 # of each row's list. Both are draw-independent (the
@@ -902,11 +939,11 @@ class DeliveryEngine:
                 slots = len(rel_rows)
                 winner_bids = bids[wcand]
 
-                # Phase B: the budget certificate. The vector round
-                # assumed eligibility fixed at round start; that is
-                # exactly the scalar outcome unless some account's
+                # Phase B: the round's budget certificate. The vector
+                # round assumed eligibility fixed at round start; that
+                # is exactly the scalar outcome unless some account's
                 # budget could cross below a candidate's bid mid-round.
-                # Bound each win's charge (the exact price under a
+                # Bound each slot's charge (the exact price under a
                 # constant draw, the winner's bid otherwise), sum per
                 # account, and require every round candidate to remain
                 # affordable under full planned spend — budgets are
@@ -926,12 +963,6 @@ class DeliveryEngine:
                     for i in rc
                 )
                 if not certified:
-                    if delta is not None:
-                        raise StoreError(
-                            f"{self.engine_id}: budget flip inside a "
-                            "partitioned sweep range; run the sweep "
-                            "single-process (sweep_slots) so the scalar "
-                            "fallback can replay the round exactly")
                     if obs_on:
                         self._obs_sweep_budget_rounds.inc()
                     # Exact scalar replay of this round: the same
@@ -939,15 +970,16 @@ class DeliveryEngine:
                     # every row in range (users with nothing eligible
                     # contribute nothing, matching the per-slot loop's
                     # drop-from-rotation). It reads the shown bitsets as
-                    # the cap, so the vector rounds' wins fold in first;
-                    # the lists are rebuilt from what it leaves.
-                    self._sweep_fold(entries, start, wins, delta)
+                    # the cap, so the lists' wins fold in first; new
+                    # lists are built from what it leaves.
+                    self._sweep_fold(entries, start, lists, avail)
+                    lists = lists_for = None
                     store = self._user_store
                     progressed, _ = self._serve_round(
                         (UserView(store, r) for r in range(start, stop)),
                         stats, saturating=True)
                     self._sweep_subtract_shown(avail, entries, start, stop)
-                    lists_for = None
+                    round_no += 1
                     if not progressed:
                         break
                     continue
@@ -972,54 +1004,164 @@ class DeliveryEngine:
                 if obs_on:
                     self._obs_slots.inc(slots)
                     self._obs_sweep_rounds.inc()
-                observe_auctions(contenders, price[won], slots - won_count)
+                observe_auctions(np.bincount(contenders), price[won],
+                                 np.ones(won_count, dtype=np.int64),
+                                 slots - won_count)
                 if won_count == 0:
                     break
                 # A lost slot keeps its candidate for the next round.
-                lists.advance(rel_rows[won])
+                lists.advance(rel_rows[won], round_no)
                 self._sweep_apply(entries, start, rel_rows[won],
-                                  wcand[won], price[won], wins)
-                if delta is not None:
-                    # A worker bills nothing (see _sweep_apply), but the
-                    # next round's certificate must see this round's
-                    # spend: debit it. Under the constant draw a worker
-                    # runs with, each price is its Phase B bound.
-                    spent = np.bincount(acct_idx[wcand[won]],
-                                        weights=price[won],
-                                        minlength=len(accounts))
-                    for account, amount in zip(accounts, spent.tolist()):
-                        account.budget -= amount
+                                  wcand[won], price[won])
+                round_no += 1
         finally:
-            self._sweep_fold(entries, start, wins, delta)
+            if lists is not None:
+                delta = self._sweep_fold(entries, start, lists, avail,
+                                         spent)
+        return delta
+
+    def _sweep_step(self, lists: SweepLists, entries: List[tuple],
+                    rc: List[int], acct_idx: np.ndarray,
+                    accounts: List[Any], bids: np.ndarray,
+                    constant: float, round0: int, max_rounds: int,
+                    stats: DeliveryStats, start: int,
+                    spent: Optional[np.ndarray]) -> bool:
+        """Deliver every remaining round of ``lists`` in one step under
+        the constant competing bid ``constant``, starting at round
+        ``round0``; False, with nothing changed, when the step's budget
+        certificate fails.
+
+        Each list position's outcome is fixed: it wins iff its bid beats
+        the constant and the floor, at ``min(max(runner-up's bid,
+        constant, floor), bid)``. Bids fall along a list, so a row
+        delivers the positions before its first losing one, one per
+        round, and from then on loses one slot per round. A round runs
+        while the one before it won something, up to ``max_rounds``.
+
+        With ``spent`` (a parallel worker) nothing is billed: each
+        entry's spend is added into it with the association its delta
+        has always had — per round a left fold over the entry's prices
+        in row order, the rounds added in order. Otherwise each round's
+        wins bill and journal as a vector round's would.
+        """
+        cand = lists.cand
+        remaining = lists.end - lists.ptr
+        if not remaining.any():
+            return True
+        wins = (bids > constant) & (bids >= self.floor_price)
+        if wins[rc].all():
+            winning = remaining
+        else:
+            ahead = np.zeros(len(cand) + 1, dtype=np.int64)
+            np.cumsum(wins[cand], out=ahead[1:])
+            winning = ahead[lists.end] - ahead[lists.ptr]
+        stuck = winning < remaining
+        rounds = min(max_rounds - round0,
+                     int(winning.max()) + bool(stuck.any()))
+        take = np.minimum(winning, rounds)
+        lost = np.where(stuck, rounds - take, 0)
+
+        # Every price is one of the runner-up's bid (0 without one), the
+        # constant, the floor and the winner's bid, so it is computed as
+        # an index into their sorted values: min and max commute with
+        # the sort, and the tallies below stay small integer tables.
+        cap = max(constant, self.floor_price)
+        values = np.sort(np.append(bids, (0.0, cap)))
+        values = values[np.append(True, values[1:] != values[:-1])]
+        rank = np.searchsorted(values, bids).astype(
+            np.min_scalar_type(len(values)))
+        no_runner = int(np.searchsorted(values, 0.0))
+        cap_rank = int(np.searchsorted(values, cap))
+        width = len(values)
+        # Impressions per (account, price); slots per contender count.
+        tally = np.zeros(len(accounts) * width, dtype=np.int64)
+        contenders = np.zeros(int(lists.distinct.max()) + 1, dtype=np.int64)
+        price_at = np.empty(len(cand), dtype=rank.dtype)
+        last = len(cand) - 1
+        for pos, _offset in lists.prefixes(take):
+            entry = cand[pos]
+            count = lists.distinct[pos]
+            # With one account left the runner-up offset points at the
+            # row's end, perhaps past the last list: clip, then ignore.
+            runner = rank[cand[np.minimum(pos + lists.skip[pos], last)]]
+            price = np.minimum(
+                np.maximum(np.where(count > 1, runner, no_runner),
+                           cap_rank),
+                rank[entry])
+            price_at[pos] = price
+            tally += np.bincount(acct_idx[entry] * width + price,
+                                 minlength=len(tally))
+            contenders += np.bincount(count, minlength=len(contenders))
+        idle = np.flatnonzero(lost)
+        if idle.size:
+            contenders += np.bincount(
+                lists.distinct[lists.ptr[idle] + take[idle]],
+                weights=lost[idle],
+                minlength=len(contenders)).astype(np.int64)
+
+        # The step certificate: after the step's exact spend, every
+        # candidate must still be affordable. Budgets only fall, so
+        # every state in between passes too.
+        tally = tally.reshape(len(accounts), width)
+        planned = tally @ values
+        budgets = np.array([account.budget for account in accounts])
+        owner = acct_idx[rc]
+        if not np.all(budgets[owner] - planned[owner] + 1e-12 >= bids[rc]):
+            return False
+
+        filled = int(take.sum())
+        missed = int(lost.sum())
+        stats.slots += filled + missed
+        stats.filled_by_tracked_ads += filled
+        stats.lost_to_competition += missed
+        if self._obs_on:
+            self._obs_slots.inc(filled + missed)
+            self._obs_sweep_rounds.inc(rounds)
+        observe_auctions(contenders, values, tally.sum(axis=0), missed)
+        if spent is None:
+            for offset in range(int(take.max())):
+                rows = np.flatnonzero(take > offset)
+                pos = lists.ptr[rows]
+                self._sweep_apply(entries, start, rows, cand[pos],
+                                  values[price_at[pos]])
+                lists.advance(rows, round0 + offset)
+            return True
+        by_round = np.zeros((int(take.max()), len(entries)))
+        for pos, offset in lists.prefixes(take):
+            lists.won[pos] = round0 + offset
+            # ufunc.at adds in index order: each (round, entry) cell is
+            # a left fold over its prices in row order.
+            np.add.at(by_round.reshape(-1),
+                      offset * len(entries) + cand[pos],
+                      values[price_at[pos]])
+        lists.ptr += take
+        for round_spend in by_round:
+            spent += round_spend
+        return True
 
     def _sweep_apply(self, entries: List[tuple], start: int,
                      rel_rows: np.ndarray, wcand: np.ndarray,
-                     price: np.ndarray, wins: "_SweepWins") -> None:
-        """Bill and record one vector round's wins, the same way in both
-        modes: one billing run, the impression records (the scalar
-        loop's seq, user, price and row order) to the journal and, in
-        full mode, to the log and feeds, and the wins into ``wins`` for
-        the shown-bitset fold (:meth:`_sweep_fold`).
-
-        A parallel worker (``wins.priced``: its wins become a delta)
-        skips the billing run. Its ledger dies with the process; the
-        delta carries each ad's spend, which the parent bills once in
-        :meth:`absorb_sweep_delta`."""
+                     price: np.ndarray) -> None:
+        """Bill and record one round's wins (single-process sweeps; a
+        parallel worker's parent bills its delta instead): one billing
+        run, and the impression records (the scalar loop's seq, user,
+        price and row order) to the journal and, in full mode, to the
+        log and feeds. The shown bitsets take the wins later, from the
+        lists (:meth:`_sweep_fold`)."""
         users = self._user_store
         count = len(rel_rows)
         seq_base = self._impression_seq
-        if not wins.priced:
-            # One order-exact billing fold for the whole round: budgets
-            # and spend accumulate in delivery (row) order, exactly as
-            # per-impression charges would.
-            round_cands = np.flatnonzero(
-                np.bincount(wcand, minlength=len(entries)))
-            slot = np.empty(len(entries), dtype=np.int64)
-            slot[round_cands] = np.arange(len(round_cands))
-            self._ledger.charge_impression_run(
-                [(entries[c][0].ad_id, entries[c][0].account_id)
-                 for c in round_cands.tolist()],
-                slot[wcand], price)
+        # One order-exact billing fold for the whole round: budgets and
+        # spend accumulate in delivery (row) order, exactly as
+        # per-impression charges would.
+        round_cands = np.flatnonzero(
+            np.bincount(wcand, minlength=len(entries)))
+        slot = np.empty(len(entries), dtype=np.int64)
+        slot[round_cands] = np.arange(len(round_cands))
+        self._ledger.charge_impression_run(
+            [(entries[c][0].ad_id, entries[c][0].account_id)
+             for c in round_cands.tolist()],
+            slot[wcand], price)
         journal = not self._store.discards_records
         log = not self._compact
         if journal or log:
@@ -1037,29 +1179,39 @@ class DeliveryEngine:
                     self._log_impression(impression, ad)
         if not journal:
             self._store.note_discarded(count)
-        wins.record(rel_rows, wcand, price)
         self._impression_count += count
         self._impression_seq = seq_base + count
         if self._obs_on:
             self._obs_impressions.inc(count)
 
     def _sweep_fold(self, entries: List[tuple], start: int,
-                    wins: "_SweepWins",
-                    delta: Optional[Dict[str, tuple]]) -> None:
-        """Fold the wins recorded since the last fold into the shown
-        bitsets and per-ad counts (ads in first-win order, as per-round
-        folds would insert them) and, for a parallel worker, into its
-        delta. A worker folds once: it never runs a fallback round."""
+                    lists: SweepLists, avail: np.ndarray,
+                    spent: Optional[np.ndarray] = None
+                    ) -> Optional[SweepDelta]:
+        """Fold the wins ``lists`` recorded into the shown bitsets and
+        per-ad counts, ads in first-win order (as per-round folds would
+        insert them) — or, for a parallel worker (``spent`` given),
+        into its :class:`SweepDelta` instead (None when nothing won)."""
+        delivered = lists.won != lists.no_round
+        won_cand = lists.cand[delivered]
+        if not won_cand.size:
+            return None
+        counts = np.bincount(won_cand, minlength=len(entries))
+        first = np.full(len(entries), lists.no_round, dtype=lists.won.dtype)
+        np.minimum.at(first, won_cand, lists.won[delivered])
+        # Stable: ties (the same first round) stay in entry order.
+        order = np.argsort(first, kind="stable")[:np.count_nonzero(counts)]
+        words = lists.delivered_words(avail, order)
         word0 = start // bitset.WORD_BITS
-        for cand in wins.order:
-            ad = entries[cand][0]
-            words = wins.delivered[cand]
-            count = int(wins.counts[cand])
-            self._or_shown(ad.ad_id, word0, words, count)
-            if delta is not None:
-                delta[ad.ad_id] = (ad.account_id, word0, words, count,
-                                   float(wins.spent[cand]))
-        wins.reset()
+        if spent is not None:
+            ads = [entries[c][0] for c in order.tolist()]
+            return SweepDelta([ad.ad_id for ad in ads],
+                              [ad.account_id for ad in ads], word0, words,
+                              counts[order], spent[order])
+        for i, (c, count) in enumerate(zip(order.tolist(),
+                                           counts[order].tolist())):
+            self._or_shown(entries[c][0].ad_id, word0, words[i], count)
+        return None
 
     def _or_shown(self, ad_id: str, word0: int, words: np.ndarray,
                   count: int) -> None:
@@ -1076,26 +1228,30 @@ class DeliveryEngine:
         self._impression_count_by_ad[ad_id] = (
             self._impression_count_by_ad.get(ad_id, 0) + count)
 
-    def absorb_sweep_delta(self, delta: Dict[str, tuple]) -> None:
-        """Fold a partitioned sweep's per-ad results into this engine.
+    def absorb_sweep_delta(self, delta: SweepDelta) -> None:
+        """Fold a partitioned sweep's range results into this engine.
 
-        The parent side of :mod:`repro.platform.parsweep`: each value is
-        the ``(account_id, start_word, words, count, price_sum)`` tuple
-        a worker's ``sweep_slots(..., _collect_delta=True)`` produced
-        for a disjoint row range. Ads fold in sorted id order so the
-        merge is deterministic regardless of worker arrival order.
+        The parent side of :mod:`repro.platform.parsweep`: ``delta`` is
+        the :class:`SweepDelta` a worker's ``sweep_slots(...,
+        _collect_delta=True)`` produced for a disjoint row range. Ads
+        fold — and bill, one bulk charge each — in sorted id order, so
+        the merge is deterministic regardless of worker arrival order.
         """
         if not self._compact:
             raise StoreError(
                 f"{self.engine_id}: sweep deltas fold into compact "
                 "engines only")
+        counts = delta.counts.tolist()
+        spent = delta.spent.tolist()
         total = 0
-        for ad_id in sorted(delta):
-            account_id, start_word, words, count, price_sum = delta[ad_id]
-            self._or_shown(ad_id, start_word, words, count)
+        for i in sorted(range(len(delta.ad_ids)),
+                        key=delta.ad_ids.__getitem__):
+            ad_id = delta.ad_ids[i]
+            self._or_shown(ad_id, delta.start_word, delta.words[i],
+                           counts[i])
             self._ledger.charge_impressions_bulk(
-                ad_id, account_id, price_sum, count)
-            total += count
+                ad_id, delta.account_ids[i], spent[i], counts[i])
+            total += counts[i]
         if total:
             self._impression_count += total
             self._impression_seq += total

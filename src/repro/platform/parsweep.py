@@ -5,12 +5,13 @@ The single-process batch sweep
 algebra over one row range; this module partitions the row space itself.
 Each forked worker inherits the built platform world by copy-on-write —
 catalog, columns, lowered mask programs — sweeps its
-own disjoint ``(start, stop)`` range without billing, and ships back a
-compact per-ad delta (shown-bitset words, impression count, spend). The
-parent folds — and bills — the deltas with
-:meth:`~repro.platform.delivery.DeliveryEngine.absorb_sweep_delta` in
-range order, so the merged engine state is deterministic regardless of
-which worker finishes first.
+own disjoint ``(start, stop)`` range in one step without billing, and
+ships back one :class:`~repro.platform.delivery.SweepDelta`: a single
+``uint64`` matrix of the winning ads' shown-bitset words plus their
+impression counts and spend. The parent folds — and bills — the deltas
+with :meth:`~repro.platform.delivery.DeliveryEngine.absorb_sweep_delta`
+in range order, so the merged engine state is deterministic regardless
+of which worker finishes first.
 
 Three preconditions make the partition sound, all checked up front:
 
@@ -33,6 +34,17 @@ Three preconditions make the partition sound, all checked up front:
 Wire plumbing reuses the shard-serving framing
 (:class:`repro.serve.ipc.Framer` over a socketpair): one frame out per
 worker, carrying its stats and delta.
+
+Metrics a worker records die with it. Its registry is a copy-on-write
+copy of the parent's, so ``delivery.slots_served``,
+``delivery.sweep_rounds``, ``delivery.sweep_fallback_specs`` and the
+``auction.*`` instruments it updates never reach the parent: after a
+parallel sweep they read as if the workers' rows had not been swept,
+while the returned stats count every slot. What the parent does itself
+is counted — ``delivery.impressions_delivered`` and the billing
+counters, from absorbing the deltas. (The benchmark harness's traced
+sweep adds the workers' counters to the parent's itself, so merging
+them here would count them twice; see docs/observability.md.)
 """
 
 from __future__ import annotations
@@ -223,9 +235,10 @@ def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
 
     The worker's engine and metrics mutations are its own copy-on-write
     pages and die with the process — the delta frame is the only state
-    that crosses back. So the worker does not bill: its sweep debits
-    each round's spend from the account budgets its certificate reads,
-    and the parent bills each ad's spend once, in
+    that crosses back. So the worker bills nothing and touches no
+    budget: its range is delivered in one step whose certificate reads
+    the budgets as they were at the fork, and the parent bills each
+    ad's spend once, in
     :meth:`~repro.platform.delivery.DeliveryEngine.absorb_sweep_delta`.
     """
     parent_sock.close()

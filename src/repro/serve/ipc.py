@@ -119,8 +119,27 @@ ServeReplyItem = Tuple[bool, Tuple[str, ...], int, int,
                        Optional[str], float]
 
 
+#: Most iovecs handed to one ``sendmsg`` call (POSIX ``IOV_MAX`` >= 16;
+#: Linux allows 1024 and refuses more with EMSGSIZE).
+_MAX_IOV = 512
+
+
 class WorkerLost(ConnectionError):
     """The peer process went away mid-conversation (EOF, broken pipe)."""
+
+
+def _send_some(sock: socket.socket, views: List[memoryview]) -> None:
+    """One ``sendmsg`` of at most :data:`_MAX_IOV` of ``views``, a frame
+    backlog: what it took is dropped from the front of ``views``.
+    Socket errors (a full non-blocking socket too) propagate."""
+    sent = sock.sendmsg(views[:_MAX_IOV])
+    done = 0
+    while done < len(views) and sent >= views[done].nbytes:
+        sent -= views[done].nbytes
+        done += 1
+    del views[:done]
+    if sent:
+        views[0] = views[0][sent:]
 
 
 def encode_frame(message: Any) -> Tuple[List[Any], int, int]:
@@ -219,15 +238,10 @@ class Framer:
         views = [view for view in views if view.nbytes]
         while views:
             try:
-                sent = self._sock.sendmsg(views)
+                _send_some(self._sock, views)
             except OSError as exc:
                 raise WorkerLost(
                     f"peer gone while sending: {exc}") from None
-            while views and sent >= views[0].nbytes:
-                sent -= views[0].nbytes
-                views.pop(0)
-            if sent:
-                views[0] = views[0][sent:]
 
     def recv(self) -> Any:
         (body_length,) = _HEADER.unpack(self._recv_exact(_HEADER.size))
@@ -364,10 +378,6 @@ class FrameDecoder:
 #: ``on_reply(reply, error)``: exactly one of the two is ``None``.
 ReplyCallback = Callable[[Any, Optional[BaseException]], None]
 
-#: Most iovecs handed to one ``sendmsg`` call (POSIX ``IOV_MAX`` >= 16;
-#: Linux allows 1024).
-_MAX_IOV = 512
-
 
 class ShardChannel:
     """Parent-side handle on one shard's worker process.
@@ -473,17 +483,12 @@ class ShardChannel:
         out = self._out
         while out:
             try:
-                sent = self._sock.sendmsg(out[:_MAX_IOV])
+                _send_some(self._sock, out)
             except (BlockingIOError, InterruptedError):
                 break
             except OSError as exc:
                 self._lose(f"peer gone while sending: {exc}")
                 return
-            while out and sent >= out[0].nbytes:
-                sent -= out[0].nbytes
-                out.pop(0)
-            if sent:
-                out[0] = out[0][sent:]
         self._watch_writable(bool(out))
 
     def _watch_writable(self, backlog: bool) -> None:

@@ -175,6 +175,38 @@ class TestWorkerEquality:
         assert engine_state(parallel, ads_parallel) == \
             engine_state(serial, ads_serial)
 
+    def test_more_ads_than_one_sendmsg_takes(self):
+        """A campaign of more Treads than IOV_MAX (a catalog's 507
+        partner plus 614 platform attributes make 1,121): every user
+        matches all 1,100 ads, so each worker's delta holds all of
+        them, and the merged sweep equals the single-process one."""
+        def world():
+            platform = AdPlatform(
+                config=PlatformConfig(name="wide", compact_delivery=True),
+                catalog=build_us_catalog(40, 25),
+                competing_draw=fixed_competition(0.0),
+                store=NullStore(),
+            )
+            account = platform.create_ad_account("adv", budget=100.0)
+            campaign = platform.create_campaign(account.account_id, "c")
+            ads = [platform.submit_ad(account.account_id,
+                                      campaign.campaign_id,
+                                      AdCreative("h", f"ad {i}"),
+                                      "age:18-64", bid_cap_cpm=10.0)
+                   for i in range(1100)]
+            for i in range(128):
+                platform.register_user(age=20 + i % 40)
+            return platform, ads
+
+        parallel, ads_parallel = world()
+        serial, ads_serial = world()
+        stats_parallel = parallel.run_sweep(workers=2, max_rounds=2000)
+        stats_serial = serial.run_sweep(max_rounds=2000)
+        assert stats_parallel.filled_by_tracked_ads == 128 * 1100
+        assert stats_parallel == stats_serial
+        assert engine_state(parallel, ads_parallel) == \
+            engine_state(serial, ads_serial)
+
     def test_one_range_degenerates_to_inprocess_sweep(self):
         platform, _ads = parallel_world(users=60)
         stats = parallel_sweep(platform.delivery, workers=4)

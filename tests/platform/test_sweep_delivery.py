@@ -6,8 +6,9 @@ the engine's ``_serve_round`` repeated until saturation.
 The integration equivalence suite pins the full 2,000-user partner
 sweep; these tests pin the engine-level machinery — precondition
 errors, partial row ranges, per-spec matcher fallback routing,
-multi-account runner-up pricing, lost slots under a random draw, budget
-fallback rounds, the sweep's observability counters, and the per-row
+multi-account runner-up pricing, lost slots under a random draw, the
+one-step delivery under a constant draw (against the round loop too),
+budget fallback rounds, the sweep's observability counters, and the per-row
 candidate lists, driven round by round, against an unpacked-argmax
 reference.
 """
@@ -26,6 +27,8 @@ from repro.platform.catalog import build_us_catalog
 from repro.platform.delivery import SweepLists
 from repro.platform.platform import AdPlatform, PlatformConfig
 from repro.platform.targeting import HasAttr, lower_spec
+from repro.store.records import ImpressionRecorded
+from repro.store.store import JournalStore
 from repro.workloads.competition import (
     fixed_competition,
     lognormal_competition,
@@ -41,10 +44,11 @@ except ImportError:  # pragma: no cover - CI without hypothesis
 
 
 def make_world(compact=False, users=130, n_ads=6, draw=None,
-               budget=100.0, accounts=1, store=None):
+               budget=100.0, accounts=1, store=None, floor_cpm=0.0):
     """A columnar delivery world with ``accounts`` competing advertisers."""
     platform = AdPlatform(
-        config=PlatformConfig(name="sweng", compact_delivery=compact),
+        config=PlatformConfig(name="sweng", compact_delivery=compact,
+                              floor_price_cpm=floor_cpm),
         catalog=build_us_catalog(40, 25),
         competing_draw=draw if draw is not None else zero_competition(),
         store=store,
@@ -83,6 +87,28 @@ def engine_state(platform, ads):
             ad.account_id).budget for ad in ads},
     }
     return json.dumps(state, sort_keys=True)
+
+
+def ledger_bits(platform, ads):
+    """Every ad's spend and account's budget as ``float.hex``."""
+    return (
+        {ad.ad_id: platform.ledger.spend_for_ad(ad.ad_id).hex()
+         for ad in ads},
+        {ad.account_id: platform.inventory.account(
+            ad.account_id).budget.hex() for ad in ads},
+    )
+
+
+def auction_observations(reg):
+    """The slot counter and the auction instruments of ``reg``."""
+    return {
+        "slots_served": reg.counter("delivery.slots_served").value,
+        "contenders": reg.histogram("auction.contenders").bucket_counts(),
+        "clearing_price": reg.histogram(
+            "auction.clearing_price_cpm").bucket_counts(),
+        "won": reg.counter("auction.slots_won").value,
+        "lost": reg.counter("auction.slots_lost").value,
+    }
 
 
 class TestPreconditions:
@@ -176,6 +202,60 @@ class TestScalarEquality:
         assert stats_sweep == stats_scalar
         assert engine_state(platform_a, ads_a) == \
             engine_state(platform_b, ads_b)
+
+    @pytest.mark.parametrize("draw_cpm, floor_cpm, max_rounds, compact", [
+        # The constant beats account 1's bid: once a row has taken
+        # account 0's ads it loses a slot in every remaining round.
+        (9.5, 0.0, 50, True),
+        # So does the floor.
+        (1.0, 9.5, 50, True),
+        # max_rounds ends the sweep inside the longest lists.
+        (9.5, 0.0, 2, True),
+        # Full mode with a journal: impression records in the per-slot
+        # loop's seq order.
+        (1.0, 0.0, 3, False),
+    ])
+    def test_one_step_equals_rounds_and_scalar_loop(
+            self, tmp_path, draw_cpm, floor_cpm, max_rounds, compact):
+        """Under a constant draw the sweep delivers all its rounds in one
+        step. It must equal the per-slot loop (stats, state, bit-exact
+        ledger, journal, slot counter, auction histogram buckets) and the
+        round-by-round sweep the same draw takes without its constant
+        label (all that, plus the round counter)."""
+        def run(kind, draw):
+            store = (None if compact
+                     else JournalStore(str(tmp_path / f"{kind}.jsonl")))
+            with use_registry(MetricsRegistry(kind)) as reg:
+                platform, ads = make_world(
+                    compact=compact, accounts=2, draw=draw,
+                    floor_cpm=floor_cpm, store=store)
+                if kind == "scalar":
+                    stats = saturate(platform, max_rounds=max_rounds)
+                else:
+                    stats = platform.run_sweep(max_rounds=max_rounds)
+                observed = auction_observations(reg)
+                rounds = reg.counter("delivery.sweep_rounds").value
+            journal = []
+            if store is not None:
+                journal = [(r.seq, r.ad_id, r.user_id, r.price.hex())
+                           for r in store.records()
+                           if isinstance(r, ImpressionRecorded)]
+                store.close()
+            return (stats, engine_state(platform, ads),
+                    ledger_bits(platform, ads), journal, observed, rounds)
+
+        draw = fixed_competition(draw_cpm)
+        step = run("step", draw)
+        rounds = run("rounds", lambda: draw())
+        scalar = run("scalar", draw)
+        assert step[0].filled_by_tracked_ads > 0
+        if draw_cpm > 9.0 or floor_cpm > 9.0:
+            assert step[0].lost_to_competition > 0
+        if not compact:
+            assert len(step[3]) == step[0].filled_by_tracked_ads
+        assert step[4]["slots_served"] == step[0].slots
+        assert step[:5] == scalar[:5]
+        assert step == rounds
 
     def test_fallback_round_mid_sweep_then_vector_rounds(self):
         """One account's budget runs out mid-sweep: that round replays
@@ -365,6 +445,10 @@ def random_world(rng):
     return avail, entry_accounts, nrows
 
 
+#: The round budget the kernel tests build their lists with.
+ROUNDS = 8
+
+
 def assert_rounds_match_reference(seed):
     """Drive the lists through several rounds — random win/loss masks,
     and one round whose candidate set shrinks, rebuilding the lists from
@@ -376,7 +460,10 @@ def assert_rounds_match_reference(seed):
     if not candidates.size:
         candidates = np.arange(n_entries)
     delivered = np.zeros_like(avail)
-    lists = SweepLists(avail, candidates, entry_accounts[candidates], nrows)
+    built = avail
+    lists = SweepLists(built, candidates, entry_accounts[candidates], nrows,
+                       ROUNDS)
+    since_built = np.zeros_like(avail)
     shrink_at = int(rng.integers(1, 5))
     for round_no in range(6):
         if round_no == shrink_at:
@@ -384,13 +471,19 @@ def assert_rounds_match_reference(seed):
             keep = rng.random(len(candidates)) < 0.7
             keep[0] = True
             candidates = candidates[keep]
-            lists = SweepLists(avail & ~delivered, candidates,
-                               entry_accounts[candidates], nrows)
+            built = avail & ~delivered
+            lists = SweepLists(built, candidates,
+                               entry_accounts[candidates], nrows, ROUNDS)
+            since_built = np.zeros_like(avail)
         rows, winner, _runner, _counts = assert_round_matches_reference(
             lists, avail, delivered, candidates, entry_accounts, nrows)
         won = rng.random(len(rows)) < rng.uniform(0.2, 1.0)
-        lists.advance(rows[won])
+        lists.advance(rows[won], round_no)
         deliver(delivered, rows[won], winner[won])
+        deliver(since_built, rows[won], winner[won])
+    # The lists' own record of their wins is what was delivered.
+    assert np.array_equal(lists.delivered_words(built, candidates),
+                          since_built[candidates])
 
 
 class TestAuctionKernel:
@@ -408,13 +501,14 @@ class TestAuctionKernel:
             candidates = np.array(candidates)
             entry_accounts = np.array(accounts)
             delivered = np.zeros_like(avail)
-            lists = SweepLists(avail, candidates, entry_accounts, nrows)
-            for _ in range(len(candidates) + 1):
+            lists = SweepLists(avail, candidates, entry_accounts, nrows,
+                               ROUNDS)
+            for round_no in range(len(candidates) + 1):
                 rows, winner, _runner, _counts = \
                     assert_round_matches_reference(
                         lists, avail, delivered, candidates,
                         entry_accounts, nrows)
-                lists.advance(rows)
+                lists.advance(rows, round_no)
                 deliver(delivered, rows, winner)
             assert not lists.auction()[0].size
 
@@ -422,13 +516,14 @@ class TestAuctionKernel:
         # Row 0: candidates 0 (acct 0), 1 (acct 0), 2 (acct 1) -> the
         # runner-up skips the winner's sibling. Row 1: only acct 0.
         avail = np.array([[0b01], [0b11], [0b01]], dtype=np.uint64)
-        lists = SweepLists(avail, np.arange(3), np.array([0, 0, 1]), 2)
+        lists = SweepLists(avail, np.arange(3), np.array([0, 0, 1]), 2,
+                           ROUNDS)
         rounds = []
-        for won in ([0, 1], [], [0], [0]):
+        for round_no, won in enumerate(([0, 1], [], [0], [0])):
             rows, winner, runner, contenders = lists.auction()
             rounds.append((rows.tolist(), winner.tolist(),
                            runner.tolist(), contenders.tolist()))
-            lists.advance(np.array(won, dtype=np.int64))
+            lists.advance(np.array(won, dtype=np.int64), round_no)
         assert rounds == [
             ([0, 1], [0, 1], [2, -1], [2, 1]),
             # Both advance; row 1 is done. Row 0 then loses a slot and

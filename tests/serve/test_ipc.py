@@ -79,6 +79,23 @@ class TestFramer:
         assert done.wait(timeout=30)
         assert received[0] == payload
 
+    def test_more_buffers_than_one_sendmsg_takes(self, framer_pair):
+        """A frame of more sections than IOV_MAX (1,024 on Linux) goes
+        out in several sendmsg calls instead of failing with EMSGSIZE."""
+        left, right = framer_pair
+        payload = [np.full(8, i, dtype=np.uint64) for i in range(1100)]
+        received = []
+        thread = threading.Thread(
+            target=lambda: received.append(right.recv()), daemon=True)
+        thread.start()
+        left.send(payload)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert left.buffers_sent == 1100
+        assert len(received[0]) == 1100
+        for got, sent in zip(received[0], payload):
+            assert np.array_equal(got, sent)
+
     def test_byte_accounting_includes_headers(self, framer_pair):
         left, right = framer_pair
         left.send("ping")
