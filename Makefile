@@ -13,13 +13,15 @@ test:
 ## inputs and store immutability), the per-slot kernel checked slot
 ## by slot against an Expr.matches reference, and the batch sweep
 ## (one-step and round-by-round) checked against the per-slot loop,
-## with the parallel sweep's priced digest.
+## its per-run lists and one-step tallies checked against per-pair
+## oracles, with the parallel sweep's priced digest.
 equivalence:
 	$(PYTHON) -m pytest -q tests/platform/test_mask_lowering.py \
 		tests/platform/test_targeting_compile.py \
 		tests/platform/test_packed_kernel.py \
 		tests/platform/test_delivery_kernel.py \
 		tests/platform/test_sweep_delivery.py \
+		tests/platform/test_sweep_runs.py \
 		tests/platform/test_parsweep.py
 
 ## Paper-reproduction benchmarks, single run each (fast, shape checks).

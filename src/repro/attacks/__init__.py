@@ -14,6 +14,8 @@ cost Treads itself.
 from repro.attacks.audience_size import (
     DeliveryInferenceAttack,
     SizeEstimateAttack,
+    SybilPaddedProbe,
 )
 
-__all__ = ["DeliveryInferenceAttack", "SizeEstimateAttack"]
+__all__ = ["DeliveryInferenceAttack", "SizeEstimateAttack",
+           "SybilPaddedProbe"]

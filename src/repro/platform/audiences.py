@@ -410,7 +410,8 @@ class AudienceRegistry:
         """Membership as a bitset over the user store's rows.
 
         Dynamic kinds are column algebra: page audiences are one column
-        extraction, keyword audiences a union of attribute columns,
+        extraction, keyword audiences one masked pass per attribute word
+        (:meth:`~repro.platform.colstore.ColumnarUserStore.any_attribute_bitset`),
         lookalikes a vectorized popcount of shared attributes against
         each seed row — no per-profile Python loop.
         """
@@ -432,13 +433,9 @@ class AudienceRegistry:
             return store.page_bitset(audience.page_id)
         if audience.kind is AudienceKind.KEYWORD:
             assert self._catalog is not None
-            matched: Set[str] = set()
-            for phrase in audience.phrases:
-                for attribute in self._catalog.search(phrase):
-                    matched.add(attribute.attr_id)
-            return bitset.union_all(
-                [store.attribute_bitset(attr_id) for attr_id in matched],
-                nrows)
+            return store.any_attribute_bitset(
+                {attribute.attr_id for phrase in audience.phrases
+                 for attribute in self._catalog.search(phrase)})
         assert audience.seed_audience_id is not None
         return self._lookalike_bitset(audience, nrows)
 

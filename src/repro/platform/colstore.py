@@ -15,8 +15,10 @@ object graph. This module is that store, and the only one:
 * **Binary attributes and page likes** are packed ``uint64`` bitset rows
   (:mod:`repro.platform.bitset`): user-major matrices where row ``r``
   bit ``c`` says user ``r`` carries attribute-code ``c``. Audience
-  materialization transposes these with one strided pass
-  (:func:`~repro.platform.bitset.column_bitset`) instead of scanning
+  materialization transposes these with strided passes — one per page
+  (:func:`~repro.platform.bitset.column_bitset`), one per attribute
+  word however many of its attributes an audience reads
+  (:meth:`UserColumns.attributes_column`) — instead of scanning
   profiles.
 * **PII** is a ``kind:digest -> row`` hash index (the custom-audience
   match step); every PII write, through the store or a view, is indexed.
@@ -49,6 +51,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -302,30 +305,33 @@ class UserColumns:
 
     # -- column (attribute-major) extraction -------------------------------
 
-    def attr_column(self, attr_id: str) -> np.ndarray:
-        """Bitset over rows: users with the *binary* attribute set."""
-        code = self.attrs.get(attr_id)
-        if code is None:
-            return bitset.make_bitset(self.count)
-        return bitset.column_bitset(self.attr_bits, self.count, code)
+    def attributes_column(self, attr_ids: Iterable[str]) -> np.ndarray:
+        """Bitset over rows: users with any of ``attr_ids``
+        (``has_attribute`` semantics: binary set or multi assigned).
 
-    def multi_assigned_column(self, attr_id: str) -> np.ndarray:
-        """Bitset over rows: users with the multi attribute assigned."""
-        col = self.multi_cols.get(attr_id)
-        if col is None:
-            return bitset.make_bitset(self.count)
-        flags = (col[: self.count] != 0).astype(np.uint8)
+        The binary attributes are grouped by matrix word, so each word
+        is one masked pass over its column, whatever the number of ids
+        in it; each multi attribute adds one pass over its column. Ids
+        never interned match nobody."""
+        n = self.count
+        word_masks: Dict[int, int] = {}
+        multi: List[np.ndarray] = []
+        for attr_id in attr_ids:
+            code = self.attrs.get(attr_id)
+            if code is not None:
+                word_masks[code >> 6] = (word_masks.get(code >> 6, 0)
+                                         | 1 << (code & 63))
+            col = self.multi_cols.get(attr_id)
+            if col is not None:
+                multi.append(col)
+        flags = np.zeros(n, dtype=bool)
+        for word, mask in word_masks.items():
+            flags |= (self.attr_bits[:n, word] & np.uint64(mask)) != 0
+        for col in multi:
+            flags |= col[:n] != 0
+        out = bitset.make_bitset(n)
         packed = np.packbits(flags, bitorder="little")
-        out = bitset.make_bitset(self.count)
-        out.view(np.uint8)[: packed.size] = packed
-        return out
-
-    def attribute_column(self, attr_id: str) -> np.ndarray:
-        """Bitset over rows: ``has_attribute`` semantics (binary set OR
-        multi assigned)."""
-        out = self.attr_column(attr_id)
-        if attr_id in self.multi_cols:
-            out |= self.multi_assigned_column(attr_id)
+        out.view(np.uint8)[:packed.size] = packed
         return out
 
     def page_column(self, page_id: str) -> np.ndarray:
@@ -899,7 +905,7 @@ class ColumnarUserStore:
     def users_with_attribute(self, attr_id: str) -> List[UserView]:
         """Views of every row carrying ``attr_id`` — a column extraction,
         not a profile scan."""
-        column = self.columns.attribute_column(attr_id)
+        column = self.columns.attributes_column((attr_id,))
         return [UserView(self, int(row))
                 for row in bitset.to_indices(column)]
 
@@ -919,7 +925,12 @@ class ColumnarUserStore:
     def attribute_bitset(self, attr_id: str) -> np.ndarray:
         """Users carrying ``attr_id`` (binary set or multi assigned), as
         a bitset over rows."""
-        return self.columns.attribute_column(attr_id)
+        return self.columns.attributes_column((attr_id,))
+
+    def any_attribute_bitset(self, attr_ids: Iterable[str]) -> np.ndarray:
+        """Users carrying any of ``attr_ids``, as a bitset over rows: one
+        masked pass per attribute word (a keyword audience's members)."""
+        return self.columns.attributes_column(attr_ids)
 
     def page_bitset(self, page_id: str) -> np.ndarray:
         """Users who liked ``page_id``, as a bitset over rows."""

@@ -119,11 +119,19 @@ class SweepLists:
     ``candidates`` lists the round's entries in auction-priority order
     and ``accounts[k]`` is the account of ``candidates[k]``. Each of the
     ``nrows`` (at least one) rows gets the list of its available
-    candidates (entry indices, priority order) in one CSR, plus, per
-    list position, the offset to the next position held by another
-    account, the number of distinct accounts from there to the row's
-    end and the round that delivered it — 6 bytes a pair for the Treads
-    campaign (2-byte entry and offset, 1-byte count and round).
+    candidates (entry indices, priority order) in one CSR.
+
+    A list falls into **runs**: stretches of positions held by one
+    account. Within a run the runner-up (the best other account's
+    candidate, at the start of the row's next run) and the number of
+    distinct accounts from there to the row's end never change, so the
+    lists keep them once per run — ``run_next``, the entry that starts
+    the row's next run (``no_entry`` when none does), and
+    ``run_accounts`` — and per position only ``run_at``, its run's index
+    within its row (a row's runs are numbered from ``row_run0``). With
+    the round each position was delivered in, that is 5 bytes a pair
+    and 3 a run for the Treads campaign (2-byte entry and run index,
+    1-byte round; 2-byte runner-up and 1-byte count).
 
     Across rounds a row's winner is its next undelivered candidate: a
     won slot caps exactly that (entry, row) pair, so :meth:`advance`
@@ -134,42 +142,77 @@ class SweepLists:
     (``max_rounds`` while it is not). The lists hold only while the
     candidate set does; the sweep folds their wins and builds new ones
     when it changes.
+
+    ``step`` (a :class:`_OneStep`) reads each block's lists and runs as
+    they are built, so the one-step delivery under a constant draw
+    tallies the block while it is still in cache.
     """
 
     def __init__(self, avail: np.ndarray, candidates: Sequence[int],
-                 accounts: Sequence[int], nrows: int,
-                 max_rounds: int) -> None:
+                 accounts: Sequence[int], nrows: int, max_rounds: int,
+                 step: Optional["_OneStep"] = None) -> None:
         candidates = np.asarray(candidates, dtype=np.int64)
-        codes, accounts = np.unique(np.asarray(accounts),
-                                    return_inverse=True)
-        cand_parts: List[np.ndarray] = []
-        skip_parts: List[np.ndarray] = []
+        #: The lists' account codes (ascending caller account values)
+        #: and each candidate position's code.
+        self.codes, inverse = np.unique(np.asarray(accounts),
+                                        return_inverse=True)
+        self.accounts = inverse.astype(np.min_scalar_type(len(self.codes)))
+        self.no_entry = len(avail)
+        # Every per-pair array is allocated once, at its final length
+        # (the candidates' bits), and filled block by block.
+        pairs = int(bitset.row_popcounts(
+            avail[:, :bitset.words_for(nrows)])[candidates].sum())
+        self.cand = np.empty(pairs, dtype=np.min_scalar_type(self.no_entry))
+        self.run_at = np.empty(pairs,
+                               dtype=np.min_scalar_type(len(candidates)))
+        self.no_round = max_rounds
+        self.won = np.full(pairs, max_rounds,
+                           dtype=np.min_scalar_type(max_rounds))
+        next_parts: List[np.ndarray] = []
         distinct_parts: List[np.ndarray] = []
         counts = np.zeros(nrows, dtype=np.int64)
+        runs = np.zeros(nrows, dtype=np.int64)
+        p0 = 0
         for r0 in range(0, nrows, _LIST_BLOCK_ROWS):
             nb = min(nrows - r0, _LIST_BLOCK_ROWS)
             w0 = r0 // bitset.WORD_BITS
             block = avail[candidates, w0:w0 + bitset.words_for(nb)]
             row, pos = _set_bits(block.view(np.uint8), nb)
+            p1 = p0 + len(row)
             row_counts = np.bincount(row, minlength=nb)
+            acct = self.accounts[pos]
+            first = np.ones(len(row), dtype=bool)
+            first[1:] = (row[1:] != row[:-1]) | (acct[1:] != acct[:-1])
+            starts = np.flatnonzero(first)
+            run_row = row[starts]
+            row_runs = np.bincount(run_row, minlength=nb)
+            run_of = np.cumsum(first, dtype=np.int32) - 1
+            cand = self.cand[p0:p1]
+            cand[:] = candidates[pos]
+            nxt = np.full(len(starts), self.no_entry, dtype=cand.dtype)
+            same = np.flatnonzero(run_row[1:] == run_row[:-1])
+            nxt[same] = cand[starts[same + 1]]
+            distinct = _accounts_to_row_end(run_row, acct[starts], row_runs,
+                                            len(self.codes))
+            if step is not None:
+                step.block(r0, row, pos, acct, row_counts, run_of, starts,
+                           nxt, distinct, cand, self.won[p0:p1])
             counts[r0:r0 + nb] = row_counts
-            acct = accounts[pos]
-            cand_parts.append(candidates[pos].astype(
-                np.min_scalar_type(len(avail))))
-            skip_parts.append(_next_other_account(row, acct).astype(
-                np.min_scalar_type(len(candidates))))
+            runs[r0:r0 + nb] = row_runs
+            self.run_at[p0:p1] = run_of - (np.cumsum(row_runs) - row_runs)[row]
+            next_parts.append(nxt)
             distinct_parts.append(
-                _accounts_to_row_end(row, acct, row_counts,
-                                     len(codes)).astype(
-                    np.min_scalar_type(len(codes))))
-        self.cand = np.concatenate(cand_parts)
-        self.skip = np.concatenate(skip_parts)
-        self.distinct = np.concatenate(distinct_parts)
+                distinct.astype(np.min_scalar_type(len(self.codes))))
+            p0 = p1
+        if p0 < pairs:  # bits past nrows, which the lists leave out
+            self.cand, self.run_at = self.cand[:p0], self.run_at[:p0]
+            self.won = self.won[:p0]
+        self.run_next = np.concatenate(next_parts)
+        self.run_accounts = np.concatenate(distinct_parts)
+        self.row_run0 = (np.cumsum(runs) - runs).astype(
+            np.min_scalar_type(runs.sum()))
         self.end = np.cumsum(counts)
         self.ptr = self.end - counts
-        self.no_round = max_rounds
-        self.won = np.full(len(self.cand), max_rounds,
-                           dtype=np.min_scalar_type(max_rounds))
 
     def auction(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray]:
@@ -179,12 +222,11 @@ class SweepLists:
         index (-1 when none), and how many accounts have one."""
         rows = np.flatnonzero(self.ptr < self.end)
         at = self.ptr[rows]
-        winner = self.cand[at].astype(np.int64)
-        nxt = at + self.skip[at]
-        has = nxt < self.end[rows]
-        runner = np.full(rows.size, -1, dtype=np.int64)
-        runner[has] = self.cand[nxt[has]]
-        return rows, winner, runner, self.distinct[at]
+        run = self.row_run0[rows] + self.run_at[at]
+        runner = self.run_next[run].astype(np.int64)
+        runner[runner == self.no_entry] = -1
+        return (rows, self.cand[at].astype(np.int64), runner,
+                self.run_accounts[run])
 
     def advance(self, rows: np.ndarray, round_no: int) -> None:
         """The winners of ``rows`` were delivered in round ``round_no``:
@@ -192,20 +234,6 @@ class SweepLists:
         at = self.ptr[rows]
         self.won[at] = round_no
         self.ptr[rows] = at + 1
-
-    def prefixes(self, take: np.ndarray
-                 ) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
-        """The next ``take[r]`` positions of every row ``r``, per block of
-        rows: ``(positions, offsets)`` in (row, list) order, ``offsets``
-        counting each row's positions from 0."""
-        for r0 in range(0, len(take), _LIST_BLOCK_ROWS):
-            block = take[r0:r0 + _LIST_BLOCK_ROWS]
-            total = int(block.sum())
-            if total:
-                offsets = np.arange(total) - np.repeat(
-                    np.cumsum(block) - block, block)
-                yield (np.repeat(self.ptr[r0:r0 + _LIST_BLOCK_ROWS], block)
-                       + offsets, offsets)
 
     def delivered_words(self, avail: np.ndarray,
                         entries: np.ndarray) -> np.ndarray:
@@ -230,6 +258,143 @@ class SweepLists:
         return words
 
 
+class _OneStep:
+    """The one-step delivery's tallies under the constant competing bid
+    ``constant``, gathered block by block while :class:`SweepLists`
+    builds (:meth:`DeliveryEngine._sweep_step` certifies and applies
+    them).
+
+    Each list position's outcome is fixed: it wins iff its bid beats
+    the constant and the floor, at ``min(max(runner-up's bid, constant,
+    floor), bid)``. Bids fall along a list, so a row delivers the
+    positions before its first losing one, one per round, up to
+    ``rounds`` (the rounds left) — ``take`` per row — and from then on
+    loses one slot per round. Every price is one of the runner-up's bid
+    (0 without one), the constant, the floor and the winner's bid, so it
+    is kept as an index into their sorted ``values``: min and max
+    commute with the sort, and the tallies stay small integer tables.
+
+    With ``collect`` (a parallel worker) each block also marks its
+    delivered positions' rounds in the lists and adds their prices into
+    ``by_round``, per (round, entry) a left fold in row order.
+    Otherwise it keeps each position's price for the per-round billing.
+    """
+
+    def __init__(self, bids: np.ndarray, candidates: Sequence[int],
+                 n_accounts: int, constant: float, floor: float,
+                 round0: int, max_rounds: int, nrows: int,
+                 collect: bool) -> None:
+        cap = max(constant, floor)
+        values = np.sort(np.append(bids, (0.0, cap)))
+        self.values = values[np.append(True, values[1:] != values[:-1])]
+        self.width = len(self.values)
+        # Per entry its bid's rank; past the last entry (a run with no
+        # next run) the rank of the $0 no-runner-up price.
+        self.rank = np.searchsorted(
+            self.values, np.append(bids, 0.0)).astype(
+                np.min_scalar_type(self.width))
+        self.cap_rank = int(np.searchsorted(self.values, cap))
+        wins = (bids > constant) & (bids >= floor)
+        self.loses = None if wins[candidates].all() else ~wins[candidates]
+        self.round0 = round0
+        self.rounds = max_rounds - round0
+        self.take = np.zeros(nrows, dtype=np.int64)
+        self.most_winning = 0
+        # Rows that reach a losing position: theirs and its run's count.
+        self.stuck_rows: List[np.ndarray] = []
+        self.stuck_counts: List[np.ndarray] = []
+        # Impressions per (account code, price); slots per contender
+        # count.
+        self.tally = np.zeros(n_accounts * self.width, dtype=np.int64)
+        self.contenders = np.zeros(n_accounts + 1, dtype=np.int64)
+        self.collect = collect
+        self.by_round = (
+            np.zeros((min(self.rounds, len(candidates)), len(bids)))
+            if collect else None)
+        self.price_at: List[np.ndarray] = []
+
+    def block(self, r0: int, row: np.ndarray, pos: np.ndarray,
+              acct: np.ndarray, row_counts: np.ndarray,
+              run_of: np.ndarray, starts: np.ndarray, nxt: np.ndarray,
+              distinct: np.ndarray, cand: np.ndarray,
+              won: np.ndarray) -> None:
+        """Tally one block of lists (rows from ``r0``), as
+        :class:`SweepLists` builds them: ``row``/``pos``/``acct``/
+        ``cand`` per pair, ``run_of`` each pair's run in the block,
+        ``starts``/``nxt``/``distinct`` per run."""
+        row_start = np.cumsum(row_counts) - row_counts
+        if self.loses is None:
+            winning = row_counts
+        else:
+            winning = row_counts - np.bincount(
+                row[self.loses[pos]], minlength=len(row_counts))
+        take = np.minimum(winning, self.rounds)
+        self.take[r0:r0 + len(take)] = take
+        if len(winning):
+            self.most_winning = max(self.most_winning, int(winning.max()))
+        stuck = np.flatnonzero(winning < row_counts)
+        if stuck.size:
+            self.stuck_rows.append(r0 + stuck)
+            self.stuck_counts.append(
+                distinct[run_of[row_start[stuck] + take[stuck]]])
+        offset = np.arange(len(row)) - row_start[row]
+        price = np.minimum(
+            np.maximum(self.rank[nxt], self.cap_rank)[run_of],
+            self.rank[cand])
+        if not self.collect:
+            self.price_at.append(price)
+        if np.array_equal(take, row_counts):
+            sel: Any = slice(None)
+            per_run = np.diff(starts, append=len(row))
+        else:
+            sel = np.flatnonzero(offset < take[row])
+            per_run = np.bincount(run_of[sel], minlength=len(starts))
+            offset, price, acct, cand = (offset[sel], price[sel], acct[sel],
+                                         cand[sel])
+        # Account codes are narrow integers: widen before multiplying.
+        self.tally += np.bincount(acct * np.intp(self.width) + price,
+                                  minlength=len(self.tally))
+        self.contenders += np.bincount(
+            distinct, weights=per_run,
+            minlength=len(self.contenders)).astype(np.int64)
+        if self.collect:
+            won[sel] = self.round0 + offset
+            # ufunc.at adds in index order: each (round, entry) cell is
+            # a left fold over its prices in row order.
+            np.add.at(self.by_round.reshape(-1),
+                      offset * self.by_round.shape[1] + cand,
+                      self.values[price])
+
+    def finish(self, codes: np.ndarray, n_accounts: int
+               ) -> Tuple[int, int, np.ndarray, np.ndarray]:
+        """After the last block: ``(rounds, missed, contenders,
+        tally)`` — the step's round count (a round runs while the one
+        before it won something); the slots lost after rows' last wins;
+        the contender histogram, those slots included; and impressions
+        per (account, price rank) over ``n_accounts`` accounts, the
+        lists' account ``codes`` naming their rows."""
+        stuck = (np.concatenate(self.stuck_rows) if self.stuck_rows
+                 else np.zeros(0, dtype=np.int64))
+        rounds = min(self.rounds, self.most_winning + bool(stuck.size))
+        lost = rounds - self.take[stuck]
+        contenders = self.contenders
+        if stuck.size:
+            contenders = contenders + np.bincount(
+                np.concatenate(self.stuck_counts), weights=lost,
+                minlength=len(contenders)).astype(np.int64)
+        tally = np.zeros((n_accounts, self.width), dtype=np.int64)
+        tally[codes] = self.tally.reshape(-1, self.width)[:len(codes)]
+        return rounds, int(lost.sum()), contenders, tally
+
+    def spend(self) -> np.ndarray:
+        """Each entry's spend (``collect``): its per-round folds added
+        in round order."""
+        spent = np.zeros(self.by_round.shape[1])
+        for round_spend in self.by_round[:int(self.take.max())]:
+            spent += round_spend
+        return spent
+
+
 def _set_bits(block: np.ndarray, nrows: int
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Every set bit of a packed ``(candidates x bytes)`` block as
@@ -238,8 +403,10 @@ def _set_bits(block: np.ndarray, nrows: int
     width = block.shape[1]
     flat = block.reshape(-1)
     at = np.flatnonzero(flat)
+    # unpackbits writes 0/1, so its bytes view as booleans as they are,
+    # and flatnonzero scans booleans several times faster than bytes.
     bits = np.flatnonzero(np.unpackbits(flat[at][:, None], axis=1,
-                                        bitorder="little"))
+                                        bitorder="little").view(np.bool_))
     at = at[bits >> 3]
     pos = at // width
     row = ((at - pos * width) << 3) + (bits & 7)
@@ -251,22 +418,12 @@ def _set_bits(block: np.ndarray, nrows: int
     return row[order], pos[order]
 
 
-def _next_other_account(row: np.ndarray, acct: np.ndarray) -> np.ndarray:
-    """Per pair of a CSR in (row, priority) order, the offset to the
-    next pair of the same row held by another account — or to the
-    row's end when none is: the end of its run of one account."""
-    first = np.ones(len(row), dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (acct[1:] != acct[:-1])
-    run_starts = np.append(np.flatnonzero(first), len(row))
-    return run_starts[np.cumsum(first)] - np.arange(len(row))
-
-
 def _accounts_to_row_end(row: np.ndarray, acct: np.ndarray,
                          row_counts: np.ndarray,
                          n_accounts: int) -> np.ndarray:
-    """Per pair of a CSR in (row, priority) order, how many distinct
-    accounts hold a pair from it to the row's end: a suffix count of
-    each (row, account)'s last pair."""
+    """Per item of a CSR in (row, priority) order — a list position, or
+    a run of them — how many distinct accounts hold an item from it to
+    the row's end: a suffix count of each (row, account)'s last item."""
     key = row.astype(np.int64) * n_accounts + acct
     # A narrow key (rows of one block x accounts) sorts by radix.
     by_key = np.argsort(
@@ -741,9 +898,10 @@ class DeliveryEngine:
     # winner is its next undelivered candidate in priority order. Under a
     # constant competing draw every remaining round is known as soon as
     # the lists exist — each position wins iff its bid beats the constant
-    # and the floor, at a price its runner-up fixes — so one step
-    # delivers them all: each row takes its winning list prefix at once,
-    # gated by one budget certificate over the step's exact spend. A
+    # and the floor, at a price its run's runner-up fixes — so one step
+    # delivers them all, tallied block by block as the lists are built:
+    # each row takes its winning list prefix at once, gated by one
+    # budget certificate over the step's exact spend. A
     # random draw (or a failed step certificate) runs round by round,
     # each round reading one list position per row. Single-process
     # sweeps bill each round in one order-exact fold; a parallel worker
@@ -771,9 +929,10 @@ class DeliveryEngine:
         ``rows`` is a ``(start, stop)`` half-open row range (default:
         the whole store); ``start`` must be 64-aligned so bitset state
         slices word-cleanly. Beyond the packed eligibility matrix, the
-        range's state is its candidate lists (about 6 bytes per
-        eligible (user, ad) pair); list building and the one-step
-        delivery work in bounded row blocks. Returns the same
+        range's state is its candidate lists (about 5 bytes per
+        eligible (user, ad) pair and 3 per run of one account's pairs);
+        list building and the one-step delivery work, fused, in
+        bounded row blocks. Returns the same
         :class:`DeliveryStats` that saturating the range one slot at a
         time would have produced.
 
@@ -907,13 +1066,15 @@ class DeliveryEngine:
                 if not rc:
                     break
                 if rc != lists_for:
+                    step = None if constant is None else _OneStep(
+                        bids, rc, len(accounts), constant, floor, round_no,
+                        max_rounds, n, collect)
                     lists = SweepLists(avail, rc, acct_idx[rc], n,
-                                       max_rounds)
+                                       max_rounds, step)
                     lists_for = rc
-                    if constant is not None and self._sweep_step(
-                            lists, entries, rc, acct_idx, accounts, bids,
-                            constant, round_no, max_rounds, stats, start,
-                            spent):
+                    if step is not None and self._sweep_step(
+                            lists, step, entries, rc, acct_idx, accounts,
+                            bids, stats, start, spent):
                         break
                     if collect:
                         raise StoreError(
@@ -1020,23 +1181,16 @@ class DeliveryEngine:
                                          spent)
         return delta
 
-    def _sweep_step(self, lists: SweepLists, entries: List[tuple],
-                    rc: List[int], acct_idx: np.ndarray,
-                    accounts: List[Any], bids: np.ndarray,
-                    constant: float, round0: int, max_rounds: int,
-                    stats: DeliveryStats, start: int,
+    def _sweep_step(self, lists: SweepLists, step: _OneStep,
+                    entries: List[tuple], rc: List[int],
+                    acct_idx: np.ndarray, accounts: List[Any],
+                    bids: np.ndarray, stats: DeliveryStats, start: int,
                     spent: Optional[np.ndarray]) -> bool:
-        """Deliver every remaining round of ``lists`` in one step under
-        the constant competing bid ``constant``, starting at round
-        ``round0``; False, with nothing changed, when the step's budget
-        certificate fails.
-
-        Each list position's outcome is fixed: it wins iff its bid beats
-        the constant and the floor, at ``min(max(runner-up's bid,
-        constant, floor), bid)``. Bids fall along a list, so a row
-        delivers the positions before its first losing one, one per
-        round, and from then on loses one slot per round. A round runs
-        while the one before it won something, up to ``max_rounds``.
+        """Deliver every remaining round of the freshly built ``lists``
+        in one step, from the tallies ``step`` gathered while building
+        them (:class:`_OneStep`); False, with nothing changed, when the
+        step's budget certificate fails. A round runs while the one
+        before it won something, up to ``max_rounds``.
 
         With ``spent`` (a parallel worker) nothing is billed: each
         entry's spend is added into it with the association its delta
@@ -1044,99 +1198,41 @@ class DeliveryEngine:
         in row order, the rounds added in order. Otherwise each round's
         wins bill and journal as a vector round's would.
         """
-        cand = lists.cand
-        remaining = lists.end - lists.ptr
-        if not remaining.any():
+        if not len(lists.cand):
             return True
-        wins = (bids > constant) & (bids >= self.floor_price)
-        if wins[rc].all():
-            winning = remaining
-        else:
-            ahead = np.zeros(len(cand) + 1, dtype=np.int64)
-            np.cumsum(wins[cand], out=ahead[1:])
-            winning = ahead[lists.end] - ahead[lists.ptr]
-        stuck = winning < remaining
-        rounds = min(max_rounds - round0,
-                     int(winning.max()) + bool(stuck.any()))
-        take = np.minimum(winning, rounds)
-        lost = np.where(stuck, rounds - take, 0)
-
-        # Every price is one of the runner-up's bid (0 without one), the
-        # constant, the floor and the winner's bid, so it is computed as
-        # an index into their sorted values: min and max commute with
-        # the sort, and the tallies below stay small integer tables.
-        cap = max(constant, self.floor_price)
-        values = np.sort(np.append(bids, (0.0, cap)))
-        values = values[np.append(True, values[1:] != values[:-1])]
-        rank = np.searchsorted(values, bids).astype(
-            np.min_scalar_type(len(values)))
-        no_runner = int(np.searchsorted(values, 0.0))
-        cap_rank = int(np.searchsorted(values, cap))
-        width = len(values)
-        # Impressions per (account, price); slots per contender count.
-        tally = np.zeros(len(accounts) * width, dtype=np.int64)
-        contenders = np.zeros(int(lists.distinct.max()) + 1, dtype=np.int64)
-        price_at = np.empty(len(cand), dtype=rank.dtype)
-        last = len(cand) - 1
-        for pos, _offset in lists.prefixes(take):
-            entry = cand[pos]
-            count = lists.distinct[pos]
-            # With one account left the runner-up offset points at the
-            # row's end, perhaps past the last list: clip, then ignore.
-            runner = rank[cand[np.minimum(pos + lists.skip[pos], last)]]
-            price = np.minimum(
-                np.maximum(np.where(count > 1, runner, no_runner),
-                           cap_rank),
-                rank[entry])
-            price_at[pos] = price
-            tally += np.bincount(acct_idx[entry] * width + price,
-                                 minlength=len(tally))
-            contenders += np.bincount(count, minlength=len(contenders))
-        idle = np.flatnonzero(lost)
-        if idle.size:
-            contenders += np.bincount(
-                lists.distinct[lists.ptr[idle] + take[idle]],
-                weights=lost[idle],
-                minlength=len(contenders)).astype(np.int64)
+        rounds, missed, contenders, tally = step.finish(lists.codes,
+                                                        len(accounts))
 
         # The step certificate: after the step's exact spend, every
         # candidate must still be affordable. Budgets only fall, so
         # every state in between passes too.
-        tally = tally.reshape(len(accounts), width)
-        planned = tally @ values
+        planned = tally @ step.values
         budgets = np.array([account.budget for account in accounts])
         owner = acct_idx[rc]
         if not np.all(budgets[owner] - planned[owner] + 1e-12 >= bids[rc]):
+            lists.won[:] = lists.no_round
             return False
 
+        take = step.take
         filled = int(take.sum())
-        missed = int(lost.sum())
         stats.slots += filled + missed
         stats.filled_by_tracked_ads += filled
         stats.lost_to_competition += missed
         if self._obs_on:
             self._obs_slots.inc(filled + missed)
             self._obs_sweep_rounds.inc(rounds)
-        observe_auctions(contenders, values, tally.sum(axis=0), missed)
+        observe_auctions(contenders, step.values, tally.sum(axis=0), missed)
         if spent is None:
+            price_at = np.concatenate(step.price_at)
             for offset in range(int(take.max())):
                 rows = np.flatnonzero(take > offset)
                 pos = lists.ptr[rows]
-                self._sweep_apply(entries, start, rows, cand[pos],
-                                  values[price_at[pos]])
-                lists.advance(rows, round0 + offset)
+                self._sweep_apply(entries, start, rows, lists.cand[pos],
+                                  step.values[price_at[pos]])
+                lists.advance(rows, step.round0 + offset)
             return True
-        by_round = np.zeros((int(take.max()), len(entries)))
-        for pos, offset in lists.prefixes(take):
-            lists.won[pos] = round0 + offset
-            # ufunc.at adds in index order: each (round, entry) cell is
-            # a left fold over its prices in row order.
-            np.add.at(by_round.reshape(-1),
-                      offset * len(entries) + cand[pos],
-                      values[price_at[pos]])
         lists.ptr += take
-        for round_spend in by_round:
-            spent += round_spend
+        spent += step.spend()
         return True
 
     def _sweep_apply(self, entries: List[tuple], start: int,

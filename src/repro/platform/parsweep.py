@@ -4,7 +4,9 @@ The single-process batch sweep
 (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`) is column
 algebra over one row range; this module partitions the row space itself.
 Each forked worker inherits the built platform world by copy-on-write —
-catalog, columns, lowered mask programs — sweeps its
+catalog, columns, lowered mask programs, and the audience bitsets those
+programs read, which the parent builds (or rebuilds, when a mutation
+made them stale) before it forks — sweeps its
 own disjoint ``(start, stop)`` range in one step without billing, and
 ships back one :class:`~repro.platform.delivery.SweepDelta`: a single
 ``uint64`` matrix of the winning ads' shown-bitset words plus their
@@ -126,9 +128,6 @@ def certify_budgets(engine: DeliveryEngine, nrows: int) -> None:
     by_account: Dict[str, Tuple[object, List[float]]] = {}
     for ad, account, bid in entries:
         by_account.setdefault(account.account_id, (account, []))[1].append(bid)
-        # Warm the lower cache pre-fork: every worker then inherits the
-        # compiled mask programs by copy-on-write instead of re-lowering.
-        lower_spec(ad.targeting)
     for account_id, (account, bids) in by_account.items():
         max_other = max(
             (max(other_bids)
@@ -145,6 +144,20 @@ def certify_budgets(engine: DeliveryEngine, nrows: int) -> None:
                 f"across the sweep (budget ${budget:.2f}, worst-case "
                 f"spend ${worst_case:.2f}); run sweep_slots "
                 "single-process instead")
+
+
+def warm_programs(engine: DeliveryEngine) -> None:
+    """Lower every candidate's spec and materialize the audience bitsets
+    the programs read, before the fork: each worker then inherits both
+    by copy-on-write instead of building them for its own range. The
+    registry's cache is keyed on the world's mutation state, so a
+    bitset a mutation made stale is rebuilt here, once."""
+    audiences = engine._audiences
+    for ad, _account, _bid in engine._sweep_candidates():
+        program = lower_spec(ad.targeting)
+        for audience_id in (program.referenced_audiences
+                            if program is not None else ()):
+            audiences.member_bitset_cached(audience_id)
 
 
 def parallel_sweep(
@@ -178,6 +191,7 @@ def parallel_sweep(
     if len(ranges) <= 1:
         return engine.sweep_slots(max_rounds=max_rounds)
     certify_budgets(engine, nrows)
+    warm_programs(engine)
     ctx = get_context("fork")
     spawned = []
     for start, stop in ranges:

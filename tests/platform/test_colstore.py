@@ -8,6 +8,7 @@ packed-block serialization, and the flyweight views.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import CatalogError, PIIError
@@ -264,6 +265,68 @@ class TestColumnarQueries:
         assert stats["page_vocab"] == 1
         assert stats["column_bytes"] > 0
         assert 0.0 < stats["attr_bitset_density"] <= 1.0
+
+
+class TestAnyAttributeBitset:
+    """A keyword audience's members in one pass per attribute word
+    (``any_attribute_bitset``), against the union of one column per
+    attribute and against the views' ``has_attribute``."""
+
+    BINARY = [make_binary(f"kb{i}", f"Binary {i}", ("Cat",))
+              for i in range(150)]
+    MULTIS = [make_multi(f"km{i}", f"Multi {i}", ("Cat",),
+                         values=("x", "y")) for i in range(3)]
+
+    def _store(self, seed):
+        rng = np.random.default_rng(seed)
+        store = ColumnarUserStore()
+        for index in range(int(rng.integers(1, 300))):
+            view = store.new_user(f"u-{index:03d}")
+            for attr in rng.choice(len(self.BINARY), size=3):
+                view.set_attribute(self.BINARY[attr])
+            if rng.random() < 0.3:
+                view.set_attribute(self.MULTIS[rng.integers(0, 2)], "y")
+        # Interned, then cleared everywhere: matches nobody.
+        view.set_attribute(self.MULTIS[2], "x")
+        view.multi_attrs.pop("km2")
+        return store
+
+    def _assert_matches(self, store, ids):
+        got = store.any_attribute_bitset(ids)
+        union = bitset.union_all([store.attribute_bitset(i) for i in ids],
+                                 len(store))
+        assert np.array_equal(got, union)
+        views = {row for row in range(len(store))
+                 if any(UserView(store, row).has_attribute(i)
+                        for i in ids)}
+        assert set(bitset.to_indices(got).tolist()) == views
+
+    def test_binary_across_words(self):
+        store = self._store(1)
+        assert store.columns.attr_bits.shape[1] >= 3
+        self._assert_matches(store, {"kb0", "kb63", "kb64", "kb130"})
+        self._assert_matches(store, {f"kb{i}" for i in range(0, 150, 4)})
+
+    def test_multi_assigned(self):
+        store = self._store(2)
+        self._assert_matches(store, {"km0"})
+        self._assert_matches(store, {"km0", "km1", "kb5", "kb100"})
+
+    def test_never_interned_and_no_match(self):
+        store = self._store(3)
+        self._assert_matches(store, {"never-seen", "kb7"})
+        self._assert_matches(store, {"never-seen"})
+        self._assert_matches(store, {"km2"})
+        self._assert_matches(store, set())
+        assert not store.any_attribute_bitset({"never-seen", "km2"}).any()
+
+    def test_random_id_sets(self):
+        ids = [a.attr_id for a in self.BINARY + self.MULTIS] + ["nope"]
+        rng = np.random.default_rng(4)
+        for seed in range(20):
+            store = self._store(seed)
+            pick = rng.choice(len(ids), size=int(rng.integers(0, 40)))
+            self._assert_matches(store, {ids[i] for i in pick})
 
 
 class TestStateRoundTrip:

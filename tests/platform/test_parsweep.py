@@ -274,3 +274,68 @@ class TestPricedDigest:
         assert spend > 0
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
             PINNED_PRICED_DIGEST
+
+
+def stale_keyword_reports(workers):
+    """A Treads account and a rival whose keyword-audience ad is checked
+    (materializing the audience bitset) before more users gain the
+    audience's attribute, so the sweep starts from a stale bitset.
+    Bids are powers of two per impression, so every price sum is exact
+    whatever its association and the digests compare across worker
+    counts. Returns the canonical reports' JSON, the audience's fresh
+    member count, the audience ad's impressions, and whether the
+    parent holds the fresh bitset after the sweep."""
+    platform = AdPlatform(
+        config=PlatformConfig(name="kw", compact_delivery=True),
+        catalog=build_us_catalog(40, 25),
+        competing_draw=fixed_competition(0.0),
+        store=NullStore(),
+    )
+    attrs = platform.catalog.partner_attributes()[:8]
+    users = [platform.register_user(age=20 + i % 40) for i in range(600)]
+    for i, user in enumerate(users):
+        user.set_attribute(attrs[i % len(attrs)])
+    treads = platform.create_ad_account("treads", budget=1_000.0)
+    campaign = platform.create_campaign(treads.account_id, "treads")
+    for attr in attrs:
+        platform.submit_ad(treads.account_id, campaign.campaign_id,
+                           AdCreative("t", attr.attr_id),
+                           f"attr:{attr.attr_id}", bid_cap_cpm=15.625)
+    rival = platform.create_ad_account("rival", budget=1_000.0)
+    rival_campaign = platform.create_campaign(rival.account_id, "intent")
+    audience = platform.create_keyword_audience(rival.account_id,
+                                                (attrs[3].name,))
+    intent = platform.submit_ad(rival.account_id,
+                                rival_campaign.campaign_id,
+                                AdCreative("intent", "buy"),
+                                f"audience:{audience.audience_id}",
+                                bid_cap_cpm=31.25)
+    registry = platform.audiences
+    before = registry.membership_count(audience.audience_id)
+    for user in users[::5]:
+        user.set_attribute(attrs[3])
+    assert registry._bitset_cache[audience.audience_id][0] != \
+        registry.mutation_key
+    platform.run_sweep(workers=workers)
+    fresh = (registry._bitset_cache[audience.audience_id][0]
+             == registry.mutation_key)
+    members = registry.membership_count(audience.audience_id)
+    assert members > before
+    rows = []
+    for account_id in (treads.account_id, rival.account_id):
+        rows.extend(dataclasses.asdict(report)
+                    for report in platform.reports(account_id))
+    rows.sort(key=lambda row: row["ad_id"])
+    impressions = platform.delivery.impression_count_for_ad(intent.ad_id)
+    return json.dumps(rows, sort_keys=True), members, impressions, fresh
+
+
+class TestStaleAudience:
+    def test_stale_keyword_audience_is_rebuilt_before_the_fork(self):
+        text, members, impressions, fresh = stale_keyword_reports(2)
+        assert fresh  # warmed in the parent, before the workers forked
+        assert impressions == members
+        serial, *serial_counts = stale_keyword_reports(1)
+        assert serial_counts[:2] == [members, impressions]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            hashlib.sha256(serial.encode("utf-8")).hexdigest()

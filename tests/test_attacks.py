@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.attacks import DeliveryInferenceAttack, SizeEstimateAttack
+from repro.attacks import (
+    DeliveryInferenceAttack,
+    SizeEstimateAttack,
+    SybilPaddedProbe,
+)
 from repro.platform.ads import AdCreative
 from repro.platform.catalog import build_us_catalog
 from repro.platform.pii import record_from_raw
@@ -87,44 +91,52 @@ class TestDeliveryInferenceAttack:
 
 
 class TestPaddedProbe:
-    """The delivery probe the min-match defense does not block: the
-    attacker pads the probe's PII audience with users of its own who all
-    have the target attribute. The spec then matches at least the
-    padding, which clears ``min_delivery_match_count``, and the owner's
-    exact report counts the victim as one impression more. Recorded
-    here as a live leak; no defense covers it yet."""
+    """The delivery probe the min-match defense does not block
+    (:class:`SybilPaddedProbe`): the attacker pads the probe's PII
+    audience with users of its own who all have the target attribute.
+    The spec then matches at least the padding, which clears
+    ``min_delivery_match_count``, and the owner's exact report counts
+    the victim as one impression more. Recorded here as a live leak; no
+    defense covers it yet."""
 
     PADDING = 20
 
-    def _probe(self, victim_has_attr):
-        platform = _platform(min_match=self.PADDING)
+    def _probe(self, victim_has_attr, threshold):
+        platform = _platform(min_match=threshold)
         _, attr = _plant_victim(platform, has_attr=victim_has_attr)
-        account = platform.create_ad_account("padded-acct", budget=10.0)
-        campaign = platform.create_campaign(account.account_id, "probe")
-        records = [record_from_raw("email", VICTIM_EMAIL)]
-        for index in range(self.PADDING):
-            pad = platform.register_user()
-            email = f"pad{index}@attacker.example"
-            platform.users.attach_pii(pad.user_id, "email", email)
-            pad.set_attribute(attr)
-            records.append(record_from_raw("email", email))
-        audience = platform.create_pii_audience(account.account_id, records)
-        spec = f"audience:{audience.audience_id} & attr:{attr.attr_id}"
-        matching = platform.audiences.count_matching(parse(spec))
-        ad = platform.submit_ad(account.account_id, campaign.campaign_id,
-                                AdCreative("Great deals", "This week only."),
-                                spec, bid_cap_cpm=10.0)
-        platform.run_sweep()
-        report = platform.report(account.account_id, ad.ad_id)
-        return matching, report
+        probe = SybilPaddedProbe(platform, padding=self.PADDING)
+        outcome = probe.run(VICTIM_EMAIL, attr.attr_id,
+                            ground_truth=victim_has_attr)
+        return outcome, probe.last_report
 
     def test_padding_clears_the_defense_and_the_report_leaks(self):
-        matching, report = self._probe(victim_has_attr=True)
-        assert matching == self.PADDING + 1
+        outcome, report = self._probe(True, threshold=self.PADDING)
+        assert (outcome.inferred_bit, outcome.correct) == (True, True)
         assert (report.impressions, report.reach) == (21, 21)
-        matching, report = self._probe(victim_has_attr=False)
-        assert matching == self.PADDING
+        outcome, report = self._probe(False, threshold=self.PADDING)
+        assert (outcome.inferred_bit, outcome.correct) == (False, True)
         assert (report.impressions, report.reach) == (20, 20)
+
+    def test_padding_under_the_threshold_learns_nothing(self):
+        # Two short of the threshold, neither world's spec matches
+        # enough users: the ad is withheld in both.
+        for truth in (True, False):
+            outcome, report = self._probe(truth,
+                                          threshold=self.PADDING + 2)
+            assert outcome.inferred_bit is None
+            assert report.impressions == 0
+
+    def test_padding_one_short_still_leaks_through_withholding(self):
+        # One short: the victim's match lifts the spec to the threshold,
+        # so the ad serves only when the victim has the attribute. The
+        # probe leaves the withheld world's 0 undecided, but the two
+        # worlds' reports still differ.
+        outcome, report = self._probe(True, threshold=self.PADDING + 1)
+        assert (outcome.inferred_bit, outcome.correct) == (True, True)
+        assert report.impressions == self.PADDING + 1
+        outcome, report = self._probe(False, threshold=self.PADDING + 1)
+        assert outcome.inferred_bit is None
+        assert report.impressions == 0
 
 
 class TestDefenseCostToTreads:
