@@ -14,7 +14,9 @@ test:
 ## by slot against an Expr.matches reference, and the batch sweep
 ## (one-step and round-by-round) checked against the per-slot loop,
 ## its per-run lists and one-step tallies checked against per-pair
-## oracles, with the parallel sweep's priced digest.
+## oracles, with the parallel sweep's priced digest; and the keyed
+## market: its scalar path against its vector kernel bit for bit, and
+## the sweep and the parallel sweep under it against the per-slot loop.
 equivalence:
 	$(PYTHON) -m pytest -q tests/platform/test_mask_lowering.py \
 		tests/platform/test_targeting_compile.py \
@@ -22,7 +24,8 @@ equivalence:
 		tests/platform/test_delivery_kernel.py \
 		tests/platform/test_sweep_delivery.py \
 		tests/platform/test_sweep_runs.py \
-		tests/platform/test_parsweep.py
+		tests/platform/test_parsweep.py \
+		tests/workloads/test_competition.py
 
 ## Paper-reproduction benchmarks, single run each (fast, shape checks).
 bench:

@@ -66,7 +66,8 @@ def _serve(platform, store_factory=None):
         for user in platform.users:
             shard = router.shard_for(user.user_id)
             base = shard.claim_slots(user.user_id, SLOTS)
-            shard.serve_user_slots(user, base, SLOTS)
+            for k in range(SLOTS):
+                shard.engine.serve_slot(user, base + k)
     total = router.total_impressions()
     records = sum(shard.store.record_count for shard in router.shards)
     for shard in router.shards:

@@ -951,7 +951,8 @@ def _serve_rounds(platform, router, rounds: int, slots: int) -> None:
         for user in platform.users:
             shard = router.shard_for(user.user_id)
             base = shard.claim_slots(user.user_id, slots)
-            shard.serve_user_slots(user, base, slots)
+            for k in range(slots):
+                shard.engine.serve_slot(user, base + k)
 
 
 def _cpu_with_children() -> float:
@@ -980,8 +981,8 @@ def _cmd_populate(args: argparse.Namespace) -> int:
         return 2
     if args.sweep:
         # The batch sweep wants the million-user memory shape: compact
-        # delivery state, journal records discarded, and a constant
-        # competing draw (required for --sweep-workers).
+        # delivery state, journal records discarded, and the Treads
+        # economics of no competing demand.
         platform = AdPlatform(
             config=PlatformConfig(name="populate", compact_delivery=True),
             catalog=build_us_catalog(),

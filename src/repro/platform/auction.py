@@ -2,11 +2,11 @@
 
 Whenever a user's browsing session exposes an ad slot, the platform runs
 an auction among the ads whose targeting the user satisfies, plus the
-ambient *competing demand* from all other advertisers (modelled as a draw
-from a competing-bid distribution — see
-:mod:`repro.workloads.competition`). The auction is second-price with bid
-caps: the winner pays the maximum of the runner-up's bid, the competing
-bid, and the floor price — never more than its own cap.
+ambient *competing demand* from all other advertisers (one keyed bid per
+slot — see :mod:`repro.workloads.competition`). The auction is
+second-price with bid caps: the winner pays the maximum of the
+runner-up's bid, the competing bid, and the floor price — never more
+than its own cap.
 
 This is the mechanism behind the paper's validation detail that matters
 for cost: the authors "set the bid cap for each ad to be $10 CPM — five
@@ -18,13 +18,10 @@ the bid cap against calibrated competition to reproduce that reasoning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.obs.metrics import bind
 from repro.platform.ads import Ad
-
-#: Draws the strongest competing bid (dollars per impression) for one slot.
-CompetingBidDraw = Callable[[], float]
 
 #: Late-bound auction instruments: resolved against the current metrics
 #: registry (identity-checked per call, so registry swaps take effect
@@ -179,20 +176,3 @@ def _decide(
     price = min(price, best_bid)
     return AuctionOutcome(winner=best, price=price,
                           competing_bid=competing_bid)
-
-
-def win_probability(
-    bid_cpm: float,
-    competing_draw: CompetingBidDraw,
-    trials: int = 10_000,
-) -> float:
-    """Monte-Carlo estimate of the probability one lone ad wins a slot.
-
-    Used by the bid-cap benchmark (E6) to trace the delivery-vs-bid curve
-    the paper's 5x bid elevation implicitly climbs.
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    bid = bid_cpm / 1000.0
-    wins = sum(1 for _ in range(trials) if bid > competing_draw())
-    return wins / trials

@@ -43,7 +43,8 @@ import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
-    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -55,7 +56,6 @@ from repro.platform import bitset
 from repro.platform.ads import Ad, AdImage, AdInventory, AdStatus
 from repro.platform.auction import (
     AuctionOutcome,
-    CompetingBidDraw,
     observe_auctions,
     run_auction,
 )
@@ -71,6 +71,9 @@ from repro.store.records import (
     record_to_dict,
 )
 from repro.store.store import MemoryStore, StateStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.competition import KeyedCompetition
 
 _log = logging.getLogger("repro.platform.delivery")
 
@@ -144,7 +147,7 @@ class SweepLists:
     when it changes.
 
     ``step`` (a :class:`_OneStep`) reads each block's lists and runs as
-    they are built, so the one-step delivery under a constant draw
+    they are built, so the one-step delivery under a constant market
     tallies the block while it is still in cache.
     """
 
@@ -534,7 +537,7 @@ class DeliveryEngine:
         inventory: AdInventory,
         audiences: AudienceRegistry,
         ledger: BillingLedger,
-        competing_draw: CompetingBidDraw,
+        competition: "KeyedCompetition",
         users: ColumnarUserStore,
         floor_price_cpm: float = 0.0,
         min_match_count: int = 0,
@@ -552,7 +555,10 @@ class DeliveryEngine:
         self._inventory = inventory
         self._audiences = audiences
         self._ledger = ledger
-        self._competing_draw = competing_draw
+        #: Slot ``s`` of user row ``r`` meets ``competition.bid(r, s)``.
+        self.competition = competition
+        #: Per row, its count of slots auctioned here (random markets).
+        self._slot_counts = np.zeros(0, dtype=np.int64)
         self.floor_price = floor_price_cpm / 1000.0
         self.min_match_count = min_match_count
         #: The platform's user store: rows key the shown bitsets, and the
@@ -720,14 +726,16 @@ class DeliveryEngine:
 
     # -- slot serving --------------------------------------------------------
 
-    def serve_slot(self, user: UserView) -> AuctionOutcome:
-        """Auction one ad slot in ``user``'s session; deliver the winner."""
+    def serve_slot(self, user: UserView,
+                   slot: Optional[int] = None) -> AuctionOutcome:
+        """Auction ``user``'s slot number ``slot`` (which keys its
+        competing bid; by default their next one); deliver the winner."""
         with obs_tracing.tracer().span("serve_slot", user_id=user.user_id):
             contenders, _ = self._slot_contenders(user)
-            return self._auction_slot(user, contenders)
+            return self._auction_slot(user, contenders, slot)
 
-    def _auction_slot(self, user: UserView,
-                      eligible: Sequence[Ad]) -> AuctionOutcome:
+    def _auction_slot(self, user: UserView, eligible: Sequence[Ad],
+                      slot: Optional[int] = None) -> AuctionOutcome:
         """Auction one slot against a pre-computed eligible list.
 
         The run loops thread their eligibility result through here so
@@ -736,14 +744,29 @@ class DeliveryEngine:
         """
         if self._obs_on:
             self._obs_slots.inc()
+        competing = self.competition.constant
+        if competing is None:
+            row = user.row
+            if slot is None:
+                counts = self._row_slot_counts()
+                slot = int(counts[row])
+                counts[row] = slot + 1
+            competing = self.competition.bid(row, slot)
         outcome = run_auction(
             eligible,
-            competing_bid=self._competing_draw(),
+            competing_bid=competing,
             floor_price=self.floor_price,
         )
         if outcome.winner is not None:
             self._deliver(outcome.winner, user, outcome.price)
         return outcome
+
+    def _row_slot_counts(self) -> np.ndarray:
+        """The per-row slot counters, grown with zeros to the store."""
+        grow = len(self._user_store) - len(self._slot_counts)
+        if grow > 0:
+            self._slot_counts = np.pad(self._slot_counts, (0, grow))
+        return self._slot_counts
 
     def _deliver(self, ad: Ad, user: UserView, price: float) -> None:
         """Live delivery: charge, journal, fold, emit obs signals."""
@@ -896,19 +919,20 @@ class DeliveryEngine:
     # program in one packed pass (repro.platform.targeting.evaluate_packed).
     # Delivery then walks per-row candidate lists (SweepLists): a row's
     # winner is its next undelivered candidate in priority order. Under a
-    # constant competing draw every remaining round is known as soon as
+    # constant market every remaining round is known as soon as
     # the lists exist — each position wins iff its bid beats the constant
     # and the floor, at a price its run's runner-up fixes — so one step
     # delivers them all, tallied block by block as the lists are built:
     # each row takes its winning list prefix at once, gated by one
-    # budget certificate over the step's exact spend. A
-    # random draw (or a failed step certificate) runs round by round,
-    # each round reading one list position per row. Single-process
-    # sweeps bill each round in one order-exact fold; a parallel worker
-    # bills nothing and ships its spend in its delta, which its parent
-    # bills. The lists record every win (pointer and won round per
-    # position), so the shown bitsets and counters — or a worker's delta
-    # — absorb them once, from the lists. Semantics — winners, prices,
+    # budget certificate over the step's exact spend. A random market
+    # (or a failed step certificate) runs round by round, each round
+    # reading one list position per row and drawing its rows' keyed bids
+    # in one call. Single-process sweeps bill each round in one
+    # order-exact fold; a parallel worker (constant markets only) bills
+    # nothing and ships its spend in its delta, which its parent bills.
+    # The lists record every win (pointer and won round per position),
+    # so the shown bitsets and counters — or a worker's delta — absorb
+    # them once, from the lists. Semantics — winners, prices,
     # stats, reports — are identical to saturating the same rows one
     # slot at a time (pinned by tests/integration/test_columnar_equivalence.py
     # and tests/platform/test_sweep_delivery.py); the two escape hatches
@@ -941,8 +965,7 @@ class DeliveryEngine:
         leaves this engine's shown bitsets alone, and also returns the
         range's :class:`SweepDelta`, which a compact parent engine
         absorbs with :meth:`absorb_sweep_delta`. It needs a constant
-        competing draw and a certified step (raises StoreError
-        otherwise).
+        market and a certified step (raises StoreError otherwise).
         """
         cols = self._user_store.columns
         check_sweep_args(max_rounds)
@@ -1042,8 +1065,7 @@ class DeliveryEngine:
             acct_idx[i] = account_index[entry[0].account_id]
         bids = np.array([e[2] for e in entries], dtype=np.float64)
         active = AdStatus.ACTIVE
-        draw = self._competing_draw
-        constant = getattr(draw, "constant", None)
+        constant = self.competition.constant
         floor = self.floor_price
         obs_on = self._obs_on
         spent = np.zeros(len(entries)) if collect else None
@@ -1079,16 +1101,14 @@ class DeliveryEngine:
                     if collect:
                         raise StoreError(
                             f"{self.engine_id}: a partitioned sweep "
-                            "range needs a constant competing draw and "
-                            "a budget-certified step; run the sweep "
+                            "range needs a constant market and a "
+                            "budget-certified step; run the sweep "
                             "single-process (sweep_slots) so its "
                             "fallback rounds can replay exactly")
 
                 # Phase A: per-row winner/runner-up selection, the head
-                # of each row's list. Both are draw-independent (the
-                # competing bid only decides win/lose and price), so no
-                # RNG is consumed before the budget certificate — a
-                # fallback round must replay with a virgin draw stream.
+                # of each row's list. Both are independent of the
+                # competing bid, which only decides win/lose and price.
                 rel_rows, wcand, rcand, contenders = lists.auction()
                 if not rel_rows.size:
                     # No user in range has any eligible candidate left:
@@ -1105,7 +1125,7 @@ class DeliveryEngine:
                 # is exactly the scalar outcome unless some account's
                 # budget could cross below a candidate's bid mid-round.
                 # Bound each slot's charge (the exact price under a
-                # constant draw, the winner's bid otherwise), sum per
+                # constant market, the winner's bid otherwise), sum per
                 # account, and require every round candidate to remain
                 # affordable under full planned spend — budgets are
                 # monotone, so passing the worst case certifies every
@@ -1145,15 +1165,16 @@ class DeliveryEngine:
                         break
                     continue
 
-                # Phase C: decide, count, and apply in bulk. Draws
-                # happen here, one per auctioned user in ascending row
-                # order — the exact sequence the per-slot loop consumes.
+                # Phase C: decide, count, and apply in bulk. Each
+                # auctioned row's competing bid is keyed on its next
+                # slot index, as in the per-slot loop.
                 if constant is not None:
-                    competing = np.full(slots, constant)
+                    competing: Any = constant
                 else:
-                    competing = np.fromiter(
-                        (draw() for _ in range(slots)),
-                        dtype=np.float64, count=slots)
+                    keyed = rel_rows + start
+                    counts = self._row_slot_counts()
+                    competing = self.competition.bids(keyed, counts[keyed])
+                    counts[keyed] += 1
                 won = (winner_bids > competing) & (winner_bids >= floor)
                 price = np.minimum(
                     np.maximum(np.maximum(runner, competing), floor),
@@ -1533,6 +1554,8 @@ class DeliveryEngine:
     def state_dump(self) -> Dict[str, Any]:
         dump = self.export_state()
         dump["impression_seq"] = self._impression_seq
+        if self._slot_counts.any():
+            dump["slot_counts"] = self._slot_counts.tolist()
         return dump
 
     def state_load(self, state: Dict[str, Any]) -> None:
@@ -1556,6 +1579,8 @@ class DeliveryEngine:
         seq = state.get("impression_seq")
         if isinstance(seq, int) and seq > self._impression_seq:
             self._impression_seq = seq
+        self._slot_counts = np.array(state.get("slot_counts", []),
+                                     dtype=np.int64)
 
     def apply_record(self, record: ChangeRecord) -> None:
         """Replay one journal record (no journaling, no obs).

@@ -15,16 +15,20 @@ with :meth:`~repro.platform.delivery.DeliveryEngine.absorb_sweep_delta`
 in range order, so the merged engine state is deterministic regardless
 of which worker finishes first.
 
-Three preconditions make the partition sound, all checked up front:
+Only a constant market is partitioned (``competition.constant`` set:
+:func:`~repro.workloads.competition.zero_competition` /
+:func:`~repro.workloads.competition.fixed_competition`), because only
+then does a range deliver in one step. A random market's keyed bids
+would let workers draw their own rows', but its rounds are billed in
+(round, row) order across the whole store, so :func:`parallel_sweep`
+runs it single-process.
+
+Two preconditions make the partition sound, both checked up front:
 
 * **Compact engine** — deltas are bitset/counter folds; per-impression
   journals cannot be reassembled across forks (a forked
   :class:`~repro.store.store.JournalStore` would even share the parent's
   file descriptor).
-* **Constant competing-bid draw** — workers cannot share an RNG stream,
-  so every draw must be a known constant
-  (:func:`~repro.workloads.competition.zero_competition` /
-  :func:`~repro.workloads.competition.fixed_competition`).
 * **A budget certificate over the whole sweep** — a worker cannot replay
   another worker's rows, so no account budget may cross an
   affordability threshold anywhere in the sweep. The certificate bounds
@@ -115,12 +119,11 @@ def certify_budgets(engine: DeliveryEngine, nrows: int) -> None:
     :meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`, whose
     scalar-replay fallback handles budget flips exactly.
     """
-    constant = getattr(engine._competing_draw, "constant", None)
+    constant = engine.competition.constant
     if constant is None:
         raise StoreError(
-            "parallel sweep needs a constant competing-bid draw "
-            "(fixed_competition / zero_competition); random draws "
-            "cannot be split across processes")
+            "only a constant market (fixed_competition / "
+            "zero_competition) bounds every charge up front")
     entries = engine._sweep_candidates()
     if not entries:
         return
@@ -168,7 +171,8 @@ def parallel_sweep(
     """Sweep the whole attached columnar store across forked workers.
 
     ``workers`` defaults to the visible core count. With one worker (or
-    one row range) this degenerates to a plain in-process
+    one row range), or under a random market, this degenerates to a
+    plain in-process
     :meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots` call.
     Returns the aggregate :class:`DeliveryStats` across all ranges.
     """
@@ -188,7 +192,7 @@ def parallel_sweep(
             " a forked worker cannot append to the parent's journal")
     nrows = len(users)
     ranges = partition_rows(nrows, workers)
-    if len(ranges) <= 1:
+    if len(ranges) <= 1 or engine.competition.constant is None:
         return engine.sweep_slots(max_rounds=max_rounds)
     certify_budgets(engine, nrows)
     warm_programs(engine)

@@ -18,10 +18,8 @@ values to model the multi-platform opt-in page of paper section 3.1.
 from __future__ import annotations
 
 import logging
-import math
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.errors import AccountError, TargetingError
 from repro.ids import IdFactory
@@ -44,7 +42,6 @@ from repro.platform.audiences import (
     ReachEstimate,
     round_reach,
 )
-from repro.platform.auction import CompetingBidDraw
 from repro.platform.billing import BillingLedger, Invoice
 from repro.platform.catalog import build_us_catalog
 from repro.platform.colstore import ColumnarUserStore, UserView
@@ -63,29 +60,10 @@ from repro.platform.targeting import TargetingSpec, parse
 from repro.platform.web import Browser, Visit
 from repro.store.store import MemoryStore, StateStore
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.competition import KeyedCompetition
+
 _log = logging.getLogger("repro.platform")
-
-
-def default_competition(
-    seed: int = 7,
-    median_cpm: float = 2.0,
-    sigma: float = 0.5,
-) -> CompetingBidDraw:
-    """Log-normal competing-bid draw calibrated to the paper's numbers.
-
-    The paper cites $2 CPM as "the typical recommended bid" for US users —
-    i.e. the price that wins a typical impression — so the competing top
-    bid is log-normal with *median* $2 CPM. At that median a $2 bid wins
-    about half the time while the validation's elevated $10 CPM (5x) wins
-    almost always, matching why the authors raised the cap.
-    """
-    rng = random.Random(seed)
-    mu = math.log(median_cpm / 1000.0)
-
-    def draw() -> float:
-        return rng.lognormvariate(mu, sigma)
-
-    return draw
 
 
 @dataclass
@@ -112,7 +90,8 @@ class PlatformConfig:
     min_delivery_match_count: int = 0
     #: Auction floor price in CPM dollars.
     floor_price_cpm: float = 0.0
-    #: Competing-demand seed (distinct per platform for realism).
+    #: The default market (distinct seed per platform for realism): at
+    #: the paper's $2 CPM median a $2 bid wins about half the time.
     competition_seed: int = 7
     competition_median_cpm: float = 2.0
     competition_sigma: float = 0.5
@@ -137,7 +116,7 @@ class AdPlatform:
         self,
         config: Optional[PlatformConfig] = None,
         catalog: Optional[AttributeCatalog] = None,
-        competing_draw: Optional[CompetingBidDraw] = None,
+        competing_draw: Optional["KeyedCompetition"] = None,
         store: Optional[StateStore] = None,
     ):
         self.config = config or PlatformConfig()
@@ -167,16 +146,19 @@ class AdPlatform:
         self.policy = PolicyEngine(
             self.catalog, strictness=self.config.policy_strictness
         )
-        draw = competing_draw or default_competition(
-            seed=self.config.competition_seed,
-            median_cpm=self.config.competition_median_cpm,
-            sigma=self.config.competition_sigma,
-        )
+        if competing_draw is None:
+            # Imported here: repro.workloads imports this module.
+            from repro.workloads.competition import KeyedCompetition
+            competing_draw = KeyedCompetition(
+                seed=self.config.competition_seed,
+                median_cpm=self.config.competition_median_cpm,
+                sigma=self.config.competition_sigma,
+            )
         self.delivery = DeliveryEngine(
             inventory=self.inventory,
             audiences=self.audiences,
             ledger=self.ledger,
-            competing_draw=draw,
+            competition=competing_draw,
             users=self.users,
             floor_price_cpm=self.config.floor_price_cpm,
             min_match_count=self.config.min_delivery_match_count,

@@ -22,13 +22,14 @@ here because they are where "no shared mutable state" costs something:
   the kind of hot shared counter this design removes — and real
   platforms solve it with asynchronous budget servers; that is future
   work. :meth:`ShardRouter.total_spend` reports true combined spend.
-* **Competing demand is drawn per (user, slot), not per sequence.**
-  A stateful RNG would make auction outcomes depend on the global order
-  slots happen to be served in, and therefore on the shard count.
-  :class:`KeyedCompetition` derives each competing bid from
-  ``(seed, user_id, slot_index)`` alone, which makes delivery reports
-  byte-identical for 1, 4, or 8 shards (pinned by
-  ``tests/serve/test_runtime_equivalence.py``).
+* **Competing demand is keyed per (user, slot), not drawn in
+  sequence.** A stateful RNG would make auction outcomes depend on the
+  global order slots happen to be served in, and therefore on the shard
+  count. The platform's :class:`~repro.workloads.competition.KeyedCompetition`
+  derives each competing bid from ``(seed, user row, slot index)``
+  alone, with the slot index from the shard's journaled per-user
+  counter, which makes delivery reports byte-identical for 1, 4, or 8
+  shards (pinned by ``tests/serve/test_runtime_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -49,7 +49,6 @@ from typing import (
     List,
     Optional,
     Set,
-    Tuple,
 )
 
 from repro.errors import StoreError
@@ -67,6 +66,7 @@ from repro.store.store import (
     NullStore,
     StateStore,
 )
+from repro.workloads.competition import KeyedCompetition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.ipc import ServeFrameItem, ServeReplyItem
@@ -129,72 +129,6 @@ def shard_index(user_id: str, num_shards: int, salt: str = "") -> int:
     return int.from_bytes(digest, "big") % num_shards
 
 
-class KeyedCompetition:
-    """Order-independent ambient competing demand.
-
-    ``bid(user_id, slot_index)`` is a pure function: the uniform draws
-    come from a keyed blake2b digest and are pushed through Box-Muller
-    into the same log-normal family as
-    :func:`repro.platform.platform.default_competition` (median
-    ``median_cpm`` dollars CPM). Because the bid depends only on the
-    key, it does not matter which shard serves the slot or in what
-    global order — the prerequisite for shard-count-invariant delivery.
-
-    ``sigma=0`` degenerates to a constant bid; ``median_cpm=0`` to no
-    competition at all.
-    """
-
-    def __init__(self, seed: int = 7, median_cpm: float = 2.0,
-                 sigma: float = 0.5):
-        self.seed = seed
-        self.median_cpm = median_cpm
-        self.sigma = sigma
-        self._mu = (math.log(median_cpm / 1000.0)
-                    if median_cpm > 0 else None)
-
-    def bid(self, user_id: str, slot_index: int) -> float:
-        """The competing top bid for one keyed slot, in dollars."""
-        if self._mu is None:
-            return 0.0
-        digest = hashlib.blake2b(
-            f"{self.seed}|{user_id}|{slot_index}".encode("utf-8"),
-            digest_size=16,
-        ).digest()
-        u1 = (int.from_bytes(digest[:8], "big") + 1) / (2 ** 64 + 1)
-        u2 = int.from_bytes(digest[8:], "big") / 2 ** 64
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return math.exp(self._mu + self.sigma * z)
-
-    def cursor(self) -> "CompetitionCursor":
-        """A per-shard draw cursor (see :class:`CompetitionCursor`)."""
-        return CompetitionCursor(self)
-
-
-class CompetitionCursor:
-    """Adapts :class:`KeyedCompetition` to the engine's draw contract.
-
-    :class:`~repro.platform.delivery.DeliveryEngine` calls its competing
-    draw with no arguments, once per slot. The shard positions this
-    cursor on ``(user_id, slot_index)`` immediately before each
-    ``serve_slot`` call; the cursor then answers with the keyed bid.
-    One cursor per shard, owned by the shard's serving thread — never
-    shared (the key field is mutable state).
-    """
-
-    __slots__ = ("_competition", "key")
-
-    def __init__(self, competition: KeyedCompetition):
-        self._competition = competition
-        self.key: Optional[Tuple[str, int]] = None
-
-    def __call__(self) -> float:
-        if self.key is None:
-            raise RuntimeError(
-                "competition cursor drawn without a positioned key"
-            )
-        return self._competition.bid(*self.key)
-
-
 class ShardAccountsView:
     """A shard's view of the ad inventory: shared ads, private accounts.
 
@@ -243,7 +177,7 @@ class Shard:
 
     ``lock`` serializes delivery passes on the engine (the engine itself
     is lock-free single-owner); ``slot_seq`` is the per-user slot
-    counter that keys :class:`KeyedCompetition` — assigned at admission
+    counter that keys the competing bids — assigned at admission
     time so the key depends on submission order, never on which worker
     dequeues first.
 
@@ -261,7 +195,6 @@ class Shard:
     engine: DeliveryEngine
     ledger: BillingLedger
     accounts: ShardAccountsView
-    cursor: CompetitionCursor
     store: StateStore
     lock: threading.Lock = field(default_factory=threading.Lock)
     slot_seq: Dict[str, int] = field(default_factory=dict)
@@ -292,18 +225,6 @@ class Shard:
             self.slot_seq[user_id] = target
             self.store.append(
                 SlotClaimed(user_id=user_id, slots=target - current))
-
-    def serve_user_slots(self, user, base_seq: int,
-                         slots: int) -> List:
-        """Serve ``slots`` keyed slots for one user; returns outcomes.
-
-        Caller holds ``lock``.
-        """
-        outcomes = []
-        for offset in range(slots):
-            self.cursor.key = (user.user_id, base_seq + offset)
-            outcomes.append(self.engine.serve_slot(user))
-        return outcomes
 
     def serve_batch(self, users: Any, batch: List["ServeFrameItem"]
                     ) -> List["ServeReplyItem"]:
@@ -338,7 +259,8 @@ class Shard:
                 try:
                     self.claim_through(user_id, base_seq + slots)
                     user = users.get(user_id)
-                    outcomes = self.serve_user_slots(user, base_seq, slots)
+                    outcomes = [self.engine.serve_slot(user, base_seq + k)
+                                for k in range(slots)]
                     ad_ids = []
                     lost = 0
                     unfilled = 0
@@ -390,7 +312,8 @@ class ShardRouter:
     Built over one :class:`~repro.platform.platform.AdPlatform`: the
     catalog, user store, audience registry, and ad inventory stay
     shared (read-only during serving), while each shard gets its own
-    engine, ledger, account view, and competition cursor. The router is
+    engine, ledger and account view; the shards' engines share the
+    competing-demand model, by default the platform's. The router is
     also the reporting plane: every per-ad aggregate is the merge of
     disjoint per-shard answers, so the totals agree with a single
     engine having served everything (``tests/serve/``).
@@ -407,11 +330,8 @@ class ShardRouter:
         if num_shards < 1:
             raise ValueError("need at least one shard")
         self.platform = platform
-        self.competition = competition or KeyedCompetition(
-            seed=platform.config.competition_seed,
-            median_cpm=platform.config.competition_median_cpm,
-            sigma=platform.config.competition_sigma,
-        )
+        self.competition = (competition if competition is not None
+                            else platform.delivery.competition)
         self.salt = salt
         #: Builds each shard's state store; default is in-memory. Pass
         #: :func:`journal_store_factory` for per-shard on-disk WAL
@@ -429,9 +349,9 @@ class ShardRouter:
 
     def _build_shard(self, index: int, num_shards: int,
                      store: Optional[StateStore] = None) -> Shard:
-        """One fresh shard: its own store, account view, ledger, engine,
-        and competition cursor; the store has the engine, ledger, and
-        shard attached as state owners."""
+        """One fresh shard: its own store, account view, ledger and
+        engine; the store has the engine, ledger, and shard attached as
+        state owners."""
         if store is None:
             store = self._store_factory(index, num_shards)
         accounts = ShardAccountsView(
@@ -442,7 +362,7 @@ class ShardRouter:
             inventory=accounts,
             audiences=self.platform.audiences,
             ledger=ledger,
-            competing_draw=(cursor := self.competition.cursor()),
+            competition=self.competition,
             users=self.platform.users,
             floor_price_cpm=self.platform.config.floor_price_cpm,
             min_match_count=(
@@ -456,7 +376,6 @@ class ShardRouter:
             engine=engine,
             ledger=ledger,
             accounts=accounts,
-            cursor=cursor,
             store=store,
         )
         store.attach(shard)

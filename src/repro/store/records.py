@@ -110,7 +110,7 @@ class SlotClaimed(ChangeRecord):
     """A user's next ``slots`` serving-slot indices were claimed.
 
     Serve-layer record: slot indices key the order-independent
-    competing-bid draw (:class:`repro.serve.sharding.KeyedCompetition`),
+    competing bids (:class:`repro.workloads.competition.KeyedCompetition`),
     so a recovered shard must resume each user's slot counter exactly
     where the dead shard left it — otherwise post-recovery auctions see
     different competition than an uninterrupted run.

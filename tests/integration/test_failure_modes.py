@@ -132,21 +132,18 @@ class TestRecoveryAcrossDays:
     def test_scheduler_recovers_lost_auctions_next_day(self):
         """Slots lost to competition one day get retried on later days —
         the paced runner converges where single-shot delivery would not."""
-        import random
-
         from repro.core.scheduler import PacedCampaignRunner
         from repro.workloads.browsing import BrowsingModel
+        from repro.workloads.competition import peak_offpeak_competition
 
-        rng = random.Random(3)
-
-        def flaky_draw():
-            # market price spikes above the bid cap 70% of the time
-            return 0.02 if rng.random() < 0.7 else 0.001
-
+        # The market price spikes above the bid cap in 70% of slots.
+        flaky = peak_offpeak_competition(
+            offpeak_median_cpm=1.0, peak_median_cpm=20.0,
+            peak_fraction=0.7, sigma=0.0, seed=3)
         platform = AdPlatform(
             config=PlatformConfig(name="flaky"),
             catalog=build_us_catalog(40, 25),
-            competing_draw=flaky_draw,
+            competing_draw=flaky,
         )
         web = WebDirectory()
         provider = TransparencyProvider(platform, web, budget=50.0,

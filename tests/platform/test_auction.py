@@ -3,9 +3,13 @@
 import pytest
 
 from repro.platform.ads import Ad, AdCreative
-from repro.platform.auction import run_auction, win_probability
+from repro.platform.auction import run_auction
 from repro.platform.targeting import parse
-from repro.workloads.competition import fixed_competition, lognormal_competition
+from repro.workloads.competition import (
+    fixed_competition,
+    lognormal_competition,
+    win_rate,
+)
 
 
 def _ad(ad_id, bid_cpm, account_id=None):
@@ -82,27 +86,28 @@ class TestRunAuction:
 
 
 class TestWinProbability:
+    """A lone bid's win rate over keyed competing bids
+    (:func:`repro.workloads.competition.win_rate`)."""
+
     def test_sure_win_against_fixed_lower(self):
-        assert win_probability(10.0, fixed_competition(2.0),
-                               trials=100) == 1.0
+        assert win_rate(10.0, fixed_competition(2.0), trials=100) == 1.0
 
     def test_sure_loss_against_fixed_higher(self):
-        assert win_probability(1.0, fixed_competition(2.0),
-                               trials=100) == 0.0
+        assert win_rate(1.0, fixed_competition(2.0), trials=100) == 0.0
 
     def test_median_bid_wins_about_half(self):
         """The paper's $2-CPM 'recommended bid' calibration point."""
-        rate = win_probability(2.0, lognormal_competition(median_cpm=2.0),
-                               trials=20_000)
+        rate = win_rate(2.0, lognormal_competition(median_cpm=2.0),
+                        trials=20_000)
         assert 0.45 < rate < 0.55
 
     def test_five_x_bid_nearly_always_wins(self):
         """The validation's 5x elevation ($10 CPM) should essentially
         guarantee delivery."""
-        rate = win_probability(10.0, lognormal_competition(median_cpm=2.0),
-                               trials=20_000)
+        rate = win_rate(10.0, lognormal_competition(median_cpm=2.0),
+                        trials=20_000)
         assert rate > 0.98
 
     def test_invalid_trials_rejected(self):
         with pytest.raises(ValueError):
-            win_probability(2.0, fixed_competition(2.0), trials=0)
+            win_rate(2.0, fixed_competition(2.0), trials=0)

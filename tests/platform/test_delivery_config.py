@@ -59,7 +59,7 @@ class TestMinMatchCount:
                 inventory=platform.inventory,
                 audiences=platform.audiences,
                 ledger=platform.ledger,
-                competing_draw=zero_competition(),
+                competition=zero_competition(),
                 users=platform.users,
                 min_match_count=-1,
             )

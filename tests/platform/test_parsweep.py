@@ -142,7 +142,7 @@ class TestWorkerEquality:
     def test_parallel_matches_single_process(self, workers):
         parallel, ads_parallel = parallel_world(users=500)
         serial, ads_serial = parallel_world(users=500)
-        stats_parallel = parallel_sweep(parallel.delivery, workers=workers)
+        stats_parallel = parallel_sweep(parallel.delivery, workers=2)
         stats_serial = serial.delivery.sweep_slots()
         assert stats_parallel == stats_serial
         assert engine_state(parallel, ads_parallel) == \
@@ -225,15 +225,16 @@ PINNED_PRICED_DIGEST = (
     "f522388794f7baf7a82f6a0bd29211bae4e4e89d7739344f1e81004b208f0bba")
 
 
-def priced_campaign_reports(users, workers):
+def priced_campaign_reports(users, workers, draw=None):
     """A small copy of the perfbench ``sweep`` world: the partner-sweep
     Treads at 10 CPM and one competitor's broad ads at 8/9/11/12 CPM over
-    ``users`` users holding ten partner attributes each, under a
-    constant 1 CPM competing bid. Returns the canonical reports' JSON."""
+    ``users`` users holding ten partner attributes each, under ``draw``,
+    by default a constant 1 CPM competing bid. Returns the canonical
+    reports' JSON."""
     platform = AdPlatform(
         config=PlatformConfig(name="priced", compact_delivery=True),
         catalog=build_us_catalog(),
-        competing_draw=fixed_competition(1.0),
+        competing_draw=draw if draw is not None else fixed_competition(1.0),
         store=NullStore(),
     )
     provider = TransparencyProvider(platform, WebDirectory(),
@@ -265,6 +266,40 @@ def priced_campaign_reports(users, workers):
                     for report in platform.reports(account_id))
     rows.sort(key=lambda row: row["ad_id"])
     return json.dumps(rows, sort_keys=True)
+
+
+class TestKeyedMarket:
+    """A keyed random market sweeps single-process whatever the worker
+    count, and gives the per-slot loop's outcome bit for bit."""
+
+    def test_parallel_equals_scalar_bits(self):
+        from tests.platform.test_sweep_delivery import ledger_bits
+
+        def world():
+            return parallel_world(users=500, accounts=2,
+                                  draw=lognormal_competition(
+                                      median_cpm=9.5, sigma=0.5, seed=5))
+        parallel, ads_parallel = world()
+        scalar, ads_scalar = world()
+        stats_parallel = parallel_sweep(parallel.delivery, workers=2)
+        stats_scalar = saturate(scalar)
+        assert stats_parallel.lost_to_competition > 0
+        assert stats_parallel == stats_scalar
+        assert ledger_bits(parallel, ads_parallel) == \
+            ledger_bits(scalar, ads_scalar)
+        assert engine_state(parallel, ads_parallel) == \
+            engine_state(scalar, ads_scalar)
+        assert (parallel.delivery._slot_counts.tolist()
+                == scalar.delivery._slot_counts.tolist())
+
+    def test_worker_count_does_not_change_the_digest(self):
+        market = lognormal_competition(median_cpm=1.0, sigma=0.5, seed=7)
+        digests = [
+            hashlib.sha256(priced_campaign_reports(
+                users=3000, workers=workers,
+                draw=market).encode("utf-8")).hexdigest()
+            for workers in (1, 2)]
+        assert digests[0] == digests[1]
 
 
 class TestPricedDigest:

@@ -6,8 +6,9 @@ the engine's ``_serve_round`` repeated until saturation.
 The integration equivalence suite pins the full 2,000-user partner
 sweep; these tests pin the engine-level machinery — precondition
 errors, partial row ranges, per-spec matcher fallback routing,
-multi-account runner-up pricing, lost slots under a random draw, the
-one-step delivery under a constant draw (against the round loop too),
+multi-account runner-up pricing, lost slots under a keyed random
+market (bit for bit, slot counters included), the one-step delivery
+under a constant market (against the round loop too),
 budget fallback rounds, the sweep's observability counters, and the per-row
 candidate lists, driven round by round, against an unpacked-argmax
 reference.
@@ -30,6 +31,7 @@ from repro.platform.targeting import HasAttr, lower_spec
 from repro.store.records import ImpressionRecorded
 from repro.store.store import JournalStore
 from repro.workloads.competition import (
+    KeyedCompetition,
     fixed_competition,
     lognormal_competition,
     zero_competition,
@@ -87,6 +89,15 @@ def engine_state(platform, ads):
             ad.account_id).budget for ad in ads},
     }
     return json.dumps(state, sort_keys=True)
+
+
+class UnlabelledConstant(KeyedCompetition):
+    """A constant market that does not say so: its bids are the constant,
+    but the sweep cannot tell and runs it round by round."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.constant = None
 
 
 def ledger_bits(platform, ads):
@@ -203,6 +214,50 @@ class TestScalarEquality:
         assert engine_state(platform_a, ads_a) == \
             engine_state(platform_b, ads_b)
 
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_keyed_lognormal_sweep_equals_scalar_bits(self, compact):
+        """Under the keyed log-normal market every auctioned row draws
+        the bid of its next slot index, one vector call per round: the
+        sweep equals the per-slot loop bit for bit (``float.hex`` of
+        every spend and budget) and leaves the same slot counters."""
+        def world():
+            return make_world(compact=compact, accounts=2, users=300,
+                              draw=lognormal_competition(
+                                  median_cpm=8.0, sigma=0.5, seed=11))
+        platform_a, ads_a = world()
+        platform_b, ads_b = world()
+        # Some rows already served per slot: their counters start ahead.
+        for user in list(platform_a.users)[:40:3]:
+            platform_a.delivery.serve_slot(user)
+        for user in list(platform_b.users)[:40:3]:
+            platform_b.delivery.serve_slot(user)
+        stats_sweep = platform_a.run_sweep()
+        stats_scalar = saturate(platform_b)
+        assert stats_sweep.lost_to_competition > 0
+        assert stats_sweep == stats_scalar
+        assert ledger_bits(platform_a, ads_a) == ledger_bits(platform_b,
+                                                             ads_b)
+        assert engine_state(platform_a, ads_a) == \
+            engine_state(platform_b, ads_b)
+        assert np.array_equal(platform_a.delivery._slot_counts,
+                              platform_b.delivery._slot_counts)
+
+    def test_slot_counters_survive_a_state_dump(self):
+        """A restored engine keys each row's next slot where the dumped
+        one would have: one more slot per user on both agrees."""
+        def world():
+            return make_world(users=60, draw=lognormal_competition(
+                median_cpm=9.0, sigma=0.5, seed=3))
+        live, _ads = world()
+        live.run_delivery(slots_per_user=2)
+        dump = json.loads(json.dumps(live.delivery.state_dump()))
+        assert dump["slot_counts"] == [2] * 60
+        restored, _ads = world()
+        restored.delivery.state_load(dump)
+        live.run_delivery(slots_per_user=1)
+        restored.run_delivery(slots_per_user=1)
+        assert restored.delivery.state_dump() == live.delivery.state_dump()
+
     @pytest.mark.parametrize("draw_cpm, floor_cpm, max_rounds, compact", [
         # The constant beats account 1's bid: once a row has taken
         # account 0's ads it loses a slot in every remaining round.
@@ -220,7 +275,7 @@ class TestScalarEquality:
         """Under a constant draw the sweep delivers all its rounds in one
         step. It must equal the per-slot loop (stats, state, bit-exact
         ledger, journal, slot counter, auction histogram buckets) and the
-        round-by-round sweep the same draw takes without its constant
+        round-by-round sweep the same market takes without its constant
         label (all that, plus the round counter)."""
         def run(kind, draw):
             store = (None if compact
@@ -246,7 +301,8 @@ class TestScalarEquality:
 
         draw = fixed_competition(draw_cpm)
         step = run("step", draw)
-        rounds = run("rounds", lambda: draw())
+        rounds = run("rounds", UnlabelledConstant(median_cpm=draw_cpm,
+                                                   sigma=0.0))
         scalar = run("scalar", draw)
         assert step[0].filled_by_tracked_ads > 0
         if draw_cpm > 9.0 or floor_cpm > 9.0:

@@ -30,17 +30,19 @@ def make_world():
     """Factory: identically-seeded platforms with a launched sweep.
 
     The platform's own delivery engine gets zero ambient competition
-    (deterministic single-engine reference); the serving runtime's
-    shards bring their own :class:`KeyedCompetition`, so tests choose
-    per-path competition explicitly.
+    unless ``competing_draw`` names a market (deterministic
+    single-engine reference); the serving runtime's shards bring their
+    own :class:`KeyedCompetition` or share the platform's, so tests
+    choose per-path competition explicitly.
     """
 
-    def build(seed: int = 11, users: int = 40,
-              budget: float = 5000.0) -> AdPlatform:
+    def build(seed: int = 11, users: int = 40, budget: float = 5000.0,
+              competing_draw=None) -> AdPlatform:
         platform = AdPlatform(
             config=PlatformConfig(name="serve-test"),
             catalog=build_us_catalog(platform_count=40, partner_count=25),
-            competing_draw=zero_competition(),
+            competing_draw=(competing_draw if competing_draw is not None
+                            else zero_competition()),
         )
         web = WebDirectory()
         builder = PopulationBuilder(platform, seed=seed)

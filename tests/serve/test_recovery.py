@@ -33,7 +33,8 @@ def _serve_round(router: ShardRouter, platform, slots: int = 3) -> None:
     for user in platform.users:
         shard = router.shard_for(user.user_id)
         base = shard.claim_slots(user.user_id, slots)
-        shard.serve_user_slots(user, base, slots)
+        for k in range(slots):
+            shard.engine.serve_slot(user, base + k)
 
 
 def _close(router: ShardRouter) -> None:

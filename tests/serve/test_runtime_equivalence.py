@@ -9,6 +9,10 @@ Three layers of equivalence, each against a stronger reference:
    paths, the sharded runtime reproduces exactly what the platform's
    own synchronous ``run_delivery`` does: same per-ad impressions,
    same reach sets, same per-user feeds.
+   The same holds under the keyed log-normal market, with the shards
+   on the platform's own model: a shard keys a user's slot on its
+   journaled slot counter and the platform's engine on its count of
+   the user's auctioned slots, and both count the same slots.
 3. Replay determinism — the same world and request sequence served
    twice through the runtime gives the same report (the
    workers-per-shard=1 contract).
@@ -139,6 +143,43 @@ class TestSingleEngineAgreement:
         runtime, reference = pair
         assert runtime.router.total_impressions() \
             == len(reference.delivery.impressions())
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+class TestKeyedMarketAgreement:
+    """Keyed log-normal market on both paths -> sharded == synchronous
+    engine: the same impressions, reach and feeds, with slots lost to
+    the market."""
+
+    def test_sharded_runtime_equals_synchronous_engine(self, make_world,
+                                                       backend):
+        def market():
+            return KeyedCompetition(seed=7, median_cpm=9.0)
+        served = make_world(seed=SEED, competing_draw=market())
+        runtime = ServingRuntime(
+            served,
+            RuntimeConfig(num_shards=4, queue_capacity=4096,
+                          backend=backend),
+        )
+        with runtime:
+            results = runtime.serve_and_wait(_request_sequence(served))
+        assert all(result.ok for result in results)
+        reference = make_world(seed=SEED, competing_draw=market())
+        for _ in range(ROUNDS):
+            reference.run_delivery(slots_per_user=SLOTS)
+        engine = reference.delivery
+        slots = len(reference.users) * ROUNDS * SLOTS
+        assert 0 < len(engine.impressions()) < slots
+        assert runtime.router.total_impressions() == \
+            len(engine.impressions())
+        for ad_id in {imp.ad_id for imp in engine.impressions()}:
+            assert runtime.router.impressions_for_ad(ad_id) \
+                == engine.impression_count_for_ad(ad_id)
+            assert runtime.router.unique_reach(ad_id) \
+                == engine.unique_reach(ad_id)
+        for user_id in reference.users.user_ids():
+            assert [d.ad_id for d in runtime.router.feed(user_id)] == \
+                [d.ad_id for d in engine.feed(user_id)]
 
 
 class TestBackendAgreement:

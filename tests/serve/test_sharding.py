@@ -7,8 +7,10 @@ import math
 
 import pytest
 
+from repro.platform.platform import AdPlatform
 from repro.serve import AdRequest, KeyedCompetition, ShardRouter, shard_index
 from repro.serve.sharding import ShardAccountsView
+from repro.workloads.competition import fixed_competition
 
 
 class TestShardIndex:
@@ -48,19 +50,19 @@ class TestShardIndex:
 class TestKeyedCompetition:
     def test_pure_function_of_key(self):
         competition = KeyedCompetition(seed=7)
-        assert competition.bid("u1", 0) == competition.bid("u1", 0)
-        assert competition.bid("u1", 0) != competition.bid("u1", 1)
-        assert competition.bid("u1", 0) != competition.bid("u2", 0)
+        assert competition.bid(1, 0) == competition.bid(1, 0)
+        assert competition.bid(1, 0) != competition.bid(1, 1)
+        assert competition.bid(1, 0) != competition.bid(2, 0)
 
     def test_seed_changes_draws(self):
         a = KeyedCompetition(seed=7)
         b = KeyedCompetition(seed=8)
-        assert a.bid("u1", 0) != b.bid("u1", 0)
+        assert a.bid(1, 0) != b.bid(1, 0)
 
     def test_lognormal_shape(self):
         competition = KeyedCompetition(seed=7, median_cpm=2.0, sigma=0.5)
-        bids = [competition.bid(f"u{i}", s)
-                for i in range(200) for s in range(5)]
+        bids = [competition.bid(row, s)
+                for row in range(200) for s in range(5)]
         assert all(bid > 0 for bid in bids)
         # Median of the per-impression price should sit near
         # median_cpm/1000; log-space mean near ln(median/1000).
@@ -70,14 +72,18 @@ class TestKeyedCompetition:
 
     def test_zero_median_means_no_competition(self):
         competition = KeyedCompetition(seed=7, median_cpm=0.0)
-        assert competition.bid("u1", 0) == 0.0
+        assert competition.bid(1, 0) == 0.0
 
-    def test_cursor_requires_positioning(self):
-        cursor = KeyedCompetition(seed=7).cursor()
-        with pytest.raises(RuntimeError, match="positioned"):
-            cursor()
-        cursor.key = ("u1", 0)
-        assert cursor() == KeyedCompetition(seed=7).bid("u1", 0)
+    def test_router_defaults_to_the_platforms_market(self, make_world):
+        """A router built without a model prices against the platform's
+        own market, not one rebuilt from the config's defaults."""
+        platform = make_world(users=5)
+        router = ShardRouter(platform, num_shards=2)
+        assert router.competition is platform.delivery.competition
+        assert router.competition.constant == 0.0
+        priced = AdPlatform(competing_draw=fixed_competition(5.0))
+        assert ShardRouter(priced, num_shards=2).competition.constant \
+            == 0.005
 
 
 class TestShardAccountsView:
@@ -117,7 +123,8 @@ def _serve_everything(router: ShardRouter, platform, slots: int = 3,
             shard = router.shard_for(user.user_id)
             base = shard.slot_seq.get(user.user_id, 0)
             shard.slot_seq[user.user_id] = base + slots
-            shard.serve_user_slots(user, base, slots)
+            for k in range(slots):
+                shard.engine.serve_slot(user, base + k)
 
 
 class TestShardRouterAggregation:
