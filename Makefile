@@ -14,7 +14,8 @@ test:
 ## by slot against an Expr.matches reference, and the batch sweep
 ## (one-step and round-by-round) checked against the per-slot loop,
 ## its per-run lists and one-step tallies checked against per-pair
-## oracles, with the parallel sweep's priced digest; and the keyed
+## oracles, with the parallel sweep's priced digest and its budget
+## certificate (a binding budget sweeps single-process); and the keyed
 ## market: its scalar path against its vector kernel bit for bit, and
 ## the sweep and the parallel sweep under it against the per-slot loop.
 equivalence:

@@ -976,6 +976,9 @@ def _cmd_populate(args: argparse.Namespace) -> int:
     if args.users < 1:
         print("populate: --users must be >= 1", file=sys.stderr)
         return 2
+    if args.sweep_workers is not None and args.sweep_workers < 1:
+        print("populate: --sweep-workers must be >= 1", file=sys.stderr)
+        return 2
     if args.sweep_workers is not None and not args.sweep:
         print("populate: --sweep-workers needs --sweep", file=sys.stderr)
         return 2

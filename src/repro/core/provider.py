@@ -562,8 +562,7 @@ class TransparencyProvider:
         """Drive the platform until the Tread campaign saturates.
 
         Runs the platform's batch sweep (:meth:`AdPlatform.run_sweep`);
-        ``sweep_workers`` > 1 partitions rows across forked processes
-        (compact platforms)."""
+        ``sweep_workers`` is its worker-count speed hint."""
         with obs_tracing.tracer().span("provider.run_delivery",
                                        max_rounds=max_rounds):
             self.platform.run_sweep(max_rounds=max_rounds,

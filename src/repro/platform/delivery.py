@@ -106,6 +106,16 @@ def check_sweep_args(max_rounds: int) -> None:
         raise ValueError("max_rounds must be a non-negative integer")
 
 
+def budgets_hold(budgets: np.ndarray, planned: np.ndarray,
+                 owner: np.ndarray, bids: np.ndarray) -> bool:
+    """The sweep's one budget rule: after account ``a`` spends
+    ``planned[a]`` of ``budgets[a]``, every candidate (account
+    ``owner[i]``, bid ``bids[i]``) is still affordable. Budgets only
+    fall, so every state in between passes too: no candidate's
+    eligibility flips while that spend is billed."""
+    return bool(np.all(budgets[owner] - planned[owner] + 1e-12 >= bids))
+
+
 #: Rows per block while candidate lists are built (:class:`SweepLists`,
 #: and the per-slot lists of :meth:`DeliveryEngine._row_candidates`). It
 #: bounds the build's transients whatever the range size: the block's
@@ -923,13 +933,14 @@ class DeliveryEngine:
     # the lists exist — each position wins iff its bid beats the constant
     # and the floor, at a price its run's runner-up fixes — so one step
     # delivers them all, tallied block by block as the lists are built:
-    # each row takes its winning list prefix at once, gated by one
-    # budget certificate over the step's exact spend. A random market
-    # (or a failed step certificate) runs round by round, each round
-    # reading one list position per row and drawing its rows' keyed bids
-    # in one call. Single-process sweeps bill each round in one
-    # order-exact fold; a parallel worker (constant markets only) bills
-    # nothing and ships its spend in its delta, which its parent bills.
+    # each row takes its winning list prefix at once, gated by the
+    # budget rule (budgets_hold) over the step's exact spend. A random
+    # market (or a step that breaks the rule) runs round by round, each
+    # round reading one list position per row and drawing its rows'
+    # keyed bids in one call. Single-process sweeps bill each round in
+    # one order-exact fold; a parallel worker (constant markets only)
+    # takes its step unchecked, bills nothing and ships its spend in its
+    # delta, which its parent checks against the same rule and bills.
     # The lists record every win (pointer and won round per position),
     # so the shown bitsets and counters — or a worker's delta — absorb
     # them once, from the lists. Semantics — winners, prices,
@@ -961,11 +972,12 @@ class DeliveryEngine:
         time would have produced.
 
         ``_collect_delta`` is the parallel partitioner's hook
-        (:mod:`repro.platform.parsweep`): the sweep then bills nothing,
-        leaves this engine's shown bitsets alone, and also returns the
-        range's :class:`SweepDelta`, which a compact parent engine
-        absorbs with :meth:`absorb_sweep_delta`. It needs a constant
-        market and a certified step (raises StoreError otherwise).
+        (:mod:`repro.platform.parsweep`), for constant markets: the
+        range then delivers in one step as if no budget binds, bills
+        nothing, leaves this engine's shown bitsets alone, and also
+        returns the range's :class:`SweepDelta`. The parent checks the
+        spend of all ranges' deltas against the budget rule before a
+        compact engine absorbs them with :meth:`absorb_sweep_delta`.
         """
         cols = self._user_store.columns
         check_sweep_args(max_rounds)
@@ -1098,13 +1110,6 @@ class DeliveryEngine:
                             lists, step, entries, rc, acct_idx, accounts,
                             bids, stats, start, spent):
                         break
-                    if collect:
-                        raise StoreError(
-                            f"{self.engine_id}: a partitioned sweep "
-                            "range needs a constant market and a "
-                            "budget-certified step; run the sweep "
-                            "single-process (sweep_slots) so its "
-                            "fallback rounds can replay exactly")
 
                 # Phase A: per-row winner/runner-up selection, the head
                 # of each row's list. Both are independent of the
@@ -1126,10 +1131,7 @@ class DeliveryEngine:
                 # budget could cross below a candidate's bid mid-round.
                 # Bound each slot's charge (the exact price under a
                 # constant market, the winner's bid otherwise), sum per
-                # account, and require every round candidate to remain
-                # affordable under full planned spend — budgets are
-                # monotone, so passing the worst case certifies every
-                # intermediate state.
+                # account, and hold the budget rule under that spend.
                 if constant is not None:
                     bound = np.minimum(
                         np.maximum(np.maximum(runner, constant), floor),
@@ -1138,12 +1140,9 @@ class DeliveryEngine:
                     bound = winner_bids
                 planned = np.bincount(acct_idx[wcand], weights=bound,
                                       minlength=len(account_index))
-                certified = all(
-                    entries[i][1].budget - planned[acct_idx[i]] + 1e-12
-                    >= entries[i][2]
-                    for i in rc
-                )
-                if not certified:
+                if not budgets_hold(
+                        np.array([account.budget for account in accounts]),
+                        planned, acct_idx[rc], bids[rc]):
                     if obs_on:
                         self._obs_sweep_budget_rounds.inc()
                     # Exact scalar replay of this round: the same
@@ -1210,27 +1209,25 @@ class DeliveryEngine:
         """Deliver every remaining round of the freshly built ``lists``
         in one step, from the tallies ``step`` gathered while building
         them (:class:`_OneStep`); False, with nothing changed, when the
-        step's budget certificate fails. A round runs while the one
-        before it won something, up to ``max_rounds``.
+        step's exact spend breaks the budget rule (:func:`budgets_hold`).
+        A round runs while the one before it won something, up to
+        ``max_rounds``.
 
-        With ``spent`` (a parallel worker) nothing is billed: each
-        entry's spend is added into it with the association its delta
-        has always had — per round a left fold over the entry's prices
-        in row order, the rounds added in order. Otherwise each round's
-        wins bill and journal as a vector round's would.
+        With ``spent`` (a parallel worker) the step is taken unchecked
+        and nothing is billed: each entry's spend is added into it with
+        the association its delta has always had — per round a left
+        fold over the entry's prices in row order, the rounds added in
+        order — and the parent checks the rule over every range's spend.
+        Otherwise each round's wins bill and journal as a vector round's
+        would.
         """
         if not len(lists.cand):
             return True
         rounds, missed, contenders, tally = step.finish(lists.codes,
                                                         len(accounts))
-
-        # The step certificate: after the step's exact spend, every
-        # candidate must still be affordable. Budgets only fall, so
-        # every state in between passes too.
-        planned = tally @ step.values
-        budgets = np.array([account.budget for account in accounts])
-        owner = acct_idx[rc]
-        if not np.all(budgets[owner] - planned[owner] + 1e-12 >= bids[rc]):
+        if spent is None and not budgets_hold(
+                np.array([account.budget for account in accounts]),
+                tally @ step.values, acct_idx[rc], bids[rc]):
             lists.won[:] = lists.no_round
             return False
 

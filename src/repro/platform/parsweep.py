@@ -15,27 +15,22 @@ with :meth:`~repro.platform.delivery.DeliveryEngine.absorb_sweep_delta`
 in range order, so the merged engine state is deterministic regardless
 of which worker finishes first.
 
-Only a constant market is partitioned (``competition.constant`` set:
-:func:`~repro.workloads.competition.zero_competition` /
-:func:`~repro.workloads.competition.fixed_competition`), because only
-then does a range deliver in one step. A random market's keyed bids
-would let workers draw their own rows', but its rounds are billed in
-(round, row) order across the whole store, so :func:`parallel_sweep`
-runs it single-process.
-
-Two preconditions make the partition sound, both checked up front:
-
-* **Compact engine** — deltas are bitset/counter folds; per-impression
-  journals cannot be reassembled across forks (a forked
-  :class:`~repro.store.store.JournalStore` would even share the parent's
-  file descriptor).
-* **A budget certificate over the whole sweep** — a worker cannot replay
-  another worker's rows, so no account budget may cross an
-  affordability threshold anywhere in the sweep. The certificate bounds
-  every possible charge by the auction's price cap; the Treads
-  economics (zero competition, zero floor, one provider account) bound
-  to exactly $0, which is what makes the 1M-row sweep trivially
-  certifiable.
+Workers speculate; the parent certifies. A worker delivers its range
+as if no budget binds, and its delta carries the range's real spend. The
+parent then checks that spend, summed per account over every range, with
+the sweep's one budget rule
+(:func:`~repro.platform.delivery.budgets_hold`) in
+:func:`certify_budgets`. If the rule holds, no budget could have bound
+anywhere in the sweep, and the parent bills the deltas; otherwise it
+drops them and runs the single-process
+:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`, whose
+rounds handle a binding budget exactly. Worlds that cannot be split
+exactly also run single-process: a random market (its rounds bill in
+(round, row) order across the whole store), a non-compact engine or a
+record-keeping store (per-impression logs and journals cannot be
+reassembled across forks), or a store that fits one row range. So the
+worker count is only a speed hint: the result is the single-process
+sweep's.
 
 Wire plumbing reuses the shard-serving framing
 (:class:`repro.serve.ipc.Framer` over a socketpair): one frame out per
@@ -59,13 +54,18 @@ import logging
 import os
 import socket
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import StoreError
 from repro.platform import bitset
+from repro.platform.ads import AdStatus
 from repro.platform.delivery import (
     DeliveryEngine,
     DeliveryStats,
+    SweepDelta,
+    budgets_hold,
     check_sweep_args,
 )
 from repro.platform.targeting import lower_spec
@@ -105,48 +105,27 @@ def partition_rows(nrows: int, workers: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def certify_budgets(engine: DeliveryEngine, nrows: int) -> None:
-    """Prove no account budget can flip eligibility during the sweep.
-
-    For each candidate ad the per-impression charge is capped at
-    ``min(max(strongest other account's bid, competing constant, floor),
-    own bid)`` — the second-price formula's ceiling. Charging that cap
-    for every row in the sweep is the worst case; if every candidate
-    stays affordable under it, no worker can ever observe a budget
-    crossing, and the partitioned rounds are exact. Raises
-    :class:`~repro.errors.StoreError` when the bound cannot be
-    certified — fall back to the single-process
-    :meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`, whose
-    scalar-replay fallback handles budget flips exactly.
-    """
-    constant = engine.competition.constant
-    if constant is None:
-        raise StoreError(
-            "only a constant market (fixed_competition / "
-            "zero_competition) bounds every charge up front")
-    entries = engine._sweep_candidates()
-    if not entries:
-        return
-    floor = engine.floor_price
-    by_account: Dict[str, Tuple[object, List[float]]] = {}
-    for ad, account, bid in entries:
-        by_account.setdefault(account.account_id, (account, []))[1].append(bid)
-    for account_id, (account, bids) in by_account.items():
-        max_other = max(
-            (max(other_bids)
-             for other_id, (_a, other_bids) in by_account.items()
-             if other_id != account_id),
-            default=0.0)
-        worst_case = 0.0
-        for bid in bids:
-            worst_case += min(max(max_other, constant, floor), bid) * nrows
-        budget = account.budget  # type: ignore[attr-defined]
-        if any(budget - worst_case + 1e-12 < bid for bid in bids):
-            raise StoreError(
-                f"cannot certify account {account_id!r} stays solvent "
-                f"across the sweep (budget ${budget:.2f}, worst-case "
-                f"spend ${worst_case:.2f}); run sweep_slots "
-                "single-process instead")
+def certify_budgets(engine: DeliveryEngine,
+                    deltas: Sequence[SweepDelta]) -> bool:
+    """Whether billing ``deltas`` keeps every sweep candidate that is
+    live now (active and affordable) affordable. The spend is summed
+    per account in the order :meth:`~repro.platform.delivery.
+    DeliveryEngine.absorb_sweep_delta` bills it: deltas in range order,
+    each one's ads by id."""
+    spend: Dict[str, float] = {}
+    for delta in deltas:
+        spent = delta.spent.tolist()
+        for i in sorted(range(len(delta.ad_ids)),
+                        key=delta.ad_ids.__getitem__):
+            account_id = delta.account_ids[i]
+            spend[account_id] = spend.get(account_id, 0.0) + spent[i]
+    live = [(account, bid) for ad, account, bid in engine._sweep_candidates()
+            if ad.status is AdStatus.ACTIVE and account.can_afford(bid)]
+    return budgets_hold(
+        np.array([account.budget for account, _bid in live]),
+        np.array([spend.get(account.account_id, 0.0)
+                  for account, _bid in live]),
+        np.arange(len(live)), np.array([bid for _account, bid in live]))
 
 
 def warm_programs(engine: DeliveryEngine) -> None:
@@ -170,31 +149,21 @@ def parallel_sweep(
 ) -> DeliveryStats:
     """Sweep the whole attached columnar store across forked workers.
 
-    ``workers`` defaults to the visible core count. With one worker (or
-    one row range), or under a random market, this degenerates to a
-    plain in-process
-    :meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots` call.
-    Returns the aggregate :class:`DeliveryStats` across all ranges.
+    ``workers`` defaults to the visible core count. A world that cannot
+    be split exactly (see the module docstring), or one whose workers'
+    spend breaks the budget rule, runs the plain in-process
+    :meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`
+    instead. Returns the aggregate :class:`DeliveryStats` across all
+    ranges; raises :class:`~repro.errors.StoreError`, with nothing
+    billed, when a worker fails or is lost.
     """
     if workers is None:
         workers = visible_cores()
-    if workers <= 0:
-        raise ValueError("workers must be positive")
     check_sweep_args(max_rounds)
-    users = engine._user_store
-    if not engine._compact:
-        raise StoreError(
-            "parallel sweep needs a compact delivery engine (deltas "
-            "are bitset/counter folds, not per-impression journals)")
-    if not engine._store.discards_records:
-        raise StoreError(
-            "parallel sweep needs a record-discarding store (NullStore):"
-            " a forked worker cannot append to the parent's journal")
-    nrows = len(users)
-    ranges = partition_rows(nrows, workers)
-    if len(ranges) <= 1 or engine.competition.constant is None:
+    ranges = partition_rows(len(engine._user_store), workers)
+    if (len(ranges) <= 1 or engine.competition.constant is None
+            or not engine._compact or not engine._store.discards_records):
         return engine.sweep_slots(max_rounds=max_rounds)
-    certify_budgets(engine, nrows)
     warm_programs(engine)
     ctx = get_context("fork")
     spawned = []
@@ -236,6 +205,8 @@ def parallel_sweep(
     if failures:
         raise StoreError(
             "parallel sweep failed: " + "; ".join(failures))
+    if not certify_budgets(engine, deltas):
+        return engine.sweep_slots(max_rounds=max_rounds)
     for delta in deltas:
         engine.absorb_sweep_delta(delta)
     _log.info(
@@ -254,9 +225,8 @@ def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
     The worker's engine and metrics mutations are its own copy-on-write
     pages and die with the process — the delta frame is the only state
     that crosses back. So the worker bills nothing and touches no
-    budget: its range is delivered in one step whose certificate reads
-    the budgets as they were at the fork, and the parent bills each
-    ad's spend once, in
+    budget: its range is delivered in one step as if no budget binds,
+    and the parent certifies the spend and bills each ad's once, in
     :meth:`~repro.platform.delivery.DeliveryEngine.absorb_sweep_delta`.
     """
     parent_sock.close()

@@ -517,11 +517,12 @@ class AdPlatform:
         auctions, and state folds all run as column algebra over row
         blocks (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`),
         producing the same impressions, spend, stats, and reports as
-        saturating the users one slot at a time. ``workers`` > 1
-        partitions the row space across forked processes (compact
-        platforms only — see :mod:`repro.platform.parsweep`).
+        saturating the users one slot at a time. ``workers`` (at least
+        1) is a speed hint: forked processes may sweep row ranges (see
+        :mod:`repro.platform.parsweep`), which changes no delivery; a
+        priced spend, summed per range, may differ in its last bits.
         """
-        if workers is not None and workers > 1:
+        if workers is not None:
             from repro.platform.parsweep import parallel_sweep
             return parallel_sweep(self.delivery, workers=workers,
                                   max_rounds=max_rounds)

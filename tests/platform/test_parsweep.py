@@ -16,8 +16,10 @@ import pytest
 
 from repro.core.provider import TransparencyProvider
 from repro.errors import StoreError
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.platform.ads import AdCreative
 from repro.platform.catalog import build_us_catalog
+from repro.platform.delivery import DeliveryEngine
 from repro.platform.platform import AdPlatform, PlatformConfig
 from repro.platform import parsweep
 from repro.platform.parsweep import (
@@ -34,7 +36,11 @@ from repro.workloads.competition import (
 )
 
 from tests.platform.scalar_reference import saturate
-from tests.platform.test_sweep_delivery import engine_state, make_world
+from tests.platform.test_sweep_delivery import (
+    engine_state,
+    ledger_bits,
+    make_world,
+)
 
 
 def parallel_world(**kwargs):
@@ -75,40 +81,95 @@ class TestPartitionRows:
         assert visible_cores() >= 1
 
 
+def matches_single_process(compact=True, store=NullStore, **kwargs):
+    """Sweep two copies of a :func:`make_world` world, one with
+    ``run_sweep(workers=2)`` and one with ``run_sweep()``; assert equal
+    stats and engine state, and return the parallel copy and its ads.
+    ``store`` is the record store's class (None: the default journal).
+    Spend and budgets compare to float tolerance: a forked sweep sums
+    each range's prices apart."""
+    def world():
+        return make_world(compact=compact, store=store and store(),
+                          **kwargs)
+    parallel, ads_parallel = world()
+    serial, ads_serial = world()
+    assert parallel.run_sweep(workers=2) == serial.run_sweep()
+    got = json.loads(engine_state(parallel, ads_parallel))
+    want = json.loads(engine_state(serial, ads_serial))
+    for money in ("spend", "budgets"):
+        want[money] = pytest.approx(want[money])
+    assert got == want
+    return parallel, ads_parallel
+
+
+def spy_certify(monkeypatch):
+    """Record every :func:`certify_budgets` verdict in the returned list."""
+    verdicts = []
+
+    def spy(engine, deltas):
+        verdicts.append(certify_budgets(engine, deltas))
+        return verdicts[-1]
+    monkeypatch.setattr(parsweep, "certify_budgets", spy)
+    return verdicts
+
+
 class TestCertificates:
-    def test_random_draw_is_rejected(self):
-        platform, _ads = parallel_world(draw=lognormal_competition(seed=3))
-        with pytest.raises(StoreError, match="constant"):
-            certify_budgets(platform.delivery, len(platform.users))
+    """Workers speculate; the parent certifies their real spend, and a
+    world whose budget binds sweeps single-process instead."""
 
-    def test_tight_budget_is_rejected(self):
-        platform, _ads = parallel_world(budget=0.05,
-                                        draw=fixed_competition(5.0))
-        with pytest.raises(StoreError, match="certify"):
-            certify_budgets(platform.delivery, len(platform.users))
+    def test_random_draw_is_rejected(self, monkeypatch):
+        verdicts = spy_certify(monkeypatch)
+        matches_single_process(draw=lognormal_competition(seed=3))
+        assert verdicts == []  # a random market never forks
 
-    def test_solvent_world_certifies(self):
-        platform, _ads = parallel_world(budget=100.0,
-                                        draw=fixed_competition(5.0))
-        certify_budgets(platform.delivery, len(platform.users))
+    def test_tight_budget_is_rejected(self, monkeypatch):
+        verdicts = spy_certify(monkeypatch)
+        parallel, ads_parallel = matches_single_process(
+            budget=0.05, draw=fixed_competition(5.0))
+        assert verdicts == [False]
+        scalar, ads_scalar = parallel_world(budget=0.05,
+                                            draw=fixed_competition(5.0))
+        saturate(scalar)
+        assert ledger_bits(parallel, ads_parallel) == \
+            ledger_bits(scalar, ads_scalar)
 
-    def test_zero_competition_certifies_any_positive_budget(self):
+    def test_solvent_world_certifies(self, monkeypatch):
+        verdicts = spy_certify(monkeypatch)
+        matches_single_process(budget=100.0, draw=fixed_competition(5.0))
+        assert verdicts == [True]
+
+    def test_zero_competition_certifies_any_positive_budget(
+            self, monkeypatch):
         # The Treads economics: one account, zero competition, zero
-        # floor — the price cap is $0, so any budget certifies.
-        platform, _ads = parallel_world(budget=0.01)
-        certify_budgets(platform.delivery, len(platform.users))
+        # floor — every price is $0, so any budget certifies.
+        verdicts = spy_certify(monkeypatch)
+        matches_single_process(budget=0.01)
+        assert verdicts == [True]
+
+    def test_budget_below_the_worst_case_forks(self, monkeypatch):
+        """A $8 budget: the first account really spends $3.60, but a
+        bound charging every row its account's highest price would
+        demand $16.20. The exact certificate forks it."""
+        verdicts = spy_certify(monkeypatch)
+        parallel, ads = matches_single_process(
+            users=300, accounts=2, budget=8.0, draw=fixed_competition(1.0))
+        assert verdicts == [True]
+        assert parallel.ledger.spend_for_ad(ads[0].ad_id) > 0
 
 
 class TestPreconditions:
-    def test_needs_compact_engine(self):
-        platform, _ads = make_world(compact=False, store=NullStore())
-        with pytest.raises(StoreError, match="compact"):
-            parallel_sweep(platform.delivery, workers=2)
+    """A world the partition cannot split exactly sweeps single-process;
+    only bad arguments raise."""
 
-    def test_needs_record_discarding_store(self):
-        platform, _ads = make_world(compact=True)  # MemoryStore journal
-        with pytest.raises(StoreError, match="discarding"):
-            parallel_sweep(platform.delivery, workers=2)
+    def test_needs_compact_engine(self, monkeypatch):
+        verdicts = spy_certify(monkeypatch)
+        matches_single_process(compact=False)
+        assert verdicts == []
+
+    def test_needs_record_discarding_store(self, monkeypatch):
+        verdicts = spy_certify(monkeypatch)
+        matches_single_process(store=None)  # a MemoryStore journal
+        assert verdicts == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kwargs, match", [
@@ -130,11 +191,56 @@ class TestPreconditions:
             parallel_sweep(platform.delivery, workers=workers, **kwargs)
         assert platform.delivery.impression_count() == 0
 
-    def test_uncertifiable_budget_fails_before_forking(self):
-        platform, _ads = parallel_world(budget=0.05, users=200,
-                                        draw=fixed_competition(5.0))
-        with pytest.raises(StoreError, match="certify"):
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_worker_count_fails(self, workers):
+        platform, _ads = parallel_world(users=200)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            platform.run_sweep(workers=workers)
+        assert platform.delivery.impression_count() == 0
+
+    def test_uncertifiable_budget_sweeps_in_the_parent(self, monkeypatch):
+        """The workers' deltas are dropped unbilled, and the parent's
+        single-process sweep counts its budget fallback rounds."""
+        absorbed = []
+        monkeypatch.setattr(
+            DeliveryEngine, "absorb_sweep_delta",
+            lambda engine, delta: absorbed.append(delta))
+        with use_registry(MetricsRegistry("parsweep")) as reg:
+            platform, _ads = parallel_world(budget=0.05, users=200,
+                                            draw=fixed_competition(5.0))
+            stats = parallel_sweep(platform.delivery, workers=2)
+            assert reg.counter(
+                "delivery.sweep_budget_fallback_rounds").value >= 1
+        assert absorbed == []
+        assert stats.filled_by_tracked_ads == \
+            platform.delivery.impression_count() > 0
+
+
+class TestFailedWorker:
+    def test_failed_worker_leaves_the_parent_untouched(self, monkeypatch):
+        platform, ads = parallel_world(users=300, accounts=2,
+                                       draw=fixed_competition(1.0))
+        before = engine_state(platform, ads)
+        original = DeliveryEngine.sweep_slots
+        calls = []
+
+        def sweep_slots(engine, rows=None, **kwargs):
+            calls.append(rows)  # the parent's list; workers' die with them
+            if kwargs.get("_collect_delta") and rows[0] > 0:
+                raise RuntimeError("injected worker failure")
+            return original(engine, rows, **kwargs)
+        monkeypatch.setattr(DeliveryEngine, "sweep_slots", sweep_slots)
+        absorbed = []
+        monkeypatch.setattr(
+            DeliveryEngine, "absorb_sweep_delta",
+            lambda engine, delta: absorbed.append(delta))
+        with pytest.raises(StoreError,
+                           match=r"rows \[192, 300\): RuntimeError: "
+                                 "injected worker failure"):
             parallel_sweep(platform.delivery, workers=2)
+        assert calls == [] and absorbed == []  # no fallback, no fold
+        assert engine_state(platform, ads) == before
+        assert platform.delivery._shown_bits == {}
 
 
 class TestWorkerEquality:
@@ -273,8 +379,6 @@ class TestKeyedMarket:
     count, and gives the per-slot loop's outcome bit for bit."""
 
     def test_parallel_equals_scalar_bits(self):
-        from tests.platform.test_sweep_delivery import ledger_bits
-
         def world():
             return parallel_world(users=500, accounts=2,
                                   draw=lognormal_competition(

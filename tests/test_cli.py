@@ -194,3 +194,8 @@ class TestPopulate:
     def test_rejects_nonpositive_users(self, capsys):
         assert main(["populate", "--users", "0"]) == 2
         assert "--users must be >= 1" in capsys.readouterr().err
+
+    def test_rejects_nonpositive_sweep_workers(self, capsys):
+        assert main(["populate", "--users", "200", "--sweep",
+                     "--sweep-workers", "0"]) == 2
+        assert "--sweep-workers must be >= 1" in capsys.readouterr().err
